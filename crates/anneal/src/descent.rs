@@ -5,7 +5,6 @@ use crate::{read_seed, SampleSet, Sampler, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Steepest descent: from a random state, repeatedly flip the variable with
@@ -145,8 +144,6 @@ impl SteepestDescent {
         let reads: Vec<(Vec<u8>, f64)> = set
             .iter()
             .flat_map(|s| std::iter::repeat_n(s.state.clone(), s.occurrences as usize))
-            .collect::<Vec<_>>()
-            .into_par_iter()
             .map(|state| Self::descend(&compiled, state, self.max_steps))
             .collect();
         SampleSet::from_reads(reads)
@@ -193,8 +190,8 @@ impl Sampler for SteepestDescent {
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
         let mut dynamics = SamplerDynamics::default();
-        // Probe read 0 sequentially (energy-per-flip trace); the rest run
-        // the plain parallel path.
+        // Probe read 0 (energy-per-flip trace); the rest run the plain
+        // path.
         let mut results: Vec<(Vec<u8>, f64, u64)> = Vec::with_capacity(self.num_reads);
         if self.num_reads > 0 {
             let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, 0));
@@ -208,7 +205,6 @@ impl Sampler for SteepestDescent {
             ));
         }
         let rest: Vec<(Vec<u8>, f64, u64)> = (1..self.num_reads)
-            .into_par_iter()
             .map(|r| {
                 let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, r as u64));
                 let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
@@ -237,7 +233,6 @@ impl SteepestDescent {
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
         let results: Vec<(Vec<u8>, f64, u64)> = (0..self.num_reads)
-            .into_par_iter()
             .map(|r| {
                 let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, r as u64));
                 let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();

@@ -6,7 +6,7 @@
 //! quantum SDK involved:
 //!
 //! * [`SimulatedAnnealer`] — single-flip Metropolis with geometric/linear/
-//!   custom β schedules and rayon-parallel independent reads; the workhorse
+//!   custom β schedules and 64-lane bit-sliced read blocks; the workhorse
 //!   and the direct analog of the sampler the paper used.
 //! * [`ParallelTempering`] — replica exchange across a β ladder; better
 //!   mixing on rugged landscapes (used as an ablation).

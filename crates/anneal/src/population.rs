@@ -16,7 +16,6 @@ use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use qsmt_telemetry::dynamics::EssPoint;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// The population annealing sampler.
@@ -167,11 +166,11 @@ impl PopulationAnnealer {
                 }
                 population = next;
             }
-            // Equilibrate each replica independently (parallel).
+            // Equilibrate each replica independently.
             let sweeps = self.sweeps_per_step;
             let seed_base = self.seed.wrapping_add(beta.to_bits().rotate_left(17));
             accepted_total += population
-                .par_iter_mut()
+                .iter_mut()
                 .enumerate()
                 .map(|(k, kernel)| {
                     let mut r = SmallRng::seed_from_u64(read_seed(seed_base, k as u64));

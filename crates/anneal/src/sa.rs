@@ -1,4 +1,4 @@
-//! Single-flip Metropolis simulated annealing with parallel reads.
+//! Single-flip Metropolis simulated annealing over bit-sliced read blocks.
 
 use crate::probes::{aggregate_betas, Decimator, ProbeConfig, SamplerDynamics, StridedSampler};
 use crate::{
@@ -10,7 +10,6 @@ use qsmt_qubo::{
 use qsmt_telemetry::dynamics::BetaAcceptance;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,9 +39,10 @@ type BlockResult = (Vec<(Vec<u8>, f64)>, u64);
 /// flip is *accepted*; per-β [`AcceptanceTable`]s decide most uphill moves
 /// without an `exp` (and the extreme ones without an RNG draw).
 ///
-/// Reads run in parallel with rayon; results are deterministic for a fixed
-/// seed regardless of thread count, because each read derives its own RNG
-/// stream by hashing `(seed, read_index)` (see [`read_seed`]).
+/// Reads run in blocks of up to 64 lanes on the bit-sliced kernel; results
+/// are deterministic for a fixed seed regardless of how reads are
+/// partitioned into blocks, because each read derives its own RNG stream
+/// by hashing `(seed, read_index)` (see [`read_seed`]).
 ///
 /// ```
 /// use qsmt_anneal::{Sampler, SimulatedAnnealer};
@@ -67,7 +67,6 @@ pub struct SimulatedAnnealer {
     sweeps: usize,
     schedule: Option<BetaSchedule>,
     seed: u64,
-    parallel: bool,
     initial_state: Option<Vec<u8>>,
     stop: Option<StopFlag>,
 }
@@ -79,7 +78,6 @@ impl Default for SimulatedAnnealer {
             sweeps: 256,
             schedule: None,
             seed: 0,
-            parallel: true,
             initial_state: None,
             stop: None,
         }
@@ -88,7 +86,7 @@ impl Default for SimulatedAnnealer {
 
 impl SimulatedAnnealer {
     /// Creates an annealer with defaults: 32 reads, 256 sweeps, auto
-    /// geometric schedule, seed 0, parallel reads.
+    /// geometric schedule, seed 0.
     pub fn new() -> Self {
         Self::default()
     }
@@ -115,13 +113,6 @@ impl SimulatedAnnealer {
     /// Sets the RNG seed. Identical seeds give identical sample sets.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Forces sequential reads (for benching thread-scaling and for
-    /// environments where nested rayon pools are undesirable).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -390,22 +381,12 @@ impl SimulatedAnnealer {
         let tables = AcceptanceTable::for_schedule(&betas);
         let initial = self.initial_state.as_deref();
         let stop = self.stop.as_ref();
-        let blocks = Self::blocks(0..self.num_reads);
-        let results: Vec<BlockResult> = if self.parallel {
-            blocks
-                .into_par_iter()
-                .map(|(start, lanes)| {
-                    Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop)
-                })
-                .collect()
-        } else {
-            blocks
-                .into_iter()
-                .map(|(start, lanes)| {
-                    Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop)
-                })
-                .collect()
-        };
+        let results: Vec<BlockResult> = Self::blocks(0..self.num_reads)
+            .into_iter()
+            .map(|(start, lanes)| {
+                Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop)
+            })
+            .collect();
         let accepted = results.iter().map(|(_, a)| a).sum();
         let reads = results.into_iter().flat_map(|(reads, _)| reads).collect();
         (reads, accepted, betas.len() as u64)
@@ -489,8 +470,6 @@ impl Sampler for SimulatedAnnealer {
         }
         // Reads 1.. run on the bit-sliced block path exactly as in the
         // plain run; lane streams are independent of the probe read's.
-        // `started` is a Copy Instant, so per-block timestamps from
-        // parallel workers land on the same axis.
         let timed_block = |(start, lanes): (usize, usize)| {
             let t0 = started.elapsed().as_micros() as u64;
             let result =
@@ -499,12 +478,10 @@ impl Sampler for SimulatedAnnealer {
             ((start, lanes), result, (t0, t1.saturating_sub(t0)))
         };
         type TimedBlock = ((usize, usize), BlockResult, (u64, u64));
-        let blocks = Self::blocks(1..self.num_reads.max(1));
-        let rest: Vec<TimedBlock> = if self.parallel {
-            blocks.into_par_iter().map(timed_block).collect()
-        } else {
-            blocks.into_iter().map(timed_block).collect()
-        };
+        let rest: Vec<TimedBlock> = Self::blocks(1..self.num_reads.max(1))
+            .into_iter()
+            .map(timed_block)
+            .collect();
         let mut accepted: u64 = results.iter().map(|(_, _, a)| a).sum();
         let mut reads: Vec<(Vec<u8>, f64)> = results.into_iter().map(|(s, e, _)| (s, e)).collect();
         for ((start, lanes), (block_reads, block_accepted), interval) in rest {
@@ -563,17 +540,6 @@ mod tests {
         let a = SimulatedAnnealer::new().with_seed(9).sample(&m);
         let b = SimulatedAnnealer::new().with_seed(9).sample(&m);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sequential_matches_parallel() {
-        let (m, _) = gadget();
-        let par = SimulatedAnnealer::new().with_seed(3).sample(&m);
-        let seq = SimulatedAnnealer::new()
-            .with_seed(3)
-            .with_parallel(false)
-            .sample(&m);
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -810,7 +776,6 @@ mod tests {
         let sa = SimulatedAnnealer::new()
             .with_seed(6)
             .with_num_reads(2)
-            .with_parallel(false)
             .with_sweeps(200_000)
             .with_stop(stop.clone());
         let trip = std::thread::spawn(move || {

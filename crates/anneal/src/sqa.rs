@@ -25,7 +25,6 @@ use qsmt_qubo::{
 use qsmt_telemetry::dynamics::BetaAcceptance;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// The simulated quantum annealer (PIMC over Trotter replicas).
@@ -291,7 +290,6 @@ impl SimulatedQuantumAnnealer {
         // whole anneal (only Γ is scheduled), so one table serves the run.
         let table = AcceptanceTable::new(self.beta);
         let results: Vec<(Vec<u8>, f64, u64)> = (0..self.num_reads)
-            .into_par_iter()
             .map(|r| self.one_read(&compiled, &table, read_seed(self.seed, r as u64)))
             .collect();
         let accepted = results.iter().map(|(_, _, a)| a).sum();
@@ -343,7 +341,7 @@ impl Sampler for SimulatedQuantumAnnealer {
         let compiled = CompiledIsing::compile(&ising);
         let table = AcceptanceTable::new(self.beta);
         let mut dynamics = SamplerDynamics::default();
-        // Probe read 0 sequentially; the rest run the plain parallel path.
+        // Probe read 0; the rest run the plain path.
         let mut results: Vec<(Vec<u8>, f64, u64)> = Vec::with_capacity(self.num_reads);
         if self.num_reads > 0 {
             results.push(self.one_read_probed(
@@ -355,7 +353,6 @@ impl Sampler for SimulatedQuantumAnnealer {
             ));
         }
         let rest: Vec<(Vec<u8>, f64, u64)> = (1..self.num_reads)
-            .into_par_iter()
             .map(|r| self.one_read(&compiled, &table, read_seed(self.seed, r as u64)))
             .collect();
         results.extend(rest);

@@ -5,7 +5,6 @@ use crate::{read_seed, SampleSet, Sampler, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Recency-based tabu search: at each step flip the best non-tabu variable
@@ -193,7 +192,6 @@ impl Sampler for TabuSearch {
     fn sample(&self, model: &QuboModel) -> SampleSet {
         let compiled = CompiledQubo::compile(model);
         let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
-            .into_par_iter()
             .map(|r| self.one_read(&compiled, read_seed(self.seed, r as u64)))
             .collect();
         SampleSet::from_reads(reads)
@@ -237,7 +235,7 @@ impl Sampler for TabuSearch {
         let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         let mut dynamics = SamplerDynamics::default();
-        // Probe read 0 sequentially; the rest run the plain parallel path.
+        // Probe read 0; the rest run the plain path.
         let mut reads: Vec<(Vec<u8>, f64)> = Vec::with_capacity(self.num_reads);
         if self.num_reads > 0 {
             reads.push(self.one_read_probed(
@@ -248,7 +246,6 @@ impl Sampler for TabuSearch {
             ));
         }
         let rest: Vec<(Vec<u8>, f64)> = (1..self.num_reads)
-            .into_par_iter()
             .map(|r| self.one_read(&compiled, read_seed(self.seed, r as u64)))
             .collect();
         reads.extend(rest);

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use qsmt_anneal::{
-    read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SimulatedAnnealer, StopFlag,
-    LN_ACCEPT_CUTOFF,
+    read_seed, AcceptanceTable, BetaSchedule, ProbeConfig, SampleSet, Sampler, SimulatedAnnealer,
+    StopFlag, LN_ACCEPT_CUTOFF,
 };
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
@@ -119,18 +119,21 @@ fn tripped_stop_flag_yields_initial_states_matching_scalar_reference() {
     assert_eq!(got, want);
 }
 
-/// Parallel mode partitions reads into blocks but every read keeps its
-/// own stream, so results are identical to sequential mode.
+/// The plain path partitions 130 reads into blocks 64 + 64 + 2; the
+/// probed path runs read 0 alone and blocks 64 + 64 + 1 after it. Every
+/// read keeps its own stream, so both partitions reproduce the scalar
+/// reference.
 #[test]
-fn parallel_and_sequential_block_partitions_agree() {
+fn plain_and_probed_block_partitions_agree() {
     let model = dense_model(10, 3);
-    let base = SimulatedAnnealer::new()
+    let sampler = SimulatedAnnealer::new()
         .with_seed(11)
         .with_num_reads(130)
         .with_sweeps(8);
-    let sequential = base.clone().with_parallel(false).sample(&model);
-    let parallel = base.with_parallel(true).sample(&model);
-    assert_eq!(sequential, parallel);
+    let plain = sampler.sample(&model);
+    let (probed, _, _) = sampler.sample_dynamics(&model, &ProbeConfig::default());
+    assert_eq!(plain, probed);
+    assert_eq!(plain, reference_set(&model, 11, 130, 8));
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release -p qsmt-bench --bin figure1`
 
-use qsmt_core::{Constraint, StringSolver};
+use qsmt_core::{Constraint, SolveTrace, StringSolver};
 
 fn main() {
     let solver = StringSolver::with_defaults().with_seed(7);
@@ -21,10 +21,8 @@ fn main() {
             len: 4,
         },
     ] {
-        let (outcome, trace) = solver
-            .solve_traced(&constraint)
-            .expect("constraint encodes");
-        println!("{trace}");
+        let outcome = solver.solve(&constraint).expect("constraint encodes");
+        println!("{}", SolveTrace::new(&constraint, &outcome));
         println!(
             "result: {} (valid: {})\n{}",
             outcome.solution,

@@ -10,7 +10,7 @@
 //! different string every time, while still obeying the given
 //! constraints" (§5).
 
-use qsmt_core::{Constraint, Pipeline, Start, Step, StringSolver};
+use qsmt_core::{Constraint, Pipeline, SolveOptions, Start, Step, StringSolver};
 use qsmt_qubo::DenseQubo;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         let report = Pipeline::new(Start::Literal("hello".into()))
             .then(Step::Reverse)
             .then(Step::ReplaceAll { from: 'e', to: 'a' })
-            .run(&solver)
+            .run(&solver, &SolveOptions::default())
             .expect("row 1 encodes");
         row(
             "Reverse 'hello' and replace 'e' with 'a'",
@@ -75,7 +75,7 @@ fn main() {
                 separator: " ".into(),
             })
             .then(Step::ReplaceAll { from: 'l', to: 'x' })
-            .run(&solver)
+            .run(&solver, &SolveOptions::default())
             .expect("row 4 encodes");
         row(
             "Concatenate 'hello' and 'world', and replace all 'l' with 'x'",

@@ -7,7 +7,7 @@
 //!   constraint — `cargo run -p qsmt-bench --bin figure1`
 //!
 //! Criterion benches (`cargo bench -p qsmt-bench`): `scaling`, `samplers`,
-//! `parallel`, `embedding`, `crossover` — see DESIGN.md's experiment
+//! `embedding`, `crossover`, `multi_replica` — see DESIGN.md's experiment
 //! index.
 
 #![warn(missing_docs)]

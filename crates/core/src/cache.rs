@@ -3,7 +3,7 @@
 //! The paper's workload is repetitive by construction: fuzzing and
 //! symbolic-execution frontends recompile string-constraint scripts into
 //! structurally identical or near-identical QUBOs. [`SolveCache`] exploits
-//! that on three levels (see `docs/CACHING.md` for the full architecture):
+//! that on two levels (see `docs/CACHING.md` for the full architecture):
 //!
 //! 1. **Exact hits** — keyed by [`ModelFingerprint::exact`]. Two models
 //!    with equal exact keys have identical energy landscapes, so the
@@ -20,9 +20,6 @@
 //!    ([`SimulatedAnnealer::with_initial_state`]) from the cached ground
 //!    state, refining a near-solution with a short, moderately hot
 //!    schedule instead of a full cold anneal.
-//! 3. **Embedding reuse** — an embedded [`qsmt_qpu::EmbeddingCache`]
-//!    keyed by the same shape hash, since minor embeddings depend only on
-//!    adjacency structure.
 //!
 //! Every level is a bounded least-recently-used map; `capacity == 0`
 //! disables the cache entirely. Lookups, hits, misses, and warm starts
@@ -32,7 +29,6 @@
 //! [`SimulatedAnnealer::with_initial_state`]: qsmt_anneal::SimulatedAnnealer::with_initial_state
 
 use qsmt_anneal::SampleSet;
-use qsmt_qpu::{Embedding, EmbeddingCache};
 use qsmt_qubo::ModelFingerprint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,19 +75,18 @@ pub enum CacheLookup {
 }
 
 /// Bounded, content-addressed cache of solve results and warm-start
-/// seeds, plus an embedded minor-embedding cache. Thread-safe; one
-/// instance is shared across all workers of a solve service.
+/// seeds. Thread-safe; one instance is shared across all workers of a
+/// solve service.
 pub struct SolveCache {
     exact: Mutex<HashMap<u64, ExactEntry>>,
     shape: Mutex<HashMap<u64, ShapeEntry>>,
-    embeddings: EmbeddingCache,
     capacity: usize,
     tick: AtomicU64,
 }
 
 impl SolveCache {
     /// Creates a cache holding at most `capacity` entries per level
-    /// (exact results, warm-start seeds, embeddings). A capacity of zero
+    /// (exact results, warm-start seeds). A capacity of zero
     /// disables every level: lookups miss, inserts are dropped.
     pub fn new(capacity: usize) -> Self {
         let reg = qsmt_metrics::global();
@@ -119,18 +114,9 @@ impl SolveCache {
             "qsmt_cache_lookup_us",
             "Cache lookup latency in microseconds",
         );
-        reg.describe(
-            "qsmt_cache_embedding_hits_total",
-            "Minor-embedding lookups served from the shape-keyed cache",
-        );
-        reg.describe(
-            "qsmt_cache_embedding_misses_total",
-            "Minor-embedding lookups that had to run the embedding search",
-        );
         Self {
             exact: Mutex::new(HashMap::new()),
             shape: Mutex::new(HashMap::new()),
-            embeddings: EmbeddingCache::new(capacity),
             capacity,
             tick: AtomicU64::new(0),
         }
@@ -264,24 +250,6 @@ impl SolveCache {
             );
         }
         qsmt_metrics::global().gauge_set("qsmt_cache_entries", &[], entries as f64);
-    }
-
-    /// Looks up a minor embedding by shape hash, publishing the
-    /// `qsmt_cache_embedding_*` counters.
-    pub fn embedding_get(&self, shape: u64) -> Option<(String, Embedding)> {
-        let found = self.embeddings.get(shape);
-        let reg = qsmt_metrics::global();
-        if found.is_some() {
-            reg.counter_add("qsmt_cache_embedding_hits_total", &[], 1.0);
-        } else {
-            reg.counter_add("qsmt_cache_embedding_misses_total", &[], 1.0);
-        }
-        found
-    }
-
-    /// Caches a minor embedding (found on `topology`) under `shape`.
-    pub fn embedding_insert(&self, shape: u64, topology: &str, embedding: Embedding) {
-        self.embeddings.insert(shape, topology, embedding);
     }
 
     /// Number of exact-key result entries currently cached.

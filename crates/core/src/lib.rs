@@ -62,8 +62,8 @@ pub use ops::BiasProfile;
 pub use pipeline::{Pipeline, PipelineReport, StageReport, Start, Step};
 pub use portfolio::{
     describe_metrics as describe_portfolio_metrics, member_seed, ClassicalHook, MemberKind,
-    PlanMember, Portfolio, PortfolioOutcome, PortfolioPlan, Router, RoutingFeatures, ScriptFacts,
+    PlanMember, Portfolio, PortfolioPlan, Router, RoutingFeatures, ScriptFacts,
 };
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};
-pub use solver::{SolveOutcome, SolveTrace, StringSolver, TraceStage};
+pub use solver::{SolveOptions, SolveOutcome, SolveTrace, StringSolver, TraceStage};

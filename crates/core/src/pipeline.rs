@@ -9,7 +9,7 @@
 
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
-use crate::solver::{SolveOutcome, StringSolver};
+use crate::solver::{SolveOptions, SolveOutcome, StringSolver};
 
 /// Where the pipeline's initial string comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,16 +78,18 @@ impl Step {
 /// A sequential multi-constraint solve (paper §4.12).
 ///
 /// ```
-/// use qsmt_core::{Pipeline, Start, Step, StringSolver};
+/// use qsmt_core::{Pipeline, SolveOptions, Start, Step, StringSolver};
 ///
 /// // Table 1 row 1: reverse "hello", then replace 'e' with 'a'.
 /// let report = Pipeline::new(Start::Literal("hello".into()))
 ///     .then(Step::Reverse)
 ///     .then(Step::ReplaceAll { from: 'e', to: 'a' })
-///     .run(&StringSolver::with_defaults().with_seed(1))
+///     .run(&StringSolver::with_defaults().with_seed(1), &SolveOptions::default())
 ///     .unwrap();
 /// assert_eq!(report.final_text, "ollah");
 /// assert!(report.all_valid());
+/// // Every stage keeps its solve's run report.
+/// assert_eq!(report.stages[0].outcome.report.solution, "\"olleh\"");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -116,33 +118,23 @@ impl Pipeline {
         start_solves + self.steps.len()
     }
 
-    /// Runs every stage through the solver, threading decoded outputs.
+    /// Runs every stage through [`StringSolver::run`] with `opts`,
+    /// threading decoded outputs. Each stage's outcome, run report
+    /// included, is kept in its [`StageReport`].
     ///
     /// # Errors
     /// Propagates the first encoding failure. A stage whose decoded output
     /// fails semantic validation still feeds the next stage (and is
     /// reported in the per-stage outcomes), matching the paper's
     /// best-effort sequential composition.
-    pub fn run(&self, solver: &StringSolver) -> Result<PipelineReport, ConstraintError> {
+    pub fn run(
+        &self,
+        solver: &StringSolver,
+        opts: &SolveOptions,
+    ) -> Result<PipelineReport, ConstraintError> {
         let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let outcome = solver.solve(c)?;
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let outcome = solver.solve(&constraint)?;
+        let mut solve = |constraint: Constraint| -> Result<String, ConstraintError> {
+            let outcome = solver.run(&constraint, opts)?;
             let text = outcome.solution.as_text().unwrap_or_default().to_string();
             stages.push(StageReport {
                 constraint,
@@ -151,131 +143,19 @@ impl Pipeline {
                 energy: outcome.energy,
                 outcome,
             });
-            current = text;
+            Ok(text)
+        };
+        let mut current = match &self.start {
+            Start::Literal(s) => s.clone(),
+            Start::Generate(c) => solve(c.clone())?,
+        };
+        for step in &self.steps {
+            current = solve(step.to_constraint(&current))?;
         }
         Ok(PipelineReport {
             final_text: current,
             stages,
         })
-    }
-}
-
-impl Pipeline {
-    /// Like [`Pipeline::run`], additionally returning the Figure 1 stage
-    /// trace of every solver invocation — the multi-stage view of the
-    /// paper's §4.12 sequential composition.
-    ///
-    /// # Errors
-    /// Propagates the first encoding failure.
-    pub fn run_traced(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(PipelineReport, Vec<crate::SolveTrace>), ConstraintError> {
-        let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut traces = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let (outcome, trace) = solver.solve_traced(c)?;
-                traces.push(trace);
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let (outcome, trace) = solver.solve_traced(&constraint)?;
-            traces.push(trace);
-            let text = outcome.solution.as_text().unwrap_or_default().to_string();
-            stages.push(StageReport {
-                constraint,
-                output: text.clone(),
-                valid: outcome.valid,
-                energy: outcome.energy,
-                outcome,
-            });
-            current = text;
-        }
-        Ok((
-            PipelineReport {
-                final_text: current,
-                stages,
-            },
-            traces,
-        ))
-    }
-}
-
-impl Pipeline {
-    /// Like [`Pipeline::run`], additionally returning one
-    /// [`qsmt_telemetry::SolveReport`] per solver invocation — the
-    /// observability view of §4.12 sequential composition, aggregated by
-    /// `qsmt solve --report` into the per-goal `solves` array.
-    ///
-    /// ```
-    /// use qsmt_core::{Pipeline, Start, Step, StringSolver};
-    ///
-    /// let (report, solves) = Pipeline::new(Start::Literal("ab".into()))
-    ///     .then(Step::Reverse)
-    ///     .run_reported(&StringSolver::with_defaults().with_seed(3))
-    ///     .unwrap();
-    /// assert_eq!(report.final_text, "ba");
-    /// assert_eq!(solves.len(), 1);
-    /// assert!(solves[0].total_us > 0);
-    /// ```
-    ///
-    /// # Errors
-    /// Propagates the first encoding failure.
-    pub fn run_reported(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(PipelineReport, Vec<qsmt_telemetry::SolveReport>), ConstraintError> {
-        let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut reports = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let (outcome, report) = solver.solve_reported(c)?;
-                reports.push(report);
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let (outcome, report) = solver.solve_reported(&constraint)?;
-            reports.push(report);
-            let text = outcome.solution.as_text().unwrap_or_default().to_string();
-            stages.push(StageReport {
-                constraint,
-                output: text.clone(),
-                valid: outcome.valid,
-                energy: outcome.energy,
-                outcome,
-            });
-            current = text;
-        }
-        Ok((
-            PipelineReport {
-                final_text: current,
-                stages,
-            },
-            reports,
-        ))
     }
 }
 
@@ -369,13 +249,15 @@ mod tests {
         StringSolver::with_defaults().with_seed(11)
     }
 
+    fn run(p: &Pipeline) -> PipelineReport {
+        p.run(&solver(), &SolveOptions::default()).unwrap()
+    }
+
     #[test]
     fn table1_row1_reverse_then_replace() {
-        let report = Pipeline::new(Start::Literal("hello".into()))
+        let report = run(&Pipeline::new(Start::Literal("hello".into()))
             .then(Step::Reverse)
-            .then(Step::ReplaceAll { from: 'e', to: 'a' })
-            .run(&solver())
-            .unwrap();
+            .then(Step::ReplaceAll { from: 'e', to: 'a' }));
         assert_eq!(report.final_text, "ollah");
         assert_eq!(report.stages.len(), 2);
         assert!(report.all_valid());
@@ -384,82 +266,60 @@ mod tests {
 
     #[test]
     fn table1_row4_concat_then_replace_all() {
-        let report = Pipeline::new(Start::Literal("hello".into()))
+        let report = run(&Pipeline::new(Start::Literal("hello".into()))
             .then(Step::Append {
                 suffix: "world".into(),
                 separator: " ".into(),
             })
-            .then(Step::ReplaceAll { from: 'l', to: 'x' })
-            .run(&solver())
-            .unwrap();
+            .then(Step::ReplaceAll { from: 'l', to: 'x' }));
         assert_eq!(report.final_text, "hexxo worxd");
         assert!(report.all_valid());
     }
 
     #[test]
     fn generated_start_feeds_steps() {
-        let report = Pipeline::new(Start::Generate(Constraint::Regex {
+        let p = Pipeline::new(Start::Generate(Constraint::Regex {
             pattern: "ab+".into(),
             len: 3,
         }))
-        .then(Step::Reverse)
-        .run(&solver())
-        .unwrap();
+        .then(Step::Reverse);
+        let report = run(&p);
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.final_text, "bba");
     }
 
     #[test]
     fn replace_first_step() {
-        let report = Pipeline::new(Start::Literal("aa".into()))
-            .then(Step::ReplaceFirst { from: 'a', to: 'b' })
-            .run(&solver())
-            .unwrap();
+        let report = run(&Pipeline::new(Start::Literal("aa".into()))
+            .then(Step::ReplaceFirst { from: 'a', to: 'b' }));
         assert_eq!(report.final_text, "ba");
     }
 
     #[test]
     fn empty_pipeline_returns_start() {
-        let report = Pipeline::new(Start::Literal("abc".into()))
-            .run(&solver())
-            .unwrap();
+        let report = run(&Pipeline::new(Start::Literal("abc".into())));
         assert_eq!(report.final_text, "abc");
         assert!(report.stages.is_empty());
         assert!(report.all_valid());
     }
 
     #[test]
-    fn traced_run_matches_untraced_and_yields_one_trace_per_stage() {
+    fn every_stage_keeps_its_solve_report() {
         let p = Pipeline::new(Start::Literal("hello".into()))
             .then(Step::Reverse)
             .then(Step::ReplaceAll { from: 'e', to: 'a' });
-        let plain = p.run(&solver()).unwrap();
-        let (traced, traces) = p.run_traced(&solver()).unwrap();
-        assert_eq!(plain.final_text, traced.final_text);
-        assert_eq!(traces.len(), 2);
-        for t in &traces {
-            assert_eq!(t.stages.len(), 5, "each stage gets a full Figure 1 trace");
-        }
-    }
-
-    #[test]
-    fn reported_run_matches_plain_run() {
-        let p = Pipeline::new(Start::Literal("hello".into()))
-            .then(Step::Reverse)
-            .then(Step::ReplaceAll { from: 'e', to: 'a' });
-        let plain = p.run(&solver()).unwrap();
-        let (reported, reports) = p.run_reported(&solver()).unwrap();
-        assert_eq!(plain.final_text, reported.final_text);
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
+        let report = run(&p);
+        assert_eq!(report.stages.len(), 2);
+        for stage in &report.stages {
+            let r = &stage.outcome.report;
             assert!(r.valid);
             let labels: Vec<&str> = r.stages.iter().map(|s| s.label.as_str()).collect();
             assert_eq!(
                 labels,
-                vec!["compile", "lint", "presolve", "embed", "sample", "select"]
+                vec!["compile", "lint", "presolve", "sample", "select"]
             );
         }
-        assert_eq!(reports[0].solution, "\"olleh\"");
+        assert_eq!(report.stages[0].outcome.report.solution, "\"olleh\"");
     }
 
     #[test]

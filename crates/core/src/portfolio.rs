@@ -15,7 +15,8 @@
 //!   [`PortfolioPlan`]: which members to race ([`MemberKind`]) and each
 //!   member's read/sweep budget. The thresholds come from the crossover
 //!   bench; `docs/PORTFOLIO.md` records the measured crossover points.
-//! * The first-wins race itself ([`StringSolver::solve_portfolio`]):
+//! * The first-wins race itself ([`StringSolver::run`] with
+//!   [`SolveOptions::portfolio`](crate::SolveOptions::portfolio) set):
 //!   every plan member runs on its own scoped thread with its own
 //!   [`StopFlag`] and RNG stream (derived via `read_seed`, so the
 //!   winner's sample set is bit-identical to running that member alone
@@ -31,17 +32,13 @@
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::problem::{EncodedProblem, Solution};
-use crate::solver::{SolveOutcome, StringSolver};
+use crate::solver::{select, Selection, Solved, StageClock, StringSolver};
 use qsmt_anneal::{
     read_seed, ExactSolver, SampleSet, Sampler, SamplerRunStats, SimulatedAnnealer,
     SimulatedQuantumAnnealer,
 };
-use qsmt_lint::lint_qubo;
 use qsmt_qubo::StopFlag;
-use qsmt_telemetry::{
-    CompileStats, Json, PortfolioMemberStats, PortfolioStats, PresolveStats, Recorder, SelectStats,
-    SolveReport, StageTiming,
-};
+use qsmt_telemetry::{Json, PortfolioMemberStats, PortfolioStats};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -441,11 +438,13 @@ impl Router {
     }
 }
 
-/// Portfolio configuration: a router plus the optional classical hook.
+/// Portfolio configuration: a router, the optional classical hook, and
+/// the script-level facts routing decisions are enriched with.
 #[derive(Clone, Default)]
 pub struct Portfolio {
     router: Router,
     classical: Option<ClassicalHook>,
+    facts: ScriptFacts,
 }
 
 impl std::fmt::Debug for Portfolio {
@@ -453,6 +452,7 @@ impl std::fmt::Debug for Portfolio {
         f.debug_struct("Portfolio")
             .field("router", &self.router)
             .field("classical", &self.classical.is_some())
+            .field("facts", &self.facts)
             .finish()
     }
 }
@@ -478,6 +478,13 @@ impl Portfolio {
         self
     }
 
+    /// Routes every race of this portfolio with script-level facts (the
+    /// absint feature summary) merged into the model features.
+    pub fn with_script_facts(mut self, facts: ScriptFacts) -> Self {
+        self.facts = facts;
+        self
+    }
+
     /// The routing table in effect.
     pub fn router(&self) -> &Router {
         &self.router
@@ -486,31 +493,12 @@ impl Portfolio {
 
 /// Everything one member produced during a race.
 struct MemberRun {
-    outcome: SolveOutcome,
+    samples: SampleSet,
+    selection: Selection,
     run_stats: SamplerRunStats,
-    decoded: usize,
-    valid_rank: Option<usize>,
     elapsed_us: u64,
     start_offset_us: u64,
     stopped: bool,
-}
-
-/// The result of a portfolio race, bundled for the reporting layers.
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// The winner's solve outcome (primary member's when none won).
-    pub outcome: SolveOutcome,
-    /// Which member kind won the race.
-    pub winner: MemberKind,
-    /// Winner's sampler counters (for the report's sampling section).
-    pub run_stats: SamplerRunStats,
-    /// Winner's post-selection counters: decoded states and the energy
-    /// rank of the chosen valid sample.
-    pub decoded: usize,
-    /// Energy-order rank of the winner's chosen valid sample.
-    pub valid_rank: Option<usize>,
-    /// The telemetry record (schema v9 `portfolio` section).
-    pub stats: PortfolioStats,
 }
 
 impl StringSolver {
@@ -532,120 +520,23 @@ impl StringSolver {
         Ok(features)
     }
 
-    /// Solves a constraint by racing a routed portfolio: every plan
-    /// member runs on its own scoped thread with its own stop flag and
-    /// RNG stream, and the first member whose post-selected answer
-    /// validates cancels the rest. See the module docs for the
-    /// determinism and loss-free-cancellation guarantees.
-    ///
-    /// # Errors
-    /// Propagates encoding failures, and — in deny-on-error mode — lint
-    /// rejections, exactly like [`StringSolver::solve`].
-    pub fn solve_portfolio(
+    /// The `portfolio` stage of [`StringSolver::run`]: routes the
+    /// compiled model and races the plan. Every plan member runs on its
+    /// own scoped thread with its own stop flag and RNG stream, and the
+    /// first member whose post-selected answer validates cancels the
+    /// rest. See the module docs for the determinism and
+    /// loss-free-cancellation guarantees.
+    pub(crate) fn race_stage(
         &self,
+        clock: &mut StageClock,
         constraint: &Constraint,
+        problem: &EncodedProblem,
         portfolio: &Portfolio,
-        facts: Option<&ScriptFacts>,
-    ) -> Result<PortfolioOutcome, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let mut features = RoutingFeatures::from_problem(&problem, constraint);
-        if let Some(facts) = facts {
-            features.merge_script(facts);
-        }
+    ) -> Solved {
+        let mut features = RoutingFeatures::from_problem(problem, constraint);
+        features.merge_script(&portfolio.facts);
         let plan = portfolio.router.route(&features);
-        Ok(self.race(constraint, &problem, &plan, portfolio.classical.as_ref()))
-    }
-
-    /// [`StringSolver::solve_portfolio`] with a full [`SolveReport`]: the
-    /// usual compile/lint/presolve stages, then a `portfolio` stage
-    /// covering the race, the winner's sampling/selection counters, and
-    /// the schema-v9 `portfolio` section.
-    ///
-    /// # Errors
-    /// Propagates encoding failures and — in deny-on-error mode — lint
-    /// rejections.
-    pub fn solve_portfolio_reported(
-        &self,
-        constraint: &Constraint,
-        portfolio: &Portfolio,
-        facts: Option<&ScriptFacts>,
-    ) -> Result<(PortfolioOutcome, SolveReport), ConstraintError> {
-        fn begin(stages: &mut Vec<StageTiming>, rec: &Recorder, label: &str) -> u64 {
-            let start = rec.elapsed_us();
-            stages.push(StageTiming {
-                label: label.to_string(),
-                start_us: start,
-                dur_us: 0,
-            });
-            start
-        }
-
-        let rec = Recorder::new();
-        let mut stages = Vec::with_capacity(4);
-
-        let start = begin(&mut stages, &rec, "compile");
-        let problem = {
-            let _s = rec.span("compile");
-            let _t = qsmt_trace::span("compile");
-            self.encode(constraint)?
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let qubo_shape = problem.qubo.shape();
-        rec.event(
-            "encoded",
-            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
-        );
-        let compile = CompileStats {
-            constraint: constraint.describe(),
-            encoding: problem.name.to_string(),
-            time_us: stages.last().expect("pushed").dur_us,
-        };
-
-        let start = begin(&mut stages, &rec, "lint");
-        let lint_report = {
-            let _s = rec.span("lint");
-            let _t = qsmt_trace::span("lint");
-            lint_qubo(&problem.qubo, self.lint_config())
-        };
-        let lint_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = lint_us;
-        rec.event("linted", lint_report.summary());
-        self.deny_gate(&problem.qubo)?;
-        let lint = Some(lint_report.to_stats(lint_us));
-
-        let start = begin(&mut stages, &rec, "presolve");
-        let presolve = {
-            let _s = rec.span("presolve");
-            let _t = qsmt_trace::span("presolve");
-            let reduced = qsmt_qubo::presolve(&problem.qubo);
-            let original = problem.qubo.num_vars();
-            let fixed = reduced.num_fixed();
-            PresolveStats {
-                time_us: 0,
-                original_vars: original,
-                fixed_vars: fixed,
-                reduced_vars: original - fixed,
-                reduction_ratio: if original == 0 {
-                    0.0
-                } else {
-                    fixed as f64 / original as f64
-                },
-            }
-        };
-        let presolve_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = presolve_us;
-        let presolve = PresolveStats {
-            time_us: presolve_us,
-            ..presolve
-        };
-
-        let mut features = RoutingFeatures::from_problem(&problem, constraint);
-        if let Some(facts) = facts {
-            features.merge_script(facts);
-        }
-        let plan = portfolio.router.route(&features);
-        rec.event(
+        clock.rec.event(
             "routed",
             format!(
                 "{} members, predicted {}",
@@ -653,53 +544,29 @@ impl StringSolver {
                 plan.predicted.as_str()
             ),
         );
-
-        let start = begin(&mut stages, &rec, "portfolio");
-        let out = {
-            let _s = rec.span("portfolio");
-            let _t = qsmt_trace::span("portfolio");
-            self.race(constraint, &problem, &plan, portfolio.classical.as_ref())
-        };
-        let race_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = race_us;
-        rec.event(
+        let ((run, stats), _) = clock.stage("portfolio", |_| {
+            self.race(constraint, problem, &plan, portfolio.classical.as_ref())
+        });
+        clock.rec.event(
             "raced",
-            format!("{} won in {} µs", out.winner.as_str(), out.stats.time_us),
+            format!("{} won in {} µs", stats.winner, stats.time_us),
         );
-
-        let sampling = Self::sampler_stats(
-            out.winner.sampler_name(),
-            &out.outcome.samples,
-            out.run_stats,
-            out.stats.members[out.stats.winner_index as usize].elapsed_us,
-        );
-        let select = SelectStats {
-            time_us: 0,
-            decoded_states: out.decoded,
-            valid_rank: out.valid_rank,
-        };
-
-        let total_us = rec.elapsed_us();
-        let report = SolveReport {
-            constraint: constraint.describe(),
-            solution: out.outcome.solution.to_string(),
-            energy: out.outcome.energy,
-            valid: out.outcome.valid,
-            total_us,
-            stages,
-            compile,
-            qubo: qubo_shape,
-            lint,
-            presolve,
-            embedding: None,
-            sampling,
-            select,
+        Solved {
+            sampling: Self::sampler_stats(
+                plan.members[stats.winner_index as usize]
+                    .kind
+                    .sampler_name(),
+                &run.samples,
+                run.run_stats,
+                run.elapsed_us,
+            ),
+            samples: run.samples,
+            selection: run.selection,
+            select_us: 0,
             dynamics: None,
             cache: None,
-            portfolio: Some(out.stats.clone()),
-            spans: rec.finish(),
-        };
-        Ok((out, report))
+            portfolio: Some(stats),
+        }
     }
 
     /// Runs the first-wins race for an already-routed plan.
@@ -709,7 +576,7 @@ impl StringSolver {
         problem: &EncodedProblem,
         plan: &PortfolioPlan,
         classical: Option<&ClassicalHook>,
-    ) -> PortfolioOutcome {
+    ) -> (MemberRun, PortfolioStats) {
         let n = plan.members.len();
         let flags: Vec<StopFlag> = (0..n).map(|_| StopFlag::new()).collect();
         let winner: Mutex<Option<usize>> = Mutex::new(None);
@@ -748,37 +615,31 @@ impl StringSolver {
                     scope.spawn(move || {
                         let start_offset_us = race_start.elapsed().as_micros() as u64;
                         let t = Instant::now();
-                        let (outcome, run_stats, decoded, valid_rank) = match member.kind {
+                        let (samples, selection, run_stats) = match member.kind {
                             MemberKind::Classical => {
                                 let solution = classical.and_then(|hook| hook(constraint));
                                 let valid =
                                     solution.as_ref().is_some_and(|s| constraint.validate(s));
-                                let solution =
-                                    solution.unwrap_or_else(|| Solution::Text(String::new()));
-                                (
-                                    SolveOutcome {
-                                        problem: problem.clone(),
-                                        samples: SampleSet::default(),
-                                        solution,
-                                        energy: f64::NAN,
-                                        valid,
-                                    },
-                                    SamplerRunStats::default(),
-                                    0,
-                                    None,
-                                )
+                                let selection = Selection {
+                                    solution: solution
+                                        .unwrap_or_else(|| Solution::Text(String::new())),
+                                    energy: f64::NAN,
+                                    valid,
+                                    decoded: 0,
+                                    valid_rank: None,
+                                };
+                                (SampleSet::default(), selection, SamplerRunStats::default())
                             }
                             _ => {
                                 let sampler = member
                                     .sampler(member_seed(base_seed, i), Some(flag.clone()))
                                     .expect("non-classical members build samplers");
                                 let (samples, run_stats) = sampler.sample_stats(&problem.qubo);
-                                let (outcome, decoded, valid_rank) =
-                                    self.select_counted(constraint, problem.clone(), samples);
-                                (outcome, run_stats, decoded, valid_rank)
+                                let selection = select(constraint, problem, &samples);
+                                (samples, selection, run_stats)
                             }
                         };
-                        if outcome.valid {
+                        if selection.valid {
                             let mut w = winner.lock().expect("winner lock");
                             if w.is_none() {
                                 *w = Some(i);
@@ -790,10 +651,9 @@ impl StringSolver {
                             }
                         }
                         MemberRun {
-                            outcome,
+                            samples,
+                            selection,
                             run_stats,
-                            decoded,
-                            valid_rank,
                             elapsed_us: (t.elapsed().as_micros() as u64).max(1),
                             start_offset_us,
                             stopped: flag.is_stopped(),
@@ -834,16 +694,16 @@ impl StringSolver {
                 member: plan.members[i].kind.as_str().to_string(),
                 reads: plan.members[i].reads as u64,
                 sweeps: plan.members[i].sweeps as u64,
-                outcome: if i == widx && run.outcome.valid {
+                outcome: if i == widx && run.selection.valid {
                     "won".to_string()
-                } else if run.stopped && !run.outcome.valid {
+                } else if run.stopped && !run.selection.valid {
                     "cancelled".to_string()
                 } else {
                     "lost".to_string()
                 },
                 elapsed_us: run.elapsed_us,
                 stopped: run.stopped,
-                valid: run.outcome.valid,
+                valid: run.selection.valid,
             })
             .collect();
         let cancelled = members.iter().filter(|m| m.outcome == "cancelled").count();
@@ -875,15 +735,11 @@ impl StringSolver {
             members,
             time_us: race_us,
         };
-        let run = &runs[widx];
-        PortfolioOutcome {
-            outcome: run.outcome.clone(),
-            winner: winner_kind,
-            run_stats: run.run_stats,
-            decoded: run.decoded,
-            valid_rank: run.valid_rank,
-            stats,
-        }
+        let run = runs
+            .into_iter()
+            .nth(widx)
+            .expect("winner index is in the plan");
+        (run, stats)
     }
 }
 
@@ -906,6 +762,23 @@ pub fn describe_metrics(registry: &qsmt_metrics::Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SolveOptions, SolveOutcome};
+
+    /// Races `c` through [`StringSolver::run`] and returns the outcome
+    /// with its portfolio record.
+    fn race(
+        solver: &StringSolver,
+        c: &Constraint,
+        portfolio: &Portfolio,
+    ) -> (SolveOutcome, PortfolioStats) {
+        let opts = SolveOptions {
+            portfolio: Some(portfolio),
+            ..SolveOptions::default()
+        };
+        let out = solver.run(c, &opts).unwrap();
+        let stats = out.report.portfolio.clone().expect("raced solves report");
+        (out, stats)
+    }
 
     fn features(num_vars: usize, transformation: bool) -> RoutingFeatures {
         RoutingFeatures {
@@ -972,14 +845,14 @@ mod tests {
             index: 1,
             len: 3,
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        assert!(out.outcome.valid);
-        assert_eq!(out.winner, MemberKind::Exact);
-        assert_eq!(out.stats.members[0].outcome, "won");
+        let (out, stats) = race(&solver, &c, &portfolio);
+        assert!(out.valid);
+        assert_eq!(stats.winner, MemberKind::Exact.as_str());
+        assert_eq!(stats.members[0].outcome, "won");
         // The backstop annealer observed the winner's cancellation (or
         // finished losing); either way the race recorded it.
-        assert_eq!(out.stats.members.len(), 2);
-        assert_ne!(out.stats.members[1].outcome, "won");
+        assert_eq!(stats.members.len(), 2);
+        assert_ne!(stats.members[1].outcome, "won");
     }
 
     #[test]
@@ -987,8 +860,8 @@ mod tests {
         let solver = StringSolver::with_defaults().with_seed(11);
         let portfolio = Portfolio::new();
         let c = Constraint::Palindrome { len: 6 };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        let widx = out.stats.winner_index as usize;
+        let (out, stats) = race(&solver, &c, &portfolio);
+        let widx = stats.winner_index as usize;
         let features = solver.routing_features(&c, None).unwrap();
         let plan = portfolio.router().route(&features);
         let member = plan.members[widx];
@@ -996,7 +869,7 @@ mod tests {
             .sampler(member_seed(11, widx), None)
             .expect("winner is sampler-backed")
             .sample(&solver.encode(&c).unwrap().qubo);
-        assert_eq!(out.outcome.samples, solo);
+        assert_eq!(out.samples, solo);
     }
 
     #[test]
@@ -1010,10 +883,10 @@ mod tests {
         let c = Constraint::Reverse {
             input: "portfolio".into(),
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        assert_eq!(out.winner, MemberKind::Classical);
-        assert_eq!(out.outcome.solution.as_text(), Some("oiloftrop"));
-        assert!(out.outcome.valid);
+        let (out, stats) = race(&solver, &c, &portfolio);
+        assert_eq!(stats.winner, MemberKind::Classical.as_str());
+        assert_eq!(out.solution.as_text(), Some("oiloftrop"));
+        assert!(out.valid);
     }
 
     #[test]
@@ -1028,10 +901,10 @@ mod tests {
             haystack: "xyz".into(),
             needle: "ab".into(),
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        let widx = out.stats.winner_index as usize;
-        assert!(widx < out.stats.members.len());
-        if !out.outcome.valid {
+        let (out, stats) = race(&solver, &c, &portfolio);
+        let widx = stats.winner_index as usize;
+        assert!(widx < stats.members.len());
+        if !out.valid {
             assert_eq!(widx, 0, "no winner must fall back to the primary");
         }
     }

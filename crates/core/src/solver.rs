@@ -1,17 +1,21 @@
 //! The solver facade: constraint → QUBO → sampler → decoded, validated
-//! answer, with a stage trace reproducing the paper's Figure 1 pipeline.
+//! answer with its run report, plus a rendering of the paper's Figure 1
+//! pipeline.
 
 use crate::cache::{CacheLookup, SolveCache};
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::ops::{BiasProfile, DEFAULT_STRENGTH};
+use crate::portfolio::Portfolio;
 use crate::problem::{EncodedProblem, Solution};
-use qsmt_anneal::{metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SimulatedAnnealer};
+use qsmt_anneal::{
+    metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
+};
 use qsmt_lint::{lint_qubo, LintConfig, LintReport};
 use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, StopFlag};
 use qsmt_telemetry::{
-    CacheStats, CompileStats, DynamicsStats, EmbeddingStats, HistogramSummary, PresolveStats,
-    Recorder, SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
+    CacheStats, CompileStats, DynamicsStats, HistogramSummary, PresolveStats, Recorder,
+    SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,10 +108,6 @@ impl StringSolver {
         self.seed
     }
 
-    pub(crate) fn lint_config(&self) -> &LintConfig {
-        &self.lint_config
-    }
-
     pub(crate) fn outer_stop(&self) -> Option<&StopFlag> {
         self.stop.as_ref()
     }
@@ -187,10 +187,10 @@ impl StringSolver {
     }
 
     /// Caches a finished solve unless it was cancelled mid-anneal.
-    fn cache_completed(&self, fp: ModelFingerprint, outcome: &SolveOutcome) {
+    fn cache_completed(&self, fp: ModelFingerprint, num_vars: usize, samples: &SampleSet) {
         if let Some(cache) = &self.cache {
             if self.completed_without_cancel() {
-                cache.insert(fp, outcome.problem.num_vars(), self.seed, &outcome.samples);
+                cache.insert(fp, num_vars, self.seed, samples);
             }
         }
     }
@@ -239,7 +239,7 @@ impl StringSolver {
 
     /// Deny gate: when deny-on-error mode is on, lint the compiled model
     /// and reject it if any error-level diagnostic fires.
-    pub(crate) fn deny_gate(&self, qubo: &QuboModel) -> Result<(), ConstraintError> {
+    fn deny_gate(&self, qubo: &QuboModel) -> Result<(), ConstraintError> {
         if !self.deny_lint_errors {
             return Ok(());
         }
@@ -257,88 +257,249 @@ impl StringSolver {
         Ok(())
     }
 
-    /// Solves a constraint end to end.
+    /// Solves a constraint end to end: compile → lint (+ deny gate) →
+    /// presolve, then either cache lookup → sample → select on this
+    /// solver's sampler or, with [`SolveOptions::portfolio`], the routed
+    /// first-wins race. The returned outcome always carries the full
+    /// [`SolveReport`]: per-stage timings, QUBO shape, lint and presolve
+    /// statistics, sampler counters and the span log (see
+    /// `docs/OBSERVABILITY.md` for every field).
+    ///
+    /// Reporting is observational: the sampler's RNG stream is untouched,
+    /// so the samples are bit-identical whether probes are on or off.
+    ///
+    /// ```
+    /// use qsmt_core::{Constraint, SolveOptions, StringSolver};
+    ///
+    /// let solver = StringSolver::with_defaults().with_seed(7);
+    /// let opts = SolveOptions { probes: true, ..SolveOptions::default() };
+    /// let out = solver
+    ///     .run(&Constraint::Reverse { input: "ab".into() }, &opts)
+    ///     .unwrap();
+    /// assert_eq!(out.solution.as_text(), Some("ba"));
+    /// assert_eq!(out.report.qubo.num_vars, out.problem.num_vars());
+    /// assert!(out.report.stages.iter().any(|s| s.label == "sample"));
+    /// assert!(out.report.dynamics.is_some());
+    /// ```
     ///
     /// # Errors
     /// Propagates encoding failures, and — in deny-on-error mode
     /// ([`StringSolver::with_deny_lint_errors`]) — lint rejections.
     /// Sampling itself is infallible.
-    pub fn solve(&self, constraint: &Constraint) -> Result<SolveOutcome, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let Some(cache) = &self.cache else {
-            let samples = self.sampler.sample(&problem.qubo);
-            return Ok(self.select(constraint, problem, samples));
-        };
-        let fp = problem.qubo.fingerprint();
-        let allow_warm = self.sampler.supports_initial_state();
-        match cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm) {
-            CacheLookup::Exact { samples, .. } => Ok(self.select(constraint, problem, samples)),
-            CacheLookup::Warm(state) => {
-                let samples = match self.warm_sampler(state) {
-                    Some(warm) => warm.sample(&problem.qubo),
-                    None => self.sampler.sample(&problem.qubo),
-                };
-                let outcome = self.select(constraint, problem, samples);
-                self.cache_completed(fp, &outcome);
-                Ok(outcome)
-            }
-            CacheLookup::Miss => {
-                let samples = self.sampler.sample(&problem.qubo);
-                let outcome = self.select(constraint, problem, samples);
-                self.cache_completed(fp, &outcome);
-                Ok(outcome)
-            }
-        }
-    }
-
-    /// Solves with a full stage trace (the paper's Figure 1).
-    ///
-    /// # Errors
-    /// Propagates encoding failures.
-    pub fn solve_traced(
+    pub fn run(
         &self,
         constraint: &Constraint,
-    ) -> Result<(SolveOutcome, SolveTrace), ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let dense = DenseQubo::from_model(&problem.qubo);
-        let trace_matrix = dense.abbreviated(4, 4);
-        let stages = vec![
-            TraceStage {
-                label: "operation + args".into(),
-                detail: constraint.describe(),
-            },
-            TraceStage {
-                label: "binary variables".into(),
-                detail: format!("{} binary variables ({})", problem.num_vars(), problem.name),
-            },
-            TraceStage {
-                label: "QUBO matrix".into(),
-                detail: format!(
-                    "{0}×{0} matrix, {1} off-diagonal interactions, diagonal: {2}\n{3}",
-                    problem.num_vars(),
-                    problem.qubo.num_interactions(),
-                    if dense.is_diagonal() { "yes" } else { "no" },
-                    trace_matrix
-                ),
-            },
-            TraceStage {
-                label: "annealer".into(),
-                detail: format!("sampler: {}", self.sampler.name()),
-            },
-        ];
-        let samples = self.sampler.sample(&problem.qubo);
-        let outcome = self.select(constraint, problem, samples);
-        let mut stages = stages;
-        stages.push(TraceStage {
-            label: "decoded output".into(),
-            detail: format!(
-                "{} (energy {:.3}, valid: {})",
-                outcome.solution, outcome.energy, outcome.valid
-            ),
+        opts: &SolveOptions,
+    ) -> Result<SolveOutcome, ConstraintError> {
+        let mut clock = StageClock::default();
+
+        let (problem, compile_us) = clock.stage("compile", |_| self.encode(constraint));
+        let problem = problem?;
+        let qubo_shape = problem.qubo.shape();
+        clock.rec.event(
+            "encoded",
+            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
+        );
+
+        let (lint_report, lint_us) =
+            clock.stage("lint", |_| lint_qubo(&problem.qubo, &self.lint_config));
+        clock.rec.event("linted", lint_report.summary());
+        if self.deny_lint_errors {
+            Self::reject_on_errors(&lint_report)?;
+        }
+
+        let (fixed, presolve_us) = clock.stage("presolve", |_| {
+            qsmt_qubo::presolve(&problem.qubo).num_fixed()
         });
-        Ok((outcome, SolveTrace { stages }))
+        let original = problem.qubo.num_vars();
+
+        let solved = match opts.portfolio {
+            Some(portfolio) => self.race_stage(&mut clock, constraint, &problem, portfolio),
+            None => self.sample_stage(&mut clock, constraint, &problem, opts.probes),
+        };
+
+        let report = SolveReport {
+            constraint: constraint.describe(),
+            solution: solved.selection.solution.to_string(),
+            energy: solved.selection.energy,
+            valid: solved.selection.valid,
+            total_us: clock.rec.elapsed_us(),
+            stages: clock.stages,
+            compile: CompileStats {
+                constraint: constraint.describe(),
+                encoding: problem.name.to_string(),
+                time_us: compile_us,
+            },
+            qubo: qubo_shape,
+            lint: Some(lint_report.to_stats(lint_us)),
+            presolve: PresolveStats {
+                time_us: presolve_us,
+                original_vars: original,
+                fixed_vars: fixed,
+                reduced_vars: original - fixed,
+                reduction_ratio: if original == 0 {
+                    0.0
+                } else {
+                    fixed as f64 / original as f64
+                },
+            },
+            sampling: solved.sampling,
+            select: SelectStats {
+                time_us: solved.select_us,
+                decoded_states: solved.selection.decoded,
+                valid_rank: solved.selection.valid_rank,
+            },
+            dynamics: solved.dynamics,
+            cache: solved.cache,
+            portfolio: solved.portfolio,
+            spans: clock.rec.finish(),
+        };
+        Ok(SolveOutcome {
+            problem,
+            samples: solved.samples,
+            solution: solved.selection.solution,
+            energy: solved.selection.energy,
+            valid: solved.selection.valid,
+            report,
+        })
+    }
+
+    /// [`StringSolver::run`] with default options: this solver's own
+    /// sampler, probes off.
+    ///
+    /// # Errors
+    /// As [`StringSolver::run`].
+    pub fn solve(&self, constraint: &Constraint) -> Result<SolveOutcome, ConstraintError> {
+        self.run(constraint, &SolveOptions::default())
+    }
+
+    /// The `sample` and `select` stages of a single-sampler solve.
+    /// Consults the cache (when attached) before paying for sampling: an
+    /// exact fingerprint hit replays the cached sample set, a shape hit
+    /// warm-starts a short reverse anneal, a miss samples cold and
+    /// inserts the completed result.
+    fn sample_stage(
+        &self,
+        clock: &mut StageClock,
+        constraint: &Constraint,
+        problem: &EncodedProblem,
+        probes: bool,
+    ) -> Solved {
+        let probe_config = if probes {
+            ProbeConfig::default()
+        } else {
+            ProbeConfig::disabled()
+        };
+        let (sampled, sample_us) = clock.stage("sample", |rec| {
+            let lookup = self.cache.as_ref().map(|cache| {
+                let fp = problem.qubo.fingerprint();
+                let t = std::time::Instant::now();
+                let allow_warm = self.sampler.supports_initial_state();
+                let found = cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm);
+                (fp, found, t.elapsed().as_micros() as u64)
+            });
+            // Per-read intervals are measured relative to the sampler's
+            // own start; captured just before sampling so they nest inside
+            // the still-open sample span when spliced below.
+            let trace_base_us = qsmt_trace::active().then(qsmt_trace::now_us);
+            let (fp, cache_outcome, sampler) = match lookup {
+                Some((
+                    _,
+                    CacheLookup::Exact {
+                        samples,
+                        reads,
+                        seed,
+                    },
+                    lookup_us,
+                )) => {
+                    rec.event("cache", "exact hit: replaying cached sample set");
+                    let stats = CacheStats {
+                        outcome: "exact-hit".to_string(),
+                        lookup_us,
+                        warm_sweeps: None,
+                        source_reads: Some(reads),
+                        source_seed: Some(seed),
+                    };
+                    return Sampled {
+                        samples,
+                        run_stats: SamplerRunStats::default(),
+                        sampler_name: "cache",
+                        cache: Some(stats),
+                        insert_fp: None,
+                        dynamics: SamplerDynamics::default(),
+                    };
+                }
+                Some((fp, CacheLookup::Warm(state), lookup_us)) => {
+                    rec.event("cache", "shape hit: warm-starting reverse anneal");
+                    // `supports_initial_state` gated the warm lookup, so
+                    // the configured sampler provides the warm variant;
+                    // fall back to a cold run if a custom sampler breaks
+                    // that contract.
+                    (
+                        Some(fp),
+                        Some(("warm-start", lookup_us)),
+                        self.warm_sampler(state),
+                    )
+                }
+                Some((fp, CacheLookup::Miss, lookup_us)) => {
+                    (Some(fp), Some(("miss", lookup_us)), None)
+                }
+                None => (None, None, None),
+            };
+            // Trajectory probes observe, never steer: the sample set is
+            // bit-identical to the un-probed path (pinned by tests).
+            let (samples, run_stats, dynamics) = sampler
+                .as_deref()
+                .unwrap_or(&*self.sampler)
+                .sample_dynamics(&problem.qubo, &probe_config);
+            if let Some(base_us) = trace_base_us {
+                for (i, &(offset_us, dur_us)) in dynamics.read_spans.iter().enumerate() {
+                    qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
+                }
+            }
+            Sampled {
+                samples,
+                run_stats,
+                sampler_name: self.sampler.name(),
+                cache: cache_outcome.map(|(outcome, lookup_us)| CacheStats {
+                    outcome: outcome.to_string(),
+                    lookup_us,
+                    warm_sweeps: (outcome == "warm-start")
+                        .then_some(run_stats.sweeps)
+                        .flatten(),
+                    source_reads: None,
+                    source_seed: None,
+                }),
+                insert_fp: fp,
+                dynamics,
+            }
+        });
+        let dynamics = Self::dynamics_stats(sampled.dynamics, sampled.run_stats.acceptance_rate());
+        if let Some(d) = &dynamics {
+            clock.rec.event(
+                "dynamics",
+                format!("{} trajectory", d.stall_verdict.as_str()),
+            );
+        }
+        let (selection, select_us) =
+            clock.stage("select", |_| select(constraint, problem, &sampled.samples));
+        if let Some(fp) = sampled.insert_fp {
+            self.cache_completed(fp, problem.num_vars(), &sampled.samples);
+        }
+        Solved {
+            sampling: Self::sampler_stats(
+                sampled.sampler_name,
+                &sampled.samples,
+                sampled.run_stats,
+                sample_us,
+            ),
+            samples: sampled.samples,
+            selection,
+            select_us,
+            dynamics,
+            cache: sampled.cache,
+            portfolio: None,
+        }
     }
 
     /// Returns up to `limit` *distinct, valid* solutions ordered by
@@ -372,332 +533,6 @@ impl StringSolver {
             }
         }
         Ok(out)
-    }
-
-    /// Post-selection: lowest-energy sample whose decoding validates;
-    /// falls back to the overall best sample when none validates.
-    fn select(
-        &self,
-        constraint: &Constraint,
-        problem: EncodedProblem,
-        samples: SampleSet,
-    ) -> SolveOutcome {
-        self.select_counted(constraint, problem, samples).0
-    }
-
-    /// [`StringSolver::select`] plus the counters telemetry wants: how
-    /// many distinct states were decoded before the search stopped, and
-    /// the energy-order rank of the chosen valid sample.
-    pub(crate) fn select_counted(
-        &self,
-        constraint: &Constraint,
-        problem: EncodedProblem,
-        samples: SampleSet,
-    ) -> (SolveOutcome, usize, Option<usize>) {
-        let mut best: Option<(Solution, f64)> = None;
-        let mut valid_pick: Option<(Solution, f64)> = None;
-        let mut decoded = 0usize;
-        let mut valid_rank = None;
-        for (rank, sample) in samples.iter().enumerate() {
-            let Ok(solution) = problem.decode_state(&sample.state) else {
-                continue;
-            };
-            decoded += 1;
-            if best.is_none() {
-                best = Some((solution.clone(), sample.energy));
-            }
-            if valid_pick.is_none() && constraint.validate(&solution) {
-                valid_pick = Some((solution, sample.energy));
-                valid_rank = Some(rank);
-            }
-            if valid_pick.is_some() {
-                break;
-            }
-        }
-        let (solution, energy, valid) = match (valid_pick, best) {
-            (Some((s, e)), _) => (s, e, true),
-            (None, Some((s, e))) => (s, e, false),
-            (None, None) => (Solution::Text(String::new()), f64::NAN, false),
-        };
-        (
-            SolveOutcome {
-                problem,
-                samples,
-                solution,
-                energy,
-                valid,
-            },
-            decoded,
-            valid_rank,
-        )
-    }
-
-    /// Solves a constraint end to end, additionally producing the full
-    /// observability record: per-stage timings, QUBO shape, presolve and
-    /// embedding statistics, sampler counters, and the raw span log. See
-    /// `docs/OBSERVABILITY.md` for every field's meaning.
-    ///
-    /// The solve path is identical to [`StringSolver::solve`] — telemetry
-    /// is observational and the sampler's RNG stream is untouched — except
-    /// for three extra read-only analyses: a formulation-lint pass
-    /// ([`qsmt_lint`]) over the compiled QUBO, a presolve pass, and a
-    /// minor-embedding probe onto a Chimera topology sized to fit the
-    /// problem (so reports carry chain statistics even when sampling
-    /// classically).
-    ///
-    /// ```
-    /// use qsmt_core::{Constraint, StringSolver};
-    ///
-    /// let solver = StringSolver::with_defaults().with_seed(7);
-    /// let (out, report) = solver
-    ///     .solve_reported(&Constraint::Reverse { input: "ab".into() })
-    ///     .unwrap();
-    /// assert_eq!(out.solution.as_text(), Some("ba"));
-    /// assert_eq!(report.qubo.num_vars, out.problem.num_vars());
-    /// assert!(report.stages.iter().any(|s| s.label == "sample"));
-    /// ```
-    ///
-    /// # Errors
-    /// Propagates encoding failures, exactly like [`StringSolver::solve`].
-    pub fn solve_reported(
-        &self,
-        constraint: &Constraint,
-    ) -> Result<(SolveOutcome, SolveReport), ConstraintError> {
-        fn begin(stages: &mut Vec<StageTiming>, rec: &Recorder, label: &str) -> u64 {
-            let start = rec.elapsed_us();
-            stages.push(StageTiming {
-                label: label.to_string(),
-                start_us: start,
-                dur_us: 0,
-            });
-            start
-        }
-
-        let rec = Recorder::new();
-        let mut stages = Vec::with_capacity(6);
-
-        let start = begin(&mut stages, &rec, "compile");
-        let problem = {
-            let _s = rec.span("compile");
-            let _t = qsmt_trace::span("compile");
-            self.encode(constraint)?
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let qubo_shape = problem.qubo.shape();
-        rec.event(
-            "encoded",
-            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
-        );
-        let compile = CompileStats {
-            constraint: constraint.describe(),
-            encoding: problem.name.to_string(),
-            time_us: stages.last().expect("pushed").dur_us,
-        };
-
-        let start = begin(&mut stages, &rec, "lint");
-        let lint_report = {
-            let _s = rec.span("lint");
-            let _t = qsmt_trace::span("lint");
-            lint_qubo(&problem.qubo, &self.lint_config)
-        };
-        let lint_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = lint_us;
-        rec.event("linted", lint_report.summary());
-        if self.deny_lint_errors {
-            Self::reject_on_errors(&lint_report)?;
-        }
-        let lint = Some(lint_report.to_stats(lint_us));
-
-        let start = begin(&mut stages, &rec, "presolve");
-        let presolve = {
-            let _s = rec.span("presolve");
-            let _t = qsmt_trace::span("presolve");
-            let reduced = qsmt_qubo::presolve(&problem.qubo);
-            let original = problem.qubo.num_vars();
-            let fixed = reduced.num_fixed();
-            PresolveStats {
-                time_us: 0, // patched below
-                original_vars: original,
-                fixed_vars: fixed,
-                reduced_vars: original - fixed,
-                reduction_ratio: if original == 0 {
-                    0.0
-                } else {
-                    fixed as f64 / original as f64
-                },
-            }
-        };
-        let presolve_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = presolve_us;
-        let presolve = PresolveStats {
-            time_us: presolve_us,
-            ..presolve
-        };
-
-        let start = begin(&mut stages, &rec, "embed");
-        let embedding = {
-            let _s = rec.span("embed");
-            let _t = qsmt_trace::span("embed");
-            self.probe_embedding(&problem.qubo)
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        if let Some(e) = &embedding {
-            rec.event(
-                "embedded",
-                format!(
-                    "{} logical → {} physical on {}",
-                    e.num_logical, e.num_physical_qubits, e.topology
-                ),
-            );
-        }
-
-        let start = begin(&mut stages, &rec, "sample");
-        // The trace span stays open until the per-read child spans are
-        // spliced in below, so their intervals nest inside it.
-        let trace_sample = qsmt_trace::span("sample");
-        let trace_base_us = qsmt_trace::active().then(qsmt_trace::now_us);
-        // Consult the cache (when attached) before paying for sampling:
-        // an exact fingerprint hit replays the cached sample set, a shape
-        // hit warm-starts a short reverse anneal, a miss samples cold.
-        let lookup = self.cache.as_ref().map(|cache| {
-            let fp = problem.qubo.fingerprint();
-            let t = std::time::Instant::now();
-            let allow_warm = self.sampler.supports_initial_state();
-            let found = cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm);
-            (fp, found, t.elapsed().as_micros() as u64)
-        });
-        let (samples, run_stats, raw_dynamics, sampler_name, cache_outcome, insert_fp) =
-            match lookup {
-                Some((
-                    _,
-                    CacheLookup::Exact {
-                        samples,
-                        reads,
-                        seed,
-                    },
-                    lookup_us,
-                )) => {
-                    rec.event("cache", "exact hit: replaying cached sample set");
-                    (
-                        samples,
-                        qsmt_anneal::SamplerRunStats::default(),
-                        SamplerDynamics::default(),
-                        "cache",
-                        Some(("exact-hit", lookup_us, Some((reads, seed)))),
-                        None,
-                    )
-                }
-                Some((fp, CacheLookup::Warm(state), lookup_us)) => {
-                    rec.event("cache", "shape hit: warm-starting reverse anneal");
-                    let _s = rec.span("sample");
-                    // `supports_initial_state` gated the warm lookup, so
-                    // the configured sampler provides the warm variant;
-                    // fall back to a cold run if a custom sampler breaks
-                    // that contract.
-                    let warm = self.warm_sampler(state);
-                    let (samples, run_stats, raw) = warm
-                        .as_deref()
-                        .unwrap_or(&*self.sampler)
-                        .sample_dynamics(&problem.qubo, &ProbeConfig::default());
-                    (
-                        samples,
-                        run_stats,
-                        raw,
-                        self.sampler.name(),
-                        Some(("warm-start", lookup_us, None)),
-                        Some(fp),
-                    )
-                }
-                other => {
-                    let (cache_outcome, insert_fp) = match &other {
-                        Some((fp, _, lookup_us)) => (Some(("miss", *lookup_us, None)), Some(*fp)),
-                        None => (None, None),
-                    };
-                    let _s = rec.span("sample");
-                    // Trajectory probes observe, never steer: the sample
-                    // set is bit-identical to the un-probed path (pinned
-                    // by tests).
-                    let (samples, run_stats, raw) = self
-                        .sampler
-                        .sample_dynamics(&problem.qubo, &ProbeConfig::default());
-                    (
-                        samples,
-                        run_stats,
-                        raw,
-                        self.sampler.name(),
-                        cache_outcome,
-                        insert_fp,
-                    )
-                }
-            };
-        let sample_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = sample_us;
-        // Splice the sampler's per-read wall-clock intervals (measured
-        // relative to its own start) onto the trace axis as children of
-        // the still-open sample span. `trace_base_us` was captured just
-        // before sampling began, so read intervals stay contained.
-        if let Some(base_us) = trace_base_us {
-            for (i, &(offset_us, dur_us)) in raw_dynamics.read_spans.iter().enumerate() {
-                qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
-            }
-        }
-        drop(trace_sample);
-        let sampling = Self::sampler_stats(sampler_name, &samples, run_stats, sample_us);
-        let dynamics = Self::dynamics_stats(raw_dynamics, run_stats.acceptance_rate());
-        if let Some(d) = &dynamics {
-            rec.event(
-                "dynamics",
-                format!("{} trajectory", d.stall_verdict.as_str()),
-            );
-        }
-        let cache_stats = cache_outcome.map(|(outcome, lookup_us, source)| CacheStats {
-            outcome: outcome.to_string(),
-            lookup_us,
-            warm_sweeps: (outcome == "warm-start")
-                .then_some(run_stats.sweeps)
-                .flatten(),
-            source_reads: source.map(|(reads, _)| reads),
-            source_seed: source.map(|(_, seed)| seed),
-        });
-
-        let start = begin(&mut stages, &rec, "select");
-        let (outcome, decoded, valid_rank) = {
-            let _s = rec.span("select");
-            let _t = qsmt_trace::span("select");
-            self.select_counted(constraint, problem, samples)
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let select = SelectStats {
-            time_us: stages.last().expect("pushed").dur_us,
-            decoded_states: decoded,
-            valid_rank,
-        };
-
-        if let Some(fp) = insert_fp {
-            self.cache_completed(fp, &outcome);
-        }
-
-        let total_us = rec.elapsed_us();
-        let report = SolveReport {
-            constraint: constraint.describe(),
-            solution: outcome.solution.to_string(),
-            energy: outcome.energy,
-            valid: outcome.valid,
-            total_us,
-            stages,
-            compile,
-            qubo: qubo_shape,
-            lint,
-            presolve,
-            embedding,
-            sampling,
-            select,
-            dynamics,
-            cache: cache_stats,
-            portfolio: None,
-            spans: rec.finish(),
-        };
-        Ok((outcome, report))
     }
 
     /// Condenses raw probe observations into the report's `dynamics`
@@ -777,54 +612,6 @@ impl StringSolver {
             tts99_us,
         }
     }
-
-    /// Projects the logical QUBO onto the smallest Chimera topology that
-    /// admits a minor embedding, yielding chain statistics for the report.
-    /// Returns `None` for empty models, models too large to probe cheaply
-    /// (> 512 variables), and problems the router cannot place within the
-    /// size ladder. When a [`SolveCache`] is attached, embeddings are
-    /// reused across structurally identical models via the shape hash —
-    /// minor embedding depends only on the adjacency structure, so a
-    /// coefficient change never invalidates it.
-    fn probe_embedding(&self, model: &QuboModel) -> Option<EmbeddingStats> {
-        let n = model.num_vars();
-        if n == 0 || n > 512 {
-            return None;
-        }
-        let start = std::time::Instant::now();
-        let shape = self.cache.as_ref().map(|c| (c, model.fingerprint().shape));
-        if let Some((cache, shape)) = &shape {
-            if let Some((topology, emb)) = cache.embedding_get(*shape) {
-                return Some(EmbeddingStats::from_chains(
-                    topology,
-                    emb.chains(),
-                    start.elapsed().as_micros() as u64,
-                ));
-            }
-        }
-        let problem = qsmt_qpu::QpuSimulator::problem_graph(model);
-        // Smallest C(m, m, 4) with at least n qubits, then grow the grid
-        // until the router finds a placement (denser problems need slack).
-        let mut m = 1usize;
-        while 8 * m * m < n {
-            m += 1;
-        }
-        for grid in m..m + 4 {
-            let topo = qsmt_qpu::Topology::chimera(grid, grid, 4);
-            if let Ok(emb) = qsmt_qpu::embed(&problem, topo.graph(), self.seed, 2) {
-                let stats = EmbeddingStats::from_chains(
-                    topo.name(),
-                    emb.chains(),
-                    start.elapsed().as_micros() as u64,
-                );
-                if let Some((cache, shape)) = shape {
-                    cache.embedding_insert(shape, topo.name(), emb);
-                }
-                return Some(stats);
-            }
-        }
-        None
-    }
 }
 
 impl std::fmt::Debug for StringSolver {
@@ -842,7 +629,8 @@ impl std::fmt::Debug for StringSolver {
 pub struct SolveOutcome {
     /// The encoded problem (QUBO + decode scheme).
     pub problem: EncodedProblem,
-    /// The full aggregated sample set from the sampler.
+    /// The full aggregated sample set (the race winner's on a portfolio
+    /// solve).
     pub samples: SampleSet,
     /// The reported answer (lowest-energy valid sample, or lowest-energy
     /// sample when nothing validated).
@@ -851,6 +639,129 @@ pub struct SolveOutcome {
     pub energy: f64,
     /// Whether the reported answer passed semantic validation.
     pub valid: bool,
+    /// The observability record of this solve (`docs/OBSERVABILITY.md`).
+    pub report: SolveReport,
+}
+
+/// How a solve runs. Each field replaces what used to be a choice
+/// between entry points; the default is the plainest solve — no absint
+/// pass, the solver's own sampler, probes off.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolveOptions<'p> {
+    /// Run the script-level abstract-interpretation pass before compiling
+    /// (`docs/ABSINT.md`). Read by the SMT-LIB script driver; a bare
+    /// constraint has no script to analyze.
+    pub absint: bool,
+    /// Race this routed portfolio instead of sampling with the solver's
+    /// own sampler (`docs/PORTFOLIO.md`).
+    pub portfolio: Option<&'p Portfolio>,
+    /// Trajectory probes on the sampler: the report's `dynamics` section
+    /// and per-read trace spans. Samples are identical either way.
+    pub probes: bool,
+}
+
+/// Post-selection result: the answer plus the counters the report's
+/// `select` section carries.
+pub(crate) struct Selection {
+    pub(crate) solution: Solution,
+    pub(crate) energy: f64,
+    pub(crate) valid: bool,
+    /// Distinct states decoded before the search stopped.
+    pub(crate) decoded: usize,
+    /// Energy-order rank of the chosen valid sample.
+    pub(crate) valid_rank: Option<usize>,
+}
+
+/// Post-selection: lowest-energy sample whose decoding validates; falls
+/// back to the overall best sample when none validates.
+pub(crate) fn select(
+    constraint: &Constraint,
+    problem: &EncodedProblem,
+    samples: &SampleSet,
+) -> Selection {
+    let mut best: Option<(Solution, f64)> = None;
+    let mut decoded = 0usize;
+    for (rank, sample) in samples.iter().enumerate() {
+        let Ok(solution) = problem.decode_state(&sample.state) else {
+            continue;
+        };
+        decoded += 1;
+        if constraint.validate(&solution) {
+            return Selection {
+                solution,
+                energy: sample.energy,
+                valid: true,
+                decoded,
+                valid_rank: Some(rank),
+            };
+        }
+        if best.is_none() {
+            best = Some((solution, sample.energy));
+        }
+    }
+    let (solution, energy) = best.unwrap_or((Solution::Text(String::new()), f64::NAN));
+    Selection {
+        solution,
+        energy,
+        valid: false,
+        decoded,
+        valid_rank: None,
+    }
+}
+
+/// What the sample stage produced, before selection.
+struct Sampled {
+    samples: SampleSet,
+    run_stats: SamplerRunStats,
+    sampler_name: &'static str,
+    cache: Option<CacheStats>,
+    /// Fingerprint to insert the completed solve under (cache misses and
+    /// warm starts).
+    insert_fp: Option<ModelFingerprint>,
+    dynamics: SamplerDynamics,
+}
+
+/// What the sampling stages of a solve (single sampler or portfolio race)
+/// hand back to [`StringSolver::run`].
+pub(crate) struct Solved {
+    pub(crate) samples: SampleSet,
+    pub(crate) selection: Selection,
+    pub(crate) select_us: u64,
+    pub(crate) sampling: SamplerStats,
+    pub(crate) dynamics: Option<DynamicsStats>,
+    pub(crate) cache: Option<CacheStats>,
+    pub(crate) portfolio: Option<qsmt_telemetry::PortfolioStats>,
+}
+
+/// Times a solve's top-level stages: one [`StageTiming`] per stage, each
+/// mirrored as a recorder span and a `qsmt-trace` span.
+#[derive(Default)]
+pub(crate) struct StageClock {
+    pub(crate) rec: Recorder,
+    pub(crate) stages: Vec<StageTiming>,
+}
+
+impl StageClock {
+    /// Runs `f` as stage `label`, returning its result and duration.
+    pub(crate) fn stage<T>(
+        &mut self,
+        label: &'static str,
+        f: impl FnOnce(&Recorder) -> T,
+    ) -> (T, u64) {
+        let start_us = self.rec.elapsed_us();
+        let out = {
+            let _s = self.rec.span(label);
+            let _t = qsmt_trace::span(label);
+            f(&self.rec)
+        };
+        let dur_us = self.rec.elapsed_us() - start_us;
+        self.stages.push(StageTiming {
+            label: label.to_string(),
+            start_us,
+            dur_us,
+        });
+        (out, dur_us)
+    }
 }
 
 /// One stage of the Figure 1 pipeline trace.
@@ -868,6 +779,49 @@ pub struct TraceStage {
 pub struct SolveTrace {
     /// The ordered stages.
     pub stages: Vec<TraceStage>,
+}
+
+impl SolveTrace {
+    /// Renders a finished solve as the paper's Figure 1: the operation,
+    /// its binary variables, the QUBO matrix, the annealer, and the
+    /// decoded output.
+    pub fn new(constraint: &Constraint, outcome: &SolveOutcome) -> Self {
+        let problem = &outcome.problem;
+        let dense = DenseQubo::from_model(&problem.qubo);
+        let stage = |label: &str, detail: String| TraceStage {
+            label: label.into(),
+            detail,
+        };
+        let stages = vec![
+            stage("operation + args", constraint.describe()),
+            stage(
+                "binary variables",
+                format!("{} binary variables ({})", problem.num_vars(), problem.name),
+            ),
+            stage(
+                "QUBO matrix",
+                format!(
+                    "{0}×{0} matrix, {1} off-diagonal interactions, diagonal: {2}\n{3}",
+                    problem.num_vars(),
+                    problem.qubo.num_interactions(),
+                    if dense.is_diagonal() { "yes" } else { "no" },
+                    dense.abbreviated(4, 4)
+                ),
+            ),
+            stage(
+                "annealer",
+                format!("sampler: {}", outcome.report.sampling.sampler),
+            ),
+            stage(
+                "decoded output",
+                format!(
+                    "{} (energy {:.3}, valid: {})",
+                    outcome.solution, outcome.energy, outcome.valid
+                ),
+            ),
+        ];
+        SolveTrace { stages }
+    }
 }
 
 impl std::fmt::Display for SolveTrace {
@@ -969,11 +923,10 @@ mod tests {
 
     #[test]
     fn trace_contains_all_figure1_stages() {
-        let (_, trace) = solver()
-            .solve_traced(&Constraint::Equality {
-                target: "ok".into(),
-            })
-            .unwrap();
+        let c = Constraint::Equality {
+            target: "ok".into(),
+        };
+        let trace = SolveTrace::new(&c, &solver().solve(&c).unwrap());
         assert_eq!(trace.stages.len(), 5);
         let labels: Vec<&str> = trace.stages.iter().map(|s| s.label.as_str()).collect();
         assert!(labels[0].contains("operation"));
@@ -1031,26 +984,13 @@ mod tests {
     }
 
     #[test]
-    fn reported_solve_matches_plain_solve() {
-        let c = Constraint::Reverse {
-            input: "abc".into(),
-        };
-        let plain = solver().solve(&c).unwrap();
-        let (outcome, report) = solver().solve_reported(&c).unwrap();
-        assert_eq!(outcome.solution, plain.solution);
-        assert_eq!(
-            outcome.samples, plain.samples,
-            "telemetry must not change sampling"
-        );
-        assert_eq!(report.solution, "\"cba\"");
-        assert!(report.valid);
-    }
-
-    #[test]
     fn report_carries_dynamics_from_probed_sampler() {
-        let (_, report) = solver()
-            .solve_reported(&Constraint::Reverse { input: "ab".into() })
-            .unwrap();
+        let opts = SolveOptions {
+            probes: true,
+            ..SolveOptions::default()
+        };
+        let c = Constraint::Reverse { input: "ab".into() };
+        let report = solver().run(&c, &opts).unwrap().report;
         let d = report.dynamics.as_ref().expect("SA exposes dynamics");
         assert!(!d.energy_trace.is_empty());
         assert!(!d.beta_acceptance.is_empty());
@@ -1066,19 +1006,24 @@ mod tests {
             .all(|w| w[0].gap_fraction < w[1].gap_fraction && w[0].sweep <= w[1].sweep));
         // The verdict made it into the event stream too.
         assert!(report.spans.iter().any(|s| s.name == "dynamics"));
+        // Probes off: same samples, no trajectory.
+        let plain = solver().solve(&c).unwrap();
+        assert!(plain.report.dynamics.is_none());
+        assert_eq!(plain.samples, solver().run(&c, &opts).unwrap().samples);
     }
 
     #[test]
     fn report_stages_are_ordered_and_timed() {
-        let (_, report) = solver()
-            .solve_reported(&Constraint::Equality {
+        let report = solver()
+            .solve(&Constraint::Equality {
                 target: "hi".into(),
             })
-            .unwrap();
+            .unwrap()
+            .report;
         let labels: Vec<&str> = report.stages.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(
             labels,
-            vec!["compile", "lint", "presolve", "embed", "sample", "select"]
+            vec!["compile", "lint", "presolve", "sample", "select"]
         );
         // Stage starts are monotone non-decreasing and fit in the total.
         for pair in report.stages.windows(2) {
@@ -1091,10 +1036,9 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_qubo_sampler_and_embedding_stats() {
-        let (out, report) = solver()
-            .solve_reported(&Constraint::Palindrome { len: 4 })
-            .unwrap();
+    fn report_carries_qubo_and_sampler_stats() {
+        let out = solver().solve(&Constraint::Palindrome { len: 4 }).unwrap();
+        let report = &out.report;
         assert_eq!(report.qubo.num_vars, out.problem.num_vars());
         assert!(report.qubo.max_abs_coefficient > 0.0);
         let s = &report.sampling;
@@ -1107,23 +1051,12 @@ mod tests {
         assert!(s.flips_per_sec.is_some());
         assert!(s.success_fraction > 0.0);
         assert!(s.tts99_us.is_some());
-        let e = report.embedding.as_ref().expect("small model embeds");
-        assert_eq!(e.num_logical, out.problem.num_vars());
-        assert!(e.num_physical_qubits >= e.num_logical);
-        assert!(e.max_chain_length >= 1);
-        let total: u64 = e.chain_length_histogram.iter().sum();
-        assert_eq!(total as usize, e.num_logical);
+        assert_eq!(
+            report.to_json().get("embedding"),
+            Some(&qsmt_telemetry::Json::Null)
+        );
         assert_eq!(report.select.valid_rank.is_some(), out.valid);
         assert!(report.select.decoded_states > 0);
-    }
-
-    #[test]
-    fn reported_solve_propagates_encode_errors() {
-        assert!(solver()
-            .solve_reported(&Constraint::Equality {
-                target: "héllo".into()
-            })
-            .is_err());
     }
 
     #[test]
@@ -1145,12 +1078,7 @@ mod tests {
             })
             .unwrap();
         assert!(out.valid);
-        let (_, report) = s
-            .solve_reported(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
-        let lint = report.lint.as_ref().expect("reported solve always lints");
+        let lint = out.report.lint.as_ref().expect("every solve lints");
         assert_eq!(lint.errors, 0);
     }
 
@@ -1369,7 +1297,8 @@ mod tests {
 
         // Cold solve: a miss that runs the full 384-sweep schedule.
         let c = Constraint::Reverse { input: "ab".into() };
-        let (cold_out, cold) = s.solve_reported(&c).unwrap();
+        let cold_out = s.solve(&c).unwrap();
+        let cold = &cold_out.report;
         let stats = cold.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "miss");
         assert_eq!(stats.warm_sweeps, None);
@@ -1378,7 +1307,8 @@ mod tests {
         assert_eq!(cold_sweeps, 384);
 
         // Exact repeat: replayed from cache, sampler labelled as such.
-        let (hit_out, hit) = s.solve_reported(&c).unwrap();
+        let hit_out = s.solve(&c).unwrap();
+        let hit = &hit_out.report;
         let stats = hit.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "exact-hit");
         assert_eq!(hit.sampling.sampler, "cache");
@@ -1391,7 +1321,8 @@ mod tests {
         // Same shape, different coefficients: the cached ground state
         // seeds a short reverse anneal instead of a cold run.
         let near = Constraint::Reverse { input: "cd".into() };
-        let (warm_out, warm) = s.solve_reported(&near).unwrap();
+        let warm_out = s.solve(&near).unwrap();
+        let warm = &warm_out.report;
         let stats = warm.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "warm-start");
         let warm_sweeps = stats.warm_sweeps.expect("warm starts report sweeps");

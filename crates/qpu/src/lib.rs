@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod chain;
 mod embedding;
 mod gauge;
@@ -39,7 +38,6 @@ mod simulator;
 mod timing;
 mod topology;
 
-pub use cache::EmbeddingCache;
 pub use chain::{ChainBreakResolution, ChainStrength};
 pub use embedding::{embed, EmbedError, Embedding};
 pub use gauge::{apply_gauge, gauge_state, identity_gauge, random_gauge};

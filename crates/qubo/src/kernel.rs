@@ -23,8 +23,8 @@
 //! The kernels deliberately do **not** borrow their compiled model:
 //! [`FlipKernel::flip`] takes the [`CompiledQubo`] as an argument. This
 //! keeps the kernel a plain value — samplers can clone it (population
-//! resampling), swap two kernels wholesale (replica exchange), and send it
-//! across rayon tasks without lifetime plumbing.
+//! resampling) and swap two kernels wholesale (replica exchange) without
+//! lifetime plumbing.
 
 use crate::{CompiledIsing, CompiledQubo, Var};
 

@@ -18,7 +18,7 @@
 //! * a bare length assertion → printable string generation.
 //!
 //! ```
-//! use qsmt_core::StringSolver;
+//! use qsmt_core::{SolveOptions, StringSolver};
 //! use qsmt_smtlib::{SatStatus, Script};
 //!
 //! let script = Script::parse(r#"
@@ -28,7 +28,8 @@
 //!     (check-sat)
 //!     (get-model)
 //! "#).unwrap();
-//! let out = script.solve(&StringSolver::with_defaults().with_seed(3)).unwrap();
+//! let solver = StringSolver::with_defaults().with_seed(3);
+//! let out = script.run(&solver, &SolveOptions::default()).unwrap().outcome;
 //! assert_eq!(out.status, SatStatus::Sat);
 //! assert_eq!(out.model[0].1.to_string(), "\"olleh\"");
 //! ```
@@ -47,5 +48,5 @@ pub use absint::{apply_tightenings, lower, AbsintRun};
 pub use ast::{AstError, Command, RegLan, Sort, Term};
 pub use compile::{compile, reglan_to_regex, CompileError, Goal};
 pub use lexer::{lex, LexError, Token};
-pub use script::{GoalLint, ModelValue, SatStatus, Script, ScriptError, ScriptOutcome};
+pub use script::{GoalLint, ModelValue, SatStatus, Script, ScriptError, ScriptOutcome, ScriptRun};
 pub use sexpr::{parse_sexprs, SExpr, SExprError};

@@ -1,9 +1,13 @@
 //! Script driver: parse → compile → solve → model.
 
+use crate::absint::AbsintRun;
 use crate::ast::{parse_command, Command};
 use crate::compile::{compile, CompileError, Goal};
 use crate::sexpr::{parse_sexprs, SExprError};
-use qsmt_core::{ConstraintError, Portfolio, PortfolioPlan, ScriptFacts, StringSolver};
+use qsmt_core::{
+    ConstraintError, Portfolio, PortfolioPlan, ScriptFacts, SolveOptions, StringSolver,
+};
+use qsmt_telemetry::{GoalKind, GoalReport, RunReport, SolveReport};
 
 /// A parsed SMT-LIB script.
 #[derive(Debug, Clone)]
@@ -89,6 +93,70 @@ pub struct ScriptOutcome {
     pub model: Vec<(String, ModelValue)>,
 }
 
+/// Everything [`Script::run`] produced.
+#[derive(Debug, Clone)]
+pub struct ScriptRun {
+    /// Verdict and model.
+    pub outcome: ScriptOutcome,
+    /// One report per goal solved, in declaration order.
+    pub goals: Vec<GoalReport>,
+    /// The abstract-interpretation run; `None` when the pass was off.
+    pub absint: Option<AbsintRun>,
+}
+
+impl ScriptRun {
+    /// Where the answers came from, in decision order: a confirmed static
+    /// refutation never touches a sampler (`absint`); a run with portfolio
+    /// races is attributed to the member that won them
+    /// (`portfolio:<member>`, or `portfolio:mixed` when goals were won by
+    /// different members); a run is served from `cache` only when nothing
+    /// sampled (at least one solve, every solve an exact hit); anything
+    /// else is the `solver`'s work.
+    pub fn served_from(&self) -> String {
+        if self.absint.as_ref().is_some_and(AbsintRun::is_refuted) {
+            return "absint".to_string();
+        }
+        let solves = || self.goals.iter().flat_map(|g| g.solves.iter());
+        let mut winners: Vec<&str> = solves()
+            .filter_map(|s| s.portfolio.as_ref())
+            .map(|p| p.winner.as_str())
+            .collect();
+        winners.sort_unstable();
+        winners.dedup();
+        match winners[..] {
+            [one] => format!("portfolio:{one}"),
+            [_, _, ..] => "portfolio:mixed".to_string(),
+            [] if solves().next().is_some()
+                && solves().all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit")) =>
+            {
+                "cache".to_string()
+            }
+            [] => "solver".to_string(),
+        }
+    }
+
+    /// The schema-v9 run report of this run.
+    pub fn into_report(
+        self,
+        source: String,
+        sampler: &str,
+        elapsed_us: u64,
+        trace_id: Option<u64>,
+    ) -> RunReport {
+        RunReport {
+            schema_version: RunReport::SCHEMA_VERSION,
+            source,
+            status: self.outcome.status.to_string(),
+            sampler: sampler.to_string(),
+            served_from: self.served_from(),
+            elapsed_us,
+            trace_id,
+            absint: self.absint.as_ref().map(AbsintRun::to_stats),
+            goals: self.goals,
+        }
+    }
+}
+
 impl Script {
     /// Parses SMT-LIB source.
     ///
@@ -117,15 +185,6 @@ impl Script {
         compile(&self.commands).map_err(ScriptError::Compile)
     }
 
-    /// Runs the script against a solver, producing a verdict and model.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve(&self, solver: &StringSolver) -> Result<ScriptOutcome, ScriptError> {
-        let goals = self.compile()?;
-        Self::solve_goals(&goals, solver)
-    }
-
     /// Runs the abstract-interpretation pass over the script (see
     /// `docs/ABSINT.md`): lowering, fixpoint, certificate, tightenings,
     /// and routing features. Purely static — no QUBO is built.
@@ -133,98 +192,20 @@ impl Script {
         crate::absint::AbsintRun::over(&self.commands)
     }
 
-    /// Like [`Script::solve`], but runs the abstract-interpretation
-    /// pass first. A statically refuted script (certificate confirmed
-    /// by the replay checker) returns `unsat` without compiling
-    /// anything; otherwise the derived domain tightenings are applied
-    /// to the compiled goals so pinned positions never reach the
-    /// sampler. The returned [`AbsintRun`](crate::absint::AbsintRun)
-    /// carries the verdict, certificate, and accounting either way.
+    /// Runs the script against a solver: the verdict, the model, one
+    /// [`GoalReport`] per goal with the per-stage telemetry of every
+    /// solver invocation (`docs/OBSERVABILITY.md`), and the absint run.
+    /// This is the entry point behind `qsmt solve` and the serve loop.
     ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_absint(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, crate::absint::AbsintRun), ScriptError> {
-        let mut run = self.absint();
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                run,
-            ));
-        }
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let out = Self::solve_goals(&goals, solver)?;
-        Ok((out, run))
-    }
-
-    fn solve_goals(goals: &[Goal], solver: &StringSolver) -> Result<ScriptOutcome, ScriptError> {
-        let mut model = Vec::with_capacity(goals.len());
-        let mut status = SatStatus::Sat;
-        for goal in goals {
-            match goal {
-                Goal::StringConstraint { name, constraint } => match solver.solve(constraint) {
-                    Ok(out) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
-                        let text = out.solution.as_text().unwrap_or_default().to_string();
-                        model.push((name.clone(), ModelValue::Str(text)));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::StringPipeline { name, pipeline } => match pipeline.run(solver) {
-                    Ok(report) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        model.push((name.clone(), ModelValue::Str(report.final_text)));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => match solver.solve(constraint) {
-                    Ok(out) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
-                        model.push((name.clone(), ModelValue::Int(out.solution.as_index())));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-            }
-        }
-        Ok(ScriptOutcome { status, model })
-    }
-
-    /// Like [`Script::solve`], additionally returning one
-    /// [`GoalReport`](qsmt_telemetry::GoalReport) per goal with the full
-    /// per-stage telemetry of every solver invocation. This is the entry
-    /// point behind `qsmt solve --stats/--report`; see
-    /// `docs/OBSERVABILITY.md` for the report schema.
+    /// With [`SolveOptions::absint`] the abstract-interpretation pass runs
+    /// first: a statically refuted script (certificate confirmed by the
+    /// replay checker) returns `unsat` without compiling anything;
+    /// otherwise the derived domain tightenings are applied so pinned
+    /// positions never reach the sampler, and the absint feature summary
+    /// enriches portfolio routing. With [`SolveOptions::portfolio`],
+    /// string-constraint and index-query goals race the routed portfolio;
+    /// pipeline goals keep the single-strategy path — each stage feeds
+    /// the next, so there is no independent race to win.
     ///
     /// On an unsat verdict the goals reported so far are returned (the
     /// goal that proved unsat at encode time never ran a sampler, so it
@@ -232,147 +213,107 @@ impl Script {
     ///
     /// # Errors
     /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_reported(
+    pub fn run(
         &self,
         solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        let goals = self.compile()?;
-        Self::solve_goals_reported(&goals, solver)
-    }
-
-    /// Like [`Script::solve_reported`], but with the
-    /// abstract-interpretation pass in front, exactly as in
-    /// [`Script::solve_absint`]: statically refuted scripts return
-    /// `unsat` with no goal reports, and tightenings shrink the QUBOs
-    /// of everything else. This is the entry point behind the default
-    /// `qsmt solve` and the serve loop.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_reported_absint(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<
-        (
-            ScriptOutcome,
-            Vec<qsmt_telemetry::GoalReport>,
-            crate::absint::AbsintRun,
-        ),
-        ScriptError,
-    > {
-        let mut run = {
+        opts: &SolveOptions,
+    ) -> Result<ScriptRun, ScriptError> {
+        let mut absint = opts.absint.then(|| {
             let _t = qsmt_trace::span("absint");
             self.absint()
+        });
+        let unsat = |goals, absint| ScriptRun {
+            outcome: ScriptOutcome {
+                status: SatStatus::Unsat,
+                model: Vec::new(),
+            },
+            goals,
+            absint,
         };
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                Vec::new(),
-                run,
-            ));
+        if absint.as_ref().is_some_and(AbsintRun::is_refuted) {
+            return Ok(unsat(Vec::new(), absint));
         }
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let (out, reports) = Self::solve_goals_reported(&goals, solver)?;
-        Ok((out, reports, run))
-    }
-
-    fn solve_goals_reported(
-        goals: &[Goal],
-        solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        use qsmt_telemetry::{GoalKind, GoalReport};
+        let mut goals = self.compile()?;
+        if let Some(run) = &mut absint {
+            let (tightened, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
+            goals = tightened;
+            run.vars_eliminated = eliminated;
+        }
+        let routed = opts.portfolio.map(|p| {
+            let facts = absint.as_ref().map(Self::script_facts).unwrap_or_default();
+            p.clone().with_script_facts(facts)
+        });
+        let goal_opts = SolveOptions {
+            portfolio: routed.as_ref(),
+            ..*opts
+        };
+        // Each pipeline stage feeds the next: nothing independent to race.
+        let pipeline_opts = SolveOptions {
+            portfolio: None,
+            ..*opts
+        };
 
         let mut model = Vec::with_capacity(goals.len());
         let mut reports = Vec::with_capacity(goals.len());
         let mut status = SatStatus::Sat;
-        let unsat = |reports: Vec<GoalReport>| {
-            Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                reports,
-            ))
-        };
-        for goal in goals {
-            let goal_name = match goal {
-                Goal::StringConstraint { name, .. }
-                | Goal::StringPipeline { name, .. }
-                | Goal::IndexQuery { name, .. } => name,
-            };
+        for goal in &goals {
             // Gate the label format behind an active trace so untraced
             // solves pay nothing here.
             let _goal_span =
-                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {goal_name}")));
-            match goal {
-                Goal::StringConstraint { name, constraint } => {
-                    match solver.solve_reported(constraint) {
-                        Ok((out, report)) => {
-                            if !out.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let text = out.solution.as_text().unwrap_or_default().to_string();
-                            model.push((name.clone(), ModelValue::Str(text.clone())));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::Constraint,
-                                answer: text,
-                                valid: out.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
+                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {}", goal.name())));
+            let solved = match goal {
+                Goal::StringConstraint { constraint, .. } => {
+                    solver.run(constraint, &goal_opts).map(|out| {
+                        let text = out.solution.as_text().unwrap_or_default().to_string();
+                        (
+                            GoalKind::Constraint,
+                            ModelValue::Str(text),
+                            out.valid,
+                            vec![out.report],
+                        )
+                    })
                 }
-                Goal::StringPipeline { name, pipeline } => match pipeline.run_reported(solver) {
-                    Ok((report, solves)) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        let valid = report.all_valid();
-                        model.push((name.clone(), ModelValue::Str(report.final_text.clone())));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::Pipeline,
-                            answer: report.final_text,
-                            valid,
-                            total_us: solves.iter().map(|s| s.total_us).sum(),
-                            solves,
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => match solver.solve_reported(constraint) {
-                    Ok((out, report)) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
+                Goal::IndexQuery { constraint, .. } => {
+                    solver.run(constraint, &goal_opts).map(|out| {
                         let value = ModelValue::Int(out.solution.as_index());
-                        let answer = value.to_string();
-                        model.push((name.clone(), value));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::IndexQuery,
-                            answer,
-                            valid: out.valid,
-                            total_us: report.total_us,
-                            solves: vec![report],
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
+                        (GoalKind::IndexQuery, value, out.valid, vec![out.report])
+                    })
+                }
+                Goal::StringPipeline { pipeline, .. } => {
+                    pipeline.run(solver, &pipeline_opts).map(|report| {
+                        let valid = report.all_valid();
+                        let solves = report.stages.into_iter().map(|s| s.outcome.report);
+                        let value = ModelValue::Str(report.final_text);
+                        (GoalKind::Pipeline, value, valid, solves.collect())
+                    })
+                }
+            };
+            let (kind, value, valid, solves): (_, _, _, Vec<SolveReport>) = match solved {
+                Ok(solved) => solved,
+                Err(e) if is_unsat(&e) => return Ok(unsat(reports, absint)),
+                Err(e) => return Err(ScriptError::Encode(e)),
+            };
+            if !valid {
+                status = SatStatus::Unknown;
             }
+            reports.push(GoalReport {
+                name: goal.name().to_string(),
+                kind,
+                answer: match &value {
+                    ModelValue::Str(text) => text.clone(),
+                    ModelValue::Int(_) => value.to_string(),
+                },
+                valid,
+                total_us: solves.iter().map(|s| s.total_us).sum(),
+                solves,
+            });
+            model.push((goal.name().to_string(), value));
         }
-        Ok((ScriptOutcome { status, model }, reports))
+        Ok(ScriptRun {
+            outcome: ScriptOutcome { status, model },
+            goals: reports,
+            absint,
+        })
     }
 
     /// Lifts the absint feature vector into the core router's
@@ -390,156 +331,11 @@ impl Script {
         }
     }
 
-    /// Like [`Script::solve_reported_absint`], but string-constraint and
-    /// index-query goals are solved by racing a routed portfolio
-    /// ([`StringSolver::solve_portfolio_reported`]); their reports carry
-    /// the schema-v9 `portfolio` section. Pipeline goals run the normal
-    /// single-strategy path — each stage feeds the next, so there is no
-    /// independent race to win.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_portfolio_reported_absint(
-        &self,
-        solver: &StringSolver,
-        portfolio: &Portfolio,
-    ) -> Result<
-        (
-            ScriptOutcome,
-            Vec<qsmt_telemetry::GoalReport>,
-            crate::absint::AbsintRun,
-        ),
-        ScriptError,
-    > {
-        let mut run = {
-            let _t = qsmt_trace::span("absint");
-            self.absint()
-        };
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                Vec::new(),
-                run,
-            ));
-        }
-        let facts = Self::script_facts(&run);
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let (out, reports) =
-            Self::solve_goals_portfolio_reported(&goals, solver, portfolio, &facts)?;
-        Ok((out, reports, run))
-    }
-
-    fn solve_goals_portfolio_reported(
-        goals: &[Goal],
-        solver: &StringSolver,
-        portfolio: &Portfolio,
-        facts: &ScriptFacts,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        use qsmt_telemetry::{GoalKind, GoalReport};
-
-        let mut model = Vec::with_capacity(goals.len());
-        let mut reports = Vec::with_capacity(goals.len());
-        let mut status = SatStatus::Sat;
-        let unsat = |reports: Vec<GoalReport>| {
-            Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                reports,
-            ))
-        };
-        for goal in goals {
-            let goal_name = match goal {
-                Goal::StringConstraint { name, .. }
-                | Goal::StringPipeline { name, .. }
-                | Goal::IndexQuery { name, .. } => name,
-            };
-            let _goal_span =
-                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {goal_name}")));
-            match goal {
-                Goal::StringConstraint { name, constraint } => {
-                    match solver.solve_portfolio_reported(constraint, portfolio, Some(facts)) {
-                        Ok((out, report)) => {
-                            if !out.outcome.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let text = out
-                                .outcome
-                                .solution
-                                .as_text()
-                                .unwrap_or_default()
-                                .to_string();
-                            model.push((name.clone(), ModelValue::Str(text.clone())));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::Constraint,
-                                answer: text,
-                                valid: out.outcome.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
-                }
-                Goal::StringPipeline { name, pipeline } => match pipeline.run_reported(solver) {
-                    Ok((report, solves)) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        let valid = report.all_valid();
-                        model.push((name.clone(), ModelValue::Str(report.final_text.clone())));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::Pipeline,
-                            answer: report.final_text,
-                            valid,
-                            total_us: solves.iter().map(|s| s.total_us).sum(),
-                            solves,
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => {
-                    match solver.solve_portfolio_reported(constraint, portfolio, Some(facts)) {
-                        Ok((out, report)) => {
-                            if !out.outcome.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let value = ModelValue::Int(out.outcome.solution.as_index());
-                            let answer = value.to_string();
-                            model.push((name.clone(), value));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::IndexQuery,
-                                answer,
-                                valid: out.outcome.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
-                }
-            }
-        }
-        Ok((ScriptOutcome { status, model }, reports))
-    }
-
     /// The routed portfolio plan for every goal a portfolio run would
     /// race, without racing anything: the deterministic routing record
     /// snapshotted by `benchmarks/portfolio_expected.json`. Uses the
     /// same absint-tightened goals and script facts as
-    /// [`Script::solve_portfolio_reported_absint`]. Pipeline goals never
+    /// a portfolio [`Script::run`] with absint on. Pipeline goals never
     /// race, so their plan is `None`; a statically refuted script
     /// returns an empty list.
     ///
@@ -658,6 +454,14 @@ mod tests {
         StringSolver::with_defaults().with_seed(5)
     }
 
+    fn run(script: &Script, absint: bool) -> ScriptRun {
+        let opts = SolveOptions {
+            absint,
+            ..SolveOptions::default()
+        };
+        script.run(&solver(), &opts).unwrap()
+    }
+
     #[test]
     fn solves_equality_script() {
         let script = Script::parse(
@@ -667,7 +471,7 @@ mod tests {
              (check-sat)(get-model)",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(out.model, vec![("x".into(), ModelValue::Str("hi".into()))]);
     }
@@ -679,7 +483,7 @@ mod tests {
              (assert (= x (str.replace_all (str.++ \"hello\" \" \" \"world\") \"l\" \"x\")))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(
             out.model,
@@ -695,7 +499,7 @@ mod tests {
              (assert (= (str.len p) 4))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Sat);
         let ModelValue::Str(p) = &out.model[0].1 else {
             panic!()
@@ -712,7 +516,7 @@ mod tests {
              (assert (= (str.len r) 4))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Sat);
         let ModelValue::Str(r) = &out.model[0].1 else {
             panic!()
@@ -728,13 +532,13 @@ mod tests {
              (assert (= i (str.indexof \"hello world\" \"world\" 0)))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(out.model, vec![("i".into(), ModelValue::Int(Some(6)))]);
     }
 
     #[test]
-    fn reported_solve_matches_solve_and_labels_goal_kinds() {
+    fn run_labels_goal_kinds() {
         let script = Script::parse(
             "(declare-const x String)\
              (assert (= x (str.rev \"ab\")))\
@@ -742,13 +546,11 @@ mod tests {
              (assert (= i (str.indexof \"hello\" \"llo\" 0)))",
         )
         .unwrap();
-        let plain = script.solve(&solver()).unwrap();
-        let (reported, goals) = script.solve_reported(&solver()).unwrap();
-        assert_eq!(plain.status, reported.status);
-        assert_eq!(plain.model, reported.model);
+        let ScriptRun { outcome, goals, .. } = run(&script, false);
+        assert_eq!(outcome.status, SatStatus::Sat);
         assert_eq!(goals.len(), 2);
-        assert_eq!(goals[0].kind, qsmt_telemetry::GoalKind::Pipeline);
-        assert_eq!(goals[1].kind, qsmt_telemetry::GoalKind::IndexQuery);
+        assert_eq!(goals[0].kind, GoalKind::Pipeline);
+        assert_eq!(goals[1].kind, GoalKind::IndexQuery);
         assert!(goals.iter().all(|g| g.valid));
         assert!(goals.iter().all(|g| !g.solves.is_empty()));
     }
@@ -761,8 +563,8 @@ mod tests {
              (assert (= (str.len r) 2))",
         )
         .unwrap();
-        let (out, goals) = script.solve_reported(&solver()).unwrap();
-        assert_eq!(out.status, SatStatus::Unsat);
+        let ScriptRun { outcome, goals, .. } = run(&script, false);
+        assert_eq!(outcome.status, SatStatus::Unsat);
         assert!(goals.is_empty(), "the unsat goal never reached the sampler");
     }
 
@@ -774,7 +576,7 @@ mod tests {
              (assert (= (str.len r) 2))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = run(&script, false).outcome;
         assert_eq!(out.status, SatStatus::Unsat);
     }
 
@@ -813,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_absint_refutes_statically_without_compiling() {
+    fn absint_refutes_statically_without_compiling() {
         // Compilation alone would also catch this (contains longer than
         // the length), but the absint path decides before compile and
         // carries a checkable certificate.
@@ -823,18 +625,21 @@ mod tests {
              (assert (= (str.len s) 3))",
         )
         .unwrap();
-        let (out, run) = script.solve_absint(&solver()).unwrap();
-        assert_eq!(out.status, SatStatus::Unsat);
-        assert!(out.model.is_empty());
-        assert!(run.is_refuted());
-        assert!(run.analysis.verify_certificate().is_ok());
-        let (rout, reports, _) = script.solve_reported_absint(&solver()).unwrap();
-        assert_eq!(rout.status, SatStatus::Unsat);
-        assert!(reports.is_empty());
+        let ScriptRun {
+            outcome,
+            goals,
+            absint,
+        } = run(&script, true);
+        assert_eq!(outcome.status, SatStatus::Unsat);
+        assert!(outcome.model.is_empty());
+        assert!(goals.is_empty());
+        let absint = absint.expect("absint ran");
+        assert!(absint.is_refuted());
+        assert!(absint.analysis.verify_certificate().is_ok());
     }
 
     #[test]
-    fn solve_absint_tightens_sat_scripts_and_keeps_answers_valid() {
+    fn absint_tightens_sat_scripts_and_keeps_answers_valid() {
         let script = Script::parse(
             "(declare-const s String)\
              (assert (= (str.at s 0) \"q\"))\
@@ -842,9 +647,13 @@ mod tests {
              (assert (= (str.len s) 4))",
         )
         .unwrap();
-        let (out, run) = script.solve_absint(&solver()).unwrap();
+        let ScriptRun {
+            outcome: out,
+            absint,
+            ..
+        } = run(&script, true);
         assert_eq!(out.status, SatStatus::Sat);
-        assert_eq!(run.vars_eliminated, 14);
+        assert_eq!(absint.expect("absint ran").vars_eliminated, 14);
         let ModelValue::Str(s) = &out.model[0].1 else {
             panic!("string model expected");
         };

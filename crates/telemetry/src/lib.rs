@@ -2,7 +2,7 @@
 //!
 //! Dependency-free observability layer for the qsmt workspace: a span/event
 //! [`Recorder`] for tracing a solve, typed per-stage statistics
-//! ([`QuboShape`], [`SamplerStats`], [`EmbeddingStats`], …) aggregated into
+//! ([`QuboShape`], [`SamplerStats`], [`CacheStats`], …) aggregated into
 //! a [`SolveReport`], and a minimal [`Json`] value type so reports can be
 //! written (and read back) without external crates.
 //!
@@ -39,7 +39,7 @@ pub use dynamics::{
 pub use json::{parse, Json, JsonParseError};
 pub use recorder::{Recorder, SpanGuard, SpanRecord, TraceDisplay};
 pub use report::{
-    AbsintStats, CacheStats, CompileStats, EmbeddingStats, GoalKind, GoalReport, LintStats,
-    PortfolioMemberStats, PortfolioStats, PresolveStats, QuboShape, RunReport, SamplerStats,
-    SelectStats, SolveReport, StageTiming,
+    AbsintStats, CacheStats, CompileStats, GoalKind, GoalReport, LintStats, PortfolioMemberStats,
+    PortfolioStats, PresolveStats, QuboShape, RunReport, SamplerStats, SelectStats, SolveReport,
+    StageTiming,
 };

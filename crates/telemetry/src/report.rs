@@ -88,76 +88,6 @@ impl PresolveStats {
     }
 }
 
-/// Minor-embedding statistics (hardware projection of the logical QUBO).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmbeddingStats {
-    /// Name of the target topology, e.g. `"chimera-4x4x4"`.
-    pub topology: String,
-    /// Logical variables embedded.
-    pub num_logical: usize,
-    /// Physical qubits used across all chains.
-    pub num_physical_qubits: usize,
-    /// Length of the longest chain.
-    pub max_chain_length: usize,
-    /// Mean chain length (`num_physical_qubits / num_logical`).
-    pub mean_chain_length: f64,
-    /// `chain_length_histogram[k]` counts chains of length `k+1`.
-    pub chain_length_histogram: Vec<u64>,
-    /// Wall-clock time of the embedding search, microseconds.
-    pub time_us: u64,
-}
-
-impl EmbeddingStats {
-    /// Builds stats from a chain decomposition (one `Vec` of physical
-    /// qubits per logical variable).
-    pub fn from_chains(topology: impl Into<String>, chains: &[Vec<u32>], time_us: u64) -> Self {
-        let num_logical = chains.len();
-        let num_physical_qubits = chains.iter().map(Vec::len).sum();
-        let max_chain_length = chains.iter().map(Vec::len).max().unwrap_or(0);
-        let mut chain_length_histogram = vec![0u64; max_chain_length];
-        for c in chains {
-            if !c.is_empty() {
-                chain_length_histogram[c.len() - 1] += 1;
-            }
-        }
-        let mean_chain_length = if num_logical == 0 {
-            0.0
-        } else {
-            num_physical_qubits as f64 / num_logical as f64
-        };
-        Self {
-            topology: topology.into(),
-            num_logical,
-            num_physical_qubits,
-            max_chain_length,
-            mean_chain_length,
-            chain_length_histogram,
-            time_us,
-        }
-    }
-
-    /// Serializes as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("topology", Json::from(self.topology.as_str())),
-            ("num_logical", Json::from(self.num_logical)),
-            ("num_physical_qubits", Json::from(self.num_physical_qubits)),
-            ("max_chain_length", Json::from(self.max_chain_length)),
-            ("mean_chain_length", Json::from(self.mean_chain_length)),
-            (
-                "chain_length_histogram",
-                Json::Arr(
-                    self.chain_length_histogram
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
-            ),
-            ("time_us", Json::from(self.time_us)),
-        ])
-    }
-}
-
 /// Sampling-stage statistics: what the sampler did and what it found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerStats {
@@ -470,8 +400,8 @@ impl AbsintStats {
 /// One top-level stage timing within a solve, in execution order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
-    /// Stage name: one of `compile`, `lint`, `presolve`, `embed`,
-    /// `sample`, `select`.
+    /// Stage name: `compile`, `lint`, `presolve`, then either `sample`
+    /// and `select` or, on a portfolio race, `portfolio`.
     pub label: String,
     /// Microseconds from solve start to stage start.
     pub start_us: u64,
@@ -514,9 +444,6 @@ pub struct SolveReport {
     /// Formulation-linter counters; `None` when linting was disabled
     /// (additive in schema v2, serialized as `null` when absent).
     pub lint: Option<LintStats>,
-    /// Hardware-projection embedding statistics; `None` when the problem
-    /// graph could not be embedded in the probe topology.
-    pub embedding: Option<EmbeddingStats>,
     /// Sampling statistics.
     pub sampling: SamplerStats,
     /// Post-selection statistics.
@@ -554,12 +481,9 @@ impl SolveReport {
                 "lint",
                 self.lint.as_ref().map_or(Json::Null, LintStats::to_json),
             ),
-            (
-                "embedding",
-                self.embedding
-                    .as_ref()
-                    .map_or(Json::Null, EmbeddingStats::to_json),
-            ),
+            // No solve path probes a hardware embedding; the key stays
+            // so schema-v9 readers see an unchanged shape.
+            ("embedding", Json::Null),
             ("sampling", self.sampling.to_json()),
             ("select", self.select.to_json()),
             (
@@ -615,12 +539,6 @@ impl SolveReport {
                 l.infos,
                 if l.codes.is_empty() { "" } else { " — " },
                 l.codes.join(", ")
-            ));
-        }
-        if let Some(e) = &self.embedding {
-            out.push_str(&format!(
-                "  embedding: {} → {} qubits on {}, max chain {}\n",
-                e.num_logical, e.num_physical_qubits, e.topology, e.max_chain_length
             ));
         }
         if let Some(c) = &self.cache {
@@ -908,11 +826,6 @@ mod tests {
                 infos: 2,
                 codes: vec!["dead-variable".into(), "presolve-fixable".into()],
             }),
-            embedding: Some(EmbeddingStats::from_chains(
-                "chimera-2x2x4",
-                &[vec![0], vec![1, 2], vec![3]],
-                42,
-            )),
             sampling: SamplerStats {
                 sampler: "simulated-annealing".into(),
                 time_us: 1200,
@@ -1012,16 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn embedding_stats_from_chains() {
-        let e = EmbeddingStats::from_chains("t", &[vec![0], vec![1, 2], vec![3]], 9);
-        assert_eq!(e.num_logical, 3);
-        assert_eq!(e.num_physical_qubits, 4);
-        assert_eq!(e.max_chain_length, 2);
-        assert!((e.mean_chain_length - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(e.chain_length_histogram, vec![2, 1]);
-    }
-
-    #[test]
     fn solve_report_round_trips_through_json() {
         let r = sample_report();
         let doc = parse(&r.to_json().pretty()).expect("valid JSON");
@@ -1038,11 +941,7 @@ mod tests {
             sampling.get("acceptance_rate").and_then(Json::as_f64),
             Some(0.4)
         );
-        let embedding = doc.get("embedding").unwrap();
-        assert_eq!(
-            embedding.get("max_chain_length").and_then(Json::as_u64),
-            Some(2)
-        );
+        assert_eq!(doc.get("embedding"), Some(&Json::Null));
     }
 
     #[test]
@@ -1061,7 +960,6 @@ mod tests {
     #[test]
     fn optional_fields_serialize_as_null() {
         let mut r = sample_report();
-        r.embedding = None;
         r.sampling.proposals = None;
         r.select.valid_rank = None;
         r.lint = None;
@@ -1432,6 +1330,5 @@ mod tests {
         assert!(text.contains("compile"));
         assert!(text.contains("sampling: 64 reads"));
         assert!(text.contains("accepted (40.0%)"));
-        assert!(text.contains("embedding: 3 → 4 qubits"));
     }
 }

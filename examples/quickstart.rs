@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use qsmt::{Constraint, Pipeline, Start, Step, StringSolver};
+use qsmt::{Constraint, Pipeline, SolveOptions, Start, Step, StringSolver};
 
 fn main() {
     let solver = StringSolver::with_defaults().with_seed(2026);
@@ -62,7 +62,7 @@ fn main() {
     let report = Pipeline::new(Start::Literal("hello".into()))
         .then(Step::Reverse)
         .then(Step::ReplaceAll { from: 'e', to: 'a' })
-        .run(&solver)
+        .run(&solver, &SolveOptions::default())
         .expect("pipeline encodes");
     for (i, stage) in report.stages.iter().enumerate() {
         println!(

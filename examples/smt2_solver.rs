@@ -4,7 +4,7 @@
 //! Run with a file: `cargo run --release --example smt2_solver -- file.smt2`
 //! or with no arguments to solve the built-in demo script.
 
-use qsmt::{Script, StringSolver};
+use qsmt::{Script, SolveOptions, StringSolver};
 
 const DEMO: &str = r#"
 ; Demo: the paper's Table 1 constraints as an SMT-LIB script.
@@ -59,8 +59,8 @@ fn main() {
     };
 
     let solver = StringSolver::with_defaults().with_seed(99);
-    match script.solve(&solver) {
-        Ok(outcome) => {
+    match script.run(&solver, &SolveOptions::default()) {
+        Ok(qsmt::smtlib::ScriptRun { outcome, .. }) => {
             println!("{}", outcome.status);
             if !outcome.model.is_empty() {
                 println!("(model");

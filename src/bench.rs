@@ -280,9 +280,8 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
 /// Times the dense-model SA workload along three paths — plain
 /// `sample_stats`, `sample_dynamics` with probes disabled, and
 /// `sample_dynamics` with probes enabled — and reports the overheads.
-/// Reads run sequentially so rayon scheduling jitter stays out of the
-/// comparison; see the inline comments for how the repetitions are
-/// aggregated into noise-robust ratios.
+/// See the inline comments for how the repetitions are aggregated into
+/// noise-robust ratios.
 fn probe_overhead_section(opts: &BenchOptions) -> Json {
     // Arms need a timing window well above scheduler noise (tens of ms),
     // or the 2% gate flakes: size the workload up, not the tolerance.
@@ -294,8 +293,7 @@ fn probe_overhead_section(opts: &BenchOptions) -> Json {
     let sa = SimulatedAnnealer::new()
         .with_seed(opts.seed)
         .with_num_reads(reads)
-        .with_sweeps(sweeps)
-        .with_parallel(false);
+        .with_sweeps(sweeps);
     let disabled = ProbeConfig::disabled();
     let enabled = ProbeConfig::default();
     // Warm-up: fault in code and model pages outside the timers.

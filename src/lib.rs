@@ -74,8 +74,8 @@ pub use qsmt_core::{
     member_seed, MemberKind, PlanMember, Portfolio, PortfolioPlan, Router, RoutingFeatures,
 };
 pub use qsmt_core::{
-    BiasProfile, Constraint, ConstraintError, Pipeline, PipelineReport, Solution, SolveOutcome,
-    Start, Step, StringSolver,
+    BiasProfile, Constraint, ConstraintError, Pipeline, PipelineReport, Solution, SolveOptions,
+    SolveOutcome, Start, Step, StringSolver,
 };
 pub use qsmt_lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 pub use qsmt_qpu::{ChainBreakResolution, ChainStrength, QpuSimulator, Topology};

@@ -16,11 +16,11 @@
 //! accounts for every job the service ever accepted.
 
 use super::http::{read_request, respond, respond_with, Request};
-use qsmt_core::{SolveCache, StringSolver};
+use qsmt_core::{SolveCache, SolveOptions, StringSolver};
 use qsmt_metrics::{FlightRecorder, Registry};
 use qsmt_qubo::StopFlag;
 use qsmt_smtlib::Script;
-use qsmt_telemetry::{GoalReport, Json, RunReport};
+use qsmt_telemetry::Json;
 use qsmt_trace::{RunStore, TraceId};
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
@@ -53,7 +53,7 @@ pub struct ServeConfig {
     /// Stop after answering this many HTTP requests, then drain
     /// gracefully (the hook the end-to-end tests use).
     pub max_requests: Option<u64>,
-    /// Solution/embedding cache capacity (entries per level); 0 disables
+    /// Solution cache capacity (entries per level); 0 disables
     /// caching entirely (`--no-cache`). See `docs/CACHING.md`.
     pub cache_entries: usize,
     /// Path of the bounded JSONL run-history store (`--run-store`);
@@ -368,6 +368,17 @@ impl Service {
         // retries of the same job id, distinct across jobs) and mixed
         // with the base seed so concurrent instances don't collide.
         let trace_id = TraceId::derive(self.base_seed.rotate_left(32) ^ id);
+        // Record the job before it becomes poppable: once it is queued a
+        // fast worker may finish it at once, and a late `Queued` insert
+        // would overwrite its terminal status.
+        self.jobs
+            .lock()
+            .expect("jobs lock")
+            .insert(id, JobStatus::Queued);
+        self.trace_ids
+            .lock()
+            .expect("trace ids lock")
+            .insert(id, trace_id);
         let now = Instant::now();
         queue.push_back(Job {
             id,
@@ -382,14 +393,6 @@ impl Service {
         });
         let depth = queue.len();
         drop(queue);
-        self.jobs
-            .lock()
-            .expect("jobs lock")
-            .insert(id, JobStatus::Queued);
-        self.trace_ids
-            .lock()
-            .expect("trace ids lock")
-            .insert(id, trace_id);
         self.tally.accepted.fetch_add(1, Ordering::SeqCst);
         self.registry
             .counter_add("qsmt_serve_jobs_accepted_total", &[], 1.0);
@@ -432,6 +435,9 @@ impl Service {
 
     /// Renders the job-table summary for `GET /jobs`.
     fn jobs_json(&self) -> String {
+        // Lock order is queue before jobs (`submit` records a job while
+        // holding the queue), so read the depth first.
+        let queue_depth = self.queue.lock().expect("queue lock").len();
         let jobs = self.jobs.lock().expect("jobs lock");
         let mut entries: Vec<(u64, &'static str)> =
             jobs.iter().map(|(id, s)| (*id, s.label())).collect();
@@ -447,10 +453,7 @@ impl Service {
             .collect();
         Json::obj([
             ("jobs", Json::Arr(list)),
-            (
-                "queue_depth",
-                Json::from(self.queue.lock().expect("queue lock").len()),
-            ),
+            ("queue_depth", Json::from(queue_depth)),
             ("draining", Json::from(self.drain_requested())),
         ])
         .pretty()
@@ -567,11 +570,12 @@ impl Service {
         self.finish(job, status);
     }
 
-    /// The actual solve: parse, run the abstract-interpretation pass
-    /// and then the reported pipeline — portfolio racing when the job
-    /// asked for it — with the job's seed/reads, the cancellation flag,
-    /// and the shared solve cache, and produce a schema-v9 [`RunReport`]
-    /// document carrying the job's trace id.
+    /// The actual solve: parse, then one [`Script::run`] with absint and
+    /// probes on — racing the portfolio when the job asked for it — with
+    /// the job's seed/reads, the cancellation flag, and the shared solve
+    /// cache, producing a schema-v9
+    /// [`RunReport`](qsmt_telemetry::RunReport) document carrying the
+    /// job's trace id.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
         let mut solver = StringSolver::with_defaults()
@@ -583,56 +587,19 @@ impl Service {
         if let Some(cache) = &self.cache {
             solver = solver.with_cache(Arc::clone(cache));
         }
+        let opts = SolveOptions {
+            absint: true,
+            portfolio: job.portfolio.then_some(&self.portfolio),
+            probes: true,
+        };
         let started = Instant::now();
-        let (outcome, goals, absint_run): (_, Vec<GoalReport>, _) = if job.portfolio {
-            script.solve_portfolio_reported_absint(&solver, &self.portfolio)
-        } else {
-            script.solve_reported_absint(&solver)
-        }
-        .map_err(|e| e.to_string())?;
-        // Provenance, in decision order: a confirmed static refutation
-        // never touches a sampler; a portfolio run is attributed to the
-        // member that won its races (`portfolio:<member>`, or
-        // `portfolio:mixed` when goals were won by different members);
-        // otherwise the run was served from cache only when nothing
-        // sampled (at least one solve, every solve an exact hit);
-        // anything else is the solver's work.
-        let solves = goals.iter().flat_map(|g| g.solves.iter());
-        let served_from = if absint_run.is_refuted() {
-            "absint".to_string()
-        } else if job.portfolio {
-            let mut winners: Vec<&str> = solves
-                .clone()
-                .filter_map(|s| s.portfolio.as_ref())
-                .map(|p| p.winner.as_str())
-                .collect();
-            winners.sort_unstable();
-            winners.dedup();
-            match winners[..] {
-                [] => "solver".to_string(),
-                [one] => format!("portfolio:{one}"),
-                _ => "portfolio:mixed".to_string(),
-            }
-        } else if goals.iter().any(|g| !g.solves.is_empty())
-            && solves
-                .clone()
-                .all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit"))
-        {
-            "cache".to_string()
-        } else {
-            "solver".to_string()
-        };
-        let report = RunReport {
-            schema_version: RunReport::SCHEMA_VERSION,
-            source: format!("<job-{}>", job.id),
-            status: outcome.status.to_string(),
-            sampler: solver.sampler_name().to_string(),
-            served_from,
-            elapsed_us: started.elapsed().as_micros() as u64,
-            absint: Some(absint_run.to_stats()),
-            trace_id: Some(job.trace_id.get()),
-            goals,
-        };
+        let run = script.run(&solver, &opts).map_err(|e| e.to_string())?;
+        let report = run.into_report(
+            format!("<job-{}>", job.id),
+            solver.sampler_name(),
+            started.elapsed().as_micros() as u64,
+            Some(job.trace_id.get()),
+        );
         Ok(report.to_json())
     }
 
@@ -866,6 +833,7 @@ pub fn shutdown_signalled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsmt_telemetry::RunReport;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
         let (path, query) = match path.split_once('?') {
@@ -993,5 +961,32 @@ mod tests {
         let doc = qsmt_telemetry::parse(&body).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("timed_out"));
         assert_eq!(doc.get("where").and_then(Json::as_str), Some("queue"));
+    }
+
+    #[test]
+    fn a_job_is_recorded_before_a_worker_can_pop_it() {
+        let svc = Arc::new(Service::new(&ServeConfig::default()));
+        // Hold the job table so the submitter stops wherever it records
+        // the job; the queue must not hold an unrecorded job meanwhile.
+        let jobs = svc.jobs.lock().expect("jobs lock");
+        let submitter = {
+            let svc = Arc::clone(&svc);
+            thread::spawn(move || {
+                matches!(
+                    svc.submit(&request("POST", "/solve", TINY)),
+                    SubmitOutcome::Accepted { .. }
+                )
+            })
+        };
+        let watch = Instant::now();
+        while watch.elapsed() < Duration::from_millis(50) {
+            if let Ok(queue) = svc.queue.try_lock() {
+                assert!(queue.is_empty(), "job poppable before it was recorded");
+            }
+            thread::yield_now();
+        }
+        drop(jobs);
+        assert!(submitter.join().expect("submitter thread"));
+        assert_eq!(svc.queue.lock().expect("queue lock").len(), 1);
     }
 }

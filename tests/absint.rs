@@ -2,13 +2,22 @@
 //! statically-refutable benchmarks produce *checked* unsat certificates,
 //! and statically-derived pins shrink the compiled QUBO before presolve.
 
-use qsmt::smtlib::{apply_tightenings, Goal};
-use qsmt::{SatStatus, Script, StringSolver};
+use qsmt::smtlib::{apply_tightenings, Goal, ScriptError, ScriptRun};
+use qsmt::{SatStatus, Script, SolveOptions, StringSolver};
 
 fn read_bench(name: &str) -> Script {
     let path = format!("{}/benchmarks/{name}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"))
+}
+
+/// The default `qsmt solve` path: absint on, seed 41.
+fn solve_with_absint(script: &Script) -> Result<ScriptRun, ScriptError> {
+    let opts = SolveOptions {
+        absint: true,
+        ..SolveOptions::default()
+    };
+    script.run(&StringSolver::with_defaults().with_seed(41), &opts)
 }
 
 /// Total QUBO variable count across a compiled goal set.
@@ -44,12 +53,12 @@ fn unsat_benchmarks_are_refuted_with_replayable_certificates() {
 
         // End to end: the solver entry point answers unsat without a
         // single compilation or sample.
-        let (out, run) = script
-            .solve_absint(&StringSolver::with_defaults().with_seed(41))
-            .unwrap_or_else(|e| panic!("{name}: solve error: {e}"));
-        assert_eq!(out.status, SatStatus::Unsat, "{name}");
-        assert!(out.model.is_empty(), "{name}: unsat has no model");
-        assert!(run.is_refuted(), "{name}");
+        let ScriptRun {
+            outcome, absint, ..
+        } = solve_with_absint(&script).unwrap_or_else(|e| panic!("{name}: solve error: {e}"));
+        assert_eq!(outcome.status, SatStatus::Unsat, "{name}");
+        assert!(outcome.model.is_empty(), "{name}: unsat has no model");
+        assert!(absint.expect("absint ran").is_refuted(), "{name}");
     }
 }
 
@@ -74,11 +83,13 @@ fn char_pins_compiles_to_strictly_fewer_qubo_vars_with_absint() {
     assert!(shrunk < num_vars(&plain));
 
     // The shrunken model still produces a correct answer.
-    let (out, run) = script
-        .solve_absint(&StringSolver::with_defaults().with_seed(41))
-        .expect("solves");
+    let ScriptRun {
+        outcome: out,
+        absint,
+        ..
+    } = solve_with_absint(&script).expect("solves");
     assert_eq!(out.status, SatStatus::Sat);
-    assert_eq!(run.vars_eliminated, 14);
+    assert_eq!(absint.expect("absint ran").vars_eliminated, 14);
     let s = out.model[0].1.to_string();
     let s = s.trim_matches('"');
     assert_eq!(s.as_bytes()[0], b'q');

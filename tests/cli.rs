@@ -153,9 +153,7 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
         .iter()
         .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
-    for span in [
-        "compile", "lint", "presolve", "embed", "sample", "select", "read 0",
-    ] {
+    for span in ["compile", "lint", "presolve", "sample", "select", "read 0"] {
         assert!(names.contains(&span), "missing {span} span in {names:?}");
     }
     assert!(

@@ -2,7 +2,9 @@
 //! simulated quantum annealer: merged QUBOs solved across the full stack,
 //! including through the SMT-LIB front end.
 
-use qsmt::{Constraint, SatStatus, Script, SimulatedQuantumAnnealer, Solution, StringSolver};
+use qsmt::{
+    Constraint, SatStatus, Script, SimulatedQuantumAnnealer, Solution, SolveOptions, StringSolver,
+};
 use std::sync::Arc;
 
 #[test]
@@ -56,8 +58,12 @@ fn smtlib_conjunction_end_to_end() {
     )
     .expect("parses");
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(31))
-        .expect("solves");
+        .run(
+            &StringSolver::with_defaults().with_seed(31),
+            &SolveOptions::default(),
+        )
+        .expect("solves")
+        .outcome;
     assert_eq!(out.status, SatStatus::Sat);
     let qsmt::smtlib::ModelValue::Str(s) = &out.model[0].1 else {
         panic!()
@@ -78,8 +84,12 @@ fn contradictory_conjunction_reports_unknown_not_sat() {
     )
     .expect("parses");
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(2))
-        .expect("solves");
+        .run(
+            &StringSolver::with_defaults().with_seed(2),
+            &SolveOptions::default(),
+        )
+        .expect("solves")
+        .outcome;
     assert_eq!(out.status, SatStatus::Unknown);
 }
 

@@ -20,7 +20,7 @@
 //! ```
 
 use qsmt::telemetry::{parse, Json};
-use qsmt::{Script, StringSolver};
+use qsmt::{Script, SolveOptions, StringSolver};
 use std::collections::BTreeMap;
 
 fn benchmarks_dir() -> String {
@@ -121,18 +121,26 @@ fn corpus_verdicts_are_portfolio_invariant_and_both_crossover_sides_win() {
     for name in corpus_files() {
         let src = std::fs::read_to_string(format!("{dir}/{name}")).expect("read benchmark");
         let script = Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
-        let (raced, reports, _run) = script
-            .solve_portfolio_reported_absint(&solver, &portfolio)
+        let solo_opts = SolveOptions {
+            absint: true,
+            ..SolveOptions::default()
+        };
+        let raced_opts = SolveOptions {
+            portfolio: Some(&portfolio),
+            ..solo_opts
+        };
+        let raced = script
+            .run(&solver, &raced_opts)
             .unwrap_or_else(|e| panic!("{name}: portfolio solve failed: {e}"));
-        let (solo, _run) = script
-            .solve_absint(&solver)
+        let solo = script
+            .run(&solver, &solo_opts)
             .unwrap_or_else(|e| panic!("{name}: solo solve failed: {e}"));
         assert_eq!(
-            raced.status.to_string(),
-            solo.status.to_string(),
+            raced.outcome.status.to_string(),
+            solo.outcome.status.to_string(),
             "{name}: portfolio verdict diverged from the single routed strategy"
         );
-        for report in &reports {
+        for report in &raced.goals {
             for solve in &report.solves {
                 if let Some(p) = &solve.portfolio {
                     assert_eq!(

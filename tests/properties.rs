@@ -164,14 +164,15 @@ proptest! {
         let c = Constraint::Palindrome { len };
         let solver = qsmt::StringSolver::with_defaults().with_seed(seed);
         let portfolio = qsmt::Portfolio::new();
-        let out = solver.solve_portfolio(&c, &portfolio, None).expect("solves");
-        let widx = out.stats.winner_index as usize;
+        let opts = qsmt::SolveOptions { portfolio: Some(&portfolio), ..Default::default() };
+        let out = solver.run(&c, &opts).expect("solves");
+        let widx = out.report.portfolio.as_ref().expect("raced").winner_index as usize;
         let features = solver.routing_features(&c, None).expect("routes");
         let plan = portfolio.router().route(&features);
         let solo = plan.members[widx]
             .sampler(qsmt::member_seed(seed, widx), None)
             .expect("winner is sampler-backed")
             .sample(&solver.encode(&c).expect("encodes").qubo);
-        prop_assert_eq!(out.outcome.samples, solo);
+        prop_assert_eq!(out.samples, solo);
     }
 }

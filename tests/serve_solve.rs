@@ -515,6 +515,65 @@ fn statically_refuted_jobs_are_served_from_absint() {
     assert_eq!(summary["completed"], 1);
 }
 
+/// Microsecond-fast jobs finish while their submission is still being
+/// recorded. The job table must still end with every accepted job in a
+/// terminal state: a worker's `completed` is never overwritten by the
+/// submitter's late `queued`. Concurrent clients keep both workers busy
+/// popping while submissions land.
+#[test]
+fn fast_jobs_never_read_queued_after_they_finish() {
+    const CLIENTS: usize = 8;
+    const JOBS: usize = CLIENTS * 64;
+    let mut server = spawn_server(&["--workers", "2", "--queue-depth", "1024"]);
+    let addr = server.addr.clone();
+    let unsat_script = "(set-logic QF_S)\n(declare-const x String)\n\
+                        (assert (str.contains x \"toolong\"))\n\
+                        (assert (= (str.len x) 3))\n(check-sat)\n";
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                for i in 0..JOBS / CLIENTS {
+                    let (code, _, body) = request(&addr, "POST", "/solve", unsat_script);
+                    assert_eq!(code, 202, "submission {i} refused: {body}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    // Wait until nothing is queued or running any more; a job whose
+    // status was overwritten would read `queued` forever.
+    let started = Instant::now();
+    let table = loop {
+        let (code, _, body) = request(&addr, "GET", "/jobs", "");
+        assert_eq!(code, 200);
+        if json_u64(&body, "queue_depth") == Some(0) && !body.contains("\"status\": \"running\"") {
+            break body;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "jobs did not drain: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    let listed = table.matches("\"id\": \"job-").count();
+    let completed = table.matches("\"status\": \"completed\"").count();
+    assert_eq!(listed, JOBS, "GET /jobs lists every accepted job");
+    assert_eq!(
+        completed, JOBS,
+        "a finished job reads non-terminal: {table}"
+    );
+
+    let (code, _, _) = request(&addr, "POST", "/shutdown", "");
+    assert_eq!(code, 200);
+    let summary = server.wait_for_drain();
+    assert_eq!(summary["accepted"], listed as u64);
+    assert_eq!(summary["completed"], completed as u64);
+}
+
 #[test]
 fn trace_rides_the_job_from_submission_to_run_store() {
     let store_path = {

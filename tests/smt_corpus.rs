@@ -2,7 +2,8 @@
 //! stack and checks the verdicts — the repo's own SMT-LIB corpus, in the
 //! spirit of the SMT-LIB benchmark library the paper's §2.1.1 describes.
 
-use qsmt::{SatStatus, Script, StringSolver};
+use qsmt::smtlib::Goal;
+use qsmt::{SatStatus, Script, SolveOptions, StringSolver};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -15,8 +16,12 @@ fn solve_file(name: &str) -> (SatStatus, Vec<(String, String)>) {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let script = Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(41))
-        .unwrap_or_else(|e| panic!("{name}: solve error: {e}"));
+        .run(
+            &StringSolver::with_defaults().with_seed(41),
+            &SolveOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: solve error: {e}"))
+        .outcome;
     let model = out
         .model
         .into_iter()
@@ -122,5 +127,57 @@ fn unsat_benchmarks_report_unsat() {
     for name in ["unsat_regex_length.smt2", "unsat_contains_length.smt2"] {
         let (status, _) = solve_file(name);
         assert_eq!(status, SatStatus::Unsat, "{name}");
+    }
+}
+
+/// Trajectory probes observe, never steer: over the whole corpus a
+/// probed run and an unprobed run give identical verdicts and models,
+/// and every goal's solves draw identical sample sets.
+#[test]
+fn probes_never_change_verdicts_models_or_samples() {
+    let solver = StringSolver::with_defaults().with_seed(41);
+    let [plain, probed] = [false, true].map(|probes| SolveOptions {
+        absint: true,
+        probes,
+        ..SolveOptions::default()
+    });
+    let mut names: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
+        .expect("benchmarks directory exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "smt2"))
+        .collect();
+    names.sort();
+    for path in names {
+        let name = path.display();
+        let src = std::fs::read_to_string(&path).expect("read benchmark");
+        let script = Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
+        let off = script.run(&solver, &plain).expect("solves");
+        let on = script.run(&solver, &probed).expect("solves");
+        assert_eq!(off.outcome.status, on.outcome.status, "{name}");
+        assert_eq!(off.outcome.model, on.outcome.model, "{name}");
+        let solves = |run: &qsmt::smtlib::ScriptRun| {
+            run.goals
+                .iter()
+                .flat_map(|g| g.solves.iter())
+                .map(|s| s.dynamics.is_some())
+                .collect::<Vec<_>>()
+        };
+        assert!(solves(&off).iter().all(|&d| !d), "{name}: probes off");
+        assert!(solves(&on).iter().all(|&d| d), "{name}: probes on");
+
+        for goal in script.compile().expect("compiles") {
+            let samples = |opts: &SolveOptions| match &goal {
+                Goal::StringConstraint { constraint, .. } | Goal::IndexQuery { constraint, .. } => {
+                    solver.run(constraint, opts).map(|out| vec![out.samples])
+                }
+                Goal::StringPipeline { pipeline, .. } => pipeline
+                    .run(&solver, opts)
+                    .map(|r| r.stages.into_iter().map(|s| s.outcome.samples).collect()),
+            };
+            match (samples(&plain), samples(&probed)) {
+                (Ok(off), Ok(on)) => assert_eq!(off, on, "{name}: goal {}", goal.name()),
+                (off, on) => assert_eq!(off.is_err(), on.is_err(), "{name}: goal {}", goal.name()),
+            }
+        }
     }
 }

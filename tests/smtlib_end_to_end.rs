@@ -2,10 +2,17 @@
 //! the quantum solver and the classical baseline on the same constraints.
 
 use qsmt::baseline::ClassicalSolver;
-use qsmt::{Constraint, SatStatus, Script, Solution, StringSolver};
+use qsmt::smtlib::{ScriptError, ScriptOutcome};
+use qsmt::{Constraint, SatStatus, Script, Solution, SolveOptions, StringSolver};
 
 fn solver() -> StringSolver {
     StringSolver::with_defaults().with_seed(12)
+}
+
+fn solve(script: &Script) -> Result<ScriptOutcome, ScriptError> {
+    script
+        .run(&solver(), &SolveOptions::default())
+        .map(|run| run.outcome)
 }
 
 #[test]
@@ -31,7 +38,7 @@ fn full_script_with_every_goal_kind() {
         "#,
     )
     .expect("parses");
-    let out = script.solve(&solver()).expect("solves");
+    let out = solve(&script).expect("solves");
     assert_eq!(out.status, SatStatus::Sat);
     let model: std::collections::HashMap<_, _> = out.model.into_iter().collect();
     assert_eq!(model["a"].to_string(), "\"ollah\"");
@@ -50,10 +57,7 @@ fn unsat_scripts_report_unsat() {
         // contains longer than length
         "(declare-const s String)(assert (str.contains s \"abcd\"))(assert (= (str.len s) 2))",
     ] {
-        let out = Script::parse(src)
-            .expect("parses")
-            .solve(&solver())
-            .expect("solves");
+        let out = solve(&Script::parse(src).expect("parses")).expect("solves");
         assert_eq!(out.status, SatStatus::Unsat, "script: {src}");
     }
 }
@@ -124,7 +128,7 @@ fn model_shapes_survive_roundtrip_printing() {
     let script =
         Script::parse("(declare-const i Int)(assert (= i (str.indexof \"abc\" \"zz\" 0)))")
             .expect("parses");
-    let out = script.solve(&solver()).expect("solves");
+    let out = solve(&script).expect("solves");
     // No occurrence: SMT-LIB prints −1.
     assert_eq!(out.model[0].1.to_string(), "(- 1)");
     // The decoded Solution equivalent:

@@ -5,7 +5,7 @@
 //! flexible fill); what must hold — and is asserted here — is the *shape*:
 //! the constraint is satisfied and deterministic rows match exactly.
 
-use qsmt::{Constraint, Pipeline, Start, Step, StringSolver};
+use qsmt::{Constraint, Pipeline, SolveOptions, Start, Step, StringSolver};
 
 fn solver() -> StringSolver {
     StringSolver::with_defaults().with_seed(1)
@@ -16,7 +16,7 @@ fn row1_reverse_hello_and_replace_e_with_a() {
     let report = Pipeline::new(Start::Literal("hello".into()))
         .then(Step::Reverse)
         .then(Step::ReplaceAll { from: 'e', to: 'a' })
-        .run(&solver())
+        .run(&solver(), &SolveOptions::default())
         .expect("encodes");
     // Deterministic output: must match the paper exactly.
     assert_eq!(report.final_text, "ollah");
@@ -67,7 +67,7 @@ fn row4_concat_hello_world_and_replace_all_l_with_x() {
             separator: " ".into(),
         })
         .then(Step::ReplaceAll { from: 'l', to: 'x' })
-        .run(&solver())
+        .run(&solver(), &SolveOptions::default())
         .expect("encodes");
     assert_eq!(report.final_text, "hexxo worxd");
     assert!(report.all_valid());
