@@ -536,21 +536,9 @@ impl StringSolver {
         let mut features = RoutingFeatures::from_problem(problem, constraint);
         features.merge_script(&portfolio.facts);
         let plan = portfolio.router.route(&features);
-        clock.rec.event(
-            "routed",
-            format!(
-                "{} members, predicted {}",
-                plan.members.len(),
-                plan.predicted.as_str()
-            ),
-        );
-        let ((run, stats), _) = clock.stage("portfolio", |_| {
+        let ((run, stats), _) = clock.stage("portfolio", || {
             self.race(constraint, problem, &plan, portfolio.classical.as_ref())
         });
-        clock.rec.event(
-            "raced",
-            format!("{} won in {} µs", stats.winner, stats.time_us),
-        );
         Solved {
             sampling: Self::sampler_stats(
                 plan.members[stats.winner_index as usize]

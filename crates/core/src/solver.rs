@@ -14,8 +14,8 @@ use qsmt_anneal::{
 use qsmt_lint::{lint_qubo, LintConfig, LintReport};
 use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, StopFlag};
 use qsmt_telemetry::{
-    CacheStats, CompileStats, DynamicsStats, HistogramSummary, PresolveStats, Recorder,
-    SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
+    CacheStats, CompileStats, DynamicsStats, HistogramSummary, PresolveStats, SamplerStats,
+    SelectStats, SolveReport, StageTiming, StallVerdict,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -262,8 +262,10 @@ impl StringSolver {
     /// solver's sampler or, with [`SolveOptions::portfolio`], the routed
     /// first-wins race. The returned outcome always carries the full
     /// [`SolveReport`]: per-stage timings, QUBO shape, lint and presolve
-    /// statistics, sampler counters and the span log (see
-    /// `docs/OBSERVABILITY.md` for every field).
+    /// statistics and sampler counters (see `docs/OBSERVABILITY.md` for
+    /// every field). Each stage is one `qsmt-trace` span, recorded when
+    /// a trace is active; its report timing reuses the span's clock
+    /// reads.
     ///
     /// Reporting is observational: the sampler's RNG stream is untouched,
     /// so the samples are bit-identical whether probes are on or off.
@@ -291,24 +293,19 @@ impl StringSolver {
         constraint: &Constraint,
         opts: &SolveOptions,
     ) -> Result<SolveOutcome, ConstraintError> {
-        let mut clock = StageClock::default();
+        let mut clock = StageClock::start();
 
-        let (problem, compile_us) = clock.stage("compile", |_| self.encode(constraint));
+        let (problem, compile_us) = clock.stage("compile", || self.encode(constraint));
         let problem = problem?;
         let qubo_shape = problem.qubo.shape();
-        clock.rec.event(
-            "encoded",
-            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
-        );
 
         let (lint_report, lint_us) =
-            clock.stage("lint", |_| lint_qubo(&problem.qubo, &self.lint_config));
-        clock.rec.event("linted", lint_report.summary());
+            clock.stage("lint", || lint_qubo(&problem.qubo, &self.lint_config));
         if self.deny_lint_errors {
             Self::reject_on_errors(&lint_report)?;
         }
 
-        let (fixed, presolve_us) = clock.stage("presolve", |_| {
+        let (fixed, presolve_us) = clock.stage("presolve", || {
             qsmt_qubo::presolve(&problem.qubo).num_fixed()
         });
         let original = problem.qubo.num_vars();
@@ -323,7 +320,7 @@ impl StringSolver {
             solution: solved.selection.solution.to_string(),
             energy: solved.selection.energy,
             valid: solved.selection.valid,
-            total_us: clock.rec.elapsed_us(),
+            total_us: clock.elapsed_us(),
             stages: clock.stages,
             compile: CompileStats {
                 constraint: constraint.describe(),
@@ -352,7 +349,6 @@ impl StringSolver {
             dynamics: solved.dynamics,
             cache: solved.cache,
             portfolio: solved.portfolio,
-            spans: clock.rec.finish(),
         };
         Ok(SolveOutcome {
             problem,
@@ -390,7 +386,7 @@ impl StringSolver {
         } else {
             ProbeConfig::disabled()
         };
-        let (sampled, sample_us) = clock.stage("sample", |rec| {
+        let (sampled, sample_us) = clock.stage("sample", || {
             let lookup = self.cache.as_ref().map(|cache| {
                 let fp = problem.qubo.fingerprint();
                 let t = std::time::Instant::now();
@@ -412,7 +408,6 @@ impl StringSolver {
                     },
                     lookup_us,
                 )) => {
-                    rec.event("cache", "exact hit: replaying cached sample set");
                     let stats = CacheStats {
                         outcome: "exact-hit".to_string(),
                         lookup_us,
@@ -430,7 +425,6 @@ impl StringSolver {
                     };
                 }
                 Some((fp, CacheLookup::Warm(state), lookup_us)) => {
-                    rec.event("cache", "shape hit: warm-starting reverse anneal");
                     // `supports_initial_state` gated the warm lookup, so
                     // the configured sampler provides the warm variant;
                     // fall back to a cold run if a custom sampler breaks
@@ -475,14 +469,8 @@ impl StringSolver {
             }
         });
         let dynamics = Self::dynamics_stats(sampled.dynamics, sampled.run_stats.acceptance_rate());
-        if let Some(d) = &dynamics {
-            clock.rec.event(
-                "dynamics",
-                format!("{} trajectory", d.stall_verdict.as_str()),
-            );
-        }
         let (selection, select_us) =
-            clock.stage("select", |_| select(constraint, problem, &sampled.samples));
+            clock.stage("select", || select(constraint, problem, &sampled.samples));
         if let Some(fp) = sampled.insert_fp {
             self.cache_completed(fp, problem.num_vars(), &sampled.samples);
         }
@@ -733,34 +721,38 @@ pub(crate) struct Solved {
     pub(crate) portfolio: Option<qsmt_telemetry::PortfolioStats>,
 }
 
-/// Times a solve's top-level stages: one [`StageTiming`] per stage, each
-/// mirrored as a recorder span and a `qsmt-trace` span.
-#[derive(Default)]
+/// Times a solve's top-level stages. Each stage is measured once, by
+/// [`qsmt_trace::timed`]: the trace span (when a trace is active) and
+/// the [`StageTiming`] share its two clock reads, the timing offset to
+/// the solve's start.
 pub(crate) struct StageClock {
-    pub(crate) rec: Recorder,
-    pub(crate) stages: Vec<StageTiming>,
+    origin_us: u64,
+    stages: Vec<StageTiming>,
 }
 
 impl StageClock {
+    /// A clock whose solve starts now.
+    pub(crate) fn start() -> Self {
+        Self {
+            origin_us: qsmt_trace::now_us(),
+            stages: Vec::new(),
+        }
+    }
+
     /// Runs `f` as stage `label`, returning its result and duration.
-    pub(crate) fn stage<T>(
-        &mut self,
-        label: &'static str,
-        f: impl FnOnce(&Recorder) -> T,
-    ) -> (T, u64) {
-        let start_us = self.rec.elapsed_us();
-        let out = {
-            let _s = self.rec.span(label);
-            let _t = qsmt_trace::span(label);
-            f(&self.rec)
-        };
-        let dur_us = self.rec.elapsed_us() - start_us;
+    pub(crate) fn stage<T>(&mut self, label: &'static str, f: impl FnOnce() -> T) -> (T, u64) {
+        let (out, start_us, dur_us) = qsmt_trace::timed(label, f);
         self.stages.push(StageTiming {
             label: label.to_string(),
-            start_us,
+            start_us: start_us - self.origin_us,
             dur_us,
         });
         (out, dur_us)
+    }
+
+    /// Microseconds since the solve started.
+    pub(crate) fn elapsed_us(&self) -> u64 {
+        qsmt_trace::now_us() - self.origin_us
     }
 }
 
@@ -1004,8 +996,6 @@ mod tests {
             .time_to_target
             .windows(2)
             .all(|w| w[0].gap_fraction < w[1].gap_fraction && w[0].sweep <= w[1].sweep));
-        // The verdict made it into the event stream too.
-        assert!(report.spans.iter().any(|s| s.name == "dynamics"));
         // Probes off: same samples, no trajectory.
         let plain = solver().solve(&c).unwrap();
         assert!(plain.report.dynamics.is_none());
@@ -1032,7 +1022,6 @@ mod tests {
         }
         let last = report.stages.last().unwrap();
         assert!(last.start_us + last.dur_us <= report.total_us);
-        assert!(!report.spans.is_empty());
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl ScriptRun {
         }
     }
 
-    /// The schema-v9 run report of this run.
+    /// The run report of this run (`RunReport::SCHEMA_VERSION`).
     pub fn into_report(
         self,
         source: String,

@@ -1,10 +1,11 @@
 //! # qsmt-telemetry — solver observability
 //!
-//! Dependency-free observability layer for the qsmt workspace: a span/event
-//! [`Recorder`] for tracing a solve, typed per-stage statistics
-//! ([`QuboShape`], [`SamplerStats`], [`CacheStats`], …) aggregated into
-//! a [`SolveReport`], and a minimal [`Json`] value type so reports can be
-//! written (and read back) without external crates.
+//! Dependency-free observability layer for the qsmt workspace: typed
+//! per-stage statistics ([`QuboShape`], [`SamplerStats`], [`CacheStats`],
+//! …) aggregated into a [`SolveReport`], and a minimal [`Json`] value
+//! type so reports can be written (and read back) without external
+//! crates. Spans live in `qsmt-trace`, which also times each report
+//! [`StageTiming`].
 //!
 //! The crate is a leaf: `qsmt-qubo`, `qsmt-anneal`, `qsmt-qpu`, and
 //! `qsmt-core` all depend on it and *push* their numbers in, which keeps
@@ -14,22 +15,21 @@
 //! `docs/OBSERVABILITY.md`.
 //!
 //! ```
-//! use qsmt_telemetry::{Json, Recorder};
+//! use qsmt_telemetry::{parse, Json, StageTiming};
 //!
-//! let rec = Recorder::new();
-//! {
-//!     let _span = rec.span("compile");
-//! }
-//! let spans = rec.finish();
-//! let doc = Json::Arr(spans.iter().map(|s| s.to_json()).collect());
-//! assert!(doc.to_string().contains("\"compile\""));
+//! let stage = StageTiming {
+//!     label: "compile".into(),
+//!     start_us: 0,
+//!     dur_us: 14,
+//! };
+//! let doc = parse(&stage.to_json().to_string()).unwrap();
+//! assert_eq!(doc.get("dur_us").and_then(Json::as_u64), Some(14));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod dynamics;
 pub mod json;
-pub mod recorder;
 pub mod report;
 
 pub use dynamics::{
@@ -37,7 +37,6 @@ pub use dynamics::{
     TimeToTarget, TracePoint,
 };
 pub use json::{parse, Json, JsonParseError};
-pub use recorder::{Recorder, SpanGuard, SpanRecord, TraceDisplay};
 pub use report::{
     AbsintStats, CacheStats, CompileStats, GoalKind, GoalReport, LintStats, PortfolioMemberStats,
     PortfolioStats, PresolveStats, QuboShape, RunReport, SamplerStats, SelectStats, SolveReport,

@@ -7,7 +7,6 @@
 
 use crate::dynamics::DynamicsStats;
 use crate::json::Json;
-use crate::recorder::SpanRecord;
 
 /// Shape statistics of a QUBO model (the "QUBO matrix" Figure 1 box).
 #[derive(Debug, Clone, PartialEq)]
@@ -457,8 +456,6 @@ pub struct SolveReport {
     /// Portfolio-race record; `None` when the solve ran a single sampler
     /// (additive in schema v9, serialized as `null` when absent).
     pub portfolio: Option<PortfolioStats>,
-    /// Raw span/event log recorded during the solve.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl SolveReport {
@@ -501,10 +498,6 @@ impl SolveReport {
                 self.portfolio
                     .as_ref()
                     .map_or(Json::Null, PortfolioStats::to_json),
-            ),
-            (
-                "spans",
-                Json::Arr(self.spans.iter().map(SpanRecord::to_json).collect()),
             ),
         ])
     }
@@ -722,9 +715,12 @@ impl RunReport {
     /// object consumed by the `qsmt history` run store; v9 adds the
     /// additive `portfolio` section on `SolveReport` (routed plan,
     /// per-member outcome/elapsed, winner) and the
-    /// `"portfolio:<member>"` value for `served_from`. Earlier readers
-    /// keep working because no existing field changed.
-    pub const SCHEMA_VERSION: u32 = 9;
+    /// `"portfolio:<member>"` value for `served_from`; v10 removes the
+    /// per-solve `spans` log — stage timings are `stages`, and the span
+    /// tree is the trace (`qsmt-trace`). Every version before v10 only
+    /// added fields, so earlier readers kept working; a v10 reader must
+    /// not expect `spans`.
+    pub const SCHEMA_VERSION: u32 = 10;
 
     /// Serializes as a JSON object.
     pub fn to_json(&self) -> Json {
@@ -885,7 +881,6 @@ mod tests {
                 ],
                 time_us: 360,
             }),
-            spans: vec![],
         }
     }
 

@@ -4,9 +4,12 @@
 //! like `qsmt-telemetry` and `qsmt-metrics`): hierarchical spans with
 //! monotonic timestamps, a per-thread span buffer merged into a
 //! process-wide [`TraceRegistry`] keyed by a 64-bit [`TraceId`], and two
-//! exporters — Chrome trace-event JSON (loadable in Perfetto or
-//! `chrome://tracing`) and a compact self-describing [`binary`] ring for
-//! always-on capture.
+//! views of a trace — Chrome trace-event JSON (loadable in Perfetto or
+//! `chrome://tracing`) and an indented text tree.
+//!
+//! It is the one span source of a solve: the run report's per-stage
+//! timings come from [`timed`], which records the stage span and hands
+//! back the same two clock reads.
 //!
 //! The design contract is the same as the PR 4 probe layer: when no
 //! trace is active on the current thread, [`span`] costs one
@@ -31,11 +34,9 @@
 
 #![warn(missing_docs)]
 
-pub mod binary;
 pub mod history;
 pub mod store;
 
-pub use binary::{decode, BinaryRing, DecodedSpan};
 pub use history::{analyze, HistoryOptions, HistoryReport, Regression, StageStats};
 pub use store::RunStore;
 
@@ -43,7 +44,7 @@ use qsmt_telemetry::Json;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -166,12 +167,6 @@ pub fn active() -> bool {
     CTX.with(|c| c.trace.get()) != 0
 }
 
-/// The trace active on the current thread, if any.
-#[must_use]
-pub fn current() -> Option<TraceId> {
-    TraceId::from_raw(CTX.with(|c| c.trace.get()))
-}
-
 /// Activates `id` on the current thread for the guard's lifetime,
 /// registers it (with `label`) in the global [`registry`], and records
 /// a depth-0 root span covering the whole section. Dropping the guard
@@ -237,33 +232,43 @@ impl Drop for TraceGuard {
 /// allocation (the <1% disabled-path contract).
 #[must_use]
 pub fn span(name: &'static str) -> Span {
-    if CTX.with(|c| c.trace.get()) == 0 {
-        return Span {
-            name: Cow::Borrowed(name),
-            start_us: 0,
-            depth: 0,
-            active: false,
-        };
-    }
-    open_span(Cow::Borrowed(name))
+    open(Cow::Borrowed(name))
 }
 
 /// Opens a span with an owned (dynamically built) label. Callers on
 /// hot paths should gate the `format!` behind [`active`].
 #[must_use]
 pub fn span_dyn(name: String) -> Span {
-    if CTX.with(|c| c.trace.get()) == 0 {
-        return Span {
-            name: Cow::Owned(name),
-            start_us: 0,
-            depth: 0,
-            active: false,
-        };
-    }
-    open_span(Cow::Owned(name))
+    open(Cow::Owned(name))
 }
 
-fn open_span(name: Cow<'static, str>) -> Span {
+fn open(name: Cow<'static, str>) -> Span {
+    if CTX.with(|c| c.trace.get()) == 0 {
+        return Span::inert(name);
+    }
+    open_span(name, now_us())
+}
+
+/// Runs `f` inside a span named `name` and returns its result with the
+/// span's start (µs since the process trace epoch) and duration. The
+/// span, when a trace is active, records exactly these two clock reads,
+/// so a caller's own stage timing and the trace cannot disagree. Unlike
+/// [`span`] this always reads the clock: it is for work that is timed
+/// whether or not anyone traces it.
+pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let start_us = now_us();
+    let mut span = if active() {
+        open_span(Cow::Borrowed(name), start_us)
+    } else {
+        Span::inert(Cow::Borrowed(name))
+    };
+    let out = f();
+    let end_us = now_us();
+    span.close(end_us);
+    (out, start_us, end_us.saturating_sub(start_us))
+}
+
+fn open_span(name: Cow<'static, str>, start_us: u64) -> Span {
     let depth = CTX.with(|c| {
         let d = c.depth.get();
         c.depth.set(d + 1);
@@ -271,7 +276,7 @@ fn open_span(name: Cow<'static, str>) -> Span {
     });
     Span {
         name,
-        start_us: now_us(),
+        start_us,
         depth,
         active: true,
     }
@@ -285,16 +290,27 @@ pub struct Span {
     active: bool,
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
+impl Span {
+    fn inert(name: Cow<'static, str>) -> Span {
+        Span {
+            name,
+            start_us: 0,
+            depth: 0,
+            active: false,
+        }
+    }
+
+    /// Records the span as ending at `end_us`; later calls and the drop
+    /// are no-ops.
+    fn close(&mut self, end_us: u64) {
         if !self.active {
             return;
         }
-        let end = now_us();
+        self.active = false;
         let record = SpanRecord {
             name: std::mem::take(&mut self.name).into_owned(),
             start_us: self.start_us,
-            dur_us: end.saturating_sub(self.start_us),
+            dur_us: end_us.saturating_sub(self.start_us),
             depth: self.depth,
             tid: thread_tid(),
         };
@@ -305,6 +321,14 @@ impl Drop for Span {
                 c.buffer.borrow_mut().push((trace, record));
             }
         });
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.active {
+            self.close(now_us());
+        }
     }
 }
 
@@ -336,63 +360,50 @@ struct TraceData {
     spans: Vec<SpanRecord>,
 }
 
-struct RegistryInner {
-    traces: VecDeque<TraceData>,
-    ring: BinaryRing,
-}
-
 /// Process-wide bounded store of recent traces, keyed by [`TraceId`].
-/// Oldest traces are evicted FIFO past `capacity`. Every merged span is
-/// also appended to an always-on [`BinaryRing`].
+/// Oldest traces are evicted FIFO past `capacity`.
 pub struct TraceRegistry {
-    inner: Mutex<RegistryInner>,
+    traces: Mutex<VecDeque<TraceData>>,
     capacity: usize,
 }
 
 /// How many traces the global registry retains.
 pub const GLOBAL_TRACE_CAPACITY: usize = 64;
 
-/// How many span records the global registry's binary ring retains.
-pub const GLOBAL_RING_CAPACITY: usize = 4096;
-
 static REGISTRY: OnceLock<TraceRegistry> = OnceLock::new();
 
 /// The process-wide registry used by [`enter`] / [`span`].
 pub fn registry() -> &'static TraceRegistry {
-    REGISTRY.get_or_init(|| TraceRegistry::new(GLOBAL_TRACE_CAPACITY, GLOBAL_RING_CAPACITY))
+    REGISTRY.get_or_init(|| TraceRegistry::new(GLOBAL_TRACE_CAPACITY))
 }
 
 impl TraceRegistry {
-    /// A registry retaining at most `capacity` traces and
-    /// `ring_capacity` binary-ring records.
+    /// A registry retaining at most `capacity` traces.
     #[must_use]
-    pub fn new(capacity: usize, ring_capacity: usize) -> TraceRegistry {
+    pub fn new(capacity: usize) -> TraceRegistry {
         TraceRegistry {
-            inner: Mutex::new(RegistryInner {
-                traces: VecDeque::new(),
-                ring: BinaryRing::new(ring_capacity),
-            }),
+            traces: Mutex::new(VecDeque::new()),
             capacity,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceData>> {
         // Serve workers run solves under catch_unwind; a panic while
         // holding this lock must not disable tracing process-wide.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.traces.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a trace (idempotent), evicting the oldest past capacity.
     pub fn register(&self, id: TraceId, label: &str) {
         let started_us = now_us();
-        let mut inner = self.lock();
-        if inner.traces.iter().any(|t| t.id == id) {
+        let mut traces = self.lock();
+        if traces.iter().any(|t| t.id == id) {
             return;
         }
-        while inner.traces.len() >= self.capacity.max(1) {
-            inner.traces.pop_front();
+        while traces.len() >= self.capacity.max(1) {
+            traces.pop_front();
         }
-        inner.traces.push_back(TraceData {
+        traces.push_back(TraceData {
             id,
             label: label.to_string(),
             started_us,
@@ -401,43 +412,14 @@ impl TraceRegistry {
     }
 
     /// Merges a drained thread buffer of `(trace id, span)` pairs.
-    /// Spans for evicted traces still reach the binary ring.
+    /// Spans for evicted traces are dropped.
     pub fn merge(&self, records: Vec<(u64, SpanRecord)>) {
-        let mut inner = self.lock();
+        let mut traces = self.lock();
         for (raw, record) in records {
-            inner.ring.record(raw, &record);
-            if let Some(trace) = inner.traces.iter_mut().find(|t| t.id.get() == raw) {
+            if let Some(trace) = traces.iter_mut().find(|t| t.id.get() == raw) {
                 trace.spans.push(record);
             }
         }
-    }
-
-    /// True when `id` is still retained.
-    #[must_use]
-    pub fn contains(&self, id: TraceId) -> bool {
-        self.lock().traces.iter().any(|t| t.id == id)
-    }
-
-    /// Number of retained traces.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().traces.len()
-    }
-
-    /// True when no traces are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of spans merged for `id`, if retained.
-    #[must_use]
-    pub fn span_count(&self, id: TraceId) -> Option<usize> {
-        self.lock()
-            .traces
-            .iter()
-            .find(|t| t.id == id)
-            .map(|t| t.spans.len())
     }
 
     /// The trace as a Chrome trace-event document (`ph: "X"` complete
@@ -445,8 +427,8 @@ impl TraceRegistry {
     /// load directly. `None` when `id` is unknown or evicted.
     #[must_use]
     pub fn chrome_json(&self, id: TraceId) -> Option<Json> {
-        let inner = self.lock();
-        let trace = inner.traces.iter().find(|t| t.id == id)?;
+        let traces = self.lock();
+        let trace = traces.iter().find(|t| t.id == id)?;
         let mut events = Vec::with_capacity(trace.spans.len() + 1);
         events.push(Json::obj([
             ("ph", Json::from("M")),
@@ -477,13 +459,39 @@ impl TraceRegistry {
         ]))
     }
 
+    /// The same spans as [`TraceRegistry::chrome_json`] as an indented
+    /// text tree, one line per span in start order:
+    /// `[    1.234 ms]   compile (0.020 ms)`, starts relative to the
+    /// earliest span (the root) and two spaces of indent per depth — what
+    /// `qsmt solve --trace` prints. `None` when `id` is unknown or
+    /// evicted.
+    #[must_use]
+    pub fn text(&self, id: TraceId) -> Option<String> {
+        let traces = self.lock();
+        let trace = traces.iter().find(|t| t.id == id)?;
+        let mut spans: Vec<&SpanRecord> = trace.spans.iter().collect();
+        spans.sort_by_key(|s| (s.start_us, s.depth));
+        let origin = spans.first().map_or(0, |s| s.start_us);
+        let mut out = String::new();
+        for s in spans {
+            let _ = writeln!(
+                out,
+                "[{:>9.3} ms] {}{} ({:.3} ms)",
+                (s.start_us - origin) as f64 / 1000.0,
+                "  ".repeat(s.depth as usize),
+                s.name,
+                s.dur_us as f64 / 1000.0,
+            );
+        }
+        Some(out)
+    }
+
     /// A recent-first index of retained traces (id, label, start, span
     /// count) — the body of `GET /traces`.
     #[must_use]
     pub fn index_json(&self) -> Json {
-        let inner = self.lock();
-        let traces = inner
-            .traces
+        let traces = self
+            .lock()
             .iter()
             .rev()
             .map(|t| {
@@ -497,24 +505,28 @@ impl TraceRegistry {
             .collect();
         Json::obj([("traces", Json::Arr(traces))])
     }
-
-    /// Serializes the always-on binary ring; see [`binary`] for the
-    /// format and [`decode`] for the reader.
-    #[must_use]
-    pub fn export_binary(&self) -> Vec<u8> {
-        self.lock().ring.export()
-    }
-
-    /// Span records dropped from the binary ring since process start.
-    #[must_use]
-    pub fn ring_dropped_total(&self) -> u64 {
-        self.lock().ring.dropped_total()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(name, ts, dur, depth)` of every span event of a Chrome export.
+    fn spans_of(id: TraceId) -> Vec<(String, u64, u64, u64)> {
+        let doc = registry().chrome_json(id).expect("registered");
+        let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64).unwrap();
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| {
+                let name = e.get("name").and_then(Json::as_str).unwrap().to_string();
+                let depth = num(e.get("args").unwrap(), "depth");
+                (name, num(e, "ts"), num(e, "dur"), depth)
+            })
+            .collect()
+    }
 
     #[test]
     fn trace_ids_are_nonzero_and_round_trip_hex() {
@@ -533,100 +545,87 @@ mod tests {
     #[test]
     fn span_is_inert_without_an_active_trace() {
         assert!(!active());
-        let before = registry().len();
         {
             let _s = span("orphan");
             span_at("orphan-at", 1, 2);
+            let ((), _, _) = timed("orphan-timed", || ());
         }
-        assert_eq!(registry().len(), before);
+        // Nothing was buffered: a trace entered afterwards on this
+        // thread holds only its own root span.
+        let id = TraceId::derive(0x1ae7);
+        drop(enter(id, "after-orphans"));
+        let names: Vec<String> = spans_of(id).into_iter().map(|s| s.0).collect();
+        assert_eq!(names, ["after-orphans"]);
     }
 
     #[test]
-    fn enter_collects_nested_spans_and_exports_chrome_json() {
+    fn nested_spans_export_as_chrome_json_and_as_an_indented_text_tree() {
         let id = TraceId::derive(0xfeed);
-        {
+        let (value, start_us, dur_us) = {
             let _job = enter(id, "job-test");
             assert!(active());
-            assert_eq!(current(), Some(id));
-            {
-                let _outer = span("compile");
-                let _inner = span_dyn("goal x".to_string());
-            }
+            let _goal = span_dyn("goal x".to_string());
+            let timed = timed("compile", || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                42
+            });
+            let _sample = span("sample");
             span_at("read 0", now_us(), 3);
-        }
-        assert!(!active());
-        let n = registry().span_count(id).expect("registered");
-        assert_eq!(n, 4, "root + compile + goal + read");
-        let doc = registry().chrome_json(id).expect("chrome export");
-        let text = doc.to_string();
-        for needle in [
-            "\"traceEvents\"",
-            "\"compile\"",
-            "\"goal x\"",
-            "\"read 0\"",
-            "\"ph\":\"X\"",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in {text}");
-        }
-        assert_eq!(
-            doc.get("trace_id").and_then(Json::as_str),
-            Some(id.to_string().as_str())
-        );
-        // Depths: root 0, compile 1, goal 2.
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let depth_of = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .and_then(|e| {
-                    e.get("args")
-                        .and_then(|a| a.get("depth"))
-                        .and_then(Json::as_u64)
-                })
+            timed
         };
-        assert_eq!(depth_of("job-test"), Some(0));
-        assert_eq!(depth_of("compile"), Some(1));
-        assert_eq!(depth_of("goal x"), Some(2));
+        assert!(!active());
+        // `timed` returns exactly the clock reads its span recorded.
+        assert_eq!(value, 42);
+        assert!(dur_us >= 1000, "slept 1 ms, measured {dur_us} µs");
+        let spans = spans_of(id);
+        let compile = spans.iter().find(|s| s.0 == "compile").unwrap();
+        assert_eq!((compile.1, compile.2, compile.3), (start_us, dur_us, 2));
+        // The text view lists the same spans in start order, indented
+        // by depth, starting from the root at offset zero.
+        let text = registry().text(id).expect("registered");
+        let expected = [
+            (0, "job-test"),
+            (1, "goal x"),
+            (2, "compile"),
+            (2, "sample"),
+            (3, "read 0"),
+        ];
+        assert_eq!(text.lines().count(), spans.len());
+        assert!(text.starts_with("[    0.000 ms] job-test ("), "{text}");
+        for (line, (depth, name)) in text.lines().zip(expected) {
+            let indent = "  ".repeat(depth);
+            assert!(line.contains(&format!(" ms] {indent}{name} (")), "{line}");
+            assert!(spans.iter().any(|s| s.0 == name && s.3 == depth as u64));
+        }
     }
 
     #[test]
     fn registry_evicts_fifo_and_indexes_recent_first() {
-        let reg = TraceRegistry::new(2, 16);
-        let a = TraceId::derive(1);
-        let b = TraceId::derive(2);
-        let c = TraceId::derive(3);
-        reg.register(a, "a");
-        reg.register(b, "b");
-        reg.register(c, "c");
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.contains(a));
-        assert!(reg.contains(b) && reg.contains(c));
-        assert!(reg.chrome_json(a).is_none());
-        let index = reg.index_json();
-        let traces = index.get("traces").and_then(Json::as_arr).unwrap();
-        assert_eq!(traces[0].get("label").and_then(Json::as_str), Some("c"));
-        assert_eq!(traces[1].get("label").and_then(Json::as_str), Some("b"));
-    }
-
-    #[test]
-    fn merged_spans_reach_the_binary_ring_even_after_eviction() {
-        let reg = TraceRegistry::new(1, 16);
-        let a = TraceId::derive(10);
-        let b = TraceId::derive(11);
-        reg.register(a, "a");
-        reg.register(b, "b"); // evicts a
-        let record = SpanRecord {
-            name: "late".to_string(),
+        let reg = TraceRegistry::new(2);
+        let (a, b, c) = (TraceId::derive(1), TraceId::derive(2), TraceId::derive(3));
+        for (id, label) in [(a, "a"), (b, "b"), (c, "c")] {
+            reg.register(id, label);
+        }
+        assert!(reg.chrome_json(a).is_none() && reg.text(a).is_none());
+        let record = |name: &str| SpanRecord {
+            name: name.to_string(),
             start_us: 5,
             dur_us: 7,
             depth: 1,
             tid: 1,
         };
-        reg.merge(vec![(a.get(), record)]);
-        assert_eq!(reg.span_count(a), None);
-        let decoded = decode(&reg.export_binary()).expect("decodes");
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].trace_id, a.get());
-        assert_eq!(decoded[0].name, "late");
+        // A late span for the evicted trace is dropped; the live one lands.
+        reg.merge(vec![(a.get(), record("late")), (c.get(), record("kept"))]);
+        assert!(reg.text(c).unwrap().contains("kept (0.007 ms)"));
+        let index = reg.index_json();
+        let traces = index.get("traces").and_then(Json::as_arr).unwrap();
+        let summary: Vec<(&str, u64)> = traces
+            .iter()
+            .map(|t| {
+                let label = t.get("label").and_then(Json::as_str).unwrap();
+                (label, t.get("spans").and_then(Json::as_u64).unwrap())
+            })
+            .collect();
+        assert_eq!(summary, [("c", 1), ("b", 0)]);
     }
 }

@@ -11,14 +11,21 @@ use qsmt_telemetry::Json;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Default retention for [`RunStore`] files.
 pub const DEFAULT_MAX_LINES: usize = 512;
 
-/// A bounded append-only JSONL store of run reports.
+/// A bounded append-only JSONL store of run reports. Safe to share
+/// between threads: appends from concurrent serve workers never
+/// interleave.
 pub struct RunStore {
     path: PathBuf,
     max_lines: usize,
+    /// Serializes [`RunStore::append`]: the write and the compaction's
+    /// read-modify-write happen as one step. Nothing under it panics
+    /// with the file half-written, so a poisoned lock is safe to reuse.
+    writer: Mutex<()>,
 }
 
 impl RunStore {
@@ -27,6 +34,7 @@ impl RunStore {
         RunStore {
             path: path.into(),
             max_lines: max_lines.max(1),
+            writer: Mutex::new(()),
         }
     }
 
@@ -42,12 +50,13 @@ impl RunStore {
     /// # Errors
     /// Propagates I/O errors from the append or the compaction rewrite.
     pub fn append(&self, doc: &Json) -> io::Result<()> {
-        let mut file = fs::OpenOptions::new()
+        let line = format!("{doc}\n");
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&self.path)?;
-        writeln!(file, "{doc}")?;
-        drop(file);
+            .open(&self.path)?
+            .write_all(line.as_bytes())?;
         let text = fs::read_to_string(&self.path)?;
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         if lines.len() > self.max_lines {
@@ -118,6 +127,50 @@ mod tests {
         assert_eq!(runs[0].get("run").and_then(Json::as_u64), Some(5));
         assert_eq!(runs[3].get("run").and_then(Json::as_u64), Some(8));
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_appends_keep_every_line_whole() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 60;
+        // ~2 KB lines, the size of a real run report.
+        let pad = "x".repeat(2048);
+        let total = (THREADS * PER_THREAD) as usize;
+        for (name, max_lines, expected) in [("concurrent", 1024, total), ("compacting", 64, 64)] {
+            let path = tmp(name);
+            let store = RunStore::new(&path, max_lines);
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (store, pad, start) = (&store, &pad, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..PER_THREAD {
+                            let doc = Json::obj([
+                                ("run", Json::from(t * PER_THREAD + i)),
+                                ("pad", Json::from(pad.as_str())),
+                            ]);
+                            store.append(&doc).unwrap();
+                        }
+                    });
+                }
+            });
+            let text = fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), expected, "{name}: line count");
+            let mut runs: Vec<u64> = lines
+                .iter()
+                .map(|line| {
+                    let doc = qsmt_telemetry::parse(line)
+                        .unwrap_or_else(|e| panic!("{name}: torn line ({e:?})"));
+                    doc.get("run").and_then(Json::as_u64).expect("run id")
+                })
+                .collect();
+            runs.sort_unstable();
+            runs.dedup();
+            assert_eq!(runs.len(), expected, "{name}: every line is a distinct run");
+            let _ = fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //!
 //! Observability (documented in `docs/OBSERVABILITY.md`): `--stats` prints
 //! per-stage timings and sampler statistics for every solve, `--report
-//! <path>` writes the full JSON run report (schema v9, with a `trace_id`
-//! and per-stage `span_us` rollup), `--trace` prints the raw span/event
-//! log, and `--trace <out.json>` instead runs the solve under a trace id
-//! and writes its spans as Chrome trace-event JSON, loadable in Perfetto.
+//! <path>` writes the full JSON run report (schema v10, with a `trace_id`
+//! and per-stage `span_us` rollup), and `--trace` runs the solve under a
+//! trace id and prints the run's span tree as indented text — or, as
+//! `--trace <out.json>`, writes the same spans as Chrome trace-event
+//! JSON, loadable in Perfetto.
 //! `qsmt history` turns a `--run-store` JSONL file into per-stage latency
 //! percentiles with regression verdicts (non-zero exit on drift).
 //!
@@ -48,7 +49,7 @@ use qsmt::anneal::{
     SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
 };
 use qsmt::smtlib::Goal;
-use qsmt::telemetry::{Json, TraceDisplay};
+use qsmt::telemetry::Json;
 use qsmt::{Script, SolveOptions, StringSolver};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -84,14 +85,15 @@ OBSERVABILITY (see docs/OBSERVABILITY.md):
   --stats          print per-stage timings, sampler statistics, and
                    trajectory-dynamics summaries (stall verdict, latency
                    and improvement percentiles)
-  --report <path>  write the full JSON run report to <path> (schema v9:
+  --report <path>  write the full JSON run report to <path> (schema v10:
                    carries the run's trace_id and a per-stage span_us
                    latency rollup)
-  --trace          print the raw span/event log of every solve;
-                   `--trace <out.json>` instead runs the solve under a
-                   trace id and writes its spans — every report stage
-                   plus per-read sampler spans — as Chrome trace-event
-                   JSON (open in Perfetto or chrome://tracing)
+  --trace          run the solve under a trace id and print its span
+                   tree — absint, every goal, every report stage, and
+                   per-read sampler spans — as indented text;
+                   `--trace <out.json>` instead writes the same spans as
+                   Chrome trace-event JSON (open in Perfetto or
+                   chrome://tracing)
   --flight <path>  on solve failure, dump the flight-recorder ring
                    buffer to <path> as JSON
 
@@ -100,7 +102,7 @@ SOLVE SERVICE (see docs/OBSERVABILITY.md):
                    enqueues SMT-LIB scripts into a bounded queue drained
                    by --workers threads, answering 202 with a job id and
                    a per-job trace id; GET /jobs/<id> returns status and
-                   the schema-v9 run report; GET /jobs/<id>/trace serves
+                   the schema-v10 run report; GET /jobs/<id>/trace serves
                    the job's spans as Chrome trace-event JSON and
                    GET /traces indexes recent traces; a full queue
                    answers 429 with Retry-After; per-job deadlines cancel
@@ -212,8 +214,8 @@ struct Options {
     stats: bool,
     report: Option<String>,
     trace: bool,
-    /// Chrome trace-event output path (`--trace <out.json>`); None keeps
-    /// the plain text span log.
+    /// Chrome trace-event output path (`--trace <out.json>`); None prints
+    /// the trace as text instead.
     trace_out: Option<String>,
     lint: bool,
     format: String,
@@ -359,8 +361,8 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
             "--trace" => {
                 opts.trace = true;
                 // Optional value: `--trace out.json` writes Chrome
-                // trace-event JSON there instead of printing the text
-                // span log. Peek so a following flag keeps its meaning.
+                // trace-event JSON there instead of printing the trace
+                // as text. Peek so a following flag keeps its meaning.
                 if it
                     .clone()
                     .next()
@@ -534,11 +536,12 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
             opts.sampler
         )
     };
-    // `--trace <out.json>`: run the whole solve under a local trace so
-    // the same span machinery the serve path uses records every report
-    // stage and per-read sampler span, then export Chrome trace-event
-    // JSON below (docs/OBSERVABILITY.md).
-    let trace_scope = opts.trace_out.as_ref().map(|_| {
+    // `--trace`: run the whole solve under a local trace so the same
+    // span machinery the serve path uses records every report stage and
+    // per-read sampler span; below it is written as Chrome trace-event
+    // JSON (`--trace <out.json>`) or printed as text
+    // (docs/OBSERVABILITY.md).
+    let trace_scope = opts.trace.then(|| {
         let id = qsmt::trace::TraceId::derive(opts.seed);
         (id, qsmt::trace::enter(id, source_name))
     });
@@ -555,15 +558,14 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
     .map_err(surface_panic)?
     .map_err(|e| e.to_string())?;
     let elapsed_us = started.elapsed().as_micros() as u64;
-    let trace_id = trace_scope.as_ref().map(|(id, _)| *id);
-    if let Some((id, guard)) = trace_scope {
-        // Dropping the guard drains the thread's span buffer into the
-        // process registry; only then is the export complete.
-        drop(guard);
-        let path = opts.trace_out.as_deref().expect("trace_out implies path");
+    // Dropping the guard drains the thread's span buffer into the
+    // process registry; only then is the trace complete.
+    let trace_id = trace_scope.map(|(id, _guard)| id);
+    let evicted = || "trace was evicted before export".to_string();
+    if let (Some(id), Some(path)) = (trace_id, &opts.trace_out) {
         let doc = qsmt::trace::registry()
             .chrome_json(id)
-            .ok_or_else(|| "trace was evicted before export".to_string())?;
+            .ok_or_else(evicted)?;
         std::fs::write(path, doc.pretty())
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("trace written to {path}");
@@ -606,14 +608,11 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
             }
         }
     }
-    if opts.trace && opts.trace_out.is_none() {
-        for goal in &run.goals {
-            for solve in &goal.solves {
-                println!("; trace for goal {} — {}", goal.name, solve.constraint);
-                for line in TraceDisplay(&solve.spans).to_string().lines() {
-                    println!("; {line}");
-                }
-            }
+    if let (Some(id), None) = (trace_id, &opts.trace_out) {
+        let text = qsmt::trace::registry().text(id).ok_or_else(evicted)?;
+        println!("; trace {id}");
+        for line in text.lines() {
+            println!("; {line}");
         }
     }
     if let Some(path) = &opts.report {

@@ -19,13 +19,13 @@
 //! * [`lint`] — the formulation linter: static soundness analysis of
 //!   compiled QUBO/Ising encodings (see `docs/LINTS.md`);
 //! * [`smtlib`] — the SMT-LIB v2 string-theory front end;
-//! * [`telemetry`] — solver observability: span recording, per-stage
-//!   statistics, and JSON run reports (see `docs/OBSERVABILITY.md`);
+//! * [`telemetry`] — solver observability: per-stage statistics and
+//!   JSON run reports (see `docs/OBSERVABILITY.md`);
 //! * [`metrics`] — the sharded metrics registry and flight recorder
 //!   behind live exposition (see `docs/OBSERVABILITY.md`);
-//! * [`trace`] — end-to-end job tracing: hierarchical spans, a
-//!   process-wide trace registry, Chrome trace-event export for
-//!   Perfetto, the always-on binary span ring, and the run-history
+//! * [`trace`] — end-to-end job tracing: hierarchical spans (which also
+//!   time every report stage), a process-wide trace registry with
+//!   Chrome trace-event (Perfetto) and text views, and the run-history
 //!   store behind `qsmt history` (see `docs/OBSERVABILITY.md`);
 //! * [`serve`] — the `qsmt serve` Prometheus endpoint and `qsmt watch`
 //!   scrape client;

@@ -10,7 +10,7 @@
 //!   default) races a routed solver portfolio per goal (see
 //!   `docs/PORTFOLIO.md`);
 //! * `GET /jobs/<id>` — job status; completed jobs embed the full
-//!   schema-v9 run report (including the per-solve `cache` and
+//!   schema-v10 run report (including the per-solve `cache` and
 //!   `portfolio` sections, the top-level `served_from` marker —
 //!   `"portfolio:<member>"` for portfolio jobs — and the job's
 //!   `trace_id`);

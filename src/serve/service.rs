@@ -154,10 +154,9 @@ pub struct Service {
     job_timeout: Duration,
     queue: Mutex<VecDeque<Job>>,
     queue_ready: Condvar,
+    /// Every accepted job's latest status, kept for the life of the
+    /// process.
     jobs: Mutex<HashMap<u64, JobStatus>>,
-    /// Trace id per accepted job. Kept separately from the job table so
-    /// `GET /jobs/<id>/trace` resolves after the `Job` itself is gone.
-    trace_ids: Mutex<HashMap<u64, TraceId>>,
     draining: AtomicBool,
     next_id: AtomicU64,
     tally: Tally,
@@ -244,7 +243,6 @@ impl Service {
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
-            trace_ids: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             tally: Tally::default(),
@@ -364,10 +362,7 @@ impl Service {
             return SubmitOutcome::QueueFull { retry_after_secs };
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-        // One trace per accepted job, derived from the id (stable under
-        // retries of the same job id, distinct across jobs) and mixed
-        // with the base seed so concurrent instances don't collide.
-        let trace_id = TraceId::derive(self.base_seed.rotate_left(32) ^ id);
+        let trace_id = self.trace_id(id);
         // Record the job before it becomes poppable: once it is queued a
         // fast worker may finish it at once, and a late `Queued` insert
         // would overwrite its terminal status.
@@ -375,10 +370,6 @@ impl Service {
             .lock()
             .expect("jobs lock")
             .insert(id, JobStatus::Queued);
-        self.trace_ids
-            .lock()
-            .expect("trace ids lock")
-            .insert(id, trace_id);
         let now = Instant::now();
         queue.push_back(Job {
             id,
@@ -401,13 +392,11 @@ impl Service {
         SubmitOutcome::Accepted { id, trace_id }
     }
 
-    /// The trace id assigned to a job at submission, if the job exists.
-    fn trace_id_of(&self, id: u64) -> Option<TraceId> {
-        self.trace_ids
-            .lock()
-            .expect("trace ids lock")
-            .get(&id)
-            .copied()
+    /// The trace id of job `id`: one trace per job, derived from the id
+    /// (distinct across jobs) and mixed with the base seed so concurrent
+    /// instances don't collide. A pure function, so nothing stores it.
+    fn trace_id(&self, id: u64) -> TraceId {
+        TraceId::derive(self.base_seed.rotate_left(32) ^ id)
     }
 
     /// Renders one job's status document, or `None` for an unknown id.
@@ -418,9 +407,7 @@ impl Service {
             ("id", Json::from(format!("job-{id}"))),
             ("status", Json::from(status.label())),
         ];
-        if let Some(trace_id) = self.trace_id_of(id) {
-            pairs.push(("trace_id", Json::from(trace_id.to_string())));
-        }
+        pairs.push(("trace_id", Json::from(self.trace_id(id).to_string())));
         match status {
             JobStatus::Completed { report } => pairs.push(("report", report.clone())),
             JobStatus::Failed { error } => pairs.push(("error", Json::from(error.as_str()))),
@@ -573,7 +560,7 @@ impl Service {
     /// The actual solve: parse, then one [`Script::run`] with absint and
     /// probes on — racing the portfolio when the job asked for it — with
     /// the job's seed/reads, the cancellation flag, and the shared solve
-    /// cache, producing a schema-v9
+    /// cache, producing a schema-v10
     /// [`RunReport`](qsmt_telemetry::RunReport) document carrying the
     /// job's trace id.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
@@ -727,8 +714,8 @@ pub fn handle_connection(mut stream: TcpStream, svc: &Service) {
             let doc = raw
                 .parse::<u64>()
                 .ok()
-                .and_then(|id| svc.trace_id_of(id))
-                .and_then(|trace_id| qsmt_trace::registry().chrome_json(trace_id));
+                .filter(|id| svc.jobs.lock().expect("jobs lock").contains_key(id))
+                .and_then(|id| qsmt_trace::registry().chrome_json(svc.trace_id(id)));
             match doc {
                 Some(doc) => respond(&mut stream, "200 OK", "application/json", &doc.pretty()),
                 None => respond(

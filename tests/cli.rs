@@ -171,7 +171,10 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     // per-stage span_us rollup `qsmt history` consumes.
     let report_text = std::fs::read_to_string(&report_path).expect("report written");
     let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
-    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(
+        report.get("schema_version").and_then(Json::as_u64),
+        Some(10)
+    );
     assert_eq!(
         report.get("trace_id").and_then(Json::as_str),
         Some(trace_id.as_str()),

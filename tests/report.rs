@@ -4,6 +4,8 @@
 //! checked field by field against docs/OBSERVABILITY.md.
 
 use qsmt::telemetry::{parse, Json};
+use qsmt::trace::TraceId;
+use qsmt::{Script, SolveOptions, StringSolver};
 use std::process::Command;
 
 fn qsmt() -> Command {
@@ -44,7 +46,7 @@ fn table1_palindrome_report_has_documented_schema() {
     let doc = report_for("table1_row2_palindrome.smt2", &[]);
 
     // Top level.
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // No trace entered on the plain CLI path (schema v8): the id is
     // null but the per-stage span_us rollup is always populated.
@@ -234,11 +236,62 @@ fn table1_palindrome_report_has_documented_schema() {
     // picked a valid sample; for the palindrome that is the ground state).
     assert_eq!(solve.get("valid").and_then(Json::as_bool), Some(true));
 
-    // Span log is present and covers the sample stage.
-    let spans = solve.get("spans").and_then(Json::as_arr).expect("spans");
-    assert!(spans
+    // Schema v10: the stage timings are the solve's one timing record
+    // and cover the sample stage; the span log is gone (the span tree
+    // is the trace).
+    assert_eq!(solve.get("spans"), None);
+    assert!(stages
         .iter()
-        .any(|s| s.get("name").and_then(Json::as_str) == Some("sample")));
+        .any(|s| s.get("label").and_then(Json::as_str) == Some("sample")));
+}
+
+/// `(name, ts, dur)` of the span events of a Chrome trace document, in
+/// document (span close) order.
+fn chrome_spans(doc: &Json) -> Vec<(String, u64, u64)> {
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64).unwrap();
+    events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| {
+            let name = e.get("name").and_then(Json::as_str).unwrap();
+            (name.to_string(), num(e, "ts"), num(e, "dur"))
+        })
+        .collect()
+}
+
+#[test]
+fn stage_timings_are_the_trace_spans() {
+    // Each stage is measured once: a solve's StageTiming and its trace
+    // span share their clock reads, so durations are equal and each
+    // solve's span starts sit one constant offset (the solve's start on
+    // the trace clock) from its stage starts.
+    let src = std::fs::read_to_string(corpus("nested_pipeline.smt2")).unwrap();
+    let solver = StringSolver::with_defaults().with_seed(7);
+    let id = TraceId::derive(0x57a6e);
+    let run = {
+        let _trace = qsmt::trace::enter(id, "stage-timings");
+        let script = Script::parse(&src).unwrap();
+        script.run(&solver, &SolveOptions::default()).unwrap()
+    };
+    let doc = qsmt::trace::registry().chrome_json(id).unwrap();
+    // Sequential stages close in execution order.
+    let stage_names = ["compile", "lint", "presolve", "sample", "select"];
+    let mut spans = chrome_spans(&doc)
+        .into_iter()
+        .filter(|(name, ..)| stage_names.contains(&name.as_str()));
+    let solves: Vec<_> = run.goals.iter().flat_map(|g| &g.solves).collect();
+    assert!(solves.len() > 1, "the pipeline runs one solve per step");
+    for solve in solves {
+        let mut offset = None;
+        for stage in &solve.stages {
+            let (name, ts, dur) = spans.next().expect("a span per stage");
+            assert_eq!((name.as_str(), dur), (stage.label.as_str(), stage.dur_us));
+            let this = ts - stage.start_us;
+            assert_eq!(*offset.get_or_insert(this), this, "{name} start drifted");
+        }
+    }
+    assert_eq!(spans.next(), None, "a stage span without a StageTiming");
 }
 
 #[test]
@@ -295,21 +348,76 @@ fn stats_flag_prints_stage_timings_without_breaking_model_output() {
 
 #[test]
 fn trace_flag_prints_span_log() {
-    let out = qsmt()
-        .args([
-            "solve",
-            &corpus("table1_row1_reverse_replace.smt2"),
-            "--seed",
-            "7",
-            "--trace",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("; trace for goal"));
-    assert!(stdout.contains("compile"));
-    assert!(stdout.contains("ms"));
+    // `--trace` prints the span tree `--trace <out.json>` writes as
+    // Chrome trace-event JSON, and both runs' reports name the trace.
+    let dir = std::env::temp_dir().join(format!("qsmt-trace-text-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let bench = corpus("table1_row1_reverse_replace.smt2");
+    let run = |extra: &[&str], report: &str| {
+        let mut args = vec![
+            "solve", &bench, "--seed", "7", "--report", report, "--trace",
+        ];
+        args.extend_from_slice(extra);
+        let out = qsmt().args(&args).output().expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        let report = parse(&std::fs::read_to_string(report).unwrap()).unwrap();
+        (String::from_utf8(out.stdout).unwrap(), report)
+    };
+    let (stdout, text_report) = run(&[], &file("text.json"));
+    let (_, chrome_report) = run(&[&file("trace.json")], &file("chrome.json"));
+    let chrome = parse(&std::fs::read_to_string(file("trace.json")).unwrap()).unwrap();
+
+    // "; trace <id>", then "; [ start ms] <indent><name> (<dur> ms)".
+    let (header, tree) = stdout
+        .split_once("; trace ")
+        .unwrap()
+        .1
+        .split_once('\n')
+        .unwrap();
+    let mut text_names: Vec<&str> = tree
+        .lines()
+        .map(|line| {
+            let body = line.split_once("] ").expect("timestamp").1.trim_start();
+            &body[..body.rfind(" (").expect("duration")]
+        })
+        .collect();
+    let spans = chrome_spans(&chrome);
+    let mut chrome_names: Vec<&str> = spans.iter().map(|s| s.0.as_str()).collect();
+    text_names.sort_unstable();
+    chrome_names.sort_unstable();
+    assert_eq!(
+        text_names, chrome_names,
+        "the two views list different spans"
+    );
+    for name in [
+        bench.as_str(),
+        "absint",
+        "goal x",
+        "compile",
+        "lint",
+        "presolve",
+        "sample",
+        "read 0",
+        "select",
+    ] {
+        assert!(
+            text_names.contains(&name),
+            "missing {name} in {text_names:?}"
+        );
+    }
+
+    // Same seed, same trace: the text header, the Chrome document and
+    // both reports carry one id.
+    let trace_id = chrome.get("trace_id").and_then(Json::as_str).unwrap();
+    assert_eq!(header, trace_id);
+    for report in [&text_report, &chrome_report] {
+        assert_eq!(
+            report.get("trace_id").and_then(Json::as_str),
+            Some(trace_id)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -341,7 +449,7 @@ fn unsat_report_has_status_and_no_goals() {
 #[test]
 fn no_absint_flag_disables_the_stage_and_keeps_schema_additive() {
     let doc = report_for("table1_row2_palindrome.smt2", &["--no-absint"]);
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // The key stays present (additive schema) but is null when opted out.
     assert_eq!(doc.get("absint"), Some(&Json::Null));
