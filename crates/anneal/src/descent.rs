@@ -1,7 +1,7 @@
 //! Greedy steepest-descent local search.
 
 use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
-use crate::{read_seed, SampleSet, Sampler, SamplerRunStats};
+use crate::{read_seed, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -59,23 +59,30 @@ impl SteepestDescent {
     /// Descends from the given state to its local minimum, returning the
     /// minimum and its energy.
     pub fn descend(compiled: &CompiledQubo, state: Vec<u8>, max_steps: usize) -> (Vec<u8>, f64) {
-        let (state, energy, _) = Self::descend_counted(compiled, state, max_steps);
+        let (state, energy, _, _) = Self::descend_counted(compiled, state, max_steps, None);
         (state, energy)
     }
 
-    /// [`SteepestDescent::descend`] plus the number of flips taken —
-    /// `flips + 1` full delta scans were performed (the last scan finds no
-    /// improving move), which feeds the proposal counter in
-    /// [`Sampler::sample_stats`].
+    /// [`SteepestDescent::descend`] plus its move counters: the flips
+    /// taken and the full delta scans performed (a read that reaches its
+    /// minimum ends with one scan that finds no improving move; a read cut
+    /// off by `max_steps` does not). With `trace` it is the probe read,
+    /// recording a decimated energy-after-flip trace (axis = accepted
+    /// flips) along the same flip sequence (no RNG involved).
     fn descend_counted(
         compiled: &CompiledQubo,
         state: Vec<u8>,
         max_steps: usize,
-    ) -> (Vec<u8>, f64, u64) {
+        mut trace: Option<&mut Decimator>,
+    ) -> (Vec<u8>, f64, u64, u64) {
         let n = compiled.num_vars();
         // The kernel makes each scan O(n) instead of O(n·avg-degree).
         let mut kernel = FlipKernel::new(compiled, state);
         let mut flips = 0u64;
+        let mut scans = 0u64;
+        if let Some(t) = trace.as_deref_mut() {
+            t.push(0, kernel.energy());
+        }
         for _ in 0..max_steps {
             let mut best_var: Option<Var> = None;
             let mut best_delta = -1e-12f64;
@@ -86,55 +93,20 @@ impl SteepestDescent {
                     best_var = Some(i as Var);
                 }
             }
+            scans += 1;
             match best_var {
                 Some(i) => {
                     kernel.flip(compiled, i);
                     flips += 1;
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.push(flips, kernel.energy());
+                    }
                 }
                 None => break,
             }
         }
         let energy = kernel.energy();
-        (kernel.into_state(), energy, flips)
-    }
-
-    /// [`SteepestDescent::descend_counted`] with a trajectory probe: the
-    /// same flip sequence (no RNG involved), plus a decimated
-    /// energy-after-flip trace (axis = accepted flips).
-    fn descend_probed(
-        compiled: &CompiledQubo,
-        state: Vec<u8>,
-        max_steps: usize,
-        config: &ProbeConfig,
-        dynamics: &mut SamplerDynamics,
-    ) -> (Vec<u8>, f64, u64) {
-        let n = compiled.num_vars();
-        let mut kernel = FlipKernel::new(compiled, state);
-        let mut flips = 0u64;
-        let mut trace = Decimator::new(config.max_trace_points);
-        trace.push(0, kernel.energy());
-        for _ in 0..max_steps {
-            let mut best_var: Option<Var> = None;
-            let mut best_delta = -1e-12f64;
-            for i in 0..n {
-                let d = kernel.delta(i as Var);
-                if d < best_delta {
-                    best_delta = d;
-                    best_var = Some(i as Var);
-                }
-            }
-            match best_var {
-                Some(i) => {
-                    kernel.flip(compiled, i);
-                    flips += 1;
-                    trace.push(flips, kernel.energy());
-                }
-                None => break,
-            }
-        }
-        dynamics.energy_trace = trace.finish();
-        let energy = kernel.energy();
-        (kernel.into_state(), energy, flips)
+        (kernel.into_state(), energy, flips, scans)
     }
 
     /// Applies descent to every state of an existing sample set (greedy
@@ -151,97 +123,43 @@ impl SteepestDescent {
 }
 
 impl Sampler for SteepestDescent {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let (reads, _) = self.run(model);
-        SampleSet::from_reads(reads)
-    }
-
-    fn name(&self) -> &'static str {
-        "steepest-descent"
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let started = Instant::now();
-        let (reads, flips) = self.run(model);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        // Every flip was preceded by a full scan of n deltas, and each read
-        // ends with one more scan that finds nothing.
-        let scans = flips + self.num_reads as u64;
-        let stats = SamplerRunStats {
-            sweeps: None,
-            proposals: Some(scans * model.num_vars() as u64),
-            accepted: Some(flips),
-            elapsed_us: Some(elapsed_us),
-            replicas: None,
-        };
-        (SampleSet::from_reads(reads), stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
+    /// Descends from one random state per read, in read order; a probed
+    /// run traces read 0.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
         let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
-        let mut dynamics = SamplerDynamics::default();
-        // Probe read 0 (energy-per-flip trace); the rest run the plain
-        // path.
-        let mut results: Vec<(Vec<u8>, f64, u64)> = Vec::with_capacity(self.num_reads);
-        if self.num_reads > 0 {
-            let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, 0));
-            let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
-            results.push(Self::descend_probed(
-                &compiled,
-                state,
-                self.max_steps,
-                config,
-                &mut dynamics,
-            ));
-        }
-        let rest: Vec<(Vec<u8>, f64, u64)> = (1..self.num_reads)
+        let mut trace = probes.map(|config| Decimator::new(config.max_trace_points));
+        let (mut flips, mut scans) = (0u64, 0u64);
+        let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
             .map(|r| {
                 let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, r as u64));
                 let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
-                Self::descend_counted(&compiled, state, self.max_steps)
+                let read_trace = if r == 0 { trace.as_mut() } else { None };
+                let (state, energy, read_flips, read_scans) =
+                    Self::descend_counted(&compiled, state, self.max_steps, read_trace);
+                flips += read_flips;
+                scans += read_scans;
+                (state, energy)
             })
             .collect();
-        results.extend(rest);
-        let flips: u64 = results.iter().map(|(_, _, f)| f).sum();
-        let reads: Vec<(Vec<u8>, f64)> = results.into_iter().map(|(s, e, _)| (s, e)).collect();
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let scans = flips + self.num_reads as u64;
+        let dynamics = SamplerDynamics {
+            energy_trace: trace.map(Decimator::finish).unwrap_or_default(),
+            ..SamplerDynamics::default()
+        };
+        // Every scan proposes all n single-variable moves.
         let stats = SamplerRunStats {
             sweeps: None,
             proposals: Some(scans * model.num_vars() as u64),
             accepted: Some(flips),
-            elapsed_us: Some(elapsed_us),
+            elapsed_us: Some(started.elapsed().as_micros() as u64),
             replicas: None,
         };
         (SampleSet::from_reads(reads), stats, dynamics)
     }
-}
 
-impl SteepestDescent {
-    /// Runs every restart, returning the reads and the total flip count.
-    fn run(&self, model: &QuboModel) -> (Vec<(Vec<u8>, f64)>, u64) {
-        let compiled = CompiledQubo::compile(model);
-        let n = compiled.num_vars();
-        let results: Vec<(Vec<u8>, f64, u64)> = (0..self.num_reads)
-            .map(|r| {
-                let mut rng = SmallRng::seed_from_u64(read_seed(self.seed, r as u64));
-                let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
-                Self::descend_counted(&compiled, state, self.max_steps)
-            })
-            .collect();
-        let flips = results.iter().map(|(_, _, f)| f).sum();
-        let reads = results.into_iter().map(|(s, e, _)| (s, e)).collect();
-        (reads, flips)
+    fn name(&self) -> &'static str {
+        "steepest-descent"
     }
 }
 
@@ -308,6 +226,30 @@ mod tests {
     }
 
     #[test]
+    fn capped_reads_count_only_the_scans_they_make() {
+        // E = −Σxᵢ: at `max_steps = 1` each read makes exactly one scan
+        // and is cut off before the closing no-improvement scan an
+        // uncapped read ends with.
+        let mut m = QuboModel::new(8);
+        for i in 0..8u32 {
+            m.add_linear(i, -1.0);
+        }
+        let capped = SteepestDescent::new()
+            .with_seed(2)
+            .with_num_reads(16)
+            .with_max_steps(1);
+        let (_, stats) = capped.sample_stats(&m);
+        assert_eq!(stats.proposals, Some(16 * 8), "one 8-delta scan per read");
+        // Uncapped, every read also makes its closing scan.
+        let (_, stats) = SteepestDescent::new()
+            .with_seed(2)
+            .with_num_reads(16)
+            .sample_stats(&m);
+        let flips = stats.accepted.unwrap();
+        assert_eq!(stats.proposals, Some((flips + 16) * 8));
+    }
+
+    #[test]
     fn probed_run_returns_identical_samples() {
         let mut m = QuboModel::new(6);
         for i in 0..6u32 {
@@ -316,7 +258,7 @@ mod tests {
         m.add_quadratic(0, 5, -1.0);
         let sd = SteepestDescent::new().with_seed(8);
         let plain = sd.sample(&m);
-        let (probed, stats, dynamics) = sd.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, stats, dynamics) = sd.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         // Descent is strictly monotone: every flip lowers the energy, and
         // the trace axis counts accepted flips starting from step 0.
@@ -327,7 +269,7 @@ mod tests {
             .windows(2)
             .all(|w| w[1].best_energy < w[0].best_energy));
         assert!(stats.accepted.unwrap() >= dynamics.energy_trace.last().unwrap().sweep);
-        let (off, _, empty) = sd.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (off, _, empty) = sd.run(&m, None);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

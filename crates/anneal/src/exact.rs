@@ -1,6 +1,6 @@
 //! Exhaustive ground-state enumeration via Gray-code traversal.
 
-use crate::{SampleSet, Sampler};
+use crate::{ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, QuboModel, Var};
 
 /// Exact solver: walks all `2^n` states in Gray-code order so each step is a
@@ -81,7 +81,9 @@ impl ExactSolver {
 }
 
 impl Sampler for ExactSolver {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
+    /// Enumerates every state, keeping the `keep` lowest. Enumeration has
+    /// no moves to count and no trajectory to probe.
+    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
         let n = model.num_vars();
         assert!(
             n <= self.max_vars,
@@ -114,7 +116,11 @@ impl Sampler for ExactSolver {
         }
         kept.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         kept.truncate(self.keep);
-        SampleSet::from_reads(kept)
+        (
+            SampleSet::from_reads(kept),
+            SamplerRunStats::default(),
+            SamplerDynamics::default(),
+        )
     }
 
     fn name(&self) -> &'static str {

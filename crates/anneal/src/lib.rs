@@ -19,7 +19,11 @@
 //! * [`RandomSampler`] — uniform states; the null baseline.
 //!
 //! All samplers implement [`Sampler`] and return a [`SampleSet`] sorted by
-//! energy with duplicate states aggregated.
+//! energy with duplicate states aggregated. Each has one sampling path,
+//! [`Sampler::run`]: a plain run (`probes: None`) feeds `sample` and
+//! `sample_stats`, and a probed run (`Some(&ProbeConfig)`) observes read 0
+//! through the same read loop, so probes cannot drift from the samples
+//! they describe.
 //!
 //! ```
 //! use qsmt_qubo::QuboModel;
@@ -136,9 +140,10 @@ use qsmt_qubo::QuboModel;
 ///
 /// Every field is optional: samplers that don't track a counter leave it
 /// `None` and the telemetry layer reports it as absent rather than zero.
-/// The counters must be side effects only — [`Sampler::sample_stats`] is
-/// required to return the exact `SampleSet` that [`Sampler::sample`]
-/// would, so turning observability on never changes answers.
+/// The counters are side effects of the one [`Sampler::run`] path, so
+/// [`Sampler::sample_stats`] returns the exact `SampleSet` of
+/// [`Sampler::sample`] by construction, and a probed run counts the same
+/// moves as a plain one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplerRunStats {
     /// Sweeps performed per read, for sweep-based samplers.
@@ -189,17 +194,43 @@ impl SamplerRunStats {
     }
 }
 
+/// What one [`Sampler::run`] returns: the energy-sorted, aggregated
+/// samples, the run's counters, and the probe read's dynamics (empty on
+/// an un-probed run).
+pub type SamplerRun = (SampleSet, SamplerRunStats, SamplerDynamics);
+
 /// A sampler draws low-energy binary assignments from a QUBO model.
 ///
 /// Implementations are configured at construction (reads, sweeps, seeds,
 /// schedules) so they can be used as trait objects by the solver facade.
+/// [`Sampler::run`] is the one sampling path every implementation
+/// provides; [`Sampler::sample`] and [`Sampler::sample_stats`] are views
+/// of its plain (un-probed) run.
 pub trait Sampler: Send + Sync {
-    /// Samples the model and returns an energy-sorted, aggregated
-    /// [`SampleSet`].
-    fn sample(&self, model: &QuboModel) -> SampleSet;
+    /// Samples the model and returns the energy-sorted, aggregated
+    /// [`SampleSet`] together with the run's counters and, when `probes`
+    /// is `Some`, the trajectory observations of the probe read (read 0).
+    ///
+    /// Probes observe, they never steer — in particular they never touch
+    /// a sampler's RNG streams — so the sample set and counters are the
+    /// same whether or not `probes` is given. With `None` the dynamics
+    /// are empty, as they are for samplers without probes.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun;
 
     /// Human-readable sampler name for reports and benches.
     fn name(&self) -> &'static str;
+
+    /// Samples the model: the sample set of a plain [`Sampler::run`].
+    fn sample(&self, model: &QuboModel) -> SampleSet {
+        self.run(model, None).0
+    }
+
+    /// Samples the model with its run counters: a plain
+    /// [`Sampler::run`] without the (empty) dynamics.
+    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
+        let (set, stats, _) = self.run(model, None);
+        (set, stats)
+    }
 
     /// Whether this sampler can start its reads from a caller-supplied
     /// state (reverse annealing). Gates the solve cache's shape-key warm
@@ -221,30 +252,5 @@ pub trait Sampler: Send + Sync {
     fn warm_started(&self, state: Vec<u8>) -> Option<std::sync::Arc<dyn Sampler>> {
         let _ = state;
         None
-    }
-
-    /// Samples the model, additionally returning run counters for
-    /// telemetry. The sample set is identical to [`Sampler::sample`]'s;
-    /// the default implementation delegates to it and reports no
-    /// counters.
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        (self.sample(model), SamplerRunStats::default())
-    }
-
-    /// Samples the model with trajectory probes, additionally returning
-    /// the raw dynamics observations. The sample set is identical to
-    /// [`Sampler::sample`]'s — probes observe, they never steer (and in
-    /// particular never touch a sampler's RNG streams). The default
-    /// implementation delegates to [`Sampler::sample_stats`] and reports
-    /// no dynamics; samplers with probes override it and must return an
-    /// empty [`SamplerDynamics`] when `config.enabled` is false.
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        let _ = config;
-        let (set, stats) = self.sample_stats(model);
-        (set, stats, SamplerDynamics::default())
     }
 }

@@ -5,7 +5,7 @@
 //! that composable: it wraps any inner [`Sampler`] and descends every
 //! read, which can only lower (never raise) reported energies.
 
-use crate::{SampleSet, Sampler, SteepestDescent};
+use crate::{ProbeConfig, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats, SteepestDescent};
 use qsmt_qubo::QuboModel;
 
 /// A sampler decorator that greedily polishes every read of the inner
@@ -52,9 +52,15 @@ impl<S: Sampler> Polished<S> {
 }
 
 impl<S: Sampler> Sampler for Polished<S> {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
+    /// Polishes a plain sample of the inner sampler. The wrapper reports
+    /// no counters and no dynamics of its own.
+    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
         let raw = self.inner.sample(model);
-        self.descent.polish(model, &raw)
+        (
+            self.descent.polish(model, &raw),
+            SamplerRunStats::default(),
+            SamplerDynamics::default(),
+        )
     }
 
     fn name(&self) -> &'static str {

@@ -11,7 +11,9 @@
 //! sampler benches.
 
 use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
-use crate::{read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRunStats};
+use crate::{
+    read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRun, SamplerRunStats,
+};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use qsmt_telemetry::dynamics::EssPoint;
 use rand::rngs::SmallRng;
@@ -94,17 +96,26 @@ impl PopulationAnnealer {
         }
         accepted
     }
+}
 
-    /// Runs the anneal, returning the final population plus the total
-    /// accepted-flip count and the realized step count. When `probes` is
-    /// supplied it records an ESS-per-step and min-energy trace; the
-    /// hooks read population state between phases and never touch an RNG
-    /// stream, so reads are identical either way.
-    fn run(
-        &self,
-        model: &QuboModel,
-        mut probes: Option<&mut PaProbes>,
-    ) -> (Vec<(Vec<u8>, f64)>, u64, u64) {
+/// Probe state of one population-annealing run.
+#[derive(Debug)]
+struct PaProbes {
+    ess: Vec<EssPoint>,
+    trace: Decimator,
+}
+
+impl Sampler for PopulationAnnealer {
+    /// Runs the anneal and returns the final population. A probed run
+    /// also records an ESS-per-step and min-energy trace; the hooks read
+    /// population state between phases and never touch an RNG stream, so
+    /// reads are identical either way.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+        let started = Instant::now();
+        let mut probe = probes.map(|config| PaProbes {
+            ess: Vec::new(),
+            trace: Decimator::new(config.max_trace_points),
+        });
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
         let betas = match &self.schedule {
@@ -139,7 +150,7 @@ impl PopulationAnnealer {
                     .map(|k| (-dbeta * (k.energy() - min_e)).exp())
                     .collect();
                 let total: f64 = weights.iter().sum();
-                if let Some(p) = probes.as_deref_mut() {
+                if let Some(p) = probe.as_mut() {
                     // Effective sample size (Σw)²/Σw²: how many replicas
                     // still carry independent weight after reweighting.
                     let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
@@ -181,7 +192,7 @@ impl PopulationAnnealer {
                     acc
                 })
                 .sum::<u64>();
-            if let Some(p) = probes.as_deref_mut() {
+            if let Some(p) = probe.as_mut() {
                 let min_e = population
                     .iter()
                     .map(FlipKernel::energy)
@@ -194,86 +205,34 @@ impl PopulationAnnealer {
         debug_assert!(population
             .iter()
             .all(|k| (compiled.energy(k.state()) - k.energy()).abs() < tolerance));
-        let reads = population
+        let reads: Vec<(Vec<u8>, f64)> = population
             .into_iter()
             .map(|k| {
                 let e = k.energy();
                 (k.into_state(), e)
             })
             .collect();
-        (reads, accepted_total, betas.len() as u64)
-    }
-
-    fn run_stats(
-        &self,
-        model: &QuboModel,
-        accepted: u64,
-        steps: u64,
-        elapsed_us: u64,
-    ) -> SamplerRunStats {
-        let sweeps = steps * self.sweeps_per_step as u64;
-        let proposals = sweeps * model.num_vars() as u64 * self.population as u64;
-        SamplerRunStats {
+        let sweeps = betas.len() as u64 * self.sweeps_per_step as u64;
+        let stats = SamplerRunStats {
             sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
+            proposals: Some(sweeps * model.num_vars() as u64 * self.population as u64),
+            accepted: Some(accepted_total),
+            elapsed_us: Some(started.elapsed().as_micros() as u64),
             // The population walks one configuration at a time (resampling
             // clones states mid-run, which the bit-sliced kernel cannot
             // express cheaply), so no word-level replica batch to report.
             replicas: None,
-        }
-    }
-}
-
-/// Probe scratch state for one population-annealing run.
-#[derive(Debug)]
-struct PaProbes {
-    ess: Vec<EssPoint>,
-    trace: Decimator,
-}
-
-impl Sampler for PopulationAnnealer {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let (reads, _, _) = self.run(model, None);
-        SampleSet::from_reads(reads)
+        };
+        let dynamics = probe.map_or_else(SamplerDynamics::default, |p| SamplerDynamics {
+            energy_trace: p.trace.finish(),
+            ess_trace: p.ess,
+            ..SamplerDynamics::default()
+        });
+        (SampleSet::from_reads(reads), stats, dynamics)
     }
 
     fn name(&self) -> &'static str {
         "population-annealing"
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let started = Instant::now();
-        let (reads, accepted, steps) = self.run(model, None);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let stats = self.run_stats(model, accepted, steps, elapsed_us);
-        (SampleSet::from_reads(reads), stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
-        let started = Instant::now();
-        let mut probes = PaProbes {
-            ess: Vec::new(),
-            trace: Decimator::new(config.max_trace_points),
-        };
-        let (reads, accepted, steps) = self.run(model, Some(&mut probes));
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let stats = self.run_stats(model, accepted, steps, elapsed_us);
-        let dynamics = SamplerDynamics {
-            energy_trace: probes.trace.finish(),
-            ess_trace: probes.ess,
-            ..SamplerDynamics::default()
-        };
-        (SampleSet::from_reads(reads), stats, dynamics)
     }
 }
 
@@ -352,7 +311,7 @@ mod tests {
         let m = hard_model();
         let pa = PopulationAnnealer::new().with_seed(11);
         let plain = pa.sample(&m);
-        let (probed, _, dynamics) = pa.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, _, dynamics) = pa.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         // ESS recorded for every β-increasing step, bounded by the
         // population size, axis ordered.
@@ -368,7 +327,7 @@ mod tests {
             .energy_trace
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
-        let (off, _, empty) = pa.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (off, _, empty) = pa.run(&m, None);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

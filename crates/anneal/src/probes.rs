@@ -9,11 +9,15 @@
 //! 1. **RNG hygiene** — probes never draw from (or reorder draws on) a
 //!    sampler's random streams, so a probed run returns the bit-identical
 //!    [`crate::SampleSet`] of the plain run (pinned by tests).
-//! 2. **Gated cost** — the disabled path ([`ProbeConfig::disabled`], used
-//!    by [`crate::Sampler::sample`] / `sample_stats`) never constructs a
-//!    probe or reads a clock; probing costs are confined to the probe
-//!    read of [`crate::Sampler::sample_dynamics`], and trace memory is
-//!    bounded by stride-doubling decimation ([`Decimator`]).
+//! 2. **Gated cost** — [`crate::Sampler::run`] takes its probes as an
+//!    `Option<&ProbeConfig>`, and each sampler hands the probe state to
+//!    its one read loop as an `Option` too. A plain run (`None`, the path
+//!    behind `sample` / `sample_stats`) never constructs a probe or reads
+//!    a clock; probing costs are confined to the probe read (read 0), and
+//!    trace memory is bounded by stride-doubling decimation
+//!    ([`Decimator`]).
+
+use std::time::Instant;
 
 use qsmt_telemetry::dynamics::{BetaAcceptance, EssPoint, SwapAcceptance, TracePoint};
 
@@ -23,32 +27,20 @@ use crate::accept::AcceptCounters;
 /// in memory; sweeps beyond this are subsampled by stride.
 pub const MAX_RAW_SAMPLES: usize = 4096;
 
-/// Runtime gate and sizing knobs for trajectory probes.
+/// Sizing knobs for a probed run. Whether to probe at all is the
+/// `Option` around it: [`crate::Sampler::run`] with `None` is the plain
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeConfig {
-    /// Master switch. When `false`, `sample_dynamics` delegates to the
-    /// un-probed path and returns an empty [`SamplerDynamics`].
-    pub enabled: bool,
     /// Maximum points kept on decimated traces (energy, β-acceptance).
     pub max_trace_points: usize,
 }
 
 impl Default for ProbeConfig {
-    /// Probes on, 256-point traces.
+    /// 256-point traces.
     fn default() -> Self {
         Self {
-            enabled: true,
             max_trace_points: 256,
-        }
-    }
-}
-
-impl ProbeConfig {
-    /// The gate used by the plain sampling path: probes off.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            max_trace_points: 0,
         }
     }
 }
@@ -225,6 +217,81 @@ pub fn aggregate_betas(entries: &[BetaAcceptance], max: usize) -> Vec<BetaAccept
         .collect()
 }
 
+/// Probe state of one Metropolis probe read (simulated annealing and
+/// simulated quantum annealing): acceptance fast-path counters, per-β
+/// acceptance rows, the decimated best-energy trace, and strided
+/// per-sweep latency and improvement samples. The read loop reports its
+/// best energy at [`SweepProbes::start`] and around every sweep; the
+/// probes never see the RNG.
+#[derive(Debug)]
+pub(crate) struct SweepProbes {
+    max_trace_points: usize,
+    /// Fast-path counters, threaded through `accept_counted`.
+    pub(crate) counters: AcceptCounters,
+    /// Acceptance rows, aggregated to `max_trace_points` on finish.
+    pub(crate) beta_acceptance: Vec<BetaAcceptance>,
+    trace: Decimator,
+    latency: StridedSampler,
+    improvement: StridedSampler,
+    sweep_started: Option<Instant>,
+    best_before: f64,
+}
+
+impl SweepProbes {
+    /// Probes for a read of (at most) `sweeps` sweeps.
+    pub(crate) fn new(config: &ProbeConfig, sweeps: usize) -> Self {
+        Self {
+            max_trace_points: config.max_trace_points,
+            counters: AcceptCounters::default(),
+            beta_acceptance: Vec::new(),
+            trace: Decimator::new(config.max_trace_points),
+            latency: StridedSampler::new(sweeps as u64),
+            improvement: StridedSampler::new(sweeps as u64),
+            sweep_started: None,
+            best_before: f64::INFINITY,
+        }
+    }
+
+    /// Records the read's initial best energy as trace point 0.
+    pub(crate) fn start(&mut self, best: f64) {
+        self.trace.push(0, best);
+    }
+
+    /// Opens a sweep, starting its latency clock when this sweep is
+    /// sampled.
+    #[inline]
+    pub(crate) fn begin_sweep(&mut self, best: f64) {
+        self.sweep_started = self.latency.will_record().then(Instant::now);
+        self.best_before = best;
+    }
+
+    /// Closes sweep `sweep` (0-based) of `proposals` proposals, `best`
+    /// being the best energy reached so far.
+    #[inline]
+    pub(crate) fn end_sweep(&mut self, sweep: usize, best: f64, proposals: usize) {
+        match self.sweep_started.take() {
+            Some(t0) => self
+                .latency
+                .push(t0.elapsed().as_nanos() as f64 / proposals.max(1) as f64),
+            None => self.latency.skip(),
+        }
+        self.improvement.push((self.best_before - best).max(0.0));
+        self.trace.push(sweep as u64 + 1, best);
+    }
+
+    /// The observations as a sampler's dynamics.
+    pub(crate) fn finish(self) -> SamplerDynamics {
+        SamplerDynamics {
+            energy_trace: self.trace.finish(),
+            beta_acceptance: aggregate_betas(&self.beta_acceptance, self.max_trace_points),
+            proposal_latency_ns: self.latency.into_samples(),
+            sweep_improvement: self.improvement.into_samples(),
+            accept_paths: Some(self.counters),
+            ..SamplerDynamics::default()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,12 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_is_default_for_plain_paths() {
-        let off = ProbeConfig::disabled();
-        assert!(!off.enabled);
-        let on = ProbeConfig::default();
-        assert!(on.enabled);
-        assert_eq!(on.max_trace_points, 256);
+    fn default_config_keeps_256_points_and_default_dynamics_are_empty() {
+        assert_eq!(ProbeConfig::default().max_trace_points, 256);
         assert!(SamplerDynamics::default().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Uniform random sampler — the null baseline.
 
-use crate::{SampleSet, Sampler};
+use crate::{ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
 use qsmt_qubo::QuboModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,8 @@ impl RandomSampler {
 }
 
 impl Sampler for RandomSampler {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
+    /// Draws the uniform states; no counters, no probes.
+    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
         let n = model.num_vars();
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
@@ -53,7 +54,11 @@ impl Sampler for RandomSampler {
                 (state, e)
             })
             .collect();
-        SampleSet::from_reads(reads)
+        (
+            SampleSet::from_reads(reads),
+            SamplerRunStats::default(),
+            SamplerDynamics::default(),
+        )
     }
 
     fn name(&self) -> &'static str {

@@ -1,8 +1,8 @@
 //! Single-flip Metropolis simulated annealing over bit-sliced read blocks.
 
-use crate::probes::{aggregate_betas, Decimator, ProbeConfig, SamplerDynamics, StridedSampler};
+use crate::probes::{ProbeConfig, SamplerDynamics, SweepProbes};
 use crate::{
-    read_seed, AcceptCounters, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRunStats,
+    read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRun, SamplerRunStats,
 };
 use qsmt_qubo::{
     CompiledQubo, FlipKernel, KernelWatermark, MultiReplicaKernel, QuboModel, StopFlag, Var, LANES,
@@ -22,10 +22,6 @@ pub const WARM_START_SWEEPS: usize = 96;
 pub const WARM_START_BETA_MIN: f64 = 2.0;
 /// Cold-end inverse temperature of the reverse-annealing schedule.
 pub const WARM_START_BETA_MAX: f64 = 12.0;
-
-/// What one bit-sliced read block yields: the block's `(state, energy)`
-/// pairs in read order, plus its accepted-flip count.
-type BlockResult = (Vec<(Vec<u8>, f64)>, u64);
 
 /// The simulated annealing sampler — the direct analog of the D-Wave
 /// simulated annealer the paper ran its experiments on.
@@ -179,21 +175,21 @@ impl SimulatedAnnealer {
         (self.num_reads > 0).then(|| self.num_reads.min(LANES) as u64)
     }
 
-    /// One independent anneal on the scalar [`FlipKernel`] — the
-    /// reference twin of the bit-sliced block path. Production sampling
-    /// goes through [`SimulatedAnnealer::read_block`]; this stays as the
-    /// ground truth the bit-identity tests compare lanes against (and is
-    /// the shape [`SimulatedAnnealer::one_read_probed`] mirrors). The
-    /// returned `u64` counts accepted flips — a pure side observation
-    /// that never touches the RNG stream, so results are bit-identical
-    /// whether or not the count is used.
-    #[cfg(test)]
+    /// One independent anneal on the scalar [`FlipKernel`], the
+    /// reference twin of the bit-sliced block path: plain sampling goes
+    /// through [`SimulatedAnnealer::read_block`], and the bit-identity
+    /// tests compare its lanes against this loop. With `probes` it is the
+    /// probe read, observed per sweep (best energy, per-β acceptance,
+    /// sweep latency, acceptance-table fast paths) with the same
+    /// proposals, acceptance decisions and RNG draws. The returned `u64`
+    /// counts accepted flips.
     fn one_read(
         compiled: &CompiledQubo,
         tables: &[AcceptanceTable],
         seed: u64,
         initial: Option<&[u8]>,
         stop: Option<&StopFlag>,
+        mut probes: Option<&mut SweepProbes>,
     ) -> (Vec<u8>, f64, u64) {
         let n = compiled.num_vars();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -206,16 +202,42 @@ impl SimulatedAnnealer {
         };
         let mut kernel = FlipKernel::new(compiled, state);
         let mut accepted = 0u64;
-        for table in tables {
+        let mut watermark = KernelWatermark::new(kernel.energy());
+        if let Some(p) = probes.as_deref_mut() {
+            p.start(watermark.best());
+        }
+        for (sweep, table) in tables.iter().enumerate() {
             // Cooperative cancellation: a tripped deadline ends the anneal
             // at the next sweep boundary, keeping the state reached so far.
             if stop.is_some_and(StopFlag::is_stopped) {
                 break;
             }
-            for i in 0..n {
-                if table.accept(kernel.delta(i as Var), &mut rng) {
-                    kernel.flip(compiled, i as Var);
-                    accepted += 1;
+            match probes.as_deref_mut() {
+                None => {
+                    for i in 0..n {
+                        if table.accept(kernel.delta(i as Var), &mut rng) {
+                            kernel.flip(compiled, i as Var);
+                            accepted += 1;
+                        }
+                    }
+                }
+                Some(p) => {
+                    p.begin_sweep(watermark.best());
+                    let mut accepted_this = 0u64;
+                    for i in 0..n {
+                        if table.accept_counted(kernel.delta(i as Var), &mut rng, &mut p.counters) {
+                            kernel.flip(compiled, i as Var);
+                            watermark.observe(kernel.energy());
+                            accepted_this += 1;
+                        }
+                    }
+                    accepted += accepted_this;
+                    p.beta_acceptance.push(BetaAcceptance {
+                        beta: table.beta(),
+                        proposals: n as u64,
+                        accepted: accepted_this,
+                    });
+                    p.end_sweep(sweep, watermark.best(), n);
                 }
             }
         }
@@ -224,80 +246,6 @@ impl SimulatedAnnealer {
                 < FlipKernel::drift_tolerance(compiled),
             "incremental energy drifted from recomputed energy"
         );
-        let energy = kernel.energy();
-        (kernel.into_state(), energy, accepted)
-    }
-
-    /// [`SimulatedAnnealer::one_read`] with trajectory probes: identical
-    /// proposal/acceptance/RNG behavior (pinned by tests), plus per-sweep
-    /// observation of the best energy, per-β acceptance, sweep latency,
-    /// and acceptance-table fast-path counters.
-    fn one_read_probed(
-        compiled: &CompiledQubo,
-        tables: &[AcceptanceTable],
-        seed: u64,
-        initial: Option<&[u8]>,
-        stop: Option<&StopFlag>,
-        config: &ProbeConfig,
-        dynamics: &mut SamplerDynamics,
-    ) -> (Vec<u8>, f64, u64) {
-        let n = compiled.num_vars();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let state: Vec<u8> = match initial {
-            Some(init) => {
-                assert_eq!(init.len(), n, "initial state length mismatch");
-                init.to_vec()
-            }
-            None => (0..n).map(|_| rng.gen_range(0..=1u8)).collect(),
-        };
-        let mut kernel = FlipKernel::new(compiled, state);
-        let mut accepted = 0u64;
-        let mut counters = AcceptCounters::default();
-        let mut watermark = KernelWatermark::new(kernel.energy());
-        let mut trace = Decimator::new(config.max_trace_points);
-        let mut per_beta: Vec<BetaAcceptance> = Vec::with_capacity(tables.len());
-        let mut latency = StridedSampler::new(tables.len() as u64);
-        let mut improvement = StridedSampler::new(tables.len() as u64);
-        trace.push(0, watermark.best());
-        for (sweep, table) in tables.iter().enumerate() {
-            if stop.is_some_and(StopFlag::is_stopped) {
-                break;
-            }
-            let sweep_started = latency.will_record().then(Instant::now);
-            let best_before = watermark.best();
-            let mut accepted_this = 0u64;
-            for i in 0..n {
-                if table.accept_counted(kernel.delta(i as Var), &mut rng, &mut counters) {
-                    kernel.flip(compiled, i as Var);
-                    watermark.observe(kernel.energy());
-                    accepted_this += 1;
-                }
-            }
-            accepted += accepted_this;
-            per_beta.push(BetaAcceptance {
-                beta: table.beta(),
-                proposals: n as u64,
-                accepted: accepted_this,
-            });
-            match sweep_started {
-                Some(t0) => {
-                    latency.push(t0.elapsed().as_nanos() as f64 / n.max(1) as f64);
-                }
-                None => latency.skip(),
-            }
-            improvement.push((best_before - watermark.best()).max(0.0));
-            trace.push(sweep as u64 + 1, watermark.best());
-        }
-        debug_assert!(
-            (kernel.energy() - compiled.energy(kernel.state())).abs()
-                < FlipKernel::drift_tolerance(compiled),
-            "incremental energy drifted from recomputed energy"
-        );
-        dynamics.energy_trace = trace.finish();
-        dynamics.beta_acceptance = aggregate_betas(&per_beta, config.max_trace_points);
-        dynamics.proposal_latency_ns = latency.into_samples();
-        dynamics.sweep_improvement = improvement.into_samples();
-        dynamics.accept_paths = Some(counters);
         let energy = kernel.energy();
         (kernel.into_state(), energy, accepted)
     }
@@ -364,39 +312,70 @@ impl SimulatedAnnealer {
             .map(|start| (start, LANES.min(reads.end - start)))
             .collect()
     }
+}
 
-    /// Runs all reads, returning raw `(state, energy)` pairs plus the
-    /// total accepted-flip count and the realized sweep count. Reads run
-    /// in blocks of up to [`LANES`] on the bit-sliced kernel; the
-    /// partition never changes results because every read keeps its own
-    /// RNG stream.
-    fn run_reads(&self, model: &QuboModel) -> (Vec<(Vec<u8>, f64)>, u64, u64) {
+impl Sampler for SimulatedAnnealer {
+    /// Runs every read in blocks of up to [`LANES`] on the bit-sliced
+    /// kernel; the partition never changes results because every read
+    /// keeps its own RNG stream. A probed run takes read 0 out as the
+    /// scalar probe read and blocks reads `1..`, and also records each
+    /// read's wall-clock interval (reads of one block share the block's).
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+        let started = Instant::now();
+        let since_start = || started.elapsed().as_micros() as u64;
         let compiled = CompiledQubo::compile(model);
         let betas = match &self.schedule {
             Some(s) => s.realize(),
             None => BetaSchedule::auto(&compiled, self.sweeps).realize(),
         };
         // One acceptance table per β, built once and shared read-only by
-        // every block.
+        // every read.
         let tables = AcceptanceTable::for_schedule(&betas);
         let initial = self.initial_state.as_deref();
         let stop = self.stop.as_ref();
-        let results: Vec<BlockResult> = Self::blocks(0..self.num_reads)
-            .into_iter()
-            .map(|(start, lanes)| {
-                Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop)
-            })
-            .collect();
-        let accepted = results.iter().map(|(_, a)| a).sum();
-        let reads = results.into_iter().flat_map(|(reads, _)| reads).collect();
-        (reads, accepted, betas.len() as u64)
-    }
-}
-
-impl Sampler for SimulatedAnnealer {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let (reads, _, _) = self.run_reads(model);
-        SampleSet::from_reads(reads)
+        let mut reads: Vec<(Vec<u8>, f64)> = Vec::with_capacity(self.num_reads);
+        let mut accepted = 0u64;
+        let mut dynamics = SamplerDynamics::default();
+        if let Some(config) = probes.filter(|_| self.num_reads > 0) {
+            let mut probe = SweepProbes::new(config, tables.len());
+            let t0 = since_start();
+            let (state, energy, read_accepted) = Self::one_read(
+                &compiled,
+                &tables,
+                read_seed(self.seed, 0),
+                initial,
+                stop,
+                Some(&mut probe),
+            );
+            dynamics = probe.finish();
+            dynamics
+                .read_spans
+                .push((t0, since_start().saturating_sub(t0)));
+            reads.push((state, energy));
+            accepted += read_accepted;
+        }
+        for (start, lanes) in Self::blocks(usize::from(probes.is_some())..self.num_reads) {
+            let t0 = probes.map(|_| since_start());
+            let (block, block_accepted) =
+                Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop);
+            if let Some(t0) = t0 {
+                let interval = (t0, since_start().saturating_sub(t0));
+                dynamics
+                    .read_spans
+                    .extend(std::iter::repeat_n(interval, lanes));
+            }
+            reads.extend(block);
+            accepted += block_accepted;
+        }
+        let sweeps = betas.len() as u64;
+        let stats = SamplerRunStats {
+            sweeps: Some(sweeps),
+            proposals: Some(sweeps * model.num_vars() as u64 * self.num_reads as u64),
+            accepted: Some(accepted),
+            elapsed_us: Some(since_start()),
+            replicas: self.replicas_per_block(),
+        };
+        (SampleSet::from_reads(reads), stats, dynamics)
     }
 
     fn name(&self) -> &'static str {
@@ -409,100 +388,6 @@ impl Sampler for SimulatedAnnealer {
 
     fn warm_started(&self, state: Vec<u8>) -> Option<Arc<dyn Sampler>> {
         Some(Arc::new(self.clone().reverse_anneal_from(state)))
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let started = Instant::now();
-        let (reads, accepted, sweeps) = self.run_reads(model);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let proposals = sweeps * model.num_vars() as u64 * self.num_reads as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: self.replicas_per_block(),
-        };
-        (SampleSet::from_reads(reads), stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
-        let started = Instant::now();
-        let compiled = CompiledQubo::compile(model);
-        let betas = match &self.schedule {
-            Some(s) => s.realize(),
-            None => BetaSchedule::auto(&compiled, self.sweeps).realize(),
-        };
-        let tables = AcceptanceTable::for_schedule(&betas);
-        let initial = self.initial_state.as_deref();
-        let stop = self.stop.as_ref();
-        let mut dynamics = SamplerDynamics::default();
-        // Per-read wall-clock intervals relative to `started`, spliced
-        // into job traces as per-read spans. Reads sharing a bit-sliced
-        // block share the block's interval; the probe read is timed on
-        // its own. Only this enabled path pays for the clock reads.
-        let mut read_spans = vec![(0u64, 0u64); self.num_reads];
-        // Read 0 is the probe read (run sequentially, observed per sweep);
-        // the remaining reads run exactly as in the plain path. Per-read
-        // RNG streams are independent, so ordering does not matter.
-        let mut results: Vec<(Vec<u8>, f64, u64)> = Vec::with_capacity(self.num_reads);
-        if self.num_reads > 0 {
-            let probe_start_us = started.elapsed().as_micros() as u64;
-            results.push(Self::one_read_probed(
-                &compiled,
-                &tables,
-                read_seed(self.seed, 0),
-                initial,
-                stop,
-                config,
-                &mut dynamics,
-            ));
-            let probe_end_us = started.elapsed().as_micros() as u64;
-            read_spans[0] = (probe_start_us, probe_end_us.saturating_sub(probe_start_us));
-        }
-        // Reads 1.. run on the bit-sliced block path exactly as in the
-        // plain run; lane streams are independent of the probe read's.
-        let timed_block = |(start, lanes): (usize, usize)| {
-            let t0 = started.elapsed().as_micros() as u64;
-            let result =
-                Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop);
-            let t1 = started.elapsed().as_micros() as u64;
-            ((start, lanes), result, (t0, t1.saturating_sub(t0)))
-        };
-        type TimedBlock = ((usize, usize), BlockResult, (u64, u64));
-        let rest: Vec<TimedBlock> = Self::blocks(1..self.num_reads.max(1))
-            .into_iter()
-            .map(timed_block)
-            .collect();
-        let mut accepted: u64 = results.iter().map(|(_, _, a)| a).sum();
-        let mut reads: Vec<(Vec<u8>, f64)> = results.into_iter().map(|(s, e, _)| (s, e)).collect();
-        for ((start, lanes), (block_reads, block_accepted), interval) in rest {
-            accepted += block_accepted;
-            reads.extend(block_reads);
-            for span in &mut read_spans[start..start + lanes] {
-                *span = interval;
-            }
-        }
-        dynamics.read_spans = read_spans;
-        let sweeps = betas.len() as u64;
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let proposals = sweeps * model.num_vars() as u64 * self.num_reads as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: self.replicas_per_block(),
-        };
-        (SampleSet::from_reads(reads), stats, dynamics)
     }
 }
 
@@ -625,7 +510,7 @@ mod tests {
         let (m, _) = gadget();
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(8);
         let plain = sa.sample(&m);
-        let (probed, stats, dynamics) = sa.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, stats, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         assert_eq!(stats.accepted, sa.sample_stats(&m).1.accepted);
         // The probe read produced a trace ending at the realized sweep
@@ -661,7 +546,7 @@ mod tests {
     fn disabled_probes_return_empty_dynamics() {
         let (m, _) = gadget();
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(4);
-        let (set, _, dynamics) = sa.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (set, _, dynamics) = sa.run(&m, None);
         assert_eq!(set, sa.sample(&m));
         assert!(dynamics.is_empty());
     }
@@ -671,12 +556,12 @@ mod tests {
         let (m, _) = gadget();
         // 3 reads: the probe read plus one block of 2.
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(3);
-        let (_, _, dynamics) = sa.sample_dynamics(&m, &ProbeConfig::default());
+        let (_, _, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(dynamics.read_spans.len(), 3);
         // Reads in the same bit-sliced block share the block interval.
         assert_eq!(dynamics.read_spans[1], dynamics.read_spans[2]);
-        // The disabled path records nothing (pinned by is_empty above).
-        let (_, _, off) = sa.sample_dynamics(&m, &ProbeConfig::disabled());
+        // A plain run records nothing (pinned by is_empty above).
+        let (_, _, off) = sa.run(&m, None);
         assert!(off.read_spans.is_empty());
     }
 
@@ -719,7 +604,21 @@ mod tests {
             if let Some(init) = &initial {
                 sa = sa.with_initial_state(init.clone());
             }
-            let (reads, accepted, _) = sa.run_reads(&m);
+            let mut reads = Vec::new();
+            let mut accepted = 0u64;
+            for (start, lanes) in SimulatedAnnealer::blocks(0..sa.num_reads()) {
+                let (block, block_accepted) = SimulatedAnnealer::read_block(
+                    &compiled,
+                    &tables,
+                    17,
+                    start,
+                    lanes,
+                    initial.as_deref(),
+                    None,
+                );
+                reads.extend(block);
+                accepted += block_accepted;
+            }
             assert_eq!(reads.len(), 70);
             let mut scalar_accepted = 0u64;
             for (r, (state, energy)) in reads.iter().enumerate() {
@@ -728,6 +627,7 @@ mod tests {
                     &tables,
                     read_seed(17, r as u64),
                     initial.as_deref(),
+                    None,
                     None,
                 );
                 assert_eq!(*state, s_state, "read {r}");
@@ -764,7 +664,7 @@ mod tests {
         let (set, stats) = sa.sample_stats(&m);
         assert_eq!(set.total_reads(), 8, "cancelled reads still report");
         assert_eq!(stats.accepted, Some(0));
-        let (probed, _, dynamics) = sa.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, _, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, set, "probed cancellation matches plain");
         assert!(dynamics.beta_acceptance.is_empty());
     }

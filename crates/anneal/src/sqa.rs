@@ -17,8 +17,8 @@
 //! more faithful than plain simulated annealing, and the natural
 //! "quantum" arm for the paper's experiments.
 
-use crate::probes::{Decimator, ProbeConfig, SamplerDynamics, StridedSampler};
-use crate::{read_seed, AcceptCounters, AcceptanceTable, SampleSet, Sampler, SamplerRunStats};
+use crate::probes::{ProbeConfig, SamplerDynamics, SweepProbes};
+use crate::{read_seed, AcceptanceTable, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{
     spins_to_state, CompiledIsing, IsingFlipKernel, IsingModel, QuboModel, StopFlag, Var,
 };
@@ -128,11 +128,35 @@ impl SimulatedQuantumAnnealer {
         -(p / (2.0 * self.beta)) * x.ln()
     }
 
+    /// Change of the replica Hamiltonian when spin `i` of slice `k`
+    /// flips, given the slices below (`down`) and above (`up`) it.
+    #[inline]
+    fn flip_delta(
+        &self,
+        replicas: &[IsingFlipKernel],
+        (down, k, up): (usize, usize, usize),
+        i: usize,
+        j_perp: f64,
+    ) -> f64 {
+        let s = replicas[k].spins()[i] as f64;
+        let classical = replicas[k].delta(i as Var) / self.trotter_slices as f64;
+        // H contains −J⊥·s_i^k·(s_i^{k−1} + s_i^{k+1}); flipping s_i^k
+        // changes that term by +2·J⊥·s_i^k·(neighbors).
+        let neighbors = (replicas[down].spins()[i] + replicas[up].spins()[i]) as f64;
+        let quantum = 2.0 * j_perp * s * neighbors;
+        classical + quantum
+    }
+
+    /// One independent read. With `probes` it is the probe read: the
+    /// same proposals, acceptance decisions and RNG draws (via
+    /// `accept_counted`), plus a per-sweep best-slice-energy trace and
+    /// acceptance/latency observations.
     fn one_read(
         &self,
         compiled: &CompiledIsing,
         table: &AcceptanceTable,
         seed: u64,
+        mut probes: Option<&mut SweepProbes>,
     ) -> (Vec<u8>, f64, u64) {
         let n = compiled.num_spins();
         let p = self.trotter_slices;
@@ -149,30 +173,67 @@ impl SimulatedQuantumAnnealer {
                 IsingFlipKernel::new(compiled, spins)
             })
             .collect();
+        let lowest_slice = |replicas: &[IsingFlipKernel]| {
+            replicas
+                .iter()
+                .map(IsingFlipKernel::energy)
+                .fold(f64::INFINITY, f64::min)
+        };
         let mut accepted = 0u64;
+        let mut best = f64::INFINITY;
+        if let Some(probe) = probes.as_deref_mut() {
+            best = lowest_slice(&replicas);
+            probe.start(best);
+        }
         for sweep in 0..self.sweeps {
             if self.stop.as_ref().is_some_and(StopFlag::is_stopped) {
                 break;
+            }
+            if let Some(probe) = probes.as_deref_mut() {
+                probe.begin_sweep(best);
             }
             let f = sweep as f64 / (self.sweeps.max(2) - 1) as f64;
             let gamma = self.gamma_start + (self.gamma_end - self.gamma_start) * f;
             let j_perp = self.j_perp(gamma);
             for k in 0..p {
-                let up = (k + 1) % p;
-                let down = (k + p - 1) % p;
-                for i in 0..n {
-                    let s = replicas[k].spins()[i] as f64;
-                    let classical = replicas[k].delta(i as Var) / self.trotter_slices as f64;
-                    // H contains −J⊥·s_i^k·(s_i^{k−1} + s_i^{k+1}); flipping
-                    // s_i^k changes that term by +2·J⊥·s_i^k·(neighbors).
-                    let neighbors = (replicas[down].spins()[i] + replicas[up].spins()[i]) as f64;
-                    let quantum = 2.0 * j_perp * s * neighbors;
-                    if table.accept(classical + quantum, &mut rng) {
-                        replicas[k].flip(compiled, i as Var);
-                        accepted += 1;
+                let slices = ((k + p - 1) % p, k, (k + 1) % p);
+                // The probe branch splits only the innermost spin loop, so
+                // the plain loop carries no per-proposal probe test.
+                match probes.as_deref_mut() {
+                    None => {
+                        for i in 0..n {
+                            let delta = self.flip_delta(&replicas, slices, i, j_perp);
+                            if table.accept(delta, &mut rng) {
+                                replicas[k].flip(compiled, i as Var);
+                                accepted += 1;
+                            }
+                        }
+                    }
+                    Some(probe) => {
+                        for i in 0..n {
+                            let delta = self.flip_delta(&replicas, slices, i, j_perp);
+                            if table.accept_counted(delta, &mut rng, &mut probe.counters) {
+                                replicas[k].flip(compiled, i as Var);
+                                accepted += 1;
+                            }
+                        }
                     }
                 }
             }
+            if let Some(probe) = probes.as_deref_mut() {
+                // Best slice this sweep by (incremental) classical energy.
+                best = best.min(lowest_slice(&replicas));
+                probe.end_sweep(sweep, best, p * n);
+            }
+        }
+        if let Some(probe) = probes {
+            // SQA anneals Γ, not β: the whole run sits at one temperature,
+            // so a single aggregate acceptance entry covers it.
+            probe.beta_acceptance.push(BetaAcceptance {
+                beta: table.beta(),
+                proposals: self.sweeps as u64 * (p * n) as u64,
+                accepted,
+            });
         }
         // Read out the best slice by true classical energy (recomputed, so
         // reported energies carry no incremental drift at all).
@@ -188,188 +249,55 @@ impl SimulatedQuantumAnnealer {
             accepted,
         )
     }
+}
 
-    /// [`Self::one_read`] with trajectory probes: identical proposal
-    /// order and RNG stream (via `accept_counted`), plus a per-sweep
-    /// best-slice-energy trace and acceptance/latency observations.
-    fn one_read_probed(
-        &self,
-        compiled: &CompiledIsing,
-        table: &AcceptanceTable,
-        seed: u64,
-        config: &ProbeConfig,
-        dynamics: &mut SamplerDynamics,
-    ) -> (Vec<u8>, f64, u64) {
-        let n = compiled.num_spins();
-        let p = self.trotter_slices;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut replicas: Vec<IsingFlipKernel> = (0..p)
-            .map(|_| {
-                let spins: Vec<i8> = (0..n)
-                    .map(|_| if rng.gen_bool(0.5) { 1i8 } else { -1 })
-                    .collect();
-                IsingFlipKernel::new(compiled, spins)
-            })
-            .collect();
-        let mut accepted = 0u64;
-        let mut counters = AcceptCounters::default();
-        let mut trace = Decimator::new(config.max_trace_points);
-        let mut latency = StridedSampler::new(self.sweeps as u64);
-        let mut improvement = StridedSampler::new(self.sweeps as u64);
-        let mut best = replicas
-            .iter()
-            .map(IsingFlipKernel::energy)
-            .fold(f64::INFINITY, f64::min);
-        trace.push(0, best);
-        for sweep in 0..self.sweeps {
-            if self.stop.as_ref().is_some_and(StopFlag::is_stopped) {
-                break;
-            }
-            let sweep_started = latency.will_record().then(Instant::now);
-            let best_before = best;
-            let f = sweep as f64 / (self.sweeps.max(2) - 1) as f64;
-            let gamma = self.gamma_start + (self.gamma_end - self.gamma_start) * f;
-            let j_perp = self.j_perp(gamma);
-            for k in 0..p {
-                let up = (k + 1) % p;
-                let down = (k + p - 1) % p;
-                for i in 0..n {
-                    let s = replicas[k].spins()[i] as f64;
-                    let classical = replicas[k].delta(i as Var) / self.trotter_slices as f64;
-                    let neighbors = (replicas[down].spins()[i] + replicas[up].spins()[i]) as f64;
-                    let quantum = 2.0 * j_perp * s * neighbors;
-                    if table.accept_counted(classical + quantum, &mut rng, &mut counters) {
-                        replicas[k].flip(compiled, i as Var);
-                        accepted += 1;
-                    }
-                }
-            }
-            // Best slice this sweep by (incremental) classical energy.
-            let sweep_min = replicas
-                .iter()
-                .map(IsingFlipKernel::energy)
-                .fold(f64::INFINITY, f64::min);
-            best = best.min(sweep_min);
-            trace.push(sweep as u64 + 1, best);
-            match sweep_started {
-                Some(t0) => latency.push(t0.elapsed().as_nanos() as f64 / (p * n).max(1) as f64),
-                None => latency.skip(),
-            }
-            improvement.push((best_before - best).max(0.0));
-        }
-        dynamics.energy_trace = trace.finish();
-        // SQA anneals Γ, not β: the whole run sits at one temperature, so
-        // a single aggregate acceptance entry covers it.
-        dynamics.beta_acceptance = vec![BetaAcceptance {
-            beta: table.beta(),
-            proposals: self.sweeps as u64 * (p * n) as u64,
-            accepted,
-        }];
-        dynamics.proposal_latency_ns = latency.into_samples();
-        dynamics.sweep_improvement = improvement.into_samples();
-        dynamics.accept_paths = Some(counters);
-        let (best_slice, best_energy) = replicas
-            .iter()
-            .map(|k| compiled.energy(k.spins()))
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite energies"))
-            .expect("at least two slices");
-        (
-            spins_to_state(replicas[best_slice].spins()),
-            best_energy,
-            accepted,
-        )
-    }
-
-    /// Runs every read, returning the recorded reads and the total
-    /// accepted-flip count.
-    fn run(&self, model: &QuboModel) -> (Vec<(Vec<u8>, f64)>, u64) {
+impl Sampler for SimulatedQuantumAnnealer {
+    /// Runs every read in read order; a probed run observes read 0.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+        let started = Instant::now();
         let ising = IsingModel::from_qubo(model);
         let compiled = CompiledIsing::compile(&ising);
         // The classical replica system sits at a single fixed β for the
         // whole anneal (only Γ is scheduled), so one table serves the run.
         let table = AcceptanceTable::new(self.beta);
-        let results: Vec<(Vec<u8>, f64, u64)> = (0..self.num_reads)
-            .map(|r| self.one_read(&compiled, &table, read_seed(self.seed, r as u64)))
-            .collect();
-        let accepted = results.iter().map(|(_, _, a)| a).sum();
+        let mut probe = probes
+            .filter(|_| self.num_reads > 0)
+            .map(|config| SweepProbes::new(config, self.sweeps));
+        let mut accepted = 0u64;
         // Ising and QUBO energies agree (the conversion preserves them),
         // so the reported energies are already QUBO energies.
-        let reads = results.into_iter().map(|(s, e, _)| (s, e)).collect();
-        (reads, accepted)
-    }
-}
-
-impl Sampler for SimulatedQuantumAnnealer {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let (reads, _) = self.run(model);
-        SampleSet::from_reads(reads)
+        let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
+            .map(|r| {
+                let read_probe = if r == 0 { probe.as_mut() } else { None };
+                let (state, energy, read_accepted) = self.one_read(
+                    &compiled,
+                    &table,
+                    read_seed(self.seed, r as u64),
+                    read_probe,
+                );
+                accepted += read_accepted;
+                (state, energy)
+            })
+            .collect();
+        let dynamics = probe.map_or_else(SamplerDynamics::default, SweepProbes::finish);
+        let sweeps = self.sweeps as u64;
+        let stats = SamplerRunStats {
+            sweeps: Some(sweeps),
+            proposals: Some(
+                self.num_reads as u64
+                    * sweeps
+                    * self.trotter_slices as u64
+                    * model.num_vars() as u64,
+            ),
+            accepted: Some(accepted),
+            elapsed_us: Some(started.elapsed().as_micros() as u64),
+            replicas: None,
+        };
+        (SampleSet::from_reads(reads), stats, dynamics)
     }
 
     fn name(&self) -> &'static str {
         "simulated-quantum-annealing"
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let started = Instant::now();
-        let (reads, accepted) = self.run(model);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let sweeps = self.sweeps as u64;
-        let proposals =
-            self.num_reads as u64 * sweeps * self.trotter_slices as u64 * model.num_vars() as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: None,
-        };
-        (SampleSet::from_reads(reads), stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
-        let started = Instant::now();
-        let ising = IsingModel::from_qubo(model);
-        let compiled = CompiledIsing::compile(&ising);
-        let table = AcceptanceTable::new(self.beta);
-        let mut dynamics = SamplerDynamics::default();
-        // Probe read 0; the rest run the plain path.
-        let mut results: Vec<(Vec<u8>, f64, u64)> = Vec::with_capacity(self.num_reads);
-        if self.num_reads > 0 {
-            results.push(self.one_read_probed(
-                &compiled,
-                &table,
-                read_seed(self.seed, 0),
-                config,
-                &mut dynamics,
-            ));
-        }
-        let rest: Vec<(Vec<u8>, f64, u64)> = (1..self.num_reads)
-            .map(|r| self.one_read(&compiled, &table, read_seed(self.seed, r as u64)))
-            .collect();
-        results.extend(rest);
-        let accepted = results.iter().map(|(_, _, a)| a).sum();
-        let reads: Vec<(Vec<u8>, f64)> = results.into_iter().map(|(s, e, _)| (s, e)).collect();
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let sweeps = self.sweeps as u64;
-        let proposals =
-            self.num_reads as u64 * sweeps * self.trotter_slices as u64 * model.num_vars() as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: None,
-        };
-        (SampleSet::from_reads(reads), stats, dynamics)
     }
 }
 
@@ -485,7 +413,7 @@ mod tests {
             .with_seed(4)
             .with_num_reads(6);
         let plain = sqa.sample(&m);
-        let (probed, stats, dynamics) = sqa.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, stats, dynamics) = sqa.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         // Trace covers the full Γ schedule and is non-increasing.
         assert_eq!(dynamics.energy_trace.last().unwrap().sweep, 256);
@@ -503,7 +431,7 @@ mod tests {
         assert!(!dynamics.proposal_latency_ns.is_empty());
         assert_eq!(dynamics.sweep_improvement.len(), 256);
         assert!(stats.accepted.unwrap() >= entry.accepted);
-        let (off, _, empty) = sqa.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (off, _, empty) = sqa.run(&m, None);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -1,7 +1,7 @@
 //! Tabu search over the QUBO landscape.
 
 use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
-use crate::{read_seed, SampleSet, Sampler, SamplerRunStats};
+use crate::{read_seed, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -65,7 +65,15 @@ impl TabuSearch {
         self
     }
 
-    fn one_read(&self, compiled: &CompiledQubo, seed: u64) -> (Vec<u8>, f64) {
+    /// One restart. With `probes` it is the probe read: the same move
+    /// choices and RNG stream, plus an aspiration-hit counter and a
+    /// decimated best-energy trace (axis = tabu steps).
+    fn one_read(
+        &self,
+        compiled: &CompiledQubo,
+        seed: u64,
+        mut probes: Option<&mut TabuProbes>,
+    ) -> (Vec<u8>, f64) {
         let n = compiled.num_vars();
         if n == 0 {
             return (Vec::new(), compiled.offset());
@@ -82,6 +90,9 @@ impl TabuSearch {
         let mut kernel = FlipKernel::new(compiled, state);
         let mut best_state = kernel.state().to_vec();
         let mut best_energy = kernel.energy();
+        if let Some(p) = probes.as_deref_mut() {
+            p.trace.push(0, best_energy);
+        }
         // tabu_until[i]: first step at which flipping i is allowed again
         let mut tabu_until = vec![0usize; n];
         for step in 0..self.steps {
@@ -106,69 +117,12 @@ impl TabuSearch {
                 // keep the walk alive.
                 None => rng.gen_range(0..n) as Var,
             };
-            kernel.flip(compiled, i);
-            tabu_until[i as usize] = step + tenure + 1;
-            if chosen.is_some() && kernel.energy() < best_energy {
-                best_energy = kernel.energy();
-                best_state.copy_from_slice(kernel.state());
-            }
-        }
-        debug_assert!(
-            (best_energy - compiled.energy(&best_state)).abs()
-                < FlipKernel::drift_tolerance(compiled)
-        );
-        (best_state, best_energy)
-    }
-
-    /// [`Self::one_read`] with trajectory probes: identical move choice
-    /// and RNG stream, plus an aspiration-hit counter and a decimated
-    /// best-energy trace (axis = tabu steps).
-    fn one_read_probed(
-        &self,
-        compiled: &CompiledQubo,
-        seed: u64,
-        config: &ProbeConfig,
-        dynamics: &mut SamplerDynamics,
-    ) -> (Vec<u8>, f64) {
-        let n = compiled.num_vars();
-        if n == 0 {
-            return (Vec::new(), compiled.offset());
-        }
-        let tenure = self
-            .tenure
-            .unwrap_or_else(|| (n / 4).max(4))
-            .min(n.saturating_sub(1));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
-        let mut kernel = FlipKernel::new(compiled, state);
-        let mut best_state = kernel.state().to_vec();
-        let mut best_energy = kernel.energy();
-        let mut tabu_until = vec![0usize; n];
-        let mut aspiration_hits = 0u64;
-        let mut trace = Decimator::new(config.max_trace_points);
-        trace.push(0, best_energy);
-        for step in 0..self.steps {
-            let energy = kernel.energy();
-            let mut chosen: Option<(Var, f64)> = None;
-            for (i, &until) in tabu_until.iter().enumerate() {
-                let d = kernel.delta(i as Var);
-                let is_tabu = until > step;
-                if is_tabu && energy + d >= best_energy - 1e-12 {
-                    continue;
-                }
-                match chosen {
-                    Some((_, bd)) if d >= bd => {}
-                    _ => chosen = Some((i as Var, d)),
-                }
-            }
-            let i = match chosen {
-                Some((i, _)) => i,
-                None => rng.gen_range(0..n) as Var,
-            };
             // A chosen move that was still tabu got through on the
             // aspiration criterion.
-            if chosen.is_some() && tabu_until[i as usize] > step {
-                aspiration_hits += 1;
+            if let Some(p) = probes.as_deref_mut() {
+                if chosen.is_some() && tabu_until[i as usize] > step {
+                    p.aspiration_hits += 1;
+                }
             }
             kernel.flip(compiled, i);
             tabu_until[i as usize] = step + tenure + 1;
@@ -176,35 +130,48 @@ impl TabuSearch {
                 best_energy = kernel.energy();
                 best_state.copy_from_slice(kernel.state());
             }
-            trace.push(step as u64 + 1, best_energy);
+            if let Some(p) = probes.as_deref_mut() {
+                p.trace.push(step as u64 + 1, best_energy);
+            }
         }
         debug_assert!(
             (best_energy - compiled.energy(&best_state)).abs()
                 < FlipKernel::drift_tolerance(compiled)
         );
-        dynamics.energy_trace = trace.finish();
-        dynamics.aspiration_hits = Some(aspiration_hits);
         (best_state, best_energy)
     }
 }
 
+/// Probe state of one tabu probe read.
+#[derive(Debug)]
+struct TabuProbes {
+    aspiration_hits: u64,
+    trace: Decimator,
+}
+
 impl Sampler for TabuSearch {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let compiled = CompiledQubo::compile(model);
-        let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
-            .map(|r| self.one_read(&compiled, read_seed(self.seed, r as u64)))
-            .collect();
-        SampleSet::from_reads(reads)
-    }
-
-    fn name(&self) -> &'static str {
-        "tabu-search"
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
+    /// Runs every restart in read order; a probed run observes read 0.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
         let started = Instant::now();
-        let set = self.sample(model);
-        let elapsed_us = started.elapsed().as_micros() as u64;
+        let compiled = CompiledQubo::compile(model);
+        // An empty model returns before the walk, so it has no probe read.
+        let mut probe = probes
+            .filter(|_| self.num_reads > 0 && compiled.num_vars() > 0)
+            .map(|config| TabuProbes {
+                aspiration_hits: 0,
+                trace: Decimator::new(config.max_trace_points),
+            });
+        let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
+            .map(|r| {
+                let read_probe = if r == 0 { probe.as_mut() } else { None };
+                self.one_read(&compiled, read_seed(self.seed, r as u64), read_probe)
+            })
+            .collect();
+        let dynamics = probe.map_or_else(SamplerDynamics::default, |p| SamplerDynamics {
+            energy_trace: p.trace.finish(),
+            aspiration_hits: Some(p.aspiration_hits),
+            ..SamplerDynamics::default()
+        });
         let n = model.num_vars() as u64;
         let (proposals, accepted) = if n == 0 {
             (0, 0)
@@ -217,54 +184,14 @@ impl Sampler for TabuSearch {
             sweeps: Some(self.steps as u64),
             proposals: Some(proposals),
             accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: None,
-        };
-        (set, stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
-        let started = Instant::now();
-        let compiled = CompiledQubo::compile(model);
-        let mut dynamics = SamplerDynamics::default();
-        // Probe read 0; the rest run the plain path.
-        let mut reads: Vec<(Vec<u8>, f64)> = Vec::with_capacity(self.num_reads);
-        if self.num_reads > 0 {
-            reads.push(self.one_read_probed(
-                &compiled,
-                read_seed(self.seed, 0),
-                config,
-                &mut dynamics,
-            ));
-        }
-        let rest: Vec<(Vec<u8>, f64)> = (1..self.num_reads)
-            .map(|r| self.one_read(&compiled, read_seed(self.seed, r as u64)))
-            .collect();
-        reads.extend(rest);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let n = model.num_vars() as u64;
-        let (proposals, accepted) = if n == 0 {
-            (0, 0)
-        } else {
-            let steps = self.num_reads as u64 * self.steps as u64;
-            (steps * n, steps)
-        };
-        let stats = SamplerRunStats {
-            sweeps: Some(self.steps as u64),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
+            elapsed_us: Some(started.elapsed().as_micros() as u64),
             replicas: None,
         };
         (SampleSet::from_reads(reads), stats, dynamics)
+    }
+
+    fn name(&self) -> &'static str {
+        "tabu-search"
     }
 }
 
@@ -323,7 +250,7 @@ mod tests {
         let (m, _) = frustrated_model();
         let tabu = TabuSearch::new().with_seed(21);
         let plain = tabu.sample(&m);
-        let (probed, _, dynamics) = tabu.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, _, dynamics) = tabu.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         // The counter is always present on a probed read (it may stay 0
         // on landscapes where no tabu move ever beats the best energy).
@@ -335,7 +262,7 @@ mod tests {
             .energy_trace
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
-        let (off, _, empty) = tabu.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (off, _, empty) = tabu.run(&m, None);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -1,7 +1,7 @@
 //! Parallel tempering (replica exchange) sampler.
 
 use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
-use crate::{read_seed, AcceptanceTable, SampleSet, Sampler, SamplerRunStats};
+use crate::{read_seed, AcceptanceTable, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, MultiReplicaKernel, QuboModel, LANES};
 use qsmt_telemetry::dynamics::{BetaAcceptance, SwapAcceptance};
 use rand::rngs::SmallRng;
@@ -99,23 +99,35 @@ impl ParallelTempering {
             .map(|i| self.beta_min * ratio.powi(i as i32))
             .collect()
     }
+}
 
-    /// Runs the full exchange schedule, returning the recorded reads and
-    /// the total accepted-flip count. When `probes` is supplied, it is
-    /// filled with swap/rung/trace observations; the probe hooks sit
-    /// outside the sweep loops and never touch an RNG stream, so the
-    /// reads are identical either way.
-    fn run(
-        &self,
-        model: &QuboModel,
-        mut probes: Option<&mut PtProbes>,
-    ) -> (Vec<(Vec<u8>, f64)>, u64) {
+/// Probe state of one tempering run.
+#[derive(Debug)]
+struct PtProbes {
+    swap_attempts: Vec<u64>,
+    swap_accepts: Vec<u64>,
+    trace: Decimator,
+}
+
+impl Sampler for ParallelTempering {
+    /// Runs the full exchange schedule, recording the coldest replica
+    /// after every round. A probed run also counts swaps per ladder pair,
+    /// accepts per rung and the coldest replica's best-energy trace; the
+    /// probe hooks sit outside the sweep loops and never touch an RNG
+    /// stream, so the reads are identical either way.
+    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+        let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
         let betas = self.ladder();
         // One acceptance table per ladder rung, built once for the run.
         let tables = AcceptanceTable::for_schedule(&betas);
         let k = self.num_replicas;
+        let mut probe = probes.map(|config| PtProbes {
+            swap_attempts: vec![0; k - 1],
+            swap_accepts: vec![0; k - 1],
+            trace: Decimator::new(config.max_trace_points),
+        });
         // Rung r is lane r of one bit-sliced kernel. The RNG streams and
         // accept counters are indexed by rung and never move: exchanges
         // swap lanes (configurations), so the counter in slot r always
@@ -155,120 +167,53 @@ impl ParallelTempering {
                 if swapped {
                     kernel.swap_lanes(a, b);
                 }
-                if let Some(p) = probes.as_deref_mut() {
+                if let Some(p) = probe.as_mut() {
                     p.swap_attempts[a] += 1;
                     p.swap_accepts[a] += u64::from(swapped);
                 }
             }
             // Record the coldest replica (the last lane) each round.
             reads.push((kernel.state(k - 1), kernel.energy(k - 1)));
-            if let Some(p) = probes.as_deref_mut() {
+            if let Some(p) = probe.as_mut() {
                 best = best.min(kernel.energy(k - 1));
                 p.trace.push(round as u64 + 1, best);
             }
         }
-        if let Some(p) = probes {
-            p.rung_accepted.clone_from(&accepted);
-            p.betas = betas;
-        }
-        (reads, accepted.iter().sum())
-    }
-}
-
-/// Probe scratch state for one tempering run.
-#[derive(Debug)]
-struct PtProbes {
-    swap_attempts: Vec<u64>,
-    swap_accepts: Vec<u64>,
-    rung_accepted: Vec<u64>,
-    betas: Vec<f64>,
-    trace: Decimator,
-}
-
-impl PtProbes {
-    fn new(num_replicas: usize, max_trace: usize) -> Self {
-        Self {
-            swap_attempts: vec![0; num_replicas.saturating_sub(1)],
-            swap_accepts: vec![0; num_replicas.saturating_sub(1)],
-            rung_accepted: Vec::new(),
-            betas: Vec::new(),
-            trace: Decimator::new(max_trace),
-        }
-    }
-}
-
-impl Sampler for ParallelTempering {
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        let (reads, _) = self.run(model, None);
-        SampleSet::from_reads(reads)
+        let sweeps = (self.rounds * self.sweeps_per_round) as u64;
+        let per_rung = sweeps * model.num_vars() as u64;
+        let stats = SamplerRunStats {
+            sweeps: Some(sweeps),
+            proposals: Some(per_rung * k as u64),
+            accepted: Some(accepted.iter().sum()),
+            elapsed_us: Some(started.elapsed().as_micros() as u64),
+            replicas: Some(k as u64),
+        };
+        let dynamics = probe.map_or_else(SamplerDynamics::default, |p| SamplerDynamics {
+            energy_trace: p.trace.finish(),
+            beta_acceptance: betas
+                .iter()
+                .zip(&accepted)
+                .map(|(&beta, &acc)| BetaAcceptance {
+                    beta,
+                    proposals: per_rung,
+                    accepted: acc,
+                })
+                .collect(),
+            swap_acceptance: (0..k - 1)
+                .map(|a| SwapAcceptance {
+                    hotter_beta: betas[a],
+                    colder_beta: betas[a + 1],
+                    attempts: p.swap_attempts[a],
+                    accepted: p.swap_accepts[a],
+                })
+                .collect(),
+            ..SamplerDynamics::default()
+        });
+        (SampleSet::from_reads(reads), stats, dynamics)
     }
 
     fn name(&self) -> &'static str {
         "parallel-tempering"
-    }
-
-    fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let started = Instant::now();
-        let (reads, accepted) = self.run(model, None);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let sweeps = (self.rounds * self.sweeps_per_round) as u64;
-        let proposals = sweeps * model.num_vars() as u64 * self.num_replicas as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: Some(self.num_replicas as u64),
-        };
-        (SampleSet::from_reads(reads), stats)
-    }
-
-    fn sample_dynamics(
-        &self,
-        model: &QuboModel,
-        config: &ProbeConfig,
-    ) -> (SampleSet, SamplerRunStats, SamplerDynamics) {
-        if !config.enabled {
-            let (set, stats) = self.sample_stats(model);
-            return (set, stats, SamplerDynamics::default());
-        }
-        let started = Instant::now();
-        let mut probes = PtProbes::new(self.num_replicas, config.max_trace_points);
-        let (reads, accepted) = self.run(model, Some(&mut probes));
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        let sweeps = (self.rounds * self.sweeps_per_round) as u64;
-        let proposals = sweeps * model.num_vars() as u64 * self.num_replicas as u64;
-        let stats = SamplerRunStats {
-            sweeps: Some(sweeps),
-            proposals: Some(proposals),
-            accepted: Some(accepted),
-            elapsed_us: Some(elapsed_us),
-            replicas: Some(self.num_replicas as u64),
-        };
-        let per_rung = sweeps * model.num_vars() as u64;
-        let mut dynamics = SamplerDynamics {
-            energy_trace: probes.trace.finish(),
-            ..SamplerDynamics::default()
-        };
-        dynamics.beta_acceptance = probes
-            .betas
-            .iter()
-            .zip(probes.rung_accepted.iter())
-            .map(|(&beta, &acc)| BetaAcceptance {
-                beta,
-                proposals: per_rung,
-                accepted: acc,
-            })
-            .collect();
-        dynamics.swap_acceptance = (0..probes.swap_attempts.len())
-            .map(|a| SwapAcceptance {
-                hotter_beta: probes.betas[a],
-                colder_beta: probes.betas[a + 1],
-                attempts: probes.swap_attempts[a],
-                accepted: probes.swap_accepts[a],
-            })
-            .collect();
-        (SampleSet::from_reads(reads), stats, dynamics)
     }
 }
 
@@ -366,7 +311,7 @@ mod tests {
         let (m, _) = double_well();
         let pt = ParallelTempering::new().with_seed(9).with_rounds(64);
         let plain = pt.sample(&m);
-        let (probed, stats, dynamics) = pt.sample_dynamics(&m, &ProbeConfig::default());
+        let (probed, stats, dynamics) = pt.run(&m, Some(&ProbeConfig::default()));
         assert_eq!(probed, plain, "probes must not change results");
         // Swap matrix: one entry per adjacent ladder pair, each pair
         // attempted every other round, ordered hot → cold.
@@ -398,7 +343,7 @@ mod tests {
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
         // Disabled path stays empty and identical.
-        let (off, _, empty) = pt.sample_dynamics(&m, &ProbeConfig::disabled());
+        let (off, _, empty) = pt.run(&m, None);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -131,7 +131,7 @@ fn plain_and_probed_block_partitions_agree() {
         .with_num_reads(130)
         .with_sweeps(8);
     let plain = sampler.sample(&model);
-    let (probed, _, _) = sampler.sample_dynamics(&model, &ProbeConfig::default());
+    let (probed, _, _) = sampler.run(&model, Some(&ProbeConfig::default()));
     assert_eq!(plain, probed);
     assert_eq!(plain, reference_set(&model, 11, 130, 8));
 }

@@ -381,11 +381,7 @@ impl StringSolver {
         problem: &EncodedProblem,
         probes: bool,
     ) -> Solved {
-        let probe_config = if probes {
-            ProbeConfig::default()
-        } else {
-            ProbeConfig::disabled()
-        };
+        let probe_config = probes.then(ProbeConfig::default);
         let (sampled, sample_us) = clock.stage("sample", || {
             let lookup = self.cache.as_ref().map(|cache| {
                 let fp = problem.qubo.fingerprint();
@@ -445,7 +441,7 @@ impl StringSolver {
             let (samples, run_stats, dynamics) = sampler
                 .as_deref()
                 .unwrap_or(&*self.sampler)
-                .sample_dynamics(&problem.qubo, &probe_config);
+                .run(&problem.qubo, probe_config.as_ref());
             if let Some(base_us) = trace_base_us {
                 for (i, &(offset_us, dur_us)) in dynamics.read_spans.iter().enumerate() {
                     qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
@@ -831,7 +827,7 @@ impl std::fmt::Display for SolveTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsmt_anneal::ExactSolver;
+    use qsmt_anneal::{ExactSolver, SamplerRun};
 
     fn solver() -> StringSolver {
         StringSolver::with_defaults().with_seed(42)
@@ -1163,9 +1159,9 @@ mod tests {
     }
 
     impl Sampler for CountingSampler {
-        fn sample(&self, model: &QuboModel) -> SampleSet {
+        fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.sample(model)
+            self.inner.run(model, probes)
         }
 
         fn name(&self) -> &'static str {

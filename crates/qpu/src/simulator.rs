@@ -6,7 +6,10 @@ use crate::{
     QpuTimingModel, Topology,
 };
 use parking_lot::Mutex;
-use qsmt_anneal::{SampleSet, Sampler, SimulatedAnnealer};
+use qsmt_anneal::{
+    ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats,
+    SimulatedAnnealer,
+};
 use qsmt_qubo::{QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -332,15 +335,22 @@ impl QpuSimulator {
 }
 
 impl Sampler for QpuSimulator {
-    /// Samples through the full QPU pipeline.
+    /// Samples through the full QPU pipeline. The simulated hardware
+    /// reports no move counters and has no trajectory probes.
     ///
     /// # Panics
     /// Panics if the model cannot be embedded; use
     /// [`QpuSimulator::sample_qubo`] for fallible submission.
-    fn sample(&self, model: &QuboModel) -> SampleSet {
-        self.sample_qubo(model)
+    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
+        let samples = self
+            .sample_qubo(model)
             .expect("model could not be embedded in the QPU topology")
-            .samples
+            .samples;
+        (
+            samples,
+            SamplerRunStats::default(),
+            SamplerDynamics::default(),
+        )
     }
 
     fn name(&self) -> &'static str {

@@ -17,11 +17,11 @@
 //!   [`ExactSolver`] ground truth: per-formulation success fraction and
 //!   time-to-ground-state at 99% confidence under the default annealer.
 //! * **probe_overhead** (schema v2) — the trajectory-probe cost gate:
-//!   the dense-model SA workload timed with probes off (plain
-//!   `sample_stats`), through the disabled `sample_dynamics` path, and
-//!   with probes enabled. The disabled path must stay within 2% of the
-//!   plain path — that bound is asserted by `qsmt bench
-//!   --check-overhead` and enforced in CI.
+//!   the dense-model SA workload timed through plain `sample_stats`,
+//!   through [`Sampler::run`] without probes, and through `run` with
+//!   probes. The un-probed `run` must stay within 2% of `sample_stats` —
+//!   that bound is asserted by `qsmt bench --check-overhead` and
+//!   enforced in CI.
 //! * **replica_scaling** (schema v3) — the bit-sliced
 //!   [`MultiReplicaKernel`] dimension: the dense Metropolis workload at
 //!   1/8/64 replicas per word (`--replicas N` pins one count), reporting
@@ -65,7 +65,7 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// Energy tolerance for "hit the ground state" accounting.
 const TOL: f64 = 1e-9;
 
-/// Maximum tolerated throughput cost of the *disabled* probe path
+/// Maximum tolerated throughput cost of the un-probed [`Sampler::run`]
 /// relative to plain `sample_stats`, as a fraction (0.02 = 2%).
 pub const MAX_DISABLED_OVERHEAD: f64 = 0.02;
 
@@ -278,10 +278,11 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
 }
 
 /// Times the dense-model SA workload along three paths — plain
-/// `sample_stats`, `sample_dynamics` with probes disabled, and
-/// `sample_dynamics` with probes enabled — and reports the overheads.
-/// See the inline comments for how the repetitions are aggregated into
-/// noise-robust ratios.
+/// `sample_stats`, `run(model, None)`, and `run` with probes — and
+/// reports the overheads. The first two arms share one code path, so the
+/// disabled overhead guards the provided-method shim; see the inline
+/// comments for how the repetitions are aggregated into noise-robust
+/// ratios.
 fn probe_overhead_section(opts: &BenchOptions) -> Json {
     // Arms need a timing window well above scheduler noise (tens of ms),
     // or the 2% gate flakes: size the workload up, not the tolerance.
@@ -294,8 +295,7 @@ fn probe_overhead_section(opts: &BenchOptions) -> Json {
         .with_seed(opts.seed)
         .with_num_reads(reads)
         .with_sweeps(sweeps);
-    let disabled = ProbeConfig::disabled();
-    let enabled = ProbeConfig::default();
+    let probes = ProbeConfig::default();
     // Warm-up: fault in code and model pages outside the timers.
     let _ = sa.sample_stats(&model);
     // Interleave the arms round-robin so machine-load drift hits all
@@ -311,10 +311,10 @@ fn probe_overhead_section(opts: &BenchOptions) -> Json {
         let _ = sa.sample_stats(&model);
         let plain_t = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let _ = sa.sample_dynamics(&model, &disabled);
+        let _ = sa.run(&model, None);
         let off_t = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let _ = sa.sample_dynamics(&model, &enabled);
+        let _ = sa.run(&model, Some(&probes));
         let on_t = t.elapsed().as_secs_f64();
         plain_times.push(plain_t);
         off_ratios.push(off_t / plain_t.max(1e-12));

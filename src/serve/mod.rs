@@ -66,16 +66,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Probe sizing used by the exercise pass: full probes, but traces and
-/// per-β series capped low enough that label cardinality stays scrape-
-/// friendly.
-fn exercise_probe_config() -> ProbeConfig {
-    ProbeConfig {
-        enabled: true,
-        max_trace_points: 32,
-    }
-}
-
 /// The workload every sampler runs during the exercise pass: the
 /// two-well 8-variable model from the tempering tests — small enough to
 /// finish instantly, rugged enough that acceptance/swap/ESS series are
@@ -108,7 +98,11 @@ fn exercise_model() -> QuboModel {
 /// counters and re-sets gauges but never creates unbounded series.
 pub fn exercise(registry: &Registry, flight: &FlightRecorder, seed: u64) {
     let model = exercise_model();
-    let config = exercise_probe_config();
+    // Traces and per-β series capped low enough that label cardinality
+    // stays scrape-friendly.
+    let config = ProbeConfig {
+        max_trace_points: 32,
+    };
     let samplers: Vec<Box<dyn Sampler>> = vec![
         Box::new(SimulatedAnnealer::new().with_seed(seed).with_num_reads(8)),
         Box::new(
@@ -127,7 +121,7 @@ pub fn exercise(registry: &Registry, flight: &FlightRecorder, seed: u64) {
     let mut shard = registry.shard();
     for sampler in &samplers {
         let name = sampler.name();
-        let (set, stats, dynamics) = sampler.sample_dynamics(&model, &config);
+        let (set, stats, dynamics) = sampler.run(&model, Some(&config));
         let labels = [("sampler", name)];
         if let Some(p) = stats.proposals {
             shard.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);

@@ -35,6 +35,11 @@ use std::time::{Duration, Instant};
 const MAX_READS: usize = 1_000_000;
 /// Hard ceiling on a per-job timeout override (one hour).
 const MAX_TIMEOUT_MS: u64 = 3_600_000;
+/// Most terminal jobs the job table keeps. Older ones are evicted in
+/// finish order and answer 404 like unknown ids, so the table — and the
+/// completed reports it holds — stays bounded however long the service
+/// runs. Queued and running jobs are never evicted.
+const MAX_TERMINAL_JOBS: usize = 1024;
 
 /// Configuration for [`super::serve`] — everything the CLI flags carry.
 #[derive(Debug, Clone)]
@@ -123,6 +128,29 @@ impl JobStatus {
     }
 }
 
+/// The job table behind `GET /jobs` and `GET /jobs/<id>`.
+#[derive(Default)]
+struct JobTable {
+    /// Latest status of every queued or running job and of the most
+    /// recent [`MAX_TERMINAL_JOBS`] terminal ones.
+    status: HashMap<u64, JobStatus>,
+    /// Terminal job ids in finish order, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Records a terminal status, evicting the oldest terminal job once
+    /// more than [`MAX_TERMINAL_JOBS`] are kept.
+    fn finish(&mut self, id: u64, status: JobStatus) {
+        self.status.insert(id, status);
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_TERMINAL_JOBS {
+            let oldest = self.finished.pop_front().expect("over the cap");
+            self.status.remove(&oldest);
+        }
+    }
+}
+
 /// Drain-summary tallies; the accepted count must equal the sum of the
 /// three terminal counts once the service has drained.
 #[derive(Default)]
@@ -154,9 +182,8 @@ pub struct Service {
     job_timeout: Duration,
     queue: Mutex<VecDeque<Job>>,
     queue_ready: Condvar,
-    /// Every accepted job's latest status, kept for the life of the
-    /// process.
-    jobs: Mutex<HashMap<u64, JobStatus>>,
+    /// Job statuses: every live job and the most recent terminal ones.
+    jobs: Mutex<JobTable>,
     draining: AtomicBool,
     next_id: AtomicU64,
     tally: Tally,
@@ -242,7 +269,7 @@ impl Service {
             job_timeout: config.job_timeout,
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             draining: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             tally: Tally::default(),
@@ -369,6 +396,7 @@ impl Service {
         self.jobs
             .lock()
             .expect("jobs lock")
+            .status
             .insert(id, JobStatus::Queued);
         let now = Instant::now();
         queue.push_back(Job {
@@ -399,10 +427,11 @@ impl Service {
         TraceId::derive(self.base_seed.rotate_left(32) ^ id)
     }
 
-    /// Renders one job's status document, or `None` for an unknown id.
+    /// Renders one job's status document, or `None` for an unknown (or
+    /// evicted) id.
     fn status_json(&self, id: u64) -> Option<String> {
         let jobs = self.jobs.lock().expect("jobs lock");
-        let status = jobs.get(&id)?;
+        let status = jobs.status.get(&id)?;
         let mut pairs = vec![
             ("id", Json::from(format!("job-{id}"))),
             ("status", Json::from(status.label())),
@@ -427,7 +456,7 @@ impl Service {
         let queue_depth = self.queue.lock().expect("queue lock").len();
         let jobs = self.jobs.lock().expect("jobs lock");
         let mut entries: Vec<(u64, &'static str)> =
-            jobs.iter().map(|(id, s)| (*id, s.label())).collect();
+            jobs.status.iter().map(|(id, s)| (*id, s.label())).collect();
         entries.sort_unstable();
         let list = entries
             .into_iter()
@@ -489,7 +518,11 @@ impl Service {
             );
             return;
         }
-        self.set_status(job.id, JobStatus::Running);
+        self.jobs
+            .lock()
+            .expect("jobs lock")
+            .status
+            .insert(job.id, JobStatus::Running);
         self.flight
             .record_detail("serve.job_start", job.id as f64, &format!("job-{}", job.id));
 
@@ -590,10 +623,6 @@ impl Service {
         Ok(report.to_json())
     }
 
-    fn set_status(&self, id: u64, status: JobStatus) {
-        self.jobs.lock().expect("jobs lock").insert(id, status);
-    }
-
     /// Records a terminal state: job table, tallies, counters, latency.
     fn finish(&self, job: &Job, status: JobStatus) {
         let outcome = status.label();
@@ -627,7 +656,7 @@ impl Service {
                     .record_detail("serve.run_store_error", job.id as f64, &e.to_string());
             }
         }
-        self.set_status(job.id, status);
+        self.jobs.lock().expect("jobs lock").finish(job.id, status);
     }
 
     /// Publishes newly observed flight-ring drops as counter increments
@@ -714,7 +743,7 @@ pub fn handle_connection(mut stream: TcpStream, svc: &Service) {
             let doc = raw
                 .parse::<u64>()
                 .ok()
-                .filter(|id| svc.jobs.lock().expect("jobs lock").contains_key(id))
+                .filter(|id| svc.jobs.lock().expect("jobs lock").status.contains_key(id))
                 .and_then(|id| qsmt_trace::registry().chrome_json(svc.trace_id(id)));
             match doc {
                 Some(doc) => respond(&mut stream, "200 OK", "application/json", &doc.pretty()),
@@ -948,6 +977,66 @@ mod tests {
         let doc = qsmt_telemetry::parse(&body).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("timed_out"));
         assert_eq!(doc.get("where").and_then(Json::as_str), Some("queue"));
+    }
+
+    #[test]
+    fn terminal_jobs_beyond_the_cap_are_evicted_oldest_first() {
+        let svc = Service::new(&ServeConfig::default());
+        let SubmitOutcome::Accepted { id: queued, .. } =
+            svc.submit(&request("POST", "/solve", TINY))
+        else {
+            panic!("submission should be accepted");
+        };
+        // Finish synthetic jobs straight through `finish`, no solving,
+        // cycling through the three terminal states.
+        let evicted = 5u64;
+        let first = queued + 1;
+        let last = queued + MAX_TERMINAL_JOBS as u64 + evicted;
+        for id in first..=last {
+            let now = Instant::now();
+            let job = Job {
+                id,
+                trace_id: svc.trace_id(id),
+                source: String::new(),
+                seed: id,
+                reads: None,
+                portfolio: false,
+                timeout: Duration::from_millis(1),
+                submitted: now,
+                deadline: now,
+            };
+            let status = match id % 3 {
+                0 => JobStatus::Completed { report: Json::Null },
+                1 => JobStatus::Failed {
+                    error: "synthetic".into(),
+                },
+                _ => JobStatus::TimedOut {
+                    site: "queue",
+                    timeout: job.timeout,
+                },
+            };
+            svc.finish(&job, status);
+        }
+        for id in first..first + evicted {
+            assert!(svc.status_json(id).is_none(), "job-{id} not evicted");
+        }
+        for id in first + evicted..=last {
+            assert!(svc.status_json(id).is_some(), "job-{id} evicted early");
+        }
+        // The queued job outlives every eviction.
+        let doc =
+            qsmt_telemetry::parse(&svc.status_json(queued).expect("queued job kept")).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("queued"));
+        let count = |r: u64| (first..=last).filter(|id| id % 3 == r).count();
+        assert_eq!(
+            svc.drain_summary(),
+            format!(
+                "drained: accepted=1 completed={} failed={} timed_out={} rejected=0",
+                count(0),
+                count(1),
+                count(2)
+            )
+        );
     }
 
     #[test]
