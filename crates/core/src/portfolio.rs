@@ -565,33 +565,21 @@ impl StringSolver {
         plan: &PortfolioPlan,
         classical: Option<&ClassicalHook>,
     ) -> (MemberRun, PortfolioStats) {
-        let n = plan.members.len();
-        let flags: Vec<StopFlag> = (0..n).map(|_| StopFlag::new()).collect();
+        // Each member's flag is a child of the outer cancellation (a
+        // serve job deadline), so that reaches every member, while the
+        // winner stops only its siblings.
+        let outer = self.outer_stop();
+        let flags: Vec<StopFlag> = plan
+            .members
+            .iter()
+            .map(|_| outer.map_or_else(StopFlag::new, StopFlag::child))
+            .collect();
         let winner: Mutex<Option<usize>> = Mutex::new(None);
         let base_seed = self.base_seed();
         let race_start = Instant::now();
         let trace_base = qsmt_trace::active().then(qsmt_trace::now_us);
-        // An outer cancellation (a serve job deadline) must reach the
-        // members' flags too; a cheap poll loop relays it and retires
-        // with the race.
-        let race_done = std::sync::atomic::AtomicBool::new(false);
 
         let runs: Vec<MemberRun> = std::thread::scope(|scope| {
-            if let Some(outer) = self.outer_stop().cloned() {
-                let flags = &flags;
-                let race_done = &race_done;
-                scope.spawn(move || {
-                    while !race_done.load(std::sync::atomic::Ordering::Acquire) {
-                        if outer.is_stopped() {
-                            for f in flags {
-                                f.stop();
-                            }
-                            return;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                });
-            }
             let handles: Vec<_> = plan
                 .members
                 .iter()
@@ -649,12 +637,10 @@ impl StringSolver {
                     })
                 })
                 .collect();
-            let runs = handles
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("portfolio member thread"))
-                .collect();
-            race_done.store(true, std::sync::atomic::Ordering::Release);
-            runs
+                .collect()
         });
         let race_us = (race_start.elapsed().as_micros() as u64).max(1);
 
@@ -858,6 +844,33 @@ mod tests {
             .expect("winner is sampler-backed")
             .sample(&solver.encode(&c).unwrap().qubo);
         assert_eq!(out.samples, solo);
+    }
+
+    #[test]
+    fn outer_stop_mid_race_stops_every_member() {
+        let outer = StopFlag::new();
+        let solver = StringSolver::with_defaults()
+            .with_seed(2)
+            .with_stop(outer.clone());
+        // Budgets far beyond the few ms the race gets, so both members
+        // are still sampling when the outer flag trips.
+        let portfolio = Portfolio::new().with_router(Router {
+            base_reads: 1024,
+            anneal_sweeps: 4096,
+            ..Router::default()
+        });
+        let trip = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            outer.stop();
+        });
+        let (_, stats) = race(&solver, &Constraint::Palindrome { len: 6 }, &portfolio);
+        trip.join().unwrap();
+        assert_eq!(stats.members.len(), 2);
+        assert!(
+            stats.members.iter().all(|m| m.stopped),
+            "{:?}",
+            stats.members
+        );
     }
 
     #[test]

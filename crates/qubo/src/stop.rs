@@ -8,6 +8,11 @@
 //! so far. Polling an un-tripped flag is a single relaxed atomic load —
 //! it never touches a sampler's RNG stream, so results are bit-identical
 //! to an un-flagged run until the moment the flag fires.
+//!
+//! A [`StopFlag::child`] adds a bit of its own under a parent: stopping
+//! the parent stops every child, while stopping a child leaves the
+//! parent and its siblings running. A portfolio race gives each member
+//! a child of the job's deadline flag this way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,7 +29,10 @@ use std::sync::Arc;
 /// assert!(observer.is_stopped());
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct StopFlag(Arc<AtomicBool>);
+pub struct StopFlag {
+    bit: Arc<AtomicBool>,
+    parent: Option<Arc<StopFlag>>,
+}
 
 impl StopFlag {
     /// Creates an un-tripped flag.
@@ -32,15 +40,27 @@ impl StopFlag {
         Self::default()
     }
 
-    /// Trips the flag. Idempotent; every clone observes the stop.
-    pub fn stop(&self) {
-        self.0.store(true, Ordering::Release);
+    /// Creates an un-tripped flag that also reports stopped once `self`
+    /// (or any ancestor of `self`) is stopped. Stopping the child does
+    /// not stop `self`.
+    pub fn child(&self) -> Self {
+        Self {
+            bit: Arc::default(),
+            parent: Some(Arc::new(self.clone())),
+        }
     }
 
-    /// True once any clone has called [`StopFlag::stop`].
+    /// Trips the flag. Idempotent; every clone observes the stop, and so
+    /// does every child.
+    pub fn stop(&self) {
+        self.bit.store(true, Ordering::Release);
+    }
+
+    /// True once any clone of this flag or of an ancestor has called
+    /// [`StopFlag::stop`].
     #[inline]
     pub fn is_stopped(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.bit.load(Ordering::Acquire) || self.parent.as_ref().is_some_and(|p| p.is_stopped())
     }
 }
 
@@ -67,5 +87,24 @@ mod tests {
         });
         t.join().unwrap();
         assert!(flag.is_stopped());
+    }
+
+    #[test]
+    fn children_see_their_parent_stop_but_not_each_other() {
+        let parent = StopFlag::new();
+        let (a, b) = (parent.child(), parent.child());
+        let grandchild = b.child();
+        a.stop();
+        assert!(a.is_stopped());
+        assert!(!parent.is_stopped(), "a child's stop reached its parent");
+        assert!(
+            !b.is_stopped() && !grandchild.is_stopped(),
+            "a child's stop reached its sibling"
+        );
+        parent.stop();
+        assert!(
+            b.is_stopped() && grandchild.is_stopped(),
+            "a parent's stop missed a descendant"
+        );
     }
 }

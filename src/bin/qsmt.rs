@@ -48,9 +48,11 @@ use qsmt::anneal::{
     ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler, SimulatedAnnealer,
     SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
 };
-use qsmt::smtlib::Goal;
+use qsmt::smtlib::{Goal, ScriptRun};
 use qsmt::telemetry::Json;
+use qsmt::trace::TraceId;
 use qsmt::{Script, SolveOptions, StringSolver};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -542,7 +544,7 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
     // JSON (`--trace <out.json>`) or printed as text
     // (docs/OBSERVABILITY.md).
     let trace_scope = opts.trace.then(|| {
-        let id = qsmt::trace::TraceId::derive(opts.seed);
+        let id = TraceId::derive(opts.seed);
         (id, qsmt::trace::enter(id, source_name))
     });
     let portfolio = opts.portfolio.then(qsmt::default_portfolio);
@@ -570,20 +572,61 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
-    let outcome = &run.outcome;
-    println!("{}", outcome.status);
-    if !outcome.model.is_empty() {
-        println!("(model");
-        for (name, value) in &outcome.model {
-            println!("  (define-fun {name} () _ {value})");
+    let trace_text = match (trace_id, &opts.trace_out) {
+        (Some(id), None) => Some((id, qsmt::trace::registry().text(id).ok_or_else(evicted)?)),
+        _ => None,
+    };
+    let printed = print_run(
+        &mut std::io::stdout().lock(),
+        &run,
+        opts.stats,
+        trace_text.as_ref(),
+    );
+    if let Some(path) = &opts.report {
+        let report = run.into_report(
+            source_name.to_string(),
+            solver.sampler_name(),
+            elapsed_us,
+            trace_id.map(TraceId::get),
+        );
+        std::fs::write(path, report.to_json().pretty())
+            .map_err(|e| format!("cannot write report to {path}: {e}"))?;
+        eprintln!("report written to {path}");
+    }
+    match printed {
+        // A reader that stopped early (`qsmt solve f.smt2 | head -1`)
+        // ends the output, not the run: the files above are written.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
         }
-        println!(")");
+        _ => Ok(()),
+    }
+}
+
+/// Writes a solve's stdout through one handle: the verdict and model,
+/// then `;`-prefixed stats lines (`--stats`) and the span tree (bare
+/// `--trace`).
+fn print_run(
+    out: &mut impl Write,
+    run: &ScriptRun,
+    stats: bool,
+    trace: Option<&(TraceId, String)>,
+) -> std::io::Result<()> {
+    let outcome = &run.outcome;
+    writeln!(out, "{}", outcome.status)?;
+    if !outcome.model.is_empty() {
+        writeln!(out, "(model")?;
+        for (name, value) in &outcome.model {
+            writeln!(out, "  (define-fun {name} () _ {value})")?;
+        }
+        writeln!(out, ")")?;
     }
 
-    if opts.stats {
+    if stats {
         if let Some(absint) = &run.absint {
             let stats = absint.to_stats();
-            println!(
+            writeln!(
+                out,
                 "; absint: verdict {}, {} iteration(s), {} narrowing(s), {} vars eliminated, {} certificate step(s), {:.3} ms",
                 stats.verdict,
                 stats.iterations,
@@ -591,42 +634,31 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
                 stats.vars_eliminated,
                 stats.certificate_steps,
                 stats.time_us as f64 / 1000.0
-            );
+            )?;
         }
         for goal in &run.goals {
-            println!(
+            writeln!(
+                out,
                 "; goal {} ({}): {} solve(s), {:.3} ms",
                 goal.name,
                 goal.kind.as_str(),
                 goal.solves.len(),
                 goal.total_us as f64 / 1000.0
-            );
+            )?;
             for solve in &goal.solves {
                 for line in solve.render_stats().lines() {
-                    println!("; {line}");
+                    writeln!(out, "; {line}")?;
                 }
             }
         }
     }
-    if let (Some(id), None) = (trace_id, &opts.trace_out) {
-        let text = qsmt::trace::registry().text(id).ok_or_else(evicted)?;
-        println!("; trace {id}");
+    if let Some((id, text)) = trace {
+        writeln!(out, "; trace {id}")?;
         for line in text.lines() {
-            println!("; {line}");
+            writeln!(out, "; {line}")?;
         }
     }
-    if let Some(path) = &opts.report {
-        let report = run.into_report(
-            source_name.to_string(),
-            solver.sampler_name(),
-            elapsed_us,
-            trace_id.map(qsmt::trace::TraceId::get),
-        );
-        std::fs::write(path, report.to_json().pretty())
-            .map_err(|e| format!("cannot write report to {path}: {e}"))?;
-        eprintln!("report written to {path}");
-    }
-    Ok(())
+    out.flush()
 }
 
 /// `qsmt lint`: static formulation analysis of every goal's compiled

@@ -37,11 +37,11 @@
 //! `--max-requests` cap trigger a graceful drain: stop accepting,
 //! finish every accepted job, flush metrics, print a drain summary.
 //!
-//! Before binding, [`serve`] *exercises* the full sampler family — all
-//! six annealing samplers via their trajectory-probe path, plus a QPU
-//! simulator submission — so a scrape sees live series for every
-//! subsystem the moment the socket opens. The bound address is printed
-//! as `metrics listening on http://<addr>` (port 0 is supported and
+//! Every sampler series on `/metrics` comes from real jobs: each job's
+//! run report adds its solves' proposals, accepted moves and reads to
+//! `qsmt_sampler_*_total{sampler}` (exact cache hits sample nothing and
+//! add nothing). The bound address is printed as
+//! `metrics listening on http://<addr>` (port 0 is supported and
 //! resolves to the kernel-assigned port), which is what `qsmt watch`,
 //! `qsmt submit`, and the end-to-end tests parse.
 //!
@@ -53,273 +53,14 @@ mod service;
 
 pub use service::{ServeConfig, Service};
 
-use qsmt_anneal::{
-    ParallelTempering, PopulationAnnealer, ProbeConfig, Sampler, SimulatedAnnealer,
-    SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
-};
-use qsmt_metrics::{FlightRecorder, Registry};
-use qsmt_qpu::{QpuSimulator, Topology};
-use qsmt_qubo::QuboModel;
 use qsmt_telemetry::Json;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// The workload every sampler runs during the exercise pass: the
-/// two-well 8-variable model from the tempering tests — small enough to
-/// finish instantly, rugged enough that acceptance/swap/ESS series are
-/// non-trivial.
-fn exercise_model() -> QuboModel {
-    let mut m = QuboModel::new(8);
-    for i in 0..4u32 {
-        m.add_linear(i, -1.0);
-        for j in (i + 1)..4 {
-            m.add_quadratic(i, j, -0.5);
-        }
-    }
-    for i in 4..8u32 {
-        m.add_linear(i, -1.2);
-        for j in (i + 1)..8 {
-            m.add_quadratic(i, j, -0.5);
-        }
-    }
-    for i in 0..4u32 {
-        for j in 4..8u32 {
-            m.add_quadratic(i, j, 2.0);
-        }
-    }
-    m
-}
-
-/// Runs every probed sampler plus a QPU submission against the exercise
-/// model, publishing the resulting dynamics into `registry` and marking
-/// progress in `flight`. Idempotent in shape: re-running adds to
-/// counters and re-sets gauges but never creates unbounded series.
-pub fn exercise(registry: &Registry, flight: &FlightRecorder, seed: u64) {
-    let model = exercise_model();
-    // Traces and per-β series capped low enough that label cardinality
-    // stays scrape-friendly.
-    let config = ProbeConfig {
-        max_trace_points: 32,
-    };
-    let samplers: Vec<Box<dyn Sampler>> = vec![
-        Box::new(SimulatedAnnealer::new().with_seed(seed).with_num_reads(8)),
-        Box::new(
-            SimulatedQuantumAnnealer::new()
-                .with_seed(seed)
-                .with_num_reads(4)
-                .with_sweeps(64),
-        ),
-        Box::new(ParallelTempering::new().with_seed(seed).with_rounds(32)),
-        Box::new(PopulationAnnealer::new().with_seed(seed).with_steps(32)),
-        Box::new(TabuSearch::new().with_seed(seed).with_num_reads(4)),
-        Box::new(SteepestDescent::new().with_seed(seed).with_num_reads(8)),
-    ];
-
-    describe_metrics(registry);
-    let mut shard = registry.shard();
-    for sampler in &samplers {
-        let name = sampler.name();
-        let (set, stats, dynamics) = sampler.run(&model, Some(&config));
-        let labels = [("sampler", name)];
-        if let Some(p) = stats.proposals {
-            shard.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
-        }
-        if let Some(a) = stats.accepted {
-            shard.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
-        }
-        shard.counter_add(
-            "qsmt_sampler_reads_total",
-            &labels,
-            set.total_reads() as f64,
-        );
-        if let Some(best) = set.lowest_energy() {
-            shard.gauge_set("qsmt_sampler_best_energy", &labels, best);
-            flight.record(&format!("exercise.{name}"), best);
-        }
-        for v in &dynamics.proposal_latency_ns {
-            shard.histogram_observe("qsmt_proposal_latency_ns", &labels, *v);
-        }
-        for v in &dynamics.sweep_improvement {
-            shard.histogram_observe("qsmt_sweep_improvement", &labels, *v);
-        }
-        for (i, b) in dynamics.beta_acceptance.iter().enumerate() {
-            let rung = i.to_string();
-            let rung_labels = [("sampler", name), ("rung", rung.as_str())];
-            shard.gauge_set("qsmt_beta", &rung_labels, b.beta);
-            shard.counter_add(
-                "qsmt_beta_proposals_total",
-                &rung_labels,
-                b.proposals as f64,
-            );
-            shard.counter_add("qsmt_beta_accepted_total", &rung_labels, b.accepted as f64);
-        }
-        for (i, s) in dynamics.swap_acceptance.iter().enumerate() {
-            let pair = i.to_string();
-            let pair_labels = [("pair", pair.as_str())];
-            shard.counter_add(
-                "qsmt_pt_swap_attempts_total",
-                &pair_labels,
-                s.attempts as f64,
-            );
-            shard.counter_add(
-                "qsmt_pt_swap_accepted_total",
-                &pair_labels,
-                s.accepted as f64,
-            );
-        }
-        if let Some(last) = dynamics.ess_trace.last() {
-            shard.gauge_set("qsmt_population_final_ess", &[], last.ess);
-        }
-        if let Some(min) = dynamics
-            .ess_trace
-            .iter()
-            .map(|p| p.ess)
-            .min_by(f64::total_cmp)
-        {
-            shard.gauge_set("qsmt_population_min_ess", &[], min);
-        }
-        if let Some(hits) = dynamics.aspiration_hits {
-            shard.counter_add("qsmt_tabu_aspiration_hits_total", &[], hits as f64);
-        }
-        if let Some(paths) = dynamics.accept_paths {
-            for (path, count) in [
-                ("early_accept", paths.early_accept),
-                ("hard_reject", paths.hard_reject),
-                ("bracket_accept", paths.bracket_accept),
-                ("bracket_reject", paths.bracket_reject),
-                ("exact_exp", paths.exact_exp),
-            ] {
-                shard.counter_add(
-                    "qsmt_accept_path_total",
-                    &[("sampler", name), ("path", path)],
-                    count as f64,
-                );
-            }
-        }
-    }
-    drop(shard);
-
-    // QPU pipeline: embed + anneal a chained model so chain-break series
-    // exist (the 8-var two-well needs chains on a 2×2 Chimera).
-    let qpu = QpuSimulator::new(Topology::chimera(2, 2, 4))
-        .with_seed(seed)
-        .with_num_reads(32);
-    match qpu.sample_qubo(&model) {
-        Ok(resp) => {
-            let labels = [("topology", "chimera-2x2-4")];
-            registry.counter_add(
-                "qsmt_qpu_broken_chains_total",
-                &labels,
-                resp.broken_chains as f64,
-            );
-            registry.counter_add(
-                "qsmt_qpu_chain_slots_total",
-                &labels,
-                resp.chain_slots as f64,
-            );
-            registry.gauge_set(
-                "qsmt_qpu_chain_break_fraction",
-                &labels,
-                resp.chain_break_fraction,
-            );
-            registry.counter_add(
-                "qsmt_qpu_discarded_reads_total",
-                &labels,
-                resp.discarded_reads as f64,
-            );
-            flight.record("exercise.qpu", resp.chain_break_fraction);
-        }
-        Err(e) => {
-            flight.record_detail("exercise.qpu.embed_error", 1.0, &e.to_string());
-        }
-    }
-}
-
-/// Registers HELP text for every series the exercise pass emits.
-fn describe_metrics(registry: &Registry) {
-    for (name, help) in [
-        (
-            "qsmt_sampler_proposals_total",
-            "Single-variable moves proposed, per sampler.",
-        ),
-        (
-            "qsmt_sampler_accepted_total",
-            "Proposed moves accepted, per sampler.",
-        ),
-        (
-            "qsmt_sampler_reads_total",
-            "Reads returned by the sampler's last exercise run.",
-        ),
-        (
-            "qsmt_sampler_best_energy",
-            "Lowest energy found on the last exercise run.",
-        ),
-        (
-            "qsmt_proposal_latency_ns",
-            "Per-proposal latency on the probe read, nanoseconds.",
-        ),
-        (
-            "qsmt_sweep_improvement",
-            "Best-energy improvement per probed sweep.",
-        ),
-        ("qsmt_beta", "Inverse temperature of each schedule rung."),
-        (
-            "qsmt_beta_proposals_total",
-            "Proposals judged at each schedule rung.",
-        ),
-        (
-            "qsmt_beta_accepted_total",
-            "Accepted moves at each schedule rung.",
-        ),
-        (
-            "qsmt_pt_swap_attempts_total",
-            "Replica-exchange attempts per adjacent ladder pair.",
-        ),
-        (
-            "qsmt_pt_swap_accepted_total",
-            "Replica exchanges accepted per adjacent ladder pair.",
-        ),
-        (
-            "qsmt_population_final_ess",
-            "Effective sample size at the final resampling step.",
-        ),
-        (
-            "qsmt_population_min_ess",
-            "Lowest effective sample size over the anneal.",
-        ),
-        (
-            "qsmt_tabu_aspiration_hits_total",
-            "Tabu moves admitted by the aspiration criterion.",
-        ),
-        (
-            "qsmt_accept_path_total",
-            "Metropolis decisions per acceptance-table fast path.",
-        ),
-        (
-            "qsmt_qpu_broken_chains_total",
-            "Broken chains observed across QPU reads.",
-        ),
-        (
-            "qsmt_qpu_chain_slots_total",
-            "Chain observations (reads x chains) across QPU reads.",
-        ),
-        (
-            "qsmt_qpu_chain_break_fraction",
-            "Broken chains per chain slot on the last submission.",
-        ),
-        (
-            "qsmt_qpu_discarded_reads_total",
-            "QPU reads dropped by the discard chain-break policy.",
-        ),
-    ] {
-        registry.describe(name, help);
-    }
-}
-
-/// Runs the solve service: exercise the samplers, bind the address,
-/// print the resolved endpoint, spawn the worker pool, then serve until
+/// Runs the solve service: bind the address, print the resolved
+/// endpoint, spawn the worker pool, then serve until
 /// a drain is requested — by SIGINT/SIGTERM, `POST /shutdown`, or (when
 /// [`ServeConfig::max_requests`] is set) after that many requests were
 /// accepted, the hook the end-to-end tests use to terminate
@@ -332,7 +73,6 @@ fn describe_metrics(registry: &Registry) {
 pub fn serve(config: &ServeConfig) -> Result<(), String> {
     let registry = qsmt_metrics::global();
     let flight = qsmt_metrics::global_flight();
-    exercise(registry, flight, config.seed);
     let svc = Arc::new(Service::new(config));
     service::install_shutdown_handler();
     let listener =
@@ -349,8 +89,9 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
         config.queue_depth.max(1),
         config.job_timeout.as_millis()
     );
-    // Nonblocking accept so the loop can poll the shutdown flags
-    // between connections.
+    // Nonblocking accept so the loop can check the drain triggers
+    // between connections; an idle loop waits for the next connection
+    // in `wait_for_connection`, at most 5 ms per check.
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("cannot configure listener: {e}"))?;
@@ -373,7 +114,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+                wait_for_connection(&listener, Duration::from_millis(5));
             }
             Err(_) => continue,
         }
@@ -397,6 +138,49 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
     use std::io::Write as _;
     let _ = writeln!(std::io::stdout(), "{}", svc.drain_summary());
     Ok(())
+}
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes, whichever comes first. A signal that lands on this thread
+/// ends the wait early (`poll` fails with `EINTR` even under
+/// `SA_RESTART`), so the accept loop re-checks its drain triggers at
+/// once.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one initialized `struct pollfd` that lives across
+    // the call, `nfds` is 1, and `poll` is in every libc std links. Its
+    // result needs no check: readiness, a timeout and an error alike
+    // return to the accept loop, which retries `accept`.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+/// Platforms without `poll(2)` sleep out the timeout instead.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    thread::sleep(timeout);
 }
 
 /// One-shot scrape client (`qsmt watch`): GETs a path from a running
@@ -502,8 +286,8 @@ pub fn submit(addr: &str, source: &str, opts: &SubmitOptions) -> Result<Json, St
     // client cap only guards against a vanished server.
     let poll_cap = Duration::from_millis(opts.timeout_ms.unwrap_or(0).max(60_000) * 2);
     let started = Instant::now();
-    loop {
-        thread::sleep(Duration::from_millis(50));
+    for delay in poll_delays().take_while(|_| started.elapsed() <= poll_cap) {
+        thread::sleep(delay);
         let (status, body) = http::http_request(addr, "GET", &format!("/jobs/{id}"), None)?;
         if status != 200 {
             return Err(format!("job {id} lookup answered HTTP {status}: {body}"));
@@ -525,10 +309,17 @@ pub fn submit(addr: &str, source: &str, opts: &SubmitOptions) -> Result<Json, St
             Some("queued" | "running") => {}
             other => return Err(format!("job {id} reported unknown status {other:?}")),
         }
-        if started.elapsed() > poll_cap {
-            return Err(format!("gave up polling job {id} after {poll_cap:?}"));
-        }
     }
+    Err(format!("gave up polling job {id} after {poll_cap:?}"))
+}
+
+/// The delays between `qsmt submit`'s job polls: 1 ms, doubling up to
+/// 50 ms. A job that finishes at once is seen within a few ms, and a
+/// long solve is still polled only 20 times a second.
+fn poll_delays() -> impl Iterator<Item = Duration> {
+    std::iter::successors(Some(Duration::from_millis(1)), |delay| {
+        Some((*delay * 2).min(Duration::from_millis(50)))
+    })
 }
 
 #[cfg(test)]
@@ -536,66 +327,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exercise_covers_every_subsystem() {
-        let registry = Registry::new();
-        let flight = FlightRecorder::new(64);
-        exercise(&registry, &flight, 7);
-        let text = registry.render_prometheus();
-        for sampler in [
-            "simulated-annealing",
-            "simulated-quantum-annealing",
-            "parallel-tempering",
-            "population-annealing",
-            "tabu-search",
-            "steepest-descent",
-        ] {
-            assert!(
-                text.contains(&format!("sampler=\"{sampler}\"")),
-                "missing series for {sampler} in:\n{text}"
-            );
-        }
-        for series in [
-            "qsmt_pt_swap_attempts_total",
-            "qsmt_population_final_ess",
-            "qsmt_tabu_aspiration_hits_total",
-            "qsmt_qpu_broken_chains_total",
-            "qsmt_qpu_chain_slots_total",
-            "qsmt_proposal_latency_ns_bucket",
-            "qsmt_accept_path_total",
-        ] {
-            assert!(text.contains(series), "missing {series} in:\n{text}");
-        }
-        assert!(!flight.is_empty(), "exercise must mark the flight recorder");
-    }
-
-    #[test]
-    fn exercise_is_deterministic_per_seed() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let f = FlightRecorder::new(8);
-        exercise(&a, &f, 3);
-        exercise(&b, &f, 3);
-        // Latency histograms time real clocks, so compare a timing-free
-        // series instead of the whole rendering.
-        assert_eq!(
-            a.counter_value(
-                "qsmt_sampler_accepted_total",
-                &[("sampler", "simulated-annealing")]
-            ),
-            b.counter_value(
-                "qsmt_sampler_accepted_total",
-                &[("sampler", "simulated-annealing")]
-            ),
-        );
+    fn submit_poll_delays_double_from_1_ms_up_to_50_ms() {
+        let delays: Vec<u128> = poll_delays().take(9).map(|d| d.as_millis()).collect();
+        assert_eq!(delays, [1, 2, 4, 8, 16, 32, 50, 50, 50]);
     }
 
     #[test]
     fn serve_answers_and_honors_request_cap() {
         // Bind on an OS-assigned port in-process, scrape it, and let the
         // request cap terminate the loop.
-        let registry = qsmt_metrics::global();
-        let flight = qsmt_metrics::global_flight();
-        exercise(registry, flight, 1);
         let svc = Arc::new(Service::new(&ServeConfig::default()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -606,7 +346,7 @@ mod tests {
             }
         });
         let metrics = fetch(&addr.to_string(), "/metrics").unwrap();
-        assert!(metrics.contains("# TYPE qsmt_sampler_proposals_total counter"));
+        assert!(metrics.contains("# TYPE qsmt_serve_queue_depth gauge"));
         let flight_body = fetch(&addr.to_string(), "/flight").unwrap();
         assert!(flight_body.contains("\"events\""));
         assert!(fetch(&addr.to_string(), "/nope").is_err());

@@ -20,7 +20,7 @@ use qsmt_core::{SolveCache, SolveOptions, StringSolver};
 use qsmt_metrics::{FlightRecorder, Registry};
 use qsmt_qubo::StopFlag;
 use qsmt_smtlib::Script;
-use qsmt_telemetry::Json;
+use qsmt_telemetry::{Json, RunReport};
 use qsmt_trace::{RunStore, TraceId};
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
@@ -99,11 +99,8 @@ struct Job {
     deadline: Instant,
 }
 
-/// Lifecycle of a job as reported by `GET /jobs/<id>`. Every accepted
-/// job ends in exactly one of the three terminal states.
-enum JobStatus {
-    Queued,
-    Running,
+/// How a job ended. Every accepted job ends in exactly one of these.
+enum Outcome {
     Completed {
         report: Json,
     },
@@ -116,14 +113,34 @@ enum JobStatus {
     },
 }
 
+impl Outcome {
+    fn label(&self) -> &'static str {
+        match self {
+            Outcome::Completed { .. } => "completed",
+            Outcome::Failed { .. } => "failed",
+            Outcome::TimedOut { .. } => "timed_out",
+        }
+    }
+}
+
+/// Lifecycle of a job as reported by `GET /jobs/<id>`.
+enum JobStatus {
+    Queued,
+    Running,
+    /// Terminal: the [`Outcome`]'s label and the job's status document,
+    /// rendered once when the job finished.
+    Finished {
+        label: &'static str,
+        doc: Arc<str>,
+    },
+}
+
 impl JobStatus {
     fn label(&self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
             JobStatus::Running => "running",
-            JobStatus::Completed { .. } => "completed",
-            JobStatus::Failed { .. } => "failed",
-            JobStatus::TimedOut { .. } => "timed_out",
+            JobStatus::Finished { label, .. } => label,
         }
     }
 }
@@ -251,6 +268,18 @@ impl Service {
             (
                 "qsmt_flight_dropped_total",
                 "Flight-recorder events evicted by ring wrap (history silently lost).",
+            ),
+            (
+                "qsmt_sampler_proposals_total",
+                "Single-variable moves proposed by jobs' solves, per sampler.",
+            ),
+            (
+                "qsmt_sampler_accepted_total",
+                "Proposed moves accepted in jobs' solves, per sampler.",
+            ),
+            (
+                "qsmt_sampler_reads_total",
+                "Reads taken by jobs' solves, per sampler.",
             ),
         ] {
             registry.describe(name, help);
@@ -427,26 +456,27 @@ impl Service {
         TraceId::derive(self.base_seed.rotate_left(32) ^ id)
     }
 
-    /// Renders one job's status document, or `None` for an unknown (or
-    /// evicted) id.
-    fn status_json(&self, id: u64) -> Option<String> {
-        let jobs = self.jobs.lock().expect("jobs lock");
-        let status = jobs.status.get(&id)?;
+    /// One job's status document, or `None` for an unknown (or evicted)
+    /// id. A terminal job's document was rendered when it finished;
+    /// a queued or running one is rendered here, outside the lock.
+    fn status_json(&self, id: u64) -> Option<Arc<str>> {
+        let label = match self.jobs.lock().expect("jobs lock").status.get(&id)? {
+            JobStatus::Finished { doc, .. } => return Some(Arc::clone(doc)),
+            live => live.label(),
+        };
+        Some(self.render_status(id, label, Vec::new()).into())
+    }
+
+    /// Renders a status document: the job's id, status label and trace
+    /// id, plus `detail` (a terminal outcome's fields).
+    fn render_status(&self, id: u64, label: &str, detail: Vec<(&'static str, Json)>) -> String {
         let mut pairs = vec![
             ("id", Json::from(format!("job-{id}"))),
-            ("status", Json::from(status.label())),
+            ("status", Json::from(label)),
+            ("trace_id", Json::from(self.trace_id(id).to_string())),
         ];
-        pairs.push(("trace_id", Json::from(self.trace_id(id).to_string())));
-        match status {
-            JobStatus::Completed { report } => pairs.push(("report", report.clone())),
-            JobStatus::Failed { error } => pairs.push(("error", Json::from(error.as_str()))),
-            JobStatus::TimedOut { site, timeout } => {
-                pairs.push(("where", Json::from(*site)));
-                pairs.push(("timeout_ms", Json::from(timeout.as_millis() as u64)));
-            }
-            JobStatus::Queued | JobStatus::Running => {}
-        }
-        Some(Json::obj(pairs).pretty())
+        pairs.extend(detail);
+        Json::obj(pairs).pretty()
     }
 
     /// Renders the job-table summary for `GET /jobs`.
@@ -511,7 +541,7 @@ impl Service {
         if Instant::now() >= job.deadline {
             self.finish(
                 job,
-                JobStatus::TimedOut {
+                Outcome::TimedOut {
                     site: "queue",
                     timeout: job.timeout,
                 },
@@ -564,38 +594,37 @@ impl Service {
         cv.notify_all();
         let _ = timer.join();
 
-        let status = if stop.is_stopped() {
+        let outcome = if stop.is_stopped() {
             // The deadline fired while sampling; whatever came back is a
             // partial anneal, so the job is timed out, not completed.
-            JobStatus::TimedOut {
+            Outcome::TimedOut {
                 site: "sampling",
                 timeout: job.timeout,
             }
         } else {
             match result {
-                Ok(Ok(report)) => JobStatus::Completed { report },
-                Ok(Err(error)) => JobStatus::Failed { error },
+                Ok(Ok(report)) => Outcome::Completed { report },
+                Ok(Err(error)) => Outcome::Failed { error },
                 Err(payload) => {
                     let msg = payload
                         .downcast_ref::<String>()
                         .cloned()
                         .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
                         .unwrap_or_else(|| "solver panicked".to_string());
-                    JobStatus::Failed {
+                    Outcome::Failed {
                         error: format!("solver panicked: {msg}"),
                     }
                 }
             }
         };
-        self.finish(job, status);
+        self.finish(job, outcome);
     }
 
     /// The actual solve: parse, then one [`Script::run`] with absint and
     /// probes on — racing the portfolio when the job asked for it — with
     /// the job's seed/reads, the cancellation flag, and the shared solve
-    /// cache, producing a schema-v10
-    /// [`RunReport`](qsmt_telemetry::RunReport) document carrying the
-    /// job's trace id.
+    /// cache, producing a schema-v10 [`RunReport`] document carrying the
+    /// job's trace id. Its sampling work is published first.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
         let mut solver = StringSolver::with_defaults()
@@ -620,43 +649,80 @@ impl Service {
             started.elapsed().as_micros() as u64,
             Some(job.trace_id.get()),
         );
+        self.publish_sampling(&report);
         Ok(report.to_json())
     }
 
-    /// Records a terminal state: job table, tallies, counters, latency.
-    fn finish(&self, job: &Job, status: JobStatus) {
-        let outcome = status.label();
-        let (tally, counter) = match status {
-            JobStatus::Completed { .. } => {
-                (&self.tally.completed, "qsmt_serve_jobs_completed_total")
+    /// Adds a job's sampling work to the per-sampler counters, summed
+    /// over every goal's solves. Exact cache hits (sampler `"cache"`)
+    /// replay a stored sample set without sampling, so they add nothing.
+    fn publish_sampling(&self, report: &RunReport) {
+        let mut shard = self.registry.shard();
+        let solves = report.goals.iter().flat_map(|goal| &goal.solves);
+        for sampling in solves
+            .map(|solve| &solve.sampling)
+            .filter(|s| s.sampler != "cache")
+        {
+            let labels = [("sampler", sampling.sampler.as_str())];
+            if let Some(p) = sampling.proposals {
+                shard.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
             }
-            JobStatus::Failed { .. } => (&self.tally.failed, "qsmt_serve_jobs_failed_total"),
-            JobStatus::TimedOut { .. } => {
-                (&self.tally.timed_out, "qsmt_serve_jobs_timed_out_total")
+            if let Some(a) = sampling.accepted {
+                shard.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
             }
-            JobStatus::Queued | JobStatus::Running => unreachable!("finish takes terminal states"),
+            shard.counter_add("qsmt_sampler_reads_total", &labels, sampling.reads as f64);
+        }
+    }
+
+    /// Records a terminal state: tallies, counters, latency, run store,
+    /// and the job table, which keeps the status document rendered here
+    /// so that polls only copy it.
+    fn finish(&self, job: &Job, outcome: Outcome) {
+        let label = outcome.label();
+        let (tally, counter) = match outcome {
+            Outcome::Completed { .. } => (&self.tally.completed, "qsmt_serve_jobs_completed_total"),
+            Outcome::Failed { .. } => (&self.tally.failed, "qsmt_serve_jobs_failed_total"),
+            Outcome::TimedOut { .. } => (&self.tally.timed_out, "qsmt_serve_jobs_timed_out_total"),
         };
         tally.fetch_add(1, Ordering::SeqCst);
         self.registry.counter_add(counter, &[], 1.0);
         self.registry.histogram_observe(
             "qsmt_serve_job_latency_us",
-            &[("outcome", outcome)],
+            &[("outcome", label)],
             job.submitted.elapsed().as_micros() as f64,
         );
         self.flight.record_detail(
-            &format!("serve.job_{outcome}"),
+            &format!("serve.job_{label}"),
             job.id as f64,
             &format!("job-{}", job.id),
         );
-        // Completed reports feed the run-history store; a full disk or
-        // bad path degrades to a flight event, never a failed job.
-        if let (Some(store), JobStatus::Completed { report }) = (&self.run_store, &status) {
-            if let Err(e) = store.append(report) {
-                self.flight
-                    .record_detail("serve.run_store_error", job.id as f64, &e.to_string());
+        let detail = match outcome {
+            Outcome::Completed { report } => {
+                // Completed reports feed the run-history store; a full
+                // disk or bad path degrades to a flight event, never a
+                // failed job.
+                if let Some(store) = &self.run_store {
+                    if let Err(e) = store.append(&report) {
+                        self.flight.record_detail(
+                            "serve.run_store_error",
+                            job.id as f64,
+                            &e.to_string(),
+                        );
+                    }
+                }
+                vec![("report", report)]
             }
-        }
-        self.jobs.lock().expect("jobs lock").finish(job.id, status);
+            Outcome::Failed { error } => vec![("error", Json::from(error))],
+            Outcome::TimedOut { site, timeout } => vec![
+                ("where", Json::from(site)),
+                ("timeout_ms", Json::from(timeout.as_millis() as u64)),
+            ],
+        };
+        let doc = self.render_status(job.id, label, detail).into();
+        self.jobs
+            .lock()
+            .expect("jobs lock")
+            .finish(job.id, JobStatus::Finished { label, doc });
     }
 
     /// Publishes newly observed flight-ring drops as counter increments
@@ -849,7 +915,6 @@ pub fn shutdown_signalled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsmt_telemetry::RunReport;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
         let (path, query) = match path.split_once('?') {
@@ -1005,17 +1070,17 @@ mod tests {
                 submitted: now,
                 deadline: now,
             };
-            let status = match id % 3 {
-                0 => JobStatus::Completed { report: Json::Null },
-                1 => JobStatus::Failed {
+            let outcome = match id % 3 {
+                0 => Outcome::Completed { report: Json::Null },
+                1 => Outcome::Failed {
                     error: "synthetic".into(),
                 },
-                _ => JobStatus::TimedOut {
+                _ => Outcome::TimedOut {
                     site: "queue",
                     timeout: job.timeout,
                 },
             };
-            svc.finish(&job, status);
+            svc.finish(&job, outcome);
         }
         for id in first..first + evicted {
             assert!(svc.status_json(id).is_none(), "job-{id} not evicted");

@@ -189,6 +189,42 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
 }
 
 #[test]
+fn solve_into_a_closed_pipe_exits_cleanly_and_still_writes_the_report() {
+    use qsmt::telemetry::Json;
+    use std::process::Stdio;
+    let report_path =
+        std::env::temp_dir().join(format!("qsmt-cli-closed-pipe-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&report_path);
+    let mut child = qsmt()
+        .args([
+            "solve",
+            &corpus("table1_row2_palindrome.smt2"),
+            "--stats",
+            "--report",
+            report_path.to_str().expect("utf8 path"),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the reading end before the solve prints its first line, as
+    // `qsmt solve f.smt2 | head -1` does once head has its line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "exit {:?}, stderr: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let report_text = std::fs::read_to_string(&report_path).expect("report written");
+    let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
+    assert_eq!(report.get("status").and_then(Json::as_str), Some("sat"));
+    let _ = std::fs::remove_file(&report_path);
+}
+
+#[test]
 fn history_flags_injected_regression_and_exits_nonzero() {
     let path = std::env::temp_dir().join(format!("qsmt-cli-history-{}.jsonl", std::process::id()));
     // 20 steady runs, then 5 whose sample-stage p50 drifted +160%: far

@@ -1,15 +1,71 @@
-//! End-to-end scrape test for the live-metrics endpoint: starts the real
-//! `qsmt serve` binary on an ephemeral port, scrapes `/metrics` and
-//! `/flight` over plain TCP, and validates the Prometheus text-format
-//! output documented in docs/OBSERVABILITY.md. The `--max-requests` cap
-//! makes the server exit on its own, so the test never leaks a child.
+//! End-to-end scrape tests for the live-metrics endpoint: each starts the
+//! real `qsmt serve` binary on an ephemeral port, submits seeded jobs,
+//! scrapes `/metrics` and `/flight` over plain TCP, and validates the
+//! Prometheus text-format output documented in docs/OBSERVABILITY.md.
+//!
+//! The tests learn that their jobs are done from the run store
+//! (`--run-store`), not by polling, so every server answers a known
+//! number of requests and the `--max-requests` cap makes it exit on its
+//! own: no test leaks a child.
 
+use qsmt::telemetry::Json;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn spawn_server(max_requests: u32) -> (Child, String) {
+/// A 2-char reverse: simulated annealing solves it in milliseconds.
+const REVERSE: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n";
+
+/// Jobs with seeds: a cold solve, its exact cache hit (which samples
+/// nothing), a same-shape warm start, and a script absint refutes
+/// before any goal is compiled.
+fn seeded_jobs() -> Vec<(String, String)> {
+    vec![
+        ("/solve?seed=1".into(), REVERSE.into()),
+        ("/solve?seed=2".into(), REVERSE.into()),
+        ("/solve?seed=3".into(), REVERSE.replace("\"ab\"", "\"cd\"")),
+        (
+            "/solve?seed=4".into(),
+            "(set-logic QF_S)\n(declare-const x String)\n\
+             (assert (str.contains x \"toolong\"))\n\
+             (assert (= (str.len x) 3))\n(check-sat)\n"
+                .into(),
+        ),
+    ]
+}
+
+/// The per-job sampler counters `qsmt serve` publishes.
+const SAMPLER_SERIES: [(&str, &str); 3] = [
+    ("qsmt_sampler_proposals_total", "proposals"),
+    ("qsmt_sampler_accepted_total", "accepted"),
+    ("qsmt_sampler_reads_total", "reads"),
+];
+
+/// A `qsmt serve` child that writes completed reports to its own run
+/// store and is killed if a test fails before it exits.
+struct Server {
+    child: Child,
+    addr: String,
+    store: PathBuf,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.store);
+    }
+}
+
+fn spawn_server(tag: &str, max_requests: usize) -> Server {
+    let store = std::env::temp_dir().join(format!(
+        "qsmt-serve-metrics-{}-{tag}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store);
     let mut child = Command::new(env!("CARGO_BIN_EXE_qsmt"))
         .args([
             "serve",
@@ -17,6 +73,12 @@ fn spawn_server(max_requests: u32) -> (Child, String) {
             "127.0.0.1:0",
             "--seed",
             "7",
+            // One worker runs the jobs in submission order, so the cache
+            // sees the same sequence in every process.
+            "--workers",
+            "1",
+            "--run-store",
+            store.to_str().expect("utf8 temp path"),
             "--max-requests",
             &max_requests.to_string(),
         ])
@@ -37,19 +99,19 @@ fn spawn_server(max_requests: u32) -> (Child, String) {
             break rest.trim().to_string();
         }
     };
-    (child, addr)
+    Server { child, addr, store }
 }
 
-/// Minimal HTTP/1.1 GET returning (status line, headers, body).
-fn get(addr: &str, path: &str) -> (String, String, String) {
-    let stream = TcpStream::connect(addr).expect("connect to qsmt serve");
+/// Minimal HTTP/1.1 exchange returning (status line, headers, body).
+fn request(addr: &str, method: &str, path: &str, body: &str) -> (String, String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to qsmt serve");
     stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
+        .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
-    let mut stream = stream;
     write!(
         stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
     )
     .expect("request written");
     let mut response = String::new();
@@ -63,50 +125,135 @@ fn get(addr: &str, path: &str) -> (String, String, String) {
     (status.to_string(), headers.to_string(), body.to_string())
 }
 
+/// Submits every job and waits until the run store holds all of their
+/// reports; returns the reports. A report is stored after the job's
+/// counters are published, so a scrape taken now counts every job.
+fn run_jobs(server: &Server, jobs: &[(String, String)]) -> Vec<Json> {
+    for (path, script) in jobs {
+        let (status, _, body) = request(&server.addr, "POST", path, script);
+        assert!(status.contains("202"), "{path} refused: {status} {body}");
+    }
+    let started = Instant::now();
+    loop {
+        let reports = stored_reports(&server.store);
+        if reports.len() == jobs.len() {
+            return reports;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(120),
+            "{} of {} jobs stored",
+            reports.len(),
+            jobs.len()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The complete lines of a run store, parsed.
+fn stored_reports(store: &Path) -> Vec<Json> {
+    let text = std::fs::read_to_string(store).unwrap_or_default();
+    let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+    complete
+        .lines()
+        .map(|line| qsmt::telemetry::parse(line).expect("stored report is JSON"))
+        .collect()
+}
+
+/// Per-sampler sums of one `sampling` field over every solve of every
+/// report, leaving out exact cache hits (sampler `"cache"`).
+fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
+    let mut sums = BTreeMap::new();
+    let solves = reports
+        .iter()
+        .filter_map(|r| r.get("goals").and_then(Json::as_arr))
+        .flatten()
+        .filter_map(|goal| goal.get("solves").and_then(Json::as_arr))
+        .flatten();
+    for sampling in solves.filter_map(|solve| solve.get("sampling")) {
+        let sampler = sampling
+            .get("sampler")
+            .and_then(Json::as_str)
+            .expect("sampling names its sampler");
+        if sampler == "cache" {
+            continue;
+        }
+        if let Some(value) = sampling.get(field).and_then(Json::as_u64) {
+            *sums.entry(sampler.to_string()).or_insert(0.0) += value as f64;
+        }
+    }
+    sums
+}
+
+/// Every `name{sampler="…"} value` sample of one metric, by sampler.
+fn by_sampler(metrics: &str, name: &str) -> BTreeMap<String, f64> {
+    let prefix = format!("{name}{{sampler=\"");
+    metrics
+        .lines()
+        .filter_map(|line| line.strip_prefix(&prefix))
+        .map(|rest| {
+            let (sampler, value) = rest.split_once("\"} ").expect("one sampler label");
+            (sampler.to_string(), value.parse().expect("numeric sample"))
+        })
+        .collect()
+}
+
 #[test]
 fn serve_exposes_prometheus_metrics_for_every_subsystem() {
-    let (mut child, addr) = spawn_server(2);
+    let mut jobs = seeded_jobs();
+    // A portfolio race on a small model, won by exact enumeration: a
+    // second sampler label.
+    jobs.push((
+        "/solve?portfolio=1&seed=5".into(),
+        "(set-logic QF_S)\n(declare-const x String)\n(assert (= (str.len x) 3))\n\
+         (assert (= (str.at x 1) \"q\"))\n(check-sat)\n(get-model)\n"
+            .into(),
+    ));
+    // Every job, then one scrape of /metrics and one of /flight.
+    let mut server = spawn_server("subsystems", jobs.len() + 2);
+    let reports = run_jobs(&server, &jobs);
 
-    let (status, headers, body) = get(&addr, "/metrics");
+    let (status, headers, body) = request(&server.addr, "GET", "/metrics", "");
     assert!(status.contains("200"), "status: {status}");
     assert!(
         headers.contains("text/plain; version=0.0.4"),
         "Prometheus exposition content type, got: {headers}"
     );
 
-    // Text-format structure: HELP before TYPE, known metric kinds.
-    assert!(body.contains("# HELP qsmt_sampler_proposals_total"));
-    assert!(body.contains("# TYPE qsmt_sampler_proposals_total counter"));
-    assert!(body.contains("# TYPE qsmt_sampler_best_energy gauge"));
-    assert!(body.contains("# TYPE qsmt_proposal_latency_ns histogram"));
-
-    // Every sampler surfaces at least its proposal series.
-    for sampler in [
-        "simulated-annealing",
-        "simulated-quantum-annealing",
-        "parallel-tempering",
-        "population-annealing",
-        "tabu-search",
-        "steepest-descent",
-    ] {
+    // The per-job sampler series exist, with HELP before TYPE, and count
+    // exactly what the jobs' reports say ran.
+    for (name, field) in SAMPLER_SERIES {
+        assert!(body.contains(&format!("# HELP {name} ")), "{name} HELP");
         assert!(
-            body.contains(&format!("sampler=\"{sampler}\"")),
-            "missing sampler {sampler} in:\n{body}"
+            body.contains(&format!("# TYPE {name} counter")),
+            "{name} TYPE"
+        );
+        assert_eq!(
+            by_sampler(&body, name),
+            sampling_sums(&reports, field),
+            "{name} disagrees with the job reports:\n{body}"
         );
     }
-
-    // Subsystem-specific series: PT swaps, population ESS, tabu
-    // aspiration, QPU chain breaks, histogram buckets with +Inf.
-    for series in [
-        "qsmt_pt_swap_attempts_total{",
-        "qsmt_population_final_ess ",
-        "qsmt_tabu_aspiration_hits_total",
-        "qsmt_qpu_broken_chains_total{",
-        "qsmt_qpu_chain_slots_total{",
-        "le=\"+Inf\"",
-    ] {
-        assert!(body.contains(series), "missing {series} in:\n{body}");
+    for sampler in ["simulated-annealing", "exact"] {
+        assert!(
+            by_sampler(&body, "qsmt_sampler_reads_total").contains_key(sampler),
+            "no reads counted for {sampler}:\n{body}"
+        );
     }
+    assert!(
+        !body.contains("sampler=\"cache\""),
+        "exact cache hits sample nothing:\n{body}"
+    );
+    assert!(
+        body.contains(&format!("qsmt_serve_jobs_completed_total {}", jobs.len())),
+        "every job completed:\n{body}"
+    );
+    // Only real jobs feed the catalogue: no synthetic start-up series.
+    for gone in ["qsmt_qpu_", "qsmt_beta", "qsmt_sampler_best_energy"] {
+        assert!(!body.contains(gone), "{gone} is back:\n{body}");
+    }
+    // Histogram buckets render with +Inf.
+    assert!(body.contains("qsmt_serve_job_latency_us_bucket{"));
+    assert!(body.contains("le=\"+Inf\""));
 
     // Every exposition line is either a comment or `name{labels} value`
     // with a parseable finite value.
@@ -122,35 +269,48 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
         assert!(value.is_finite(), "non-finite sample: {line}");
     }
 
-    // Second (and last) allowed request: the flight recorder dump.
-    let (status, headers, body) = get(&addr, "/flight");
+    // Last allowed request: the flight recorder dump.
+    let (status, headers, body) = request(&server.addr, "GET", "/flight", "");
     assert!(status.contains("200"), "status: {status}");
     assert!(headers.contains("application/json"), "headers: {headers}");
     assert!(body.contains("\"events\""), "flight dump body:\n{body}");
 
     // The request cap makes the server exit cleanly on its own.
-    let exit = child.wait().expect("server exits after max-requests");
+    let exit = server
+        .child
+        .wait()
+        .expect("server exits after max-requests");
     assert!(exit.success(), "server exit status: {exit:?}");
 }
 
 #[test]
 fn serve_is_deterministic_per_seed_across_processes() {
-    let (mut a, addr_a) = spawn_server(1);
-    let (mut b, addr_b) = spawn_server(1);
-    let (_, _, body_a) = get(&addr_a, "/metrics");
-    let (_, _, body_b) = get(&addr_b, "/metrics");
-    // Counters come from seeded sampler runs, so two servers on the same
-    // seed expose identical counter samples (gauges/histograms include
-    // wall-clock latencies, so only _total series are compared).
-    let totals = |body: &str| -> Vec<String> {
+    let jobs = seeded_jobs();
+    // Sampler counters come from seeded jobs, so two servers given the
+    // same jobs expose identical counter samples (histograms time wall
+    // clocks, so only _total series are compared).
+    let totals = |tag: &str| -> Vec<String> {
+        let mut server = spawn_server(tag, jobs.len() + 1);
+        run_jobs(&server, &jobs);
+        let (_, _, body) = request(&server.addr, "GET", "/metrics", "");
+        let exit = server
+            .child
+            .wait()
+            .expect("server exits after max-requests");
+        assert!(exit.success(), "server exit status: {exit:?}");
         body.lines()
             .filter(|l| !l.starts_with('#') && l.contains("_total"))
             .filter(|l| !l.contains("latency"))
             .map(str::to_string)
             .collect()
     };
-    assert_eq!(totals(&body_a), totals(&body_b));
-    assert!(!totals(&body_a).is_empty());
-    a.wait().expect("first server exits");
-    b.wait().expect("second server exits");
+    let a = totals("a");
+    assert_eq!(a, totals("b"));
+    for (name, _) in SAMPLER_SERIES {
+        assert!(
+            a.iter()
+                .any(|l| l.starts_with(&format!("{name}{{sampler=\"simulated-annealing\"}}"))),
+            "{name} missing from {a:#?}"
+        );
+    }
 }

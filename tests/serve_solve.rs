@@ -691,6 +691,74 @@ fn unknown_job_lookup_is_a_404_not_a_hang() {
     assert_eq!(summary["accepted"], 0);
 }
 
+/// An idle server accepts each connection the moment it arrives: the
+/// accept loop waits on the listener's readiness, not on a fixed sleep,
+/// so back-to-back probes do not queue behind a poll interval.
+#[test]
+fn idle_server_answers_back_to_back_probes_at_once() {
+    let mut server = spawn_server(&["--workers", "1"]);
+    let addr = server.addr.clone();
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            let (code, _, body) = request(&addr, "GET", "/healthz", "");
+            assert_eq!(code, 200, "healthz: {body}");
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(2500),
+        "median /healthz round trip {median:?}, all: {round_trips:?}"
+    );
+
+    let (code, _, _) = request(&addr, "POST", "/shutdown", "");
+    assert_eq!(code, 200);
+    let summary = server.wait_for_drain();
+    assert_eq!(summary["accepted"], 0);
+}
+
+#[test]
+fn submit_cli_prints_the_completed_job_document() {
+    let mut server = spawn_server(&["--workers", "1"]);
+    let script_path =
+        std::env::temp_dir().join(format!("qsmt-e2e-submit-{}.smt2", std::process::id()));
+    std::fs::write(&script_path, SCRIPT).expect("script written");
+    let out = Command::new(env!("CARGO_BIN_EXE_qsmt"))
+        .args([
+            "submit",
+            &server.addr,
+            script_path.to_str().expect("utf8 temp path"),
+            "--seed",
+            "3",
+        ])
+        .output()
+        .expect("qsmt submit runs");
+    let _ = std::fs::remove_file(&script_path);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is utf8");
+    assert!(
+        out.status.success(),
+        "qsmt submit exit {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The status document json_str reads last is the top-level one.
+    assert_eq!(json_str(&stdout, "status").as_deref(), Some("completed"));
+    assert_eq!(json_str(&stdout, "id").as_deref(), Some("job-1"));
+    assert!(
+        stdout.contains("\"schema_version\": 10"),
+        "no embedded report: {stdout}"
+    );
+    assert_eq!(json_str(&stdout, "answer").as_deref(), Some("ba"));
+
+    let (code, _, _) = request(&server.addr, "POST", "/shutdown", "");
+    assert_eq!(code, 200);
+    let summary = server.wait_for_drain();
+    assert_eq!(summary["accepted"], 1);
+    assert_eq!(summary["completed"], 1);
+}
+
 /// Extracts a boolean field scoped to the member object that follows a
 /// `"member": "<kind>"` marker — member objects serialize with sorted
 /// keys, so `"stopped"` prints after `"member"` within the same object.
