@@ -59,7 +59,7 @@ mod tabu;
 mod tempering;
 pub mod tune;
 
-pub use accept::{AcceptCounters, AcceptanceTable, LN_ACCEPT_CUTOFF};
+pub use accept::{AcceptanceTable, LN_ACCEPT_CUTOFF};
 pub use descent::SteepestDescent;
 pub use exact::ExactSolver;
 pub use polished::Polished;

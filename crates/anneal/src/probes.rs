@@ -21,8 +21,6 @@ use std::time::Instant;
 
 use qsmt_telemetry::dynamics::{BetaAcceptance, EssPoint, SwapAcceptance, TracePoint};
 
-use crate::accept::AcceptCounters;
-
 /// Hard cap on raw per-sweep probe samples (latency, improvement) kept
 /// in memory; sweeps beyond this are subsampled by stride.
 pub const MAX_RAW_SAMPLES: usize = 4096;
@@ -70,8 +68,6 @@ pub struct SamplerDynamics {
     pub proposal_latency_ns: Vec<f64>,
     /// Best-energy improvement per probed sweep (≥ 0).
     pub sweep_improvement: Vec<f64>,
-    /// Acceptance-table fast-path counters from the probe read.
-    pub accept_paths: Option<AcceptCounters>,
     /// Measured wall-clock interval per read, `(offset_us, dur_us)`
     /// relative to the start of the probed run, indexed by read. Reads
     /// executed together in one bit-sliced block share the block's
@@ -91,7 +87,6 @@ impl SamplerDynamics {
             && self.aspiration_hits.is_none()
             && self.proposal_latency_ns.is_empty()
             && self.sweep_improvement.is_empty()
-            && self.accept_paths.is_none()
             && self.read_spans.is_empty()
     }
 }
@@ -218,16 +213,14 @@ pub fn aggregate_betas(entries: &[BetaAcceptance], max: usize) -> Vec<BetaAccept
 }
 
 /// Probe state of one Metropolis probe read (simulated annealing and
-/// simulated quantum annealing): acceptance fast-path counters, per-β
-/// acceptance rows, the decimated best-energy trace, and strided
-/// per-sweep latency and improvement samples. The read loop reports its
-/// best energy at [`SweepProbes::start`] and around every sweep; the
-/// probes never see the RNG.
+/// simulated quantum annealing): per-β acceptance rows, the decimated
+/// best-energy trace, and strided per-sweep latency and improvement
+/// samples. The read loop reports its best energy at
+/// [`SweepProbes::start`] and around every sweep; the probes never see
+/// the RNG.
 #[derive(Debug)]
 pub(crate) struct SweepProbes {
     max_trace_points: usize,
-    /// Fast-path counters, threaded through `accept_counted`.
-    pub(crate) counters: AcceptCounters,
     /// Acceptance rows, aggregated to `max_trace_points` on finish.
     pub(crate) beta_acceptance: Vec<BetaAcceptance>,
     trace: Decimator,
@@ -242,7 +235,6 @@ impl SweepProbes {
     pub(crate) fn new(config: &ProbeConfig, sweeps: usize) -> Self {
         Self {
             max_trace_points: config.max_trace_points,
-            counters: AcceptCounters::default(),
             beta_acceptance: Vec::new(),
             trace: Decimator::new(config.max_trace_points),
             latency: StridedSampler::new(sweeps as u64),
@@ -286,7 +278,6 @@ impl SweepProbes {
             beta_acceptance: aggregate_betas(&self.beta_acceptance, self.max_trace_points),
             proposal_latency_ns: self.latency.into_samples(),
             sweep_improvement: self.improvement.into_samples(),
-            accept_paths: Some(self.counters),
             ..SamplerDynamics::default()
         }
     }

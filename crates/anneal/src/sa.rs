@@ -180,8 +180,8 @@ impl SimulatedAnnealer {
     /// through [`SimulatedAnnealer::read_block`], and the bit-identity
     /// tests compare its lanes against this loop. With `probes` it is the
     /// probe read, observed per sweep (best energy, per-β acceptance,
-    /// sweep latency, acceptance-table fast paths) with the same
-    /// proposals, acceptance decisions and RNG draws. The returned `u64`
+    /// sweep latency) with the same proposals, acceptance decisions and
+    /// RNG draws. The returned `u64`
     /// counts accepted flips.
     fn one_read(
         compiled: &CompiledQubo,
@@ -225,7 +225,7 @@ impl SimulatedAnnealer {
                     p.begin_sweep(watermark.best());
                     let mut accepted_this = 0u64;
                     for i in 0..n {
-                        if table.accept_counted(kernel.delta(i as Var), &mut rng, &mut p.counters) {
+                        if table.accept(kernel.delta(i as Var), &mut rng) {
                             kernel.flip(compiled, i as Var);
                             watermark.observe(kernel.energy());
                             accepted_this += 1;
@@ -514,8 +514,8 @@ mod tests {
         assert_eq!(probed, plain, "probes must not change results");
         assert_eq!(stats.accepted, sa.sample_stats(&m).1.accepted);
         // The probe read produced a trace ending at the realized sweep
-        // count, a bounded β-acceptance table, and fast-path counters
-        // covering every probe-read proposal.
+        // count and a bounded β-acceptance table covering every
+        // probe-read proposal.
         let sweeps = stats.sweeps.unwrap();
         assert_eq!(dynamics.energy_trace.last().unwrap().sweep, sweeps);
         assert!(!dynamics.beta_acceptance.is_empty());
@@ -528,7 +528,6 @@ mod tests {
                 .sum::<u64>(),
             sweeps * 6
         );
-        assert_eq!(dynamics.accept_paths.unwrap().total(), sweeps * 6);
         assert_eq!(dynamics.sweep_improvement.len() as u64, sweeps);
         assert!(!dynamics.proposal_latency_ns.is_empty());
         // Best-energy trace is non-increasing.

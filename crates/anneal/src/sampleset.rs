@@ -1,10 +1,9 @@
 //! Sample aggregation: the result type every sampler returns.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One distinct binary assignment drawn by a sampler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// The binary assignment (one 0/1 byte per variable).
     pub state: Vec<u8>,
@@ -20,7 +19,7 @@ pub struct Sample {
 /// occurrence count, the lowest-energy sample comes first, and ties are
 /// broken by occurrence count (more frequent first) then lexicographically
 /// by state for determinism.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleSet {
     samples: Vec<Sample>,
 }
@@ -159,7 +158,7 @@ impl SampleSet {
 }
 
 /// Read-weighted summary statistics of a sample set's energies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyStats {
     /// Lowest observed energy.
     pub min: f64,

@@ -1,14 +1,13 @@
 //! Annealing temperature (β = 1/T) schedules.
 
 use qsmt_qubo::CompiledQubo;
-use serde::{Deserialize, Serialize};
 
 /// An inverse-temperature schedule for simulated annealing.
 ///
 /// The annealer performs one full sweep over the variables at each β in the
 /// realized schedule, moving from the hot end (small β, near-random walk) to
 /// the cold end (large β, near-greedy descent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BetaSchedule {
     /// β interpolated geometrically between `beta_min` and `beta_max` over
     /// `sweeps` steps — the default, matching D-Wave's neal sampler.

@@ -22,9 +22,10 @@
 //!    schedule instead of a full cold anneal.
 //!
 //! Every level is a bounded least-recently-used map; `capacity == 0`
-//! disables the cache entirely. Lookups, hits, misses, and warm starts
-//! are published as unlabeled `qsmt_cache_*` series through the global
-//! metrics registry (`docs/OBSERVABILITY.md`).
+//! disables the cache entirely. The cache publishes no metrics itself:
+//! each solve's report carries its lookup in the `cache` section, and
+//! `qsmt serve` derives the `qsmt_cache_*` series from those reports
+//! (`docs/OBSERVABILITY.md`).
 //!
 //! [`SimulatedAnnealer::with_initial_state`]: qsmt_anneal::SimulatedAnnealer::with_initial_state
 
@@ -33,7 +34,6 @@ use qsmt_qubo::ModelFingerprint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A cached exact-hit entry: the full sample set of a completed solve,
 /// plus the read budget and seed it was computed under so lookups can
@@ -89,31 +89,6 @@ impl SolveCache {
     /// (exact results, warm-start seeds). A capacity of zero
     /// disables every level: lookups miss, inserts are dropped.
     pub fn new(capacity: usize) -> Self {
-        let reg = qsmt_metrics::global();
-        reg.describe(
-            "qsmt_cache_hits_total",
-            "Cache lookups that found a usable entry (exact or shape key)",
-        );
-        reg.describe(
-            "qsmt_cache_exact_hits_total",
-            "Cache lookups answered verbatim from a cached sample set",
-        );
-        reg.describe(
-            "qsmt_cache_warm_starts_total",
-            "Cache lookups that seeded a reverse anneal from a cached ground state",
-        );
-        reg.describe(
-            "qsmt_cache_misses_total",
-            "Cache lookups that found nothing usable",
-        );
-        reg.describe(
-            "qsmt_cache_entries",
-            "Exact-key result entries currently cached",
-        );
-        reg.describe(
-            "qsmt_cache_lookup_us",
-            "Cache lookup latency in microseconds",
-        );
         Self {
             exact: Mutex::new(HashMap::new()),
             shape: Mutex::new(HashMap::new()),
@@ -132,40 +107,8 @@ impl SolveCache {
     /// lookup falls through to the warm path, which samples at the
     /// requested budget. `allow_warm` gates the shape-key fallback:
     /// callers whose sampler cannot accept an initial state pass
-    /// `false`, and a shape hit is then counted (truthfully) as a miss.
-    /// Publishes `qsmt_cache_*` lookup metrics.
+    /// `false`, and a shape hit is then reported (truthfully) as a miss.
     pub fn lookup(
-        &self,
-        fp: ModelFingerprint,
-        num_vars: usize,
-        reads: u64,
-        allow_warm: bool,
-    ) -> CacheLookup {
-        let start = Instant::now();
-        let result = self.lookup_inner(fp, num_vars, reads, allow_warm);
-        let reg = qsmt_metrics::global();
-        reg.histogram_observe(
-            "qsmt_cache_lookup_us",
-            &[],
-            start.elapsed().as_micros() as f64,
-        );
-        match &result {
-            CacheLookup::Exact { .. } => {
-                reg.counter_add("qsmt_cache_hits_total", &[], 1.0);
-                reg.counter_add("qsmt_cache_exact_hits_total", &[], 1.0);
-            }
-            CacheLookup::Warm(_) => {
-                reg.counter_add("qsmt_cache_hits_total", &[], 1.0);
-                reg.counter_add("qsmt_cache_warm_starts_total", &[], 1.0);
-            }
-            CacheLookup::Miss => {
-                reg.counter_add("qsmt_cache_misses_total", &[], 1.0);
-            }
-        }
-        result
-    }
-
-    fn lookup_inner(
         &self,
         fp: ModelFingerprint,
         num_vars: usize,
@@ -208,8 +151,7 @@ impl SolveCache {
     /// key. `seed` is the RNG seed the solve ran with; the read budget
     /// is taken from the sample set itself. Callers must not insert
     /// cancelled (stop-flagged) partial results — a truncated sample set
-    /// would replay as a worse answer than a fresh solve. Updates the
-    /// `qsmt_cache_entries` gauge.
+    /// would replay as a worse answer than a fresh solve.
     pub fn insert(&self, fp: ModelFingerprint, num_vars: usize, seed: u64, samples: &SampleSet) {
         if self.capacity == 0 {
             return;
@@ -219,7 +161,7 @@ impl SolveCache {
         };
         let seed_state = best.state.clone();
         let tick = self.next_tick();
-        let entries = {
+        {
             let mut exact = self.exact.lock().expect("solve cache poisoned");
             if !exact.contains_key(&fp.exact) && exact.len() >= self.capacity {
                 evict_coldest(&mut exact, |e| e.last_used);
@@ -233,8 +175,7 @@ impl SolveCache {
                     last_used: tick,
                 },
             );
-            exact.len()
-        };
+        }
         {
             let mut shape = self.shape.lock().expect("solve cache poisoned");
             if !shape.contains_key(&fp.shape) && shape.len() >= self.capacity {
@@ -249,7 +190,6 @@ impl SolveCache {
                 },
             );
         }
-        qsmt_metrics::global().gauge_set("qsmt_cache_entries", &[], entries as f64);
     }
 
     /// Number of exact-key result entries currently cached.

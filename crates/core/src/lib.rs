@@ -61,8 +61,8 @@ pub use error::ConstraintError;
 pub use ops::BiasProfile;
 pub use pipeline::{Pipeline, PipelineReport, StageReport, Start, Step};
 pub use portfolio::{
-    describe_metrics as describe_portfolio_metrics, member_seed, ClassicalHook, MemberKind,
-    PlanMember, Portfolio, PortfolioPlan, Router, RoutingFeatures, ScriptFacts,
+    member_seed, ClassicalHook, MemberKind, PlanMember, Portfolio, PortfolioPlan, Router,
+    RoutingFeatures, ScriptFacts,
 };
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};

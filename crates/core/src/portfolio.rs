@@ -680,27 +680,6 @@ impl StringSolver {
                 valid: run.selection.valid,
             })
             .collect();
-        let cancelled = members.iter().filter(|m| m.outcome == "cancelled").count();
-
-        let registry = qsmt_metrics::global();
-        registry.counter_add(
-            "qsmt_portfolio_routing_decisions_total",
-            &[("predicted", plan.predicted.as_str())],
-            1.0,
-        );
-        registry.counter_add(
-            "qsmt_portfolio_wins_total",
-            &[("member", winner_kind.as_str())],
-            1.0,
-        );
-        if cancelled > 0 {
-            registry.counter_add(
-                "qsmt_portfolio_cancelled_losers_total",
-                &[],
-                cancelled as f64,
-            );
-        }
-
         let stats = PortfolioStats {
             plan: plan.to_json(),
             predicted: plan.predicted.as_str().to_string(),
@@ -715,22 +694,6 @@ impl StringSolver {
             .expect("winner index is in the plan");
         (run, stats)
     }
-}
-
-/// Registers the `qsmt_portfolio_*` metric help texts on a registry.
-pub fn describe_metrics(registry: &qsmt_metrics::Registry) {
-    registry.describe(
-        "qsmt_portfolio_routing_decisions_total",
-        "Portfolio routing decisions by predicted winner class",
-    );
-    registry.describe(
-        "qsmt_portfolio_wins_total",
-        "Portfolio races won, by member kind",
-    );
-    registry.describe(
-        "qsmt_portfolio_cancelled_losers_total",
-        "Portfolio members cancelled after another member won",
-    );
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 use crate::cache::{CacheLookup, SolveCache};
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
-use crate::ops::{BiasProfile, DEFAULT_STRENGTH};
 use crate::portfolio::Portfolio;
 use crate::problem::{EncodedProblem, Solution};
 use qsmt_anneal::{
@@ -46,12 +45,11 @@ use std::time::Duration;
 /// ```
 #[derive(Clone)]
 pub struct StringSolver {
-    sampler: Arc<dyn Sampler>,
-    strength: f64,
-    bias: Option<BiasProfile>,
+    /// The sampler passed to [`StringSolver::new`]; `None` runs the
+    /// built-in annealer, built from `seed`, `reads` and `stop` per solve.
+    custom: Option<Arc<dyn Sampler>>,
     seed: u64,
     reads: usize,
-    lint_config: LintConfig,
     deny_lint_errors: bool,
     stop: Option<StopFlag>,
     cache: Option<Arc<SolveCache>>,
@@ -61,45 +59,28 @@ impl StringSolver {
     /// Builds a solver around any sampler.
     pub fn new(sampler: Arc<dyn Sampler>) -> Self {
         Self {
-            sampler,
-            strength: DEFAULT_STRENGTH,
-            bias: None,
-            seed: 0,
-            reads: 64,
-            lint_config: LintConfig::default(),
-            deny_lint_errors: false,
-            stop: None,
-            cache: None,
+            custom: Some(sampler),
+            ..Self::with_defaults()
         }
     }
 
     /// Default configuration: simulated annealing with 64 reads — the
     /// paper's experimental setup.
     pub fn with_defaults() -> Self {
-        Self::new(Arc::new(
-            SimulatedAnnealer::new().with_num_reads(64).with_sweeps(384),
-        ))
+        Self {
+            custom: None,
+            seed: 0,
+            reads: 64,
+            deny_lint_errors: false,
+            stop: None,
+            cache: None,
+        }
     }
 
-    /// Overrides the penalty strength `A` for all encodings.
-    pub fn with_strength(mut self, a: f64) -> Self {
-        assert!(a > 0.0, "strength must be positive");
-        self.strength = a;
-        self
-    }
-
-    /// Forces a specific bias profile for all flexible encoders
-    /// (otherwise each constraint's documented default applies).
-    pub fn with_bias(mut self, bias: BiasProfile) -> Self {
-        self.bias = Some(bias);
-        self
-    }
-
-    /// Reseeds the default sampler (rebuilds it; a custom sampler passed
-    /// via [`StringSolver::new`] keeps its own seed).
+    /// Seeds the built-in annealer and the portfolio member streams; a
+    /// custom sampler passed via [`StringSolver::new`] keeps its own seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.rebuild_default_sampler();
         self
     }
 
@@ -119,15 +100,6 @@ impl StringSolver {
     pub fn with_reads(mut self, reads: usize) -> Self {
         assert!(reads > 0, "need at least one read");
         self.reads = reads;
-        self.rebuild_default_sampler();
-        self
-    }
-
-    /// Overrides the formulation-linter configuration used by
-    /// [`StringSolver::lint`] and the deny gate (precision model,
-    /// chain-strength heuristic, tolerances).
-    pub fn with_lint_config(mut self, cfg: LintConfig) -> Self {
-        self.lint_config = cfg;
         self
     }
 
@@ -146,12 +118,11 @@ impl StringSolver {
     /// returning the best assignment reached so far (post-selection then
     /// validates it like any other sample). This is how the solve service
     /// cancels jobs whose deadline expires mid-anneal. Only the built-in
-    /// sampler is rebuilt — a custom sampler passed to
+    /// annealer polls it — a custom sampler passed to
     /// [`StringSolver::new`] must wire its own flag (e.g.
     /// `SimulatedAnnealer::with_stop`).
     pub fn with_stop(mut self, stop: StopFlag) -> Self {
         self.stop = Some(stop);
-        self.rebuild_default_sampler();
         self
     }
 
@@ -176,16 +147,6 @@ impl StringSolver {
         self.stop.as_ref().is_none_or(|s| !s.is_stopped())
     }
 
-    /// The reverse-annealing sampler for a shape-hash warm start: the
-    /// *configured* sampler, re-seeded with the cached ground state via
-    /// [`Sampler::warm_started`] so its own reads/seed/stop configuration
-    /// (and any instrumentation a custom sampler carries) stays in
-    /// charge. `None` when the sampler cannot accept an initial state —
-    /// callers then sample cold.
-    fn warm_sampler(&self, state: Vec<u8>) -> Option<Arc<dyn Sampler>> {
-        self.sampler.warm_started(state)
-    }
-
     /// Caches a finished solve unless it was cancelled mid-anneal.
     fn cache_completed(&self, fp: ModelFingerprint, num_vars: usize, samples: &SampleSet) {
         if let Some(cache) = &self.cache {
@@ -195,7 +156,12 @@ impl StringSolver {
         }
     }
 
-    fn rebuild_default_sampler(&mut self) {
+    /// The sampler a solve runs: the custom one, or the built-in
+    /// annealer with this solver's seed, reads and stop flag.
+    fn sampler(&self) -> Arc<dyn Sampler> {
+        if let Some(custom) = &self.custom {
+            return Arc::clone(custom);
+        }
         let mut sampler = SimulatedAnnealer::new()
             .with_num_reads(self.reads)
             .with_sweeps(384)
@@ -203,27 +169,21 @@ impl StringSolver {
         if let Some(stop) = &self.stop {
             sampler = sampler.with_stop(stop.clone());
         }
-        self.sampler = Arc::new(sampler);
+        Arc::new(sampler)
     }
 
     /// The sampler's reported name.
     pub fn sampler_name(&self) -> &'static str {
-        self.sampler.name()
+        self.sampler().name()
     }
 
-    /// Encodes a constraint using this solver's strength/bias settings.
+    /// Encodes a constraint at the default penalty strength and the
+    /// constraint's own default bias profile.
     ///
     /// # Errors
     /// Propagates encoding failures.
     pub fn encode(&self, constraint: &Constraint) -> Result<EncodedProblem, ConstraintError> {
-        match self.bias {
-            Some(bias) => constraint.encode_with(self.strength, bias),
-            None if self.strength == DEFAULT_STRENGTH => constraint.encode(),
-            None => {
-                // Custom strength, default per-constraint bias.
-                constraint.encode_with(self.strength, Constraint::default_bias(constraint))
-            }
-        }
+        constraint.encode()
     }
 
     /// Runs the formulation linter ([`qsmt_lint`]) over the compiled QUBO
@@ -234,7 +194,7 @@ impl StringSolver {
     /// Propagates encoding failures — linting happens after compilation.
     pub fn lint(&self, constraint: &Constraint) -> Result<LintReport, ConstraintError> {
         let problem = self.encode(constraint)?;
-        Ok(lint_qubo(&problem.qubo, &self.lint_config))
+        Ok(lint_qubo(&problem.qubo, &LintConfig::default()))
     }
 
     /// Deny gate: when deny-on-error mode is on, lint the compiled model
@@ -243,7 +203,7 @@ impl StringSolver {
         if !self.deny_lint_errors {
             return Ok(());
         }
-        let report = lint_qubo(qubo, &self.lint_config);
+        let report = lint_qubo(qubo, &LintConfig::default());
         Self::reject_on_errors(&report)
     }
 
@@ -300,7 +260,7 @@ impl StringSolver {
         let qubo_shape = problem.qubo.shape();
 
         let (lint_report, lint_us) =
-            clock.stage("lint", || lint_qubo(&problem.qubo, &self.lint_config));
+            clock.stage("lint", || lint_qubo(&problem.qubo, &LintConfig::default()));
         if self.deny_lint_errors {
             Self::reject_on_errors(&lint_report)?;
         }
@@ -382,11 +342,12 @@ impl StringSolver {
         probes: bool,
     ) -> Solved {
         let probe_config = probes.then(ProbeConfig::default);
+        let sampler = self.sampler();
         let (sampled, sample_us) = clock.stage("sample", || {
             let lookup = self.cache.as_ref().map(|cache| {
                 let fp = problem.qubo.fingerprint();
                 let t = std::time::Instant::now();
-                let allow_warm = self.sampler.supports_initial_state();
+                let allow_warm = sampler.supports_initial_state();
                 let found = cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm);
                 (fp, found, t.elapsed().as_micros() as u64)
             });
@@ -394,7 +355,7 @@ impl StringSolver {
             // own start; captured just before sampling so they nest inside
             // the still-open sample span when spliced below.
             let trace_base_us = qsmt_trace::active().then(qsmt_trace::now_us);
-            let (fp, cache_outcome, sampler) = match lookup {
+            let (fp, cache_outcome, warm) = match lookup {
                 Some((
                     _,
                     CacheLookup::Exact {
@@ -428,7 +389,7 @@ impl StringSolver {
                     (
                         Some(fp),
                         Some(("warm-start", lookup_us)),
-                        self.warm_sampler(state),
+                        sampler.warm_started(state),
                     )
                 }
                 Some((fp, CacheLookup::Miss, lookup_us)) => {
@@ -438,9 +399,9 @@ impl StringSolver {
             };
             // Trajectory probes observe, never steer: the sample set is
             // bit-identical to the un-probed path (pinned by tests).
-            let (samples, run_stats, dynamics) = sampler
+            let (samples, run_stats, dynamics) = warm
                 .as_deref()
-                .unwrap_or(&*self.sampler)
+                .unwrap_or(&*sampler)
                 .run(&problem.qubo, probe_config.as_ref());
             if let Some(base_us) = trace_base_us {
                 for (i, &(offset_us, dur_us)) in dynamics.read_spans.iter().enumerate() {
@@ -450,7 +411,7 @@ impl StringSolver {
             Sampled {
                 samples,
                 run_stats,
-                sampler_name: self.sampler.name(),
+                sampler_name: sampler.name(),
                 cache: cache_outcome.map(|(outcome, lookup_us)| CacheStats {
                     outcome: outcome.to_string(),
                     lookup_us,
@@ -503,7 +464,7 @@ impl StringSolver {
     ) -> Result<Vec<Solution>, ConstraintError> {
         let problem = self.encode(constraint)?;
         self.deny_gate(&problem.qubo)?;
-        let samples = self.sampler.sample(&problem.qubo);
+        let samples = self.sampler().sample(&problem.qubo);
         let mut out = Vec::new();
         for sample in samples.iter() {
             if out.len() >= limit {
@@ -601,9 +562,7 @@ impl StringSolver {
 impl std::fmt::Debug for StringSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StringSolver")
-            .field("sampler", &self.sampler.name())
-            .field("strength", &self.strength)
-            .field("bias", &self.bias)
+            .field("sampler", &self.sampler_name())
             .finish()
     }
 }
@@ -910,6 +869,22 @@ mod tests {
     }
 
     #[test]
+    fn custom_sampler_survives_seed_reads_and_stop() {
+        let s = StringSolver::new(Arc::new(ExactSolver::new()))
+            .with_seed(3)
+            .with_reads(8)
+            .with_stop(StopFlag::new());
+        assert_eq!(s.sampler_name(), "exact");
+        let out = s
+            .solve(&Constraint::Equality {
+                target: "ab".into(),
+            })
+            .unwrap();
+        assert_eq!(out.report.sampling.sampler, "exact");
+        assert_eq!(out.solution.as_text(), Some("ab"));
+    }
+
+    #[test]
     fn trace_contains_all_figure1_stages() {
         let c = Constraint::Equality {
             target: "ok".into(),
@@ -1099,8 +1074,8 @@ mod tests {
     #[test]
     fn stop_flag_survives_builder_reordering_and_cancels_promptly() {
         use std::time::{Duration, Instant};
-        // `with_stop` before `with_reads`/`with_seed`: every rebuild of
-        // the default sampler must re-attach the flag.
+        // `with_stop` before `with_reads`/`with_seed`: the built-in
+        // annealer must still poll the flag.
         let stop = StopFlag::new();
         let s = StringSolver::with_defaults()
             .with_stop(stop.clone())

@@ -1,12 +1,12 @@
 //! Dependency-free live metrics for the qsmt solver stack.
 //!
 //! This crate provides three building blocks used by the `qsmt serve`
-//! endpoint and the trajectory probes in `qsmt-anneal`:
+//! endpoint and the `qsmt` CLI's flight recording:
 //!
-//! * [`Registry`] — a sharded metrics registry holding counters, gauges and
-//!   log-bucketed histograms. Hot paths obtain a [`Shard`] (a thread-local
-//!   buffer) and record into it without taking the registry lock; shards
-//!   merge into the registry when dropped or explicitly flushed.
+//! * [`Registry`] — a mutex-guarded metrics registry holding counters,
+//!   gauges and log-bucketed histograms. `qsmt serve` is its only
+//!   writer: it derives the solve series from each job's run report
+//!   after the job, so no solver hot path touches the registry.
 //! * Prometheus text-format exposition via [`Registry::render_prometheus`],
 //!   suitable for serving on a `/metrics` endpoint.
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of timestamped events
@@ -22,11 +22,11 @@ pub mod flight;
 pub mod registry;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use registry::{MetricKey, MetricKind, Registry, Shard};
+pub use registry::{MetricKey, MetricKind, Registry};
 
 use std::sync::OnceLock;
 
-/// Process-wide metrics registry used by the CLI `serve` loop and probes.
+/// Process-wide metrics registry rendered by `qsmt serve`'s `/metrics`.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -1,10 +1,9 @@
-//! Sharded metrics registry: counters, gauges, log-bucketed histograms.
+//! Metrics registry: counters, gauges, log-bucketed histograms.
 //!
 //! The registry is a single mutex-guarded map from [`MetricKey`] (name +
-//! sorted label pairs) to a series value. Hot paths should not touch that
-//! mutex per event: they create a [`Shard`] which buffers increments and
-//! observations locally and merges them into the registry in one locked
-//! pass when dropped (or on [`Shard::flush`]).
+//! sorted label pairs) to a series value. Every update takes the lock
+//! once: callers write per request or per finished job, never per event
+//! inside a solve, so updates need no buffering.
 //!
 //! Histograms are log-bucketed: bucket `k` has upper bound `2^k` for
 //! `k ∈ [-30, 30]`, covering roughly `1e-9 .. 1e9`. Buckets are stored
@@ -117,7 +116,6 @@ struct Inner {
 /// A mutex-guarded metrics registry with Prometheus text exposition.
 ///
 /// All methods take `&self`; the registry is safe to share between threads.
-/// For per-event recording in hot paths, prefer [`Registry::shard`].
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -174,19 +172,6 @@ impl Registry {
         }
     }
 
-    /// Returns a buffered shard for lock-free recording on a hot path.
-    ///
-    /// The shard merges into the registry when dropped; call
-    /// [`Shard::flush`] to merge earlier.
-    pub fn shard(&self) -> Shard<'_> {
-        Shard {
-            registry: self,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            observations: BTreeMap::new(),
-        }
-    }
-
     /// Current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let key = MetricKey::new(name, labels);
@@ -224,49 +209,6 @@ impl Registry {
             .expect("metrics registry poisoned")
             .series
             .len()
-    }
-
-    fn merge_shard(
-        &self,
-        counters: &BTreeMap<MetricKey, f64>,
-        gauges: &BTreeMap<MetricKey, f64>,
-        observations: &BTreeMap<MetricKey, Vec<f64>>,
-    ) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        for (key, delta) in counters {
-            match inner
-                .series
-                .entry(key.clone())
-                .or_insert(SeriesValue::Counter(0.0))
-            {
-                SeriesValue::Counter(total) => *total += delta,
-                _ => debug_assert!(false, "metric kind mismatch for {}", key.name),
-            }
-        }
-        for (key, value) in gauges {
-            match inner
-                .series
-                .entry(key.clone())
-                .or_insert(SeriesValue::Gauge(0.0))
-            {
-                SeriesValue::Gauge(current) => *current = *value,
-                _ => debug_assert!(false, "metric kind mismatch for {}", key.name),
-            }
-        }
-        for (key, values) in observations {
-            match inner
-                .series
-                .entry(key.clone())
-                .or_insert_with(|| SeriesValue::Histogram(HistogramData::default()))
-            {
-                SeriesValue::Histogram(hist) => {
-                    for v in values {
-                        hist.observe(*v);
-                    }
-                }
-                _ => debug_assert!(false, "metric kind mismatch for {}", key.name),
-            }
-        }
     }
 
     /// Renders every series in Prometheus text exposition format (v0.0.4).
@@ -343,62 +285,6 @@ impl Registry {
             }
         }
         out
-    }
-}
-
-/// A thread-local buffer of metric updates, merged on drop.
-///
-/// Counters accumulate deltas, gauges keep the last written value, and
-/// histogram observations are queued. None of the methods touch the
-/// registry mutex; the merge happens once, in [`Shard::flush`] or `Drop`.
-pub struct Shard<'a> {
-    registry: &'a Registry,
-    counters: BTreeMap<MetricKey, f64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    observations: BTreeMap<MetricKey, Vec<f64>>,
-}
-
-impl Shard<'_> {
-    /// Buffers a counter increment.
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if value.is_nan() || value < 0.0 {
-            return;
-        }
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0.0) += value;
-    }
-
-    /// Buffers a gauge write (last value wins at merge time).
-    pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.gauges.insert(MetricKey::new(name, labels), value);
-    }
-
-    /// Buffers a histogram observation.
-    pub fn histogram_observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.observations
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .push(value);
-    }
-
-    /// Merges all buffered updates into the registry and clears the buffer.
-    pub fn flush(&mut self) {
-        if self.counters.is_empty() && self.gauges.is_empty() && self.observations.is_empty() {
-            return;
-        }
-        self.registry
-            .merge_shard(&self.counters, &self.gauges, &self.observations);
-        self.counters.clear();
-        self.gauges.clear();
-        self.observations.clear();
-    }
-}
-
-impl Drop for Shard<'_> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -521,42 +407,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_merges_on_drop() {
-        let reg = Registry::new();
-        {
-            let mut shard = reg.shard();
-            shard.counter_add("c_total", &[("s", "sa")], 10.0);
-            shard.gauge_set("g", &[], 3.0);
-            shard.histogram_observe("h", &[], 1.0);
-            // Nothing merged yet.
-            assert_eq!(reg.series_count(), 0);
-        }
-        assert_eq!(reg.counter_value("c_total", &[("s", "sa")]), Some(10.0));
-        assert_eq!(reg.gauge_value("g", &[]), Some(3.0));
-        assert_eq!(reg.histogram_count("h", &[]), Some(1));
-    }
-
-    #[test]
-    fn shard_flush_is_idempotent() {
-        let reg = Registry::new();
-        let mut shard = reg.shard();
-        shard.counter_add("c_total", &[], 1.0);
-        shard.flush();
-        shard.flush();
-        drop(shard);
-        assert_eq!(reg.counter_value("c_total", &[]), Some(1.0));
-    }
-
-    #[test]
-    fn concurrent_shards_merge_all_updates() {
+    fn concurrent_updates_all_land() {
         let reg = Registry::new();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let mut shard = reg.shard();
                     for _ in 0..100 {
-                        shard.counter_add("c_total", &[], 1.0);
-                        shard.histogram_observe("h", &[], 2.0);
+                        reg.counter_add("c_total", &[], 1.0);
+                        reg.histogram_observe("h", &[], 2.0);
                     }
                 });
             }

@@ -8,10 +8,9 @@
 use qsmt_qubo::QuboModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How to pick the ferromagnetic chain coupling strength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChainStrength {
     /// A fixed absolute strength.
     Fixed(f64),
@@ -68,7 +67,7 @@ impl ChainStrength {
 }
 
 /// How to repair a broken chain when unembedding a physical sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainBreakResolution {
     /// Take the majority value of the chain's qubits; exact ties are broken
     /// by a seeded coin flip.

@@ -14,13 +14,12 @@ use crate::HardwareGraph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A minor embedding: `chains[v]` is the set of physical qubits
 /// representing logical variable `v`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Embedding {
     chains: Vec<Vec<u32>>,
 }

@@ -1,11 +1,9 @@
 //! Undirected hardware graph with adjacency queries.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected simple graph over nodes `0..num_nodes`, stored as sorted
 /// adjacency lists. Used both for hardware topologies (qubits/couplers) and
 /// for logical problem graphs during embedding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HardwareGraph {
     adj: Vec<Vec<u32>>,
     num_edges: usize,

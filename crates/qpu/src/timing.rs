@@ -9,11 +9,10 @@
 //! Defaults follow published D-Wave Advantage access-time figures
 //! (microseconds).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Per-phase timing parameters of a simulated QPU, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpuTimingModel {
     /// One-time cost of programming the Hamiltonian onto the chip.
     pub programming_us: f64,
@@ -52,7 +51,7 @@ impl QpuTimingModel {
 }
 
 /// The billed access time of one simulated QPU call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpuTiming {
     /// Programming phase, µs.
     pub programming_us: f64,

@@ -13,11 +13,10 @@
 
 use crate::hash::FxBuildHasher;
 use crate::{QuboModel, Var};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An Ising model: local fields `h`, couplings `J`, and a constant offset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IsingModel {
     /// Local field on each spin.
     h: Vec<f64>,

@@ -2,7 +2,6 @@
 
 use crate::hash::FxBuildHasher;
 use qsmt_telemetry::QuboShape;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A variable index into a [`QuboModel`].
@@ -32,7 +31,7 @@ fn unpack(key: u64) -> (Var, Var) {
 /// and `add_quadratic(j, i, v)` accumulate into the same entry. A coefficient
 /// on the diagonal (`i == j`) folds into the linear term, because `x² = x`
 /// for binary `x`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QuboModel {
     num_vars: usize,
     linear: Vec<f64>,

@@ -21,8 +21,8 @@
 //! * [`smtlib`] — the SMT-LIB v2 string-theory front end;
 //! * [`telemetry`] — solver observability: per-stage statistics and
 //!   JSON run reports (see `docs/OBSERVABILITY.md`);
-//! * [`metrics`] — the sharded metrics registry and flight recorder
-//!   behind live exposition (see `docs/OBSERVABILITY.md`);
+//! * [`metrics`] — the metrics registry and flight recorder behind
+//!   live exposition (see `docs/OBSERVABILITY.md`);
 //! * [`trace`] — end-to-end job tracing: hierarchical spans (which also
 //!   time every report stage), a process-wide trace registry with
 //!   Chrome trace-event (Perfetto) and text views, and the run-history

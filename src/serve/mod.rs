@@ -37,10 +37,12 @@
 //! `--max-requests` cap trigger a graceful drain: stop accepting,
 //! finish every accepted job, flush metrics, print a drain summary.
 //!
-//! Every sampler series on `/metrics` comes from real jobs: each job's
-//! run report adds its solves' proposals, accepted moves and reads to
-//! `qsmt_sampler_*_total{sampler}` (exact cache hits sample nothing and
-//! add nothing). The bound address is printed as
+//! Every sampler, cache and portfolio series on `/metrics` comes from
+//! real jobs: each job's run report adds its solves' proposals,
+//! accepted moves and reads to `qsmt_sampler_*_total{sampler}` (exact
+//! cache hits sample nothing and add nothing), their cache lookups to
+//! `qsmt_cache_*`, and their races to `qsmt_portfolio_*`. The solver
+//! crates write no metrics. The bound address is printed as
 //! `metrics listening on http://<addr>` (port 0 is supported and
 //! resolves to the kernel-assigned port), which is what `qsmt watch`,
 //! `qsmt submit`, and the end-to-end tests parse.

@@ -281,10 +281,45 @@ impl Service {
                 "qsmt_sampler_reads_total",
                 "Reads taken by jobs' solves, per sampler.",
             ),
+            (
+                "qsmt_cache_hits_total",
+                "Cache lookups that found a usable entry (exact or shape key)",
+            ),
+            (
+                "qsmt_cache_exact_hits_total",
+                "Cache lookups answered verbatim from a cached sample set",
+            ),
+            (
+                "qsmt_cache_warm_starts_total",
+                "Cache lookups that seeded a reverse anneal from a cached ground state",
+            ),
+            (
+                "qsmt_cache_misses_total",
+                "Cache lookups that found nothing usable",
+            ),
+            (
+                "qsmt_cache_entries",
+                "Exact-key result entries currently cached",
+            ),
+            (
+                "qsmt_cache_lookup_us",
+                "Cache lookup latency in microseconds",
+            ),
+            (
+                "qsmt_portfolio_routing_decisions_total",
+                "Portfolio routing decisions by predicted winner class",
+            ),
+            (
+                "qsmt_portfolio_wins_total",
+                "Portfolio races won, by member kind",
+            ),
+            (
+                "qsmt_portfolio_cancelled_losers_total",
+                "Portfolio members cancelled after another member won",
+            ),
         ] {
             registry.describe(name, help);
         }
-        qsmt_core::describe_portfolio_metrics(registry);
         registry.gauge_set("qsmt_serve_queue_depth", &[], 0.0);
         // Materialize the drop counter at 0 so `qsmt watch` sees the
         // series before the first wrap.
@@ -624,7 +659,7 @@ impl Service {
     /// probes on — racing the portfolio when the job asked for it — with
     /// the job's seed/reads, the cancellation flag, and the shared solve
     /// cache, producing a schema-v10 [`RunReport`] document carrying the
-    /// job's trace id. Its sampling work is published first.
+    /// job's trace id. Its solves are published first.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
         let mut solver = StringSolver::with_defaults()
@@ -649,28 +684,65 @@ impl Service {
             started.elapsed().as_micros() as u64,
             Some(job.trace_id.get()),
         );
-        self.publish_sampling(&report);
+        self.publish(&report);
         Ok(report.to_json())
     }
 
-    /// Adds a job's sampling work to the per-sampler counters, summed
-    /// over every goal's solves. Exact cache hits (sampler `"cache"`)
-    /// replay a stored sample set without sampling, so they add nothing.
-    fn publish_sampling(&self, report: &RunReport) {
-        let mut shard = self.registry.shard();
-        let solves = report.goals.iter().flat_map(|goal| &goal.solves);
-        for sampling in solves
-            .map(|solve| &solve.sampling)
-            .filter(|s| s.sampler != "cache")
-        {
-            let labels = [("sampler", sampling.sampler.as_str())];
-            if let Some(p) = sampling.proposals {
-                shard.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
+    /// Publishes a job's solves to the sampler, cache and portfolio
+    /// series, one `goals[].solves[]` entry at a time. This is the only
+    /// writer of those series, so `/metrics` counts exactly what the
+    /// stored reports say ran. Exact cache hits (sampler `"cache"`)
+    /// replay a stored sample set without sampling, so they add no
+    /// sampler work.
+    fn publish(&self, report: &RunReport) {
+        let registry = self.registry;
+        for solve in report.goals.iter().flat_map(|goal| &goal.solves) {
+            let sampling = &solve.sampling;
+            if sampling.sampler != "cache" {
+                let labels = [("sampler", sampling.sampler.as_str())];
+                if let Some(p) = sampling.proposals {
+                    registry.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
+                }
+                if let Some(a) = sampling.accepted {
+                    registry.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
+                }
+                registry.counter_add("qsmt_sampler_reads_total", &labels, sampling.reads as f64);
             }
-            if let Some(a) = sampling.accepted {
-                shard.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
+            if let Some(cache) = &solve.cache {
+                registry.histogram_observe("qsmt_cache_lookup_us", &[], cache.lookup_us as f64);
+                let counters: &[&str] = match cache.outcome.as_str() {
+                    "exact-hit" => &["qsmt_cache_hits_total", "qsmt_cache_exact_hits_total"],
+                    "warm-start" => &["qsmt_cache_hits_total", "qsmt_cache_warm_starts_total"],
+                    _ => &["qsmt_cache_misses_total"],
+                };
+                for name in counters {
+                    registry.counter_add(name, &[], 1.0);
+                }
             }
-            shard.counter_add("qsmt_sampler_reads_total", &labels, sampling.reads as f64);
+            if let Some(race) = &solve.portfolio {
+                registry.counter_add(
+                    "qsmt_portfolio_routing_decisions_total",
+                    &[("predicted", race.predicted.as_str())],
+                    1.0,
+                );
+                registry.counter_add(
+                    "qsmt_portfolio_wins_total",
+                    &[("member", race.winner.as_str())],
+                    1.0,
+                );
+                let cancelled = race
+                    .members
+                    .iter()
+                    .filter(|m| m.outcome == "cancelled")
+                    .count();
+                if cancelled > 0 {
+                    registry.counter_add(
+                        "qsmt_portfolio_cancelled_losers_total",
+                        &[],
+                        cancelled as f64,
+                    );
+                }
+            }
         }
     }
 
@@ -767,6 +839,11 @@ pub fn handle_connection(mut stream: TcpStream, svc: &Service) {
     match route {
         "metrics" => {
             svc.publish_flight_dropped();
+            // Read from the cache's own state at scrape time.
+            if let Some(cache) = &svc.cache {
+                svc.registry
+                    .gauge_set("qsmt_cache_entries", &[], cache.len() as f64);
+            }
             respond(
                 &mut stream,
                 "200 OK",

@@ -132,18 +132,6 @@ fn dynamics(d: &SamplerDynamics) -> Json {
         ),
         ("aspiration_hits", opt(d.aspiration_hits)),
         (
-            "accept_paths",
-            d.accept_paths.map_or(Json::Null, |c| {
-                Json::obj([
-                    ("early_accept", Json::from(c.early_accept)),
-                    ("hard_reject", Json::from(c.hard_reject)),
-                    ("bracket_accept", Json::from(c.bracket_accept)),
-                    ("bracket_reject", Json::from(c.bracket_reject)),
-                    ("exact_exp", Json::from(c.exact_exp)),
-                ])
-            }),
-        ),
-        (
             "sweep_improvement",
             seq(&d.sweep_improvement, |h, &x| h.f64(x)),
         ),

@@ -159,17 +159,30 @@ fn stored_reports(store: &Path) -> Vec<Json> {
         .collect()
 }
 
-/// Per-sampler sums of one `sampling` field over every solve of every
-/// report, leaving out exact cache hits (sampler `"cache"`).
-fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
-    let mut sums = BTreeMap::new();
-    let solves = reports
+/// Every solve of every report (`goals[].solves[]`).
+fn solves(reports: &[Json]) -> impl Iterator<Item = &Json> {
+    reports
         .iter()
         .filter_map(|r| r.get("goals").and_then(Json::as_arr))
         .flatten()
         .filter_map(|goal| goal.get("solves").and_then(Json::as_arr))
-        .flatten();
-    for sampling in solves.filter_map(|solve| solve.get("sampling")) {
+        .flatten()
+}
+
+/// One per-solve section (`cache`, `portfolio`) of every solve that
+/// carries it.
+fn sections<'a>(reports: &'a [Json], section: &'a str) -> Vec<&'a Json> {
+    solves(reports)
+        .filter_map(|solve| solve.get(section))
+        .filter(|s| !matches!(s, Json::Null))
+        .collect()
+}
+
+/// Per-sampler sums of one `sampling` field over every solve of every
+/// report, leaving out exact cache hits (sampler `"cache"`).
+fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
+    let mut sums = BTreeMap::new();
+    for sampling in solves(reports).filter_map(|solve| solve.get("sampling")) {
         let sampler = sampling
             .get("sampler")
             .and_then(Json::as_str)
@@ -182,6 +195,14 @@ fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
         }
     }
     sums
+}
+
+/// The value of one exposition sample; `series` is its name plus its
+/// label set exactly as rendered, e.g. `name{label="v"}`.
+fn sample(metrics: &str, series: &str) -> Option<f64> {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
 }
 
 /// Every `name{sampler="…"} value` sample of one metric, by sampler.
@@ -247,6 +268,86 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
         body.contains(&format!("qsmt_serve_jobs_completed_total {}", jobs.len())),
         "every job completed:\n{body}"
     );
+
+    // The cache and portfolio series count exactly what the reports'
+    // `cache` and `portfolio` sections say happened.
+    let lookups = sections(&reports, "cache");
+    let outcomes = |wanted: &[&str]| {
+        lookups
+            .iter()
+            .filter(|c| wanted.contains(&c.get("outcome").and_then(Json::as_str).unwrap_or("")))
+            .count() as f64
+    };
+    for (series, wanted) in [
+        ("qsmt_cache_exact_hits_total", &["exact-hit"][..]),
+        ("qsmt_cache_warm_starts_total", &["warm-start"]),
+        ("qsmt_cache_misses_total", &["miss"]),
+        ("qsmt_cache_hits_total", &["exact-hit", "warm-start"]),
+    ] {
+        let expected = outcomes(wanted);
+        assert!(expected > 0.0, "the jobs cover {wanted:?}");
+        assert_eq!(sample(&body, series), Some(expected), "{series}:\n{body}");
+    }
+    let lookup_us: u64 = lookups
+        .iter()
+        .map(|c| {
+            c.get("lookup_us")
+                .and_then(Json::as_u64)
+                .expect("lookup_us")
+        })
+        .sum();
+    assert_eq!(
+        sample(&body, "qsmt_cache_lookup_us_count"),
+        Some(lookups.len() as f64),
+        "{body}"
+    );
+    assert_eq!(
+        sample(&body, "qsmt_cache_lookup_us_sum"),
+        Some(lookup_us as f64),
+        "the histogram observes the reports' lookup_us:\n{body}"
+    );
+    let races = sections(&reports, "portfolio");
+    let race_field = |field: &str, value: &str| {
+        races
+            .iter()
+            .filter(|r| r.get(field).and_then(Json::as_str) == Some(value))
+            .count() as f64
+    };
+    assert_eq!(
+        race_field("predicted", "exact"),
+        1.0,
+        "one race, routed to exact"
+    );
+    assert_eq!(
+        sample(
+            &body,
+            "qsmt_portfolio_routing_decisions_total{predicted=\"exact\"}"
+        ),
+        Some(race_field("predicted", "exact")),
+        "{body}"
+    );
+    assert_eq!(
+        sample(&body, "qsmt_portfolio_wins_total{member=\"exact\"}"),
+        Some(race_field("winner", "exact")),
+        "{body}"
+    );
+    let cancelled = races
+        .iter()
+        .filter_map(|r| r.get("members").and_then(Json::as_arr))
+        .flatten()
+        .filter(|m| m.get("outcome").and_then(Json::as_str) == Some("cancelled"))
+        .count() as f64;
+    // Whether the backstop is cancelled or finishes first is a race;
+    // the counter only exists once a member was cancelled.
+    assert_eq!(
+        sample(&body, "qsmt_portfolio_cancelled_losers_total"),
+        (cancelled > 0.0).then_some(cancelled),
+        "{body}"
+    );
+    // The miss and the warm start each cached one result; the gauge
+    // reads the cache itself.
+    assert_eq!(sample(&body, "qsmt_cache_entries"), Some(2.0), "{body}");
+
     // Only real jobs feed the catalogue: no synthetic start-up series.
     for gone in ["qsmt_qpu_", "qsmt_beta", "qsmt_sampler_best_energy"] {
         assert!(!body.contains(gone), "{gone} is back:\n{body}");
