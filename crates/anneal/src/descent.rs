@@ -1,6 +1,6 @@
 //! Greedy steepest-descent local search.
 
-use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
+use crate::probes::{Decimator, SamplerDynamics, MAX_TRACE_POINTS};
 use crate::{read_seed, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
@@ -125,11 +125,11 @@ impl SteepestDescent {
 impl Sampler for SteepestDescent {
     /// Descends from one random state per read, in read order; a probed
     /// run traces read 0.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
-        let mut trace = probes.map(|config| Decimator::new(config.max_trace_points));
+        let mut trace = probes.then(|| Decimator::new(MAX_TRACE_POINTS));
         let (mut flips, mut scans) = (0u64, 0u64);
         let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
             .map(|r| {
@@ -258,7 +258,7 @@ mod tests {
         m.add_quadratic(0, 5, -1.0);
         let sd = SteepestDescent::new().with_seed(8);
         let plain = sd.sample(&m);
-        let (probed, stats, dynamics) = sd.run(&m, Some(&ProbeConfig::default()));
+        let (probed, stats, dynamics) = sd.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         // Descent is strictly monotone: every flip lowers the energy, and
         // the trace axis counts accepted flips starting from step 0.
@@ -269,7 +269,7 @@ mod tests {
             .windows(2)
             .all(|w| w[1].best_energy < w[0].best_energy));
         assert!(stats.accepted.unwrap() >= dynamics.energy_trace.last().unwrap().sweep);
-        let (off, _, empty) = sd.run(&m, None);
+        let (off, _, empty) = sd.run(&m, false);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -1,6 +1,6 @@
 //! Exhaustive ground-state enumeration via Gray-code traversal.
 
-use crate::{ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
+use crate::{SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, QuboModel, Var};
 
 /// Exact solver: walks all `2^n` states in Gray-code order so each step is a
@@ -18,15 +18,18 @@ pub struct ExactSolver {
 impl Default for ExactSolver {
     fn default() -> Self {
         Self {
-            max_vars: 26,
+            max_vars: Self::DEFAULT_MAX_VARS,
             keep: 64,
         }
     }
 }
 
 impl ExactSolver {
-    /// Creates an exact solver with a 26-variable safety limit, keeping the
-    /// 64 lowest-energy states.
+    /// The default variable-count safety limit.
+    pub const DEFAULT_MAX_VARS: usize = 26;
+
+    /// Creates an exact solver with a [`Self::DEFAULT_MAX_VARS`]-variable
+    /// safety limit, keeping the 64 lowest-energy states.
     pub fn new() -> Self {
         Self::default()
     }
@@ -83,7 +86,7 @@ impl ExactSolver {
 impl Sampler for ExactSolver {
     /// Enumerates every state, keeping the `keep` lowest. Enumeration has
     /// no moves to count and no trajectory to probe.
-    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, _probes: bool) -> SamplerRun {
         let n = model.num_vars();
         assert!(
             n <= self.max_vars,

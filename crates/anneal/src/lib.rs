@@ -20,8 +20,8 @@
 //!
 //! All samplers implement [`Sampler`] and return a [`SampleSet`] sorted by
 //! energy with duplicate states aggregated. Each has one sampling path,
-//! [`Sampler::run`]: a plain run (`probes: None`) feeds `sample` and
-//! `sample_stats`, and a probed run (`Some(&ProbeConfig)`) observes read 0
+//! [`Sampler::run`]: a plain run (`probes: false`) feeds `sample` and
+//! `sample_stats`, and a probed run (`probes: true`) observes read 0
 //! through the same read loop, so probes cannot drift from the samples
 //! they describe.
 //!
@@ -57,14 +57,13 @@ mod seeding;
 mod sqa;
 mod tabu;
 mod tempering;
-pub mod tune;
 
 pub use accept::{AcceptanceTable, LN_ACCEPT_CUTOFF};
 pub use descent::SteepestDescent;
 pub use exact::ExactSolver;
 pub use polished::Polished;
 pub use population::PopulationAnnealer;
-pub use probes::{ProbeConfig, SamplerDynamics};
+pub use probes::{SamplerDynamics, MAX_TRACE_POINTS};
 pub use random::RandomSampler;
 pub use sa::{SimulatedAnnealer, WARM_START_BETA_MAX, WARM_START_BETA_MIN, WARM_START_SWEEPS};
 pub use sampleset::{EnergyStats, Sample, SampleSet};
@@ -209,26 +208,26 @@ pub type SamplerRun = (SampleSet, SamplerRunStats, SamplerDynamics);
 pub trait Sampler: Send + Sync {
     /// Samples the model and returns the energy-sorted, aggregated
     /// [`SampleSet`] together with the run's counters and, when `probes`
-    /// is `Some`, the trajectory observations of the probe read (read 0).
+    /// is set, the trajectory observations of the probe read (read 0).
     ///
     /// Probes observe, they never steer — in particular they never touch
     /// a sampler's RNG streams — so the sample set and counters are the
-    /// same whether or not `probes` is given. With `None` the dynamics
-    /// are empty, as they are for samplers without probes.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun;
+    /// same either way. Without probes the dynamics are empty, as they
+    /// are for samplers that have none.
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun;
 
     /// Human-readable sampler name for reports and benches.
     fn name(&self) -> &'static str;
 
     /// Samples the model: the sample set of a plain [`Sampler::run`].
     fn sample(&self, model: &QuboModel) -> SampleSet {
-        self.run(model, None).0
+        self.run(model, false).0
     }
 
     /// Samples the model with its run counters: a plain
     /// [`Sampler::run`] without the (empty) dynamics.
     fn sample_stats(&self, model: &QuboModel) -> (SampleSet, SamplerRunStats) {
-        let (set, stats, _) = self.run(model, None);
+        let (set, stats, _) = self.run(model, false);
         (set, stats)
     }
 

@@ -5,11 +5,11 @@
 //! that composable: it wraps any inner [`Sampler`] and descends every
 //! read, which can only lower (never raise) reported energies.
 
-use crate::{ProbeConfig, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats, SteepestDescent};
+use crate::{Sampler, SamplerDynamics, SamplerRun, SamplerRunStats, SteepestDescent};
 use qsmt_qubo::QuboModel;
 
 /// A sampler decorator that greedily polishes every read of the inner
-/// sampler.
+/// sampler with a default [`SteepestDescent`].
 ///
 /// ```
 /// use qsmt_anneal::{Polished, RandomSampler, Sampler};
@@ -27,22 +27,12 @@ use qsmt_qubo::QuboModel;
 #[derive(Debug, Clone)]
 pub struct Polished<S> {
     inner: S,
-    descent: SteepestDescent,
 }
 
 impl<S: Sampler> Polished<S> {
-    /// Wraps a sampler with default descent settings.
+    /// Wraps a sampler.
     pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            descent: SteepestDescent::new(),
-        }
-    }
-
-    /// Uses custom descent settings (e.g. a step cap).
-    pub fn with_descent(mut self, descent: SteepestDescent) -> Self {
-        self.descent = descent;
-        self
+        Self { inner }
     }
 
     /// The wrapped sampler.
@@ -54,10 +44,10 @@ impl<S: Sampler> Polished<S> {
 impl<S: Sampler> Sampler for Polished<S> {
     /// Polishes a plain sample of the inner sampler. The wrapper reports
     /// no counters and no dynamics of its own.
-    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, _probes: bool) -> SamplerRun {
         let raw = self.inner.sample(model);
         (
-            self.descent.polish(model, &raw),
+            SteepestDescent::new().polish(model, &raw),
             SamplerRunStats::default(),
             SamplerDynamics::default(),
         )

@@ -10,7 +10,7 @@
 //! compute on promising basins — a strong classical competitor for the
 //! sampler benches.
 
-use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
+use crate::probes::{Decimator, SamplerDynamics, MAX_TRACE_POINTS};
 use crate::{
     read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRun, SamplerRunStats,
 };
@@ -20,11 +20,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// Metropolis sweeps that decorrelate the population after each
+/// resampling.
+const SWEEPS_PER_STEP: usize = 2;
+
 /// The population annealing sampler.
 #[derive(Debug, Clone)]
 pub struct PopulationAnnealer {
     population: usize,
-    sweeps_per_step: usize,
     schedule: Option<BetaSchedule>,
     steps: usize,
     seed: u64,
@@ -34,7 +37,6 @@ impl Default for PopulationAnnealer {
     fn default() -> Self {
         Self {
             population: 64,
-            sweeps_per_step: 2,
             schedule: None,
             steps: 64,
             seed: 0,
@@ -60,12 +62,6 @@ impl PopulationAnnealer {
     pub fn with_steps(mut self, s: usize) -> Self {
         assert!(s > 0, "need at least one step");
         self.steps = s;
-        self
-    }
-
-    /// Sets the Metropolis sweeps run after each resampling.
-    pub fn with_sweeps_per_step(mut self, s: usize) -> Self {
-        self.sweeps_per_step = s;
         self
     }
 
@@ -110,11 +106,11 @@ impl Sampler for PopulationAnnealer {
     /// also records an ESS-per-step and min-energy trace; the hooks read
     /// population state between phases and never touch an RNG stream, so
     /// reads are identical either way.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
-        let mut probe = probes.map(|config| PaProbes {
+        let mut probe = probes.then(|| PaProbes {
             ess: Vec::new(),
-            trace: Decimator::new(config.max_trace_points),
+            trace: Decimator::new(MAX_TRACE_POINTS),
         });
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
@@ -178,7 +174,6 @@ impl Sampler for PopulationAnnealer {
                 population = next;
             }
             // Equilibrate each replica independently.
-            let sweeps = self.sweeps_per_step;
             let seed_base = self.seed.wrapping_add(beta.to_bits().rotate_left(17));
             accepted_total += population
                 .iter_mut()
@@ -186,7 +181,7 @@ impl Sampler for PopulationAnnealer {
                 .map(|(k, kernel)| {
                     let mut r = SmallRng::seed_from_u64(read_seed(seed_base, k as u64));
                     let mut acc = 0;
-                    for _ in 0..sweeps {
+                    for _ in 0..SWEEPS_PER_STEP {
                         acc += Self::sweep(&compiled, kernel, table, &mut r);
                     }
                     acc
@@ -212,7 +207,7 @@ impl Sampler for PopulationAnnealer {
                 (k.into_state(), e)
             })
             .collect();
-        let sweeps = betas.len() as u64 * self.sweeps_per_step as u64;
+        let sweeps = betas.len() as u64 * SWEEPS_PER_STEP as u64;
         let stats = SamplerRunStats {
             sweeps: Some(sweeps),
             proposals: Some(sweeps * model.num_vars() as u64 * self.population as u64),
@@ -311,7 +306,7 @@ mod tests {
         let m = hard_model();
         let pa = PopulationAnnealer::new().with_seed(11);
         let plain = pa.sample(&m);
-        let (probed, _, dynamics) = pa.run(&m, Some(&ProbeConfig::default()));
+        let (probed, _, dynamics) = pa.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         // ESS recorded for every β-increasing step, bounded by the
         // population size, axis ordered.
@@ -327,7 +322,7 @@ mod tests {
             .energy_trace
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
-        let (off, _, empty) = pa.run(&m, None);
+        let (off, _, empty) = pa.run(&m, false);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -9,12 +9,12 @@
 //! 1. **RNG hygiene** — probes never draw from (or reorder draws on) a
 //!    sampler's random streams, so a probed run returns the bit-identical
 //!    [`crate::SampleSet`] of the plain run (pinned by tests).
-//! 2. **Gated cost** — [`crate::Sampler::run`] takes its probes as an
-//!    `Option<&ProbeConfig>`, and each sampler hands the probe state to
-//!    its one read loop as an `Option` too. A plain run (`None`, the path
-//!    behind `sample` / `sample_stats`) never constructs a probe or reads
-//!    a clock; probing costs are confined to the probe read (read 0), and
-//!    trace memory is bounded by stride-doubling decimation
+//! 2. **Gated cost** — [`crate::Sampler::run`] takes a `probes: bool`,
+//!    and each sampler hands the probe state to its one read loop as an
+//!    `Option`. A plain run (`false`, the path behind `sample` /
+//!    `sample_stats`) never constructs a probe or reads a clock; probing
+//!    costs are confined to the probe read (read 0), and trace memory is
+//!    bounded to [`MAX_TRACE_POINTS`] by stride-doubling decimation
 //!    ([`Decimator`]).
 
 use std::time::Instant;
@@ -25,23 +25,9 @@ use qsmt_telemetry::dynamics::{BetaAcceptance, EssPoint, SwapAcceptance, TracePo
 /// in memory; sweeps beyond this are subsampled by stride.
 pub const MAX_RAW_SAMPLES: usize = 4096;
 
-/// Sizing knobs for a probed run. Whether to probe at all is the
-/// `Option` around it: [`crate::Sampler::run`] with `None` is the plain
-/// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeConfig {
-    /// Maximum points kept on decimated traces (energy, β-acceptance).
-    pub max_trace_points: usize,
-}
-
-impl Default for ProbeConfig {
-    /// 256-point traces.
-    fn default() -> Self {
-        Self {
-            max_trace_points: 256,
-        }
-    }
-}
+/// Maximum points kept on a probed run's decimated traces (energy,
+/// β-acceptance).
+pub const MAX_TRACE_POINTS: usize = 256;
 
 /// Raw trajectory observations from one probed sampler run.
 ///
@@ -220,8 +206,7 @@ pub fn aggregate_betas(entries: &[BetaAcceptance], max: usize) -> Vec<BetaAccept
 /// the RNG.
 #[derive(Debug)]
 pub(crate) struct SweepProbes {
-    max_trace_points: usize,
-    /// Acceptance rows, aggregated to `max_trace_points` on finish.
+    /// Acceptance rows, aggregated to [`MAX_TRACE_POINTS`] on finish.
     pub(crate) beta_acceptance: Vec<BetaAcceptance>,
     trace: Decimator,
     latency: StridedSampler,
@@ -232,11 +217,10 @@ pub(crate) struct SweepProbes {
 
 impl SweepProbes {
     /// Probes for a read of (at most) `sweeps` sweeps.
-    pub(crate) fn new(config: &ProbeConfig, sweeps: usize) -> Self {
+    pub(crate) fn new(sweeps: usize) -> Self {
         Self {
-            max_trace_points: config.max_trace_points,
             beta_acceptance: Vec::new(),
-            trace: Decimator::new(config.max_trace_points),
+            trace: Decimator::new(MAX_TRACE_POINTS),
             latency: StridedSampler::new(sweeps as u64),
             improvement: StridedSampler::new(sweeps as u64),
             sweep_started: None,
@@ -275,7 +259,7 @@ impl SweepProbes {
     pub(crate) fn finish(self) -> SamplerDynamics {
         SamplerDynamics {
             energy_trace: self.trace.finish(),
-            beta_acceptance: aggregate_betas(&self.beta_acceptance, self.max_trace_points),
+            beta_acceptance: aggregate_betas(&self.beta_acceptance, MAX_TRACE_POINTS),
             proposal_latency_ns: self.latency.into_samples(),
             sweep_improvement: self.improvement.into_samples(),
             ..SamplerDynamics::default()
@@ -355,7 +339,7 @@ mod tests {
 
     #[test]
     fn default_config_keeps_256_points_and_default_dynamics_are_empty() {
-        assert_eq!(ProbeConfig::default().max_trace_points, 256);
+        assert_eq!(MAX_TRACE_POINTS, 256);
         assert!(SamplerDynamics::default().is_empty());
     }
 }

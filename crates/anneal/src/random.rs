@@ -1,6 +1,6 @@
 //! Uniform random sampler — the null baseline.
 
-use crate::{ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
+use crate::{SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats};
 use qsmt_qubo::QuboModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +44,7 @@ impl RandomSampler {
 
 impl Sampler for RandomSampler {
     /// Draws the uniform states; no counters, no probes.
-    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, _probes: bool) -> SamplerRun {
         let n = model.num_vars();
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)

@@ -1,6 +1,6 @@
 //! Single-flip Metropolis simulated annealing over bit-sliced read blocks.
 
-use crate::probes::{ProbeConfig, SamplerDynamics, SweepProbes};
+use crate::probes::{SamplerDynamics, SweepProbes};
 use crate::{
     read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SamplerRun, SamplerRunStats,
 };
@@ -320,7 +320,7 @@ impl Sampler for SimulatedAnnealer {
     /// keeps its own RNG stream. A probed run takes read 0 out as the
     /// scalar probe read and blocks reads `1..`, and also records each
     /// read's wall-clock interval (reads of one block share the block's).
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
         let since_start = || started.elapsed().as_micros() as u64;
         let compiled = CompiledQubo::compile(model);
@@ -336,8 +336,8 @@ impl Sampler for SimulatedAnnealer {
         let mut reads: Vec<(Vec<u8>, f64)> = Vec::with_capacity(self.num_reads);
         let mut accepted = 0u64;
         let mut dynamics = SamplerDynamics::default();
-        if let Some(config) = probes.filter(|_| self.num_reads > 0) {
-            let mut probe = SweepProbes::new(config, tables.len());
+        if probes && self.num_reads > 0 {
+            let mut probe = SweepProbes::new(tables.len());
             let t0 = since_start();
             let (state, energy, read_accepted) = Self::one_read(
                 &compiled,
@@ -354,8 +354,8 @@ impl Sampler for SimulatedAnnealer {
             reads.push((state, energy));
             accepted += read_accepted;
         }
-        for (start, lanes) in Self::blocks(usize::from(probes.is_some())..self.num_reads) {
-            let t0 = probes.map(|_| since_start());
+        for (start, lanes) in Self::blocks(usize::from(probes)..self.num_reads) {
+            let t0 = probes.then(since_start);
             let (block, block_accepted) =
                 Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop);
             if let Some(t0) = t0 {
@@ -510,7 +510,7 @@ mod tests {
         let (m, _) = gadget();
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(8);
         let plain = sa.sample(&m);
-        let (probed, stats, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
+        let (probed, stats, dynamics) = sa.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         assert_eq!(stats.accepted, sa.sample_stats(&m).1.accepted);
         // The probe read produced a trace ending at the realized sweep
@@ -545,7 +545,7 @@ mod tests {
     fn disabled_probes_return_empty_dynamics() {
         let (m, _) = gadget();
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(4);
-        let (set, _, dynamics) = sa.run(&m, None);
+        let (set, _, dynamics) = sa.run(&m, false);
         assert_eq!(set, sa.sample(&m));
         assert!(dynamics.is_empty());
     }
@@ -555,12 +555,12 @@ mod tests {
         let (m, _) = gadget();
         // 3 reads: the probe read plus one block of 2.
         let sa = SimulatedAnnealer::new().with_seed(13).with_num_reads(3);
-        let (_, _, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
+        let (_, _, dynamics) = sa.run(&m, true);
         assert_eq!(dynamics.read_spans.len(), 3);
         // Reads in the same bit-sliced block share the block interval.
         assert_eq!(dynamics.read_spans[1], dynamics.read_spans[2]);
         // A plain run records nothing (pinned by is_empty above).
-        let (_, _, off) = sa.run(&m, None);
+        let (_, _, off) = sa.run(&m, false);
         assert!(off.read_spans.is_empty());
     }
 
@@ -663,7 +663,7 @@ mod tests {
         let (set, stats) = sa.sample_stats(&m);
         assert_eq!(set.total_reads(), 8, "cancelled reads still report");
         assert_eq!(stats.accepted, Some(0));
-        let (probed, _, dynamics) = sa.run(&m, Some(&ProbeConfig::default()));
+        let (probed, _, dynamics) = sa.run(&m, true);
         assert_eq!(probed, set, "probed cancellation matches plain");
         assert!(dynamics.beta_acceptance.is_empty());
     }

@@ -17,7 +17,7 @@
 //! more faithful than plain simulated annealing, and the natural
 //! "quantum" arm for the paper's experiments.
 
-use crate::probes::{ProbeConfig, SamplerDynamics, SweepProbes};
+use crate::probes::{SamplerDynamics, SweepProbes};
 use crate::{read_seed, AcceptanceTable, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{
     spins_to_state, CompiledIsing, IsingFlipKernel, IsingModel, QuboModel, StopFlag, Var,
@@ -27,13 +27,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// Inverse temperature β of the quantum system, fixed for the whole
+/// anneal (only Γ is scheduled).
+const BETA: f64 = 8.0;
+
 /// The simulated quantum annealer (PIMC over Trotter replicas).
 #[derive(Debug, Clone)]
 pub struct SimulatedQuantumAnnealer {
     num_reads: usize,
     sweeps: usize,
     trotter_slices: usize,
-    beta: f64,
     gamma_start: f64,
     gamma_end: f64,
     seed: u64,
@@ -46,7 +49,6 @@ impl Default for SimulatedQuantumAnnealer {
             num_reads: 16,
             sweeps: 256,
             trotter_slices: 16,
-            beta: 8.0,
             gamma_start: 3.0,
             gamma_end: 1e-3,
             seed: 0,
@@ -83,13 +85,6 @@ impl SimulatedQuantumAnnealer {
         self
     }
 
-    /// Sets the inverse temperature β of the quantum system.
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        assert!(beta > 0.0, "β must be positive");
-        self.beta = beta;
-        self
-    }
-
     /// Sets the transverse-field schedule endpoints (Γ decreases linearly
     /// from `start` to `end`).
     pub fn with_gamma_range(mut self, start: f64, end: f64) -> Self {
@@ -121,11 +116,11 @@ impl SimulatedQuantumAnnealer {
     /// Inter-slice coupling at transverse field `gamma`.
     fn j_perp(&self, gamma: f64) -> f64 {
         let p = self.trotter_slices as f64;
-        let x = (self.beta * gamma / p).tanh();
+        let x = (BETA * gamma / p).tanh();
         // tanh of a positive argument is in (0, 1): the log is negative
         // and J⊥ positive. Clamp for numeric safety at tiny Γ.
         let x = x.max(1e-300);
-        -(p / (2.0 * self.beta)) * x.ln()
+        -(p / (2.0 * BETA)) * x.ln()
     }
 
     /// Change of the replica Hamiltonian when spin `i` of slice `k`
@@ -238,16 +233,14 @@ impl SimulatedQuantumAnnealer {
 
 impl Sampler for SimulatedQuantumAnnealer {
     /// Runs every read in read order; a probed run observes read 0.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
         let ising = IsingModel::from_qubo(model);
         let compiled = CompiledIsing::compile(&ising);
         // The classical replica system sits at a single fixed β for the
         // whole anneal (only Γ is scheduled), so one table serves the run.
-        let table = AcceptanceTable::new(self.beta);
-        let mut probe = probes
-            .filter(|_| self.num_reads > 0)
-            .map(|config| SweepProbes::new(config, self.sweeps));
+        let table = AcceptanceTable::new(BETA);
+        let mut probe = (probes && self.num_reads > 0).then(|| SweepProbes::new(self.sweeps));
         let mut accepted = 0u64;
         // Ising and QUBO energies agree (the conversion preserves them),
         // so the reported energies are already QUBO energies.
@@ -398,7 +391,7 @@ mod tests {
             .with_seed(4)
             .with_num_reads(6);
         let plain = sqa.sample(&m);
-        let (probed, stats, dynamics) = sqa.run(&m, Some(&ProbeConfig::default()));
+        let (probed, stats, dynamics) = sqa.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         // Trace covers the full Γ schedule and is non-increasing.
         assert_eq!(dynamics.energy_trace.last().unwrap().sweep, 256);
@@ -415,7 +408,7 @@ mod tests {
         assert!(!dynamics.proposal_latency_ns.is_empty());
         assert_eq!(dynamics.sweep_improvement.len(), 256);
         assert!(stats.accepted.unwrap() >= entry.accepted);
-        let (off, _, empty) = sqa.run(&m, None);
+        let (off, _, empty) = sqa.run(&m, false);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

@@ -1,6 +1,6 @@
 //! Tabu search over the QUBO landscape.
 
-use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
+use crate::probes::{Decimator, SamplerDynamics, MAX_TRACE_POINTS};
 use crate::{read_seed, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
@@ -151,15 +151,14 @@ struct TabuProbes {
 
 impl Sampler for TabuSearch {
     /// Runs every restart in read order; a probed run observes read 0.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         // An empty model returns before the walk, so it has no probe read.
-        let mut probe = probes
-            .filter(|_| self.num_reads > 0 && compiled.num_vars() > 0)
-            .map(|config| TabuProbes {
+        let mut probe =
+            (probes && self.num_reads > 0 && compiled.num_vars() > 0).then(|| TabuProbes {
                 aspiration_hits: 0,
-                trace: Decimator::new(config.max_trace_points),
+                trace: Decimator::new(MAX_TRACE_POINTS),
             });
         let reads: Vec<(Vec<u8>, f64)> = (0..self.num_reads)
             .map(|r| {
@@ -250,7 +249,7 @@ mod tests {
         let (m, _) = frustrated_model();
         let tabu = TabuSearch::new().with_seed(21);
         let plain = tabu.sample(&m);
-        let (probed, _, dynamics) = tabu.run(&m, Some(&ProbeConfig::default()));
+        let (probed, _, dynamics) = tabu.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         // The counter is always present on a probed read (it may stay 0
         // on landscapes where no tabu move ever beats the best energy).
@@ -262,7 +261,7 @@ mod tests {
             .energy_trace
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
-        let (off, _, empty) = tabu.run(&m, None);
+        let (off, _, empty) = tabu.run(&m, false);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

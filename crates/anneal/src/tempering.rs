@@ -1,6 +1,6 @@
 //! Parallel tempering (replica exchange) sampler.
 
-use crate::probes::{Decimator, ProbeConfig, SamplerDynamics};
+use crate::probes::{Decimator, SamplerDynamics, MAX_TRACE_POINTS};
 use crate::{read_seed, AcceptanceTable, SampleSet, Sampler, SamplerRun, SamplerRunStats};
 use qsmt_qubo::{CompiledQubo, MultiReplicaKernel, QuboModel, LANES};
 use qsmt_telemetry::dynamics::{BetaAcceptance, SwapAcceptance};
@@ -8,8 +8,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// Sweeps every rung performs between two exchange passes.
+const SWEEPS_PER_ROUND: usize = 4;
+
 /// Parallel tempering: `num_replicas` Metropolis walkers run at a ladder of
-/// fixed inverse temperatures; after every `sweeps_per_round` sweeps,
+/// fixed inverse temperatures; after every 4 sweeps,
 /// adjacent replicas propose to swap configurations with probability
 /// `min(1, exp((β_a − β_b)(E_a − E_b)))`. Hot replicas roam the landscape
 /// while cold replicas refine minima, and exchanges carry good
@@ -24,7 +27,6 @@ use std::time::Instant;
 pub struct ParallelTempering {
     num_replicas: usize,
     rounds: usize,
-    sweeps_per_round: usize,
     beta_min: f64,
     beta_max: f64,
     seed: u64,
@@ -35,7 +37,6 @@ impl Default for ParallelTempering {
         Self {
             num_replicas: 8,
             rounds: 64,
-            sweeps_per_round: 4,
             beta_min: 0.05,
             beta_max: 10.0,
             seed: 0,
@@ -66,12 +67,6 @@ impl ParallelTempering {
     /// Sets the number of exchange rounds.
     pub fn with_rounds(mut self, r: usize) -> Self {
         self.rounds = r;
-        self
-    }
-
-    /// Sets the sweeps performed between exchanges.
-    pub fn with_sweeps_per_round(mut self, s: usize) -> Self {
-        self.sweeps_per_round = s;
         self
     }
 
@@ -115,7 +110,7 @@ impl Sampler for ParallelTempering {
     /// accepts per rung and the coldest replica's best-energy trace; the
     /// probe hooks sit outside the sweep loops and never touch an RNG
     /// stream, so the reads are identical either way.
-    fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
         let started = Instant::now();
         let compiled = CompiledQubo::compile(model);
         let n = compiled.num_vars();
@@ -123,10 +118,10 @@ impl Sampler for ParallelTempering {
         // One acceptance table per ladder rung, built once for the run.
         let tables = AcceptanceTable::for_schedule(&betas);
         let k = self.num_replicas;
-        let mut probe = probes.map(|config| PtProbes {
+        let mut probe = probes.then(|| PtProbes {
             swap_attempts: vec![0; k - 1],
             swap_accepts: vec![0; k - 1],
-            trace: Decimator::new(config.max_trace_points),
+            trace: Decimator::new(MAX_TRACE_POINTS),
         });
         // Rung r is lane r of one bit-sliced kernel. The RNG streams and
         // accept counters are indexed by rung and never move: exchanges
@@ -147,7 +142,7 @@ impl Sampler for ParallelTempering {
         let mut best = f64::INFINITY;
 
         for round in 0..self.rounds {
-            for _ in 0..self.sweeps_per_round {
+            for _ in 0..SWEEPS_PER_ROUND {
                 crate::multi::sweep_ladder(
                     &mut kernel,
                     &compiled,
@@ -179,7 +174,7 @@ impl Sampler for ParallelTempering {
                 p.trace.push(round as u64 + 1, best);
             }
         }
-        let sweeps = (self.rounds * self.sweeps_per_round) as u64;
+        let sweeps = (self.rounds * SWEEPS_PER_ROUND) as u64;
         let per_rung = sweeps * model.num_vars() as u64;
         let stats = SamplerRunStats {
             sweeps: Some(sweeps),
@@ -311,7 +306,7 @@ mod tests {
         let (m, _) = double_well();
         let pt = ParallelTempering::new().with_seed(9).with_rounds(64);
         let plain = pt.sample(&m);
-        let (probed, stats, dynamics) = pt.run(&m, Some(&ProbeConfig::default()));
+        let (probed, stats, dynamics) = pt.run(&m, true);
         assert_eq!(probed, plain, "probes must not change results");
         // Swap matrix: one entry per adjacent ladder pair, each pair
         // attempted every other round, ordered hot → cold.
@@ -343,7 +338,7 @@ mod tests {
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
         // Disabled path stays empty and identical.
-        let (off, _, empty) = pt.run(&m, None);
+        let (off, _, empty) = pt.run(&m, false);
         assert_eq!(off, plain);
         assert!(empty.is_empty());
     }

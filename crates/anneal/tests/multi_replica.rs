@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use qsmt_anneal::{
-    read_seed, AcceptanceTable, BetaSchedule, ProbeConfig, SampleSet, Sampler, SimulatedAnnealer,
-    StopFlag, LN_ACCEPT_CUTOFF,
+    read_seed, AcceptanceTable, BetaSchedule, SampleSet, Sampler, SimulatedAnnealer, StopFlag,
+    LN_ACCEPT_CUTOFF,
 };
 use qsmt_qubo::{CompiledQubo, FlipKernel, QuboModel, Var};
 use rand::rngs::SmallRng;
@@ -131,7 +131,7 @@ fn plain_and_probed_block_partitions_agree() {
         .with_num_reads(130)
         .with_sweeps(8);
     let plain = sampler.sample(&model);
-    let (probed, _, _) = sampler.run(&model, Some(&ProbeConfig::default()));
+    let (probed, _, _) = sampler.run(&model, true);
     assert_eq!(plain, probed);
     assert_eq!(plain, reference_set(&model, 11, 130, 8));
 }

@@ -61,9 +61,11 @@ pub use error::ConstraintError;
 pub use ops::BiasProfile;
 pub use pipeline::{Pipeline, PipelineReport, StageReport, Start, Step};
 pub use portfolio::{
-    member_seed, ClassicalHook, MemberKind, PlanMember, Portfolio, PortfolioPlan, Router,
-    RoutingFeatures, ScriptFacts,
+    member_seed, ClassicalHook, MemberKind, PlanMember, Portfolio, PortfolioPlan, RoutingFeatures,
+    ScriptFacts,
 };
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};
-pub use solver::{SolveOptions, SolveOutcome, SolveTrace, StringSolver, TraceStage};
+pub use solver::{
+    SolveOptions, SolveOutcome, SolveTrace, StringSolver, TraceStage, DEFAULT_READS, DEFAULT_SWEEPS,
+};

@@ -6,6 +6,10 @@ use crate::error::ConstraintError;
 use crate::ops::{BiasProfile, DEFAULT_STRENGTH};
 use crate::problem::{DecodeScheme, EncodedProblem};
 
+/// Multiplier of the strong constraints on the substring's window (the
+/// paper's example: 2× the penalty strength `A`).
+const STRONG_FACTOR: f64 = 2.0;
+
 /// The substring-indexOf placement encoder (paper §4.5).
 ///
 /// Builds a `7t × 7t` diagonal QUBO where the substring's window gets
@@ -24,7 +28,6 @@ pub struct IndexOfPlacement {
     index: usize,
     total_len: usize,
     strength: f64,
-    strong_factor: f64,
     bias: BiasProfile,
 }
 
@@ -37,7 +40,6 @@ impl IndexOfPlacement {
             index,
             total_len,
             strength: DEFAULT_STRENGTH,
-            strong_factor: 2.0,
             bias: BiasProfile::lowercase_block(),
         }
     }
@@ -46,13 +48,6 @@ impl IndexOfPlacement {
     pub fn with_strength(mut self, a: f64) -> Self {
         assert!(a > 0.0, "strength must be positive");
         self.strength = a;
-        self
-    }
-
-    /// Overrides the strong-constraint multiplier (paper example: 2).
-    pub fn with_strong_factor(mut self, f: f64) -> Self {
-        assert!(f > 0.0, "strong factor must be positive");
-        self.strong_factor = f;
         self
     }
 
@@ -79,7 +74,7 @@ impl IndexOfPlacement {
                 total: self.total_len,
             });
         }
-        let strong = self.strength * self.strong_factor;
+        let strong = self.strength * STRONG_FACTOR;
         let mut qubo = qsmt_qubo::QuboModel::new(self.total_len * BITS_PER_CHAR);
         for (j, c) in self.substring.chars().enumerate() {
             let bits = char_to_bits(c)?;

@@ -11,10 +11,11 @@
 //!   made from: model size/density and one-hot structure from the
 //!   compiled QUBO, the constraint's transformation/generation class,
 //!   and (when solving a script) the absint feature vector's summary.
-//! * [`Router`] — a deterministic threshold table mapping features to a
-//!   [`PortfolioPlan`]: which members to race ([`MemberKind`]) and each
-//!   member's read/sweep budget. The thresholds come from the crossover
-//!   bench; `docs/PORTFOLIO.md` records the measured crossover points.
+//! * [`Portfolio::route`] — a deterministic threshold table mapping
+//!   features to a [`PortfolioPlan`]: which members to race
+//!   ([`MemberKind`]) and each member's read/sweep budget. The thresholds
+//!   are constants from the crossover bench; `docs/PORTFOLIO.md` records
+//!   the measured crossover points.
 //! * The first-wins race itself ([`StringSolver::run`] with
 //!   [`SolveOptions::portfolio`](crate::SolveOptions::portfolio) set):
 //!   every plan member runs on its own scoped thread with its own
@@ -32,7 +33,9 @@
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::problem::{EncodedProblem, Solution};
-use crate::solver::{select, Selection, Solved, StageClock, StringSolver};
+use crate::solver::{
+    select, Selection, Solved, StageClock, StringSolver, DEFAULT_READS, DEFAULT_SWEEPS,
+};
 use qsmt_anneal::{
     read_seed, ExactSolver, SampleSet, Sampler, SamplerRunStats, SimulatedAnnealer,
     SimulatedQuantumAnnealer,
@@ -65,7 +68,8 @@ pub fn member_seed(base: u64, index: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberKind {
     /// Gray-code exact enumeration ([`ExactSolver`]); only planned when
-    /// the model fits the enumerable window (≤ the router's var limit).
+    /// the model fits the enumerable window
+    /// (≤ [`ExactSolver::DEFAULT_MAX_VARS`] variables).
     Exact,
     /// Simulated annealing.
     Sa,
@@ -269,7 +273,7 @@ pub struct PortfolioPlan {
     /// strategy single-strategy routing would have picked, and the
     /// fallback answer when no member validates.
     pub members: Vec<PlanMember>,
-    /// The member class the router predicts will win.
+    /// The member class routing predicts will win.
     pub predicted: MemberKind,
     /// The feature vector the plan was routed from.
     pub features: RoutingFeatures,
@@ -290,70 +294,61 @@ impl PortfolioPlan {
     }
 }
 
-/// The deterministic routing table: pure threshold rules from
-/// [`RoutingFeatures`] to a [`PortfolioPlan`]. Thresholds are derived
+/// Read budget of annealer members when the encoding is degenerate
+/// (regex membership or wide admissible-character positions):
+/// post-selection needs more reads to surface a valid sample. Other
+/// annealer members run the default [`DEFAULT_READS`] × [`DEFAULT_SWEEPS`].
+const DEGENERATE_READS: usize = 128;
+/// Mean admissible-character width above which an encoding counts as
+/// degenerate.
+const DEGENERATE_WIDTH: f64 = 32.0;
+/// Read budget of the annealer backstop behind exact/classical primaries
+/// (generous: the backstop only matters when the primary fails, and it is
+/// cancelled the instant the primary wins).
+const BACKSTOP_READS: usize = 256;
+/// Sweep budget of the annealer backstop.
+const BACKSTOP_SWEEPS: usize = 4096;
+
+/// Portfolio configuration: the optional classical hook and the
+/// script-level facts routing decisions are enriched with.
+///
+/// Routing is a deterministic threshold table over constants derived
 /// from the crossover bench in `crates/bench` (see `docs/PORTFOLIO.md`
-/// for the measured crossover data).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Router {
-    /// Largest model exact enumeration races on (2^26 Gray-code steps
-    /// stay under a second; beyond that annealers win the crossover).
-    pub exact_var_limit: usize,
-    /// Read budget for annealer members on non-degenerate models.
-    pub base_reads: usize,
-    /// Read budget when the encoding is degenerate (regex membership or
-    /// wide admissible-character positions): post-selection needs more
-    /// reads to surface a valid sample.
-    pub degenerate_reads: usize,
-    /// Sweep budget for racing annealer members.
-    pub anneal_sweeps: usize,
-    /// Read budget of the annealer backstop behind exact/classical
-    /// primaries (generous: the backstop only matters when the primary
-    /// fails, and it is cancelled the instant the primary wins).
-    pub backstop_reads: usize,
-    /// Sweep budget of the annealer backstop.
-    pub backstop_sweeps: usize,
-    /// Mean admissible-character width above which an encoding counts as
-    /// degenerate.
-    pub degenerate_width: f64,
-    /// Whether a classical member may be planned (true only when the
-    /// caller installed a [`ClassicalHook`]).
-    pub classical_enabled: bool,
+/// for the measured crossover data): exact enumeration races up to the
+/// [`ExactSolver`]'s own variable limit, and a classical member is
+/// planned exactly when a [`ClassicalHook`] is installed.
+#[derive(Clone, Default)]
+pub struct Portfolio {
+    classical: Option<ClassicalHook>,
+    facts: ScriptFacts,
 }
 
-impl Default for Router {
-    fn default() -> Self {
-        Router {
-            exact_var_limit: 26,
-            base_reads: 64,
-            degenerate_reads: 128,
-            anneal_sweeps: 384,
-            backstop_reads: 256,
-            backstop_sweeps: 4096,
-            degenerate_width: 32.0,
-            classical_enabled: false,
-        }
+impl std::fmt::Debug for Portfolio {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Portfolio")
+            .field("classical", &self.classical.is_some())
+            .field("facts", &self.facts)
+            .finish()
     }
 }
 
-impl Router {
-    /// The default threshold table.
+impl Portfolio {
+    /// A portfolio without a classical member.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enables (or disables) planning a classical member. Enabled
-    /// automatically by [`Portfolio::with_classical_hook`].
-    pub fn with_classical(mut self, enabled: bool) -> Self {
-        self.classical_enabled = enabled;
+    /// Installs the classical baseline hook, which lets routing plan
+    /// classical members.
+    pub fn with_classical_hook(mut self, hook: ClassicalHook) -> Self {
+        self.classical = Some(hook);
         self
     }
 
-    /// Overrides the exact-enumeration variable limit (capped at the
-    /// [`ExactSolver`] hard limit of 30).
-    pub fn with_exact_var_limit(mut self, n: usize) -> Self {
-        assert!(n <= 30, "exact enumeration beyond 30 vars is infeasible");
-        self.exact_var_limit = n;
+    /// Routes every race of this portfolio with script-level facts (the
+    /// absint feature summary) merged into the model features.
+    pub fn with_script_facts(mut self, facts: ScriptFacts) -> Self {
+        self.facts = facts;
         self
     }
 
@@ -363,7 +358,7 @@ impl Router {
     pub fn route(&self, f: &RoutingFeatures) -> PortfolioPlan {
         let mut members = Vec::with_capacity(2);
         let predicted;
-        if self.classical_enabled && f.transformation_only {
+        if self.classical.is_some() && f.transformation_only {
             // Transformation constraints have a direct classical answer;
             // the annealer backstop covers encodings the baseline's
             // budget cannot finish.
@@ -374,11 +369,11 @@ impl Router {
             });
             members.push(PlanMember {
                 kind: MemberKind::Sa,
-                reads: self.backstop_reads,
-                sweeps: self.backstop_sweeps,
+                reads: BACKSTOP_READS,
+                sweeps: BACKSTOP_SWEEPS,
             });
             predicted = MemberKind::Classical;
-        } else if f.num_vars <= self.exact_var_limit {
+        } else if f.num_vars <= ExactSolver::DEFAULT_MAX_VARS {
             // Below the crossover, exhaustive Gray-code enumeration beats
             // any sampler — and its answer is provably the ground state.
             members.push(PlanMember {
@@ -388,30 +383,29 @@ impl Router {
             });
             members.push(PlanMember {
                 kind: MemberKind::Sa,
-                reads: self.backstop_reads,
-                sweeps: self.backstop_sweeps,
+                reads: BACKSTOP_READS,
+                sweeps: BACKSTOP_SWEEPS,
             });
             predicted = MemberKind::Exact;
         } else {
             // Above the crossover: race SA against SQA. Degenerate
             // encodings (regex membership, wide positions) get a deeper
             // read budget for post-selection.
-            let degenerate =
-                f.script.regexes > 0 || f.script.avg_position_width > self.degenerate_width;
+            let degenerate = f.script.regexes > 0 || f.script.avg_position_width > DEGENERATE_WIDTH;
             let reads = if degenerate {
-                self.degenerate_reads
+                DEGENERATE_READS
             } else {
-                self.base_reads
+                DEFAULT_READS
             };
             members.push(PlanMember {
                 kind: MemberKind::Sa,
                 reads,
-                sweeps: self.anneal_sweeps,
+                sweeps: DEFAULT_SWEEPS,
             });
             members.push(PlanMember {
                 kind: MemberKind::Sqa,
                 reads: (reads / 2).max(32),
-                sweeps: self.anneal_sweeps,
+                sweeps: DEFAULT_SWEEPS,
             });
             predicted = MemberKind::Sa;
         }
@@ -426,68 +420,18 @@ impl Router {
     /// per-script plans so a threshold change shows up in CI review.
     pub fn table_json(&self) -> Json {
         Json::obj([
-            ("exact_var_limit", Json::from(self.exact_var_limit as u64)),
-            ("base_reads", Json::from(self.base_reads as u64)),
-            ("degenerate_reads", Json::from(self.degenerate_reads as u64)),
-            ("anneal_sweeps", Json::from(self.anneal_sweeps as u64)),
-            ("backstop_reads", Json::from(self.backstop_reads as u64)),
-            ("backstop_sweeps", Json::from(self.backstop_sweeps as u64)),
-            ("degenerate_width", Json::from(self.degenerate_width)),
-            ("classical_enabled", Json::from(self.classical_enabled)),
+            (
+                "exact_var_limit",
+                Json::from(ExactSolver::DEFAULT_MAX_VARS as u64),
+            ),
+            ("base_reads", Json::from(DEFAULT_READS as u64)),
+            ("degenerate_reads", Json::from(DEGENERATE_READS as u64)),
+            ("anneal_sweeps", Json::from(DEFAULT_SWEEPS as u64)),
+            ("backstop_reads", Json::from(BACKSTOP_READS as u64)),
+            ("backstop_sweeps", Json::from(BACKSTOP_SWEEPS as u64)),
+            ("degenerate_width", Json::from(DEGENERATE_WIDTH)),
+            ("classical_enabled", Json::from(self.classical.is_some())),
         ])
-    }
-}
-
-/// Portfolio configuration: a router, the optional classical hook, and
-/// the script-level facts routing decisions are enriched with.
-#[derive(Clone, Default)]
-pub struct Portfolio {
-    router: Router,
-    classical: Option<ClassicalHook>,
-    facts: ScriptFacts,
-}
-
-impl std::fmt::Debug for Portfolio {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Portfolio")
-            .field("router", &self.router)
-            .field("classical", &self.classical.is_some())
-            .field("facts", &self.facts)
-            .finish()
-    }
-}
-
-impl Portfolio {
-    /// A portfolio over the default router, no classical member.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the routing table.
-    pub fn with_router(mut self, router: Router) -> Self {
-        let classical = self.classical.is_some();
-        self.router = router.with_classical(classical);
-        self
-    }
-
-    /// Installs the classical baseline hook and enables classical
-    /// members in the routing table.
-    pub fn with_classical_hook(mut self, hook: ClassicalHook) -> Self {
-        self.classical = Some(hook);
-        self.router = self.router.clone().with_classical(true);
-        self
-    }
-
-    /// Routes every race of this portfolio with script-level facts (the
-    /// absint feature summary) merged into the model features.
-    pub fn with_script_facts(mut self, facts: ScriptFacts) -> Self {
-        self.facts = facts;
-        self
-    }
-
-    /// The routing table in effect.
-    pub fn router(&self) -> &Router {
-        &self.router
     }
 }
 
@@ -535,7 +479,7 @@ impl StringSolver {
     ) -> Solved {
         let mut features = RoutingFeatures::from_problem(problem, constraint);
         features.merge_script(&portfolio.facts);
-        let plan = portfolio.router.route(&features);
+        let plan = portfolio.route(&features);
         let ((run, stats), _) = clock.stage("portfolio", || {
             self.race(constraint, problem, &plan, portfolio.classical.as_ref())
         });
@@ -729,12 +673,12 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_size_aware() {
-        let router = Router::new();
-        let small = router.route(&features(20, false));
+        let portfolio = Portfolio::new();
+        let small = portfolio.route(&features(20, false));
         assert_eq!(small.predicted, MemberKind::Exact);
         assert_eq!(small.members[0].kind, MemberKind::Exact);
-        assert_eq!(small, router.route(&features(20, false)));
-        let big = router.route(&features(200, false));
+        assert_eq!(small, portfolio.route(&features(20, false)));
+        let big = portfolio.route(&features(200, false));
         assert_eq!(big.predicted, MemberKind::Sa);
         assert!(big
             .members
@@ -744,13 +688,14 @@ mod tests {
 
     #[test]
     fn classical_members_require_opt_in() {
-        let without = Router::new().route(&features(10, true));
+        let without = Portfolio::new().route(&features(10, true));
         assert!(without
             .members
             .iter()
             .all(|m| m.kind != MemberKind::Classical));
-        let with = Router::new()
-            .with_classical(true)
+        let hook: ClassicalHook = Arc::new(|_: &Constraint| None);
+        let with = Portfolio::new()
+            .with_classical_hook(hook)
             .route(&features(10, true));
         assert_eq!(with.members[0].kind, MemberKind::Classical);
         assert_eq!(with.predicted, MemberKind::Classical);
@@ -758,11 +703,11 @@ mod tests {
 
     #[test]
     fn degenerate_scripts_get_deeper_read_budgets() {
-        let router = Router::new();
+        let portfolio = Portfolio::new();
         let mut f = features(200, false);
-        let shallow = router.route(&f);
+        let shallow = portfolio.route(&f);
         f.script.regexes = 1;
-        let deep = router.route(&f);
+        let deep = portfolio.route(&f);
         assert!(deep.members[0].reads > shallow.members[0].reads);
     }
 
@@ -800,7 +745,7 @@ mod tests {
         let (out, stats) = race(&solver, &c, &portfolio);
         let widx = stats.winner_index as usize;
         let features = solver.routing_features(&c, None).unwrap();
-        let plan = portfolio.router().route(&features);
+        let plan = portfolio.route(&features);
         let member = plan.members[widx];
         let solo = member
             .sampler(member_seed(11, widx), None)
@@ -815,18 +760,16 @@ mod tests {
         let solver = StringSolver::with_defaults()
             .with_seed(2)
             .with_stop(outer.clone());
-        // Budgets far beyond the few ms the race gets, so both members
-        // are still sampling when the outer flag trips.
-        let portfolio = Portfolio::new().with_router(Router {
-            base_reads: 1024,
-            anneal_sweeps: 4096,
-            ..Router::default()
-        });
+        // A model far larger than the few ms the race gets (an
+        // uncancelled SA run of it samples for over 100 ms in a release
+        // build), so both members are still sampling when the outer flag
+        // trips.
+        let portfolio = Portfolio::new();
         let trip = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(5));
             outer.stop();
         });
-        let (_, stats) = race(&solver, &Constraint::Palindrome { len: 6 }, &portfolio);
+        let (_, stats) = race(&solver, &Constraint::Palindrome { len: 64 }, &portfolio);
         trip.join().unwrap();
         assert_eq!(stats.members.len(), 2);
         assert!(
@@ -875,7 +818,7 @@ mod tests {
 
     #[test]
     fn plan_json_is_stable_shape() {
-        let plan = Router::new().route(&features(20, false));
+        let plan = Portfolio::new().route(&features(20, false));
         let j = plan.to_json();
         assert_eq!(
             j.get("predicted_winner").and_then(Json::as_str),
@@ -887,7 +830,7 @@ mod tests {
             Some("exact")
         );
         assert!(j.get("features").and_then(|f| f.get("num_vars")).is_some());
-        let table = Router::new().table_json();
+        let table = Portfolio::new().table_json();
         assert_eq!(
             table.get("exact_var_limit").and_then(Json::as_u64),
             Some(26)

@@ -8,7 +8,7 @@ use crate::error::ConstraintError;
 use crate::portfolio::Portfolio;
 use crate::problem::{EncodedProblem, Solution};
 use qsmt_anneal::{
-    metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
+    metrics, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
 };
 use qsmt_lint::{lint_qubo, LintConfig, LintReport};
 use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, StopFlag};
@@ -18,6 +18,13 @@ use qsmt_telemetry::{
 };
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Reads per solve of the built-in annealer and of the portfolio's
+/// annealer members — the paper's experimental setup.
+pub const DEFAULT_READS: usize = 64;
+/// Sweeps per read of the built-in annealer and of the portfolio's
+/// annealer members.
+pub const DEFAULT_SWEEPS: usize = 384;
 
 /// The quantum(-simulated) string SMT solver.
 ///
@@ -64,13 +71,13 @@ impl StringSolver {
         }
     }
 
-    /// Default configuration: simulated annealing with 64 reads — the
-    /// paper's experimental setup.
+    /// Default configuration: simulated annealing with [`DEFAULT_READS`]
+    /// reads of [`DEFAULT_SWEEPS`] sweeps.
     pub fn with_defaults() -> Self {
         Self {
             custom: None,
             seed: 0,
-            reads: 64,
+            reads: DEFAULT_READS,
             deny_lint_errors: false,
             stop: None,
             cache: None,
@@ -164,7 +171,7 @@ impl StringSolver {
         }
         let mut sampler = SimulatedAnnealer::new()
             .with_num_reads(self.reads)
-            .with_sweeps(384)
+            .with_sweeps(DEFAULT_SWEEPS)
             .with_seed(self.seed);
         if let Some(stop) = &self.stop {
             sampler = sampler.with_stop(stop.clone());
@@ -341,7 +348,6 @@ impl StringSolver {
         problem: &EncodedProblem,
         probes: bool,
     ) -> Solved {
-        let probe_config = probes.then(ProbeConfig::default);
         let sampler = self.sampler();
         let (sampled, sample_us) = clock.stage("sample", || {
             let lookup = self.cache.as_ref().map(|cache| {
@@ -402,7 +408,7 @@ impl StringSolver {
             let (samples, run_stats, dynamics) = warm
                 .as_deref()
                 .unwrap_or(&*sampler)
-                .run(&problem.qubo, probe_config.as_ref());
+                .run(&problem.qubo, probes);
             if let Some(base_us) = trace_base_us {
                 for (i, &(offset_us, dur_us)) in dynamics.read_spans.iter().enumerate() {
                     qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
@@ -1134,7 +1140,7 @@ mod tests {
     }
 
     impl Sampler for CountingSampler {
-        fn run(&self, model: &QuboModel, probes: Option<&ProbeConfig>) -> SamplerRun {
+        fn run(&self, model: &QuboModel, probes: bool) -> SamplerRun {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.inner.run(model, probes)
         }

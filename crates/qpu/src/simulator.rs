@@ -5,16 +5,14 @@ use crate::{
     embed, ChainBreakResolution, ChainStrength, EmbedError, Embedding, HardwareGraph, QpuTiming,
     QpuTimingModel, Topology,
 };
-use parking_lot::Mutex;
 use qsmt_anneal::{
-    ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats,
-    SimulatedAnnealer,
+    SampleSet, Sampler, SamplerDynamics, SamplerRun, SamplerRunStats, SimulatedAnnealer,
 };
 use qsmt_qubo::{QuboModel, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Cache key: the structure of a logical problem graph (node count plus
 /// sorted edge list). Models with identical interaction structure reuse
@@ -36,7 +34,6 @@ pub struct QpuSimulator {
     topology: Topology,
     chain_strength: ChainStrength,
     resolution: ChainBreakResolution,
-    timing: QpuTimingModel,
     noise_sigma: Option<f64>,
     num_reads: usize,
     sweeps: usize,
@@ -58,7 +55,6 @@ impl QpuSimulator {
             topology,
             chain_strength: ChainStrength::default(),
             resolution: ChainBreakResolution::MajorityVote,
-            timing: QpuTimingModel::default(),
             noise_sigma: None,
             num_reads: 64,
             sweeps: 256,
@@ -71,7 +67,15 @@ impl QpuSimulator {
 
     /// Number of embeddings currently cached.
     pub fn cached_embeddings(&self) -> usize {
-        self.embedding_cache.lock().len()
+        self.cache().len()
+    }
+
+    /// Locks the embedding cache, taking a poisoned lock as is: every
+    /// critical section is a single `get` or `insert`.
+    fn cache(&self) -> MutexGuard<'_, HashMap<GraphKey, Embedding>> {
+        self.embedding_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Splits the reads across `n` random spin-reversal (gauge) transforms
@@ -92,12 +96,6 @@ impl QpuSimulator {
     /// Sets the chain-break resolution policy.
     pub fn with_resolution(mut self, r: ChainBreakResolution) -> Self {
         self.resolution = r;
-        self
-    }
-
-    /// Sets the timing model.
-    pub fn with_timing(mut self, t: QpuTimingModel) -> Self {
-        self.timing = t;
         self
     }
 
@@ -253,12 +251,12 @@ impl QpuSimulator {
             edges.sort_unstable();
             (logical.num_vars(), edges)
         };
-        let cached = self.embedding_cache.lock().get(&key).cloned();
+        let cached = self.cache().get(&key).cloned();
         let embedding = match cached {
             Some(e) => e,
             None => {
                 let e = embed(&problem, self.topology.graph(), self.seed, self.embed_tries)?;
-                self.embedding_cache.lock().insert(key, e.clone());
+                self.cache().insert(key, e.clone());
                 e
             }
         };
@@ -327,7 +325,7 @@ impl QpuSimulator {
             broken_chains: broken_total as u64,
             chain_slots: (reads_seen * total_chains) as u64,
             discarded_reads: discarded,
-            timing: self.timing.access_time(self.num_reads),
+            timing: QpuTimingModel::default().access_time(self.num_reads),
             chain_strength: strength,
             embedding,
         })
@@ -341,7 +339,7 @@ impl Sampler for QpuSimulator {
     /// # Panics
     /// Panics if the model cannot be embedded; use
     /// [`QpuSimulator::sample_qubo`] for fallible submission.
-    fn run(&self, model: &QuboModel, _probes: Option<&ProbeConfig>) -> SamplerRun {
+    fn run(&self, model: &QuboModel, _probes: bool) -> SamplerRun {
         let samples = self
             .sample_qubo(model)
             .expect("model could not be embedded in the QPU topology")

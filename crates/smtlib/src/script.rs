@@ -316,7 +316,7 @@ impl Script {
         })
     }
 
-    /// Lifts the absint feature vector into the core router's
+    /// Lifts the absint feature vector into the portfolio routing's
     /// [`ScriptFacts`] so script-level structure (regex membership,
     /// pinned positions, admissible-character widths) can steer routing.
     pub fn script_facts(run: &crate::absint::AbsintRun) -> ScriptFacts {
@@ -360,7 +360,7 @@ impl Script {
                 | Goal::IndexQuery { name, constraint } => {
                     match solver.routing_features(constraint, Some(&facts)) {
                         Ok(features) => {
-                            plans.push((name.clone(), Some(portfolio.router().route(&features))));
+                            plans.push((name.clone(), Some(portfolio.route(&features))));
                         }
                         Err(e) if is_unsat(&e) => {
                             plans.push((name.clone(), None));

@@ -24,7 +24,7 @@
 //!   enforced in CI.
 //! * **replica_scaling** (schema v3) — the bit-sliced
 //!   [`MultiReplicaKernel`] dimension: the dense Metropolis workload at
-//!   1/8/64 replicas per word (`--replicas N` pins one count), reporting
+//!   1/8/64 replicas per word, reporting
 //!   *effective* proposals/s and flips/s (scaled by the replica count,
 //!   since one sweep advances every lane). The 64-replica row must reach
 //!   [`MIN_REPLICA_SPEEDUP`]× the scalar row's effective flips/s —
@@ -47,9 +47,9 @@ use crate::anneal::{
     Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
 };
 use crate::core::Constraint;
-use crate::qubo::{CompiledQubo, FlipKernel, MultiReplicaKernel, QuboModel, Var};
+use crate::qubo::{CompiledQubo, FlipKernel, MultiReplicaKernel, QuboModel, Var, LANES};
 use crate::telemetry::Json;
-use qsmt_anneal::{multi, read_seed, ProbeConfig, SamplerRunStats};
+use qsmt_anneal::{multi, read_seed, SamplerRunStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -99,11 +99,6 @@ pub struct BenchOptions {
     pub quick: bool,
     /// Base RNG seed for every timed run.
     pub seed: u64,
-    /// Pin the replica-scaling section to one replica count (the
-    /// `--replicas N` flag, 1..=64). The scalar row is always measured
-    /// too, so speedups stay well-defined; `None` benches the default
-    /// 1/8/64 ladder.
-    pub replicas: Option<usize>,
 }
 
 /// Runs the full harness and returns the bench document.
@@ -201,26 +196,15 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
     let model = dense_penalty_model(n, opts.seed);
     let compiled = CompiledQubo::compile(&model);
     let betas = BetaSchedule::auto(&compiled, 256).realize();
-    let ladder: Vec<usize> = match opts.replicas {
-        None => vec![1, 8, 64],
-        Some(1) => vec![1],
-        Some(r) => vec![1, r],
-    };
+    let ladder = [1, 8, LANES];
     // Warm-up both arms so no row pays first-touch costs in its timer.
     let _ = scalar_replica_sweeps(&compiled, &betas, 1, opts.seed);
-    let _ = multi_replica_sweeps(
-        &compiled,
-        &betas,
-        1,
-        opts.seed,
-        *ladder.last().expect("ladder"),
-    );
+    let _ = multi_replica_sweeps(&compiled, &betas, 1, opts.seed, LANES);
     let per_replica_proposals = (passes * betas.len() * n) as f64;
     let mut scalar_pps = f64::NAN;
     let mut scalar_fps = f64::NAN;
     let mut headline_speedup = Json::Null;
     let mut headline_flips_speedup = Json::Null;
-    let mut max_replicas = 1u64;
     let rows: Vec<Json> = ladder
         .iter()
         .map(|&replicas| {
@@ -238,8 +222,7 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
             }
             let speedup = pps / scalar_pps.max(1e-12);
             let flips_speedup = fps / scalar_fps.max(1e-12);
-            if replicas as u64 >= max_replicas {
-                max_replicas = replicas as u64;
+            if replicas == LANES {
                 headline_speedup = Json::from(speedup);
                 headline_flips_speedup = Json::from(flips_speedup);
             }
@@ -269,7 +252,7 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
         ("model_vars", Json::from(n)),
         ("sweeps_per_pass", Json::from(betas.len())),
         ("passes", Json::from(passes)),
-        ("max_replicas", Json::from(max_replicas)),
+        ("max_replicas", Json::from(LANES as u64)),
         ("speedup", headline_speedup),
         ("flips_speedup", headline_flips_speedup),
         ("min_flips_speedup", Json::from(MIN_REPLICA_SPEEDUP)),
@@ -278,7 +261,7 @@ fn replica_scaling_section(opts: &BenchOptions) -> Json {
 }
 
 /// Times the dense-model SA workload along three paths — plain
-/// `sample_stats`, `run(model, None)`, and `run` with probes — and
+/// `sample_stats`, `run(model, false)`, and `run` with probes — and
 /// reports the overheads. The first two arms share one code path, so the
 /// disabled overhead guards the provided-method shim; see the inline
 /// comments for how the repetitions are aggregated into noise-robust
@@ -295,7 +278,6 @@ fn probe_overhead_section(opts: &BenchOptions) -> Json {
         .with_seed(opts.seed)
         .with_num_reads(reads)
         .with_sweeps(sweeps);
-    let probes = ProbeConfig::default();
     // Warm-up: fault in code and model pages outside the timers.
     let _ = sa.sample_stats(&model);
     // Interleave the arms round-robin so machine-load drift hits all
@@ -311,10 +293,10 @@ fn probe_overhead_section(opts: &BenchOptions) -> Json {
         let _ = sa.sample_stats(&model);
         let plain_t = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let _ = sa.run(&model, None);
+        let _ = sa.run(&model, false);
         let off_t = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let _ = sa.run(&model, Some(&probes));
+        let _ = sa.run(&model, true);
         let on_t = t.elapsed().as_secs_f64();
         plain_times.push(plain_t);
         off_ratios.push(off_t / plain_t.max(1e-12));
@@ -966,7 +948,6 @@ mod tests {
         let doc = run(&BenchOptions {
             quick: true,
             seed: 7,
-            replicas: None,
         });
         validate(&doc).expect("self-produced document validates");
         // And it survives a serialize/parse round trip.

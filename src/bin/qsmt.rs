@@ -7,9 +7,8 @@
 //! qsmt lint  <file.smt2> [--format text|json] [--no-absint]  # static analysis
 //! qsmt dump  <file.smt2> [--goal K]        # print a goal's QUBO (qbsolv format)
 //! qsmt demo                                 # solve the built-in Table 1 script
-//! qsmt bench [--quick] [--out PATH] [--seed N] [--replicas N]
-//!            [--check-overhead] [--check-replicas]
-//!            [--check-trace-overhead]        # annealing perf baseline
+//! qsmt bench [--quick] [--out PATH] [--seed N] [--check-overhead]
+//!            [--check-replicas] [--check-trace-overhead]  # annealing perf baseline
 //! qsmt serve --metrics-addr ADDR [--seed N] [--workers N] [--queue-depth N]
 //!            [--job-timeout MS] [--run-store PATH]  # solve service + metrics
 //! qsmt submit ADDR <file.smt2> [--seed N] [--reads N] [--job-timeout MS]
@@ -45,9 +44,10 @@
 //! encoding the linter can prove unsound.
 
 use qsmt::anneal::{
-    ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler, SimulatedAnnealer,
+    ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler,
     SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
 };
+use qsmt::core::DEFAULT_READS;
 use qsmt::smtlib::{Goal, ScriptRun};
 use qsmt::telemetry::Json;
 use qsmt::trace::TraceId;
@@ -69,8 +69,8 @@ USAGE:
   qsmt demo  [--sampler NAME] [--seed N] [--reads N]
              [--stats] [--report <path>] [--trace [out.json]] [--lint]
              [--no-absint] [--portfolio]
-  qsmt bench [--quick] [--out <path>] [--seed N] [--replicas N]
-             [--check-overhead] [--check-replicas] [--check-trace-overhead]
+  qsmt bench [--quick] [--out <path>] [--seed N] [--check-overhead]
+             [--check-replicas] [--check-trace-overhead]
   qsmt serve --metrics-addr <host:port> [--seed N] [--workers N]
              [--queue-depth N] [--job-timeout MS] [--max-requests N]
              [--cache-entries N] [--no-cache] [--run-store <path>]
@@ -96,8 +96,6 @@ OBSERVABILITY (see docs/OBSERVABILITY.md):
                    `--trace <out.json>` instead writes the same spans as
                    Chrome trace-event JSON (open in Perfetto or
                    chrome://tracing)
-  --flight <path>  on solve failure, dump the flight-recorder ring
-                   buffer to <path> as JSON
 
 SOLVE SERVICE (see docs/OBSERVABILITY.md):
   qsmt serve       concurrent solve service + live metrics: POST /solve
@@ -142,8 +140,6 @@ BENCHMARKS (see docs/PERFORMANCE.md):
                    per-sampler rates, time-to-ground per formulation)
   --quick          CI smoke mode: shrink every workload
   --out <path>     output path (default BENCH_annealing.json)
-  --replicas N     pin the replica-scaling ladder to one width (1..=64)
-                   instead of the default 1/8/64 sweep
   --check-overhead fail unless the disabled trajectory-probe path stays
                    within 2% of plain sampling (retries on noisy hosts)
   --check-replicas fail unless bit-sliced 64-replica sweeps deliver at
@@ -168,7 +164,6 @@ ABSTRACT INTERPRETATION (see docs/ABSINT.md):
   replay-checked certificate, proven character pins shrink the QUBO
   before presolve, and the report gains an `absint` section (schema v6)
   --no-absint      skip the pass (compile every goal as written)
-  --absint         force the default on explicitly
 
 PORTFOLIO SOLVING (see docs/PORTFOLIO.md):
   --portfolio      solve/demo: race a structure-routed portfolio of
@@ -178,7 +173,7 @@ PORTFOLIO SOLVING (see docs/PORTFOLIO.md):
                    returns a satisfying assignment; the report's
                    `portfolio` section (schema v9) records the routing
                    decision and per-member outcomes; with --no-absint
-                   the router sees model features only. serve: make
+                   routing sees model features only. serve: make
                    portfolio racing the service default (per-job
                    `?portfolio=` still overrides). submit: request
                    portfolio mode for the submitted job
@@ -224,12 +219,8 @@ struct Options {
     quick: bool,
     out: Option<String>,
     metrics_addr: Option<String>,
-    flight: Option<String>,
     max_requests: Option<u64>,
     check_overhead: bool,
-    /// Replica ladder override for `bench` (`--replicas N`); None runs
-    /// the default 1/8/64 scaling ladder.
-    replicas: Option<usize>,
     check_replicas: bool,
     workers: usize,
     queue_depth: usize,
@@ -262,7 +253,7 @@ impl Default for Options {
             sampler: "sa".into(),
             seed: 0,
             seed_set: false,
-            reads: 64,
+            reads: DEFAULT_READS,
             reads_set: false,
             goal: 0,
             stats: false,
@@ -274,10 +265,8 @@ impl Default for Options {
             quick: false,
             out: None,
             metrics_addr: None,
-            flight: None,
             max_requests: None,
             check_overhead: false,
-            replicas: None,
             check_replicas: false,
             workers: 4,
             queue_depth: 16,
@@ -324,6 +313,9 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                 opts.reads = value("--reads")?
                     .parse()
                     .map_err(|_| "--reads expects an integer".to_string())?;
+                if opts.reads == 0 {
+                    return Err("--reads expects at least 1".into());
+                }
                 opts.reads_set = true;
             }
             "--workers" => {
@@ -375,13 +367,14 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
             }
             "--lint" => opts.lint = true,
             "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?),
-            "--flight" => opts.flight = Some(value("--flight")?),
             "--max-requests" => {
-                opts.max_requests = Some(
-                    value("--max-requests")?
-                        .parse()
-                        .map_err(|_| "--max-requests expects an integer".to_string())?,
-                );
+                let n: u64 = value("--max-requests")?
+                    .parse()
+                    .map_err(|_| "--max-requests expects an integer".to_string())?;
+                if n == 0 {
+                    return Err("--max-requests expects at least 1".into());
+                }
+                opts.max_requests = Some(n);
             }
             "--cache-entries" => {
                 opts.cache_entries = value("--cache-entries")?
@@ -416,19 +409,9 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                 }
                 opts.threshold = pct / 100.0;
             }
-            "--absint" => opts.absint = true,
             "--no-absint" => opts.absint = false,
             "--portfolio" => opts.portfolio = true,
             "--check-overhead" => opts.check_overhead = true,
-            "--replicas" => {
-                let n: usize = value("--replicas")?
-                    .parse()
-                    .map_err(|_| "--replicas expects an integer".to_string())?;
-                if !(1..=64).contains(&n) {
-                    return Err("--replicas expects 1..=64 (one bit-sliced word)".into());
-                }
-                opts.replicas = Some(n);
-            }
             "--check-replicas" => opts.check_replicas = true,
             "--format" => {
                 let fmt = value("--format")?;
@@ -443,18 +426,14 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The sampler `--sampler` names, for every name but the default `sa`,
+/// which is the solver's built-in annealer.
 fn make_sampler(opts: &Options) -> Result<Arc<dyn Sampler>, String> {
     Ok(match opts.sampler.as_str() {
-        "sa" => Arc::new(
-            SimulatedAnnealer::new()
-                .with_seed(opts.seed)
-                .with_num_reads(opts.reads)
-                .with_sweeps(384),
-        ),
         "sqa" => Arc::new(
             SimulatedQuantumAnnealer::new()
                 .with_seed(opts.seed)
-                .with_num_reads(opts.reads.max(1)),
+                .with_num_reads(opts.reads),
         ),
         "pt" => Arc::new(
             ParallelTempering::new()
@@ -464,7 +443,7 @@ fn make_sampler(opts: &Options) -> Result<Arc<dyn Sampler>, String> {
         "tabu" => Arc::new(
             TabuSearch::new()
                 .with_seed(opts.seed)
-                .with_num_reads(opts.reads.clamp(1, 64)),
+                .with_num_reads(opts.reads.min(64)),
         ),
         "descent" => Arc::new(
             SteepestDescent::new()
@@ -486,44 +465,21 @@ fn make_sampler(opts: &Options) -> Result<Arc<dyn Sampler>, String> {
     })
 }
 
-/// Dumps the flight-recorder ring buffer to `path` (used on solve
-/// failure so the last recorded breadcrumbs survive the crash).
-fn dump_flight(path: &str) {
-    let doc = qsmt::metrics::global_flight().to_json().pretty();
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("flight recording written to {path}"),
-        Err(e) => eprintln!("cannot write flight recording to {path}: {e}"),
-    }
-}
-
 fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), String> {
-    let flight = qsmt::metrics::global_flight();
-    flight.record_detail("solve.start", 0.0, source_name);
-    let result = run_solve_inner(source, source_name, opts);
-    match &result {
-        Ok(()) => flight.record("solve.done", 0.0),
-        Err(e) => {
-            flight.record_detail("solve.error", 1.0, e);
-            if let Some(path) = &opts.flight {
-                dump_flight(path);
-            }
-        }
-    }
-    result
-}
-
-fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<(), String> {
     let script = Script::parse(source).map_err(|e| e.to_string())?;
-    // Portfolio mode routes its own sampler per race member, so the base
-    // solver only contributes the seed member streams derive from and
-    // the lint gate (`--sampler` is ignored).
-    let solver = if opts.portfolio {
+    // The default `sa` sampler is the solver's built-in annealer.
+    // Portfolio mode routes its own sampler per race member
+    // (`--sampler` is ignored); the base solver contributes the seed
+    // member streams derive from, the lint gate, and the annealer for
+    // the pipeline goals a portfolio never races.
+    let solver = if opts.portfolio || opts.sampler == "sa" {
         StringSolver::with_defaults()
             .with_seed(opts.seed)
-            .with_deny_lint_errors(opts.lint)
+            .with_reads(opts.reads)
     } else {
-        StringSolver::new(make_sampler(opts)?).with_deny_lint_errors(opts.lint)
-    };
+        StringSolver::new(make_sampler(opts)?)
+    }
+    .with_deny_lint_errors(opts.lint);
     // Samplers with hard limits (the exact enumerator caps at 26
     // variables) signal misuse by panicking; surface that as a normal
     // CLI error instead of a crash.
@@ -779,7 +735,6 @@ fn run_bench(opts: &Options) -> Result<(), String> {
     let bench_opts = qsmt::bench::BenchOptions {
         quick: opts.quick,
         seed: opts.seed,
-        replicas: opts.replicas,
     };
     let path = opts.out.as_deref().unwrap_or("BENCH_annealing.json");
     // Snapshot the committed baseline (if any) before overwriting it, so

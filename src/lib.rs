@@ -71,7 +71,7 @@ pub use qsmt_anneal::{
     SampleSet, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
 };
 pub use qsmt_core::{
-    member_seed, MemberKind, PlanMember, Portfolio, PortfolioPlan, Router, RoutingFeatures,
+    member_seed, MemberKind, PlanMember, Portfolio, PortfolioPlan, RoutingFeatures,
 };
 pub use qsmt_core::{
     BiasProfile, Constraint, ConstraintError, Pipeline, PipelineReport, Solution, SolveOptions,

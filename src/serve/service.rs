@@ -218,8 +218,8 @@ pub struct Service {
     /// Whether jobs race a routed portfolio by default (`--portfolio`);
     /// `?portfolio=` overrides per job.
     portfolio_default: bool,
-    /// The portfolio every portfolio-mode job races: default router plus
-    /// the classical baseline member.
+    /// The portfolio every portfolio-mode job races: the routing table
+    /// plus the classical baseline member.
     portfolio: qsmt_core::Portfolio,
 }
 

@@ -47,6 +47,128 @@ fn solve_with_alternate_samplers() {
 }
 
 #[test]
+fn default_sampler_runs_the_requested_reads_at_the_default_sweeps() {
+    use qsmt::telemetry::Json;
+    // The default sampler, and the built-in annealer a portfolio run
+    // keeps for the pipeline goals it never races.
+    let cases: [(&str, &[&str]); 2] = [
+        ("table1_row2_palindrome.smt2", &[]),
+        ("nested_pipeline.smt2", &["--portfolio"]),
+    ];
+    for (file, extra) in cases {
+        let report_path = std::env::temp_dir().join(format!(
+            "qsmt-cli-default-budget-{}-{file}.json",
+            std::process::id()
+        ));
+        let out = qsmt()
+            .args(["solve", &corpus(file), "--seed", "3", "--reads", "16"])
+            .args(extra)
+            .args(["--report", report_path.to_str().expect("utf8 path")])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{file}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report_text = std::fs::read_to_string(&report_path).expect("report written");
+        let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
+        let samplings: Vec<&Json> = report
+            .get("goals")
+            .and_then(Json::as_arr)
+            .expect("goals array")
+            .iter()
+            .flat_map(|goal| goal.get("solves").and_then(Json::as_arr).expect("solves"))
+            .map(|solve| solve.get("sampling").expect("sampling section"))
+            .collect();
+        assert!(!samplings.is_empty(), "{file}: no solves in {report_text}");
+        for sampling in samplings {
+            assert_eq!(
+                sampling.get("sampler").and_then(Json::as_str),
+                Some("simulated-annealing"),
+                "{file}"
+            );
+            assert_eq!(
+                sampling.get("reads").and_then(Json::as_u64),
+                Some(16),
+                "{file}"
+            );
+            assert_eq!(
+                sampling.get("sweeps").and_then(Json::as_u64),
+                Some(qsmt::core::DEFAULT_SWEEPS as u64),
+                "{file}"
+            );
+        }
+        let _ = std::fs::remove_file(&report_path);
+    }
+}
+
+#[test]
+fn solve_rejects_zero_reads() {
+    let out = qsmt()
+        .args([
+            "solve",
+            &corpus("table1_row1_reverse_replace.smt2"),
+            "--reads",
+            "0",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(
+        stderr.contains("--reads expects at least 1"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn serve_rejects_a_zero_request_cap() {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    // A server that accepted the cap would wait for requests that never
+    // come, so the child runs under a deadline and is killed past it.
+    let mut child = qsmt()
+        .args([
+            "serve",
+            "--metrics-addr",
+            "127.0.0.1:0",
+            "--max-requests",
+            "0",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let status = status.expect("serve --max-requests 0 kept running instead of exiting");
+    assert_eq!(status.code(), Some(1));
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("utf8");
+    assert!(
+        stderr.contains("--max-requests expects at least 1"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn exact_sampler_solves_small_goals_and_rejects_large_ones_gracefully() {
     // 7 indicator variables: well inside the exact enumerator's limit.
     let out = qsmt()

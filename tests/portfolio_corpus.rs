@@ -1,10 +1,11 @@
 //! Corpus gate for portfolio routing: every script in `benchmarks/` is
-//! routed through the default [`qsmt::Router`], and the resulting plans
-//! — member kinds, read/sweep budgets, predicted winner, and the
-//! routing feature vector — must match the checked-in snapshot
-//! (`benchmarks/portfolio_expected.json`). The snapshot also pins the
-//! router's threshold table under the `_router` key, so a silent
-//! routing-constant change cannot land without a visible diff.
+//! routed through [`qsmt::Portfolio::route`] of the default portfolio,
+//! and the resulting plans — member kinds, read/sweep budgets, predicted
+//! winner, and the routing feature vector — must match the checked-in
+//! snapshot (`benchmarks/portfolio_expected.json`). The snapshot also
+//! pins the routing threshold table ([`qsmt::Portfolio::table_json`])
+//! under the `_router` key, so a silent routing-constant change cannot
+//! land without a visible diff.
 //!
 //! On top of the snapshot, the corpus enforces hard invariants the
 //! snapshot alone cannot: racing a portfolio never changes a script's
@@ -53,7 +54,7 @@ fn corpus_routing_matches_expected_snapshot() {
     // `_router` sorts before the benchmark filenames, so the threshold
     // table heads the snapshot where a reviewer sees it first.
     let mut actual = BTreeMap::new();
-    actual.insert("_router".to_string(), portfolio.router().table_json());
+    actual.insert("_router".to_string(), portfolio.table_json());
     for name in corpus_files() {
         let src = std::fs::read_to_string(format!("{dir}/{name}")).expect("read benchmark");
         let script = Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));

@@ -168,7 +168,7 @@ proptest! {
         let out = solver.run(&c, &opts).expect("solves");
         let widx = out.report.portfolio.as_ref().expect("raced").winner_index as usize;
         let features = solver.routing_features(&c, None).expect("routes");
-        let plan = portfolio.router().route(&features);
+        let plan = portfolio.route(&features);
         let solo = plan.members[widx]
             .sampler(qsmt::member_seed(seed, widx), None)
             .expect("winner is sampler-backed")

@@ -17,7 +17,7 @@
 //! QSMT_BLESS=1 cargo test --test sampler_golden
 //! ```
 
-use qsmt::anneal::{Polished, ProbeConfig, SamplerDynamics, SamplerRunStats};
+use qsmt::anneal::{Polished, SamplerDynamics, SamplerRunStats};
 use qsmt::telemetry::{parse, Json};
 use qsmt::{
     Constraint, ExactSolver, ParallelTempering, PopulationAnnealer, QuboModel, RandomSampler,
@@ -145,7 +145,7 @@ fn dynamics(d: &SamplerDynamics) -> Json {
 
 fn summarize(sampler: &dyn Sampler, model: &QuboModel) -> Json {
     let (set, stats) = sampler.sample_stats(model);
-    let (probed, probed_stats, probed_dynamics) = sampler.run(model, Some(&ProbeConfig::default()));
+    let (probed, probed_stats, probed_dynamics) = sampler.run(model, true);
     Json::obj([
         ("sampler", Json::from(sampler.name())),
         ("reads", Json::from(set.total_reads())),
