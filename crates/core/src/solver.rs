@@ -1080,44 +1080,53 @@ mod tests {
     #[test]
     fn stop_flag_survives_builder_reordering_and_cancels_promptly() {
         use std::time::{Duration, Instant};
-        // `with_stop` before `with_reads`/`with_seed`: the built-in
-        // annealer must still poll the flag.
-        let stop = StopFlag::new();
-        let s = StringSolver::with_defaults()
-            .with_stop(stop.clone())
-            .with_seed(9)
-            .with_reads(4096);
-        stop.stop();
-        let started = Instant::now();
-        // A tripped flag cancels before the first sweep: a read budget
-        // this size would otherwise take far longer than the assertion
-        // allows, and the call still returns a well-formed outcome.
-        let out = s
-            .solve(&Constraint::Equality {
-                target: "hello".into(),
-            })
-            .unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "tripped stop flag did not cut the solve short: {:?}",
-            started.elapsed()
-        );
-        let _ = out.valid;
+        let tripped = StopFlag::new();
+        tripped.stop();
+        // A deadline that has already passed stops the flag the same way.
+        for stop in [tripped, StopFlag::with_deadline(Instant::now())] {
+            // `with_stop` before `with_reads`/`with_seed`: the built-in
+            // annealer must still poll the flag.
+            let s = StringSolver::with_defaults()
+                .with_stop(stop)
+                .with_seed(9)
+                .with_reads(4096);
+            let started = Instant::now();
+            // A tripped flag cancels before the first sweep: a read budget
+            // this size would otherwise take far longer than the assertion
+            // allows, and the call still returns a well-formed outcome.
+            let out = s
+                .solve(&Constraint::Equality {
+                    target: "hello".into(),
+                })
+                .unwrap();
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "tripped stop flag did not cut the solve short: {:?}",
+                started.elapsed()
+            );
+            let _ = out.valid;
+        }
     }
 
     #[test]
     fn untripped_stop_flag_keeps_solves_bit_identical() {
-        let plain = solver().solve(&Constraint::Equality {
-            target: "abc".into(),
-        });
-        let flagged = solver()
-            .with_stop(StopFlag::new())
+        let plain = solver()
             .solve(&Constraint::Equality {
                 target: "abc".into(),
-            });
-        let (plain, flagged) = (plain.unwrap(), flagged.unwrap());
-        assert_eq!(plain.solution, flagged.solution);
-        assert_eq!(plain.energy, flagged.energy);
+            })
+            .unwrap();
+        // A deadline that has not passed changes no draw either.
+        let far = std::time::Instant::now() + Duration::from_secs(3600);
+        for stop in [StopFlag::new(), StopFlag::with_deadline(far)] {
+            let flagged = solver()
+                .with_stop(stop)
+                .solve(&Constraint::Equality {
+                    target: "abc".into(),
+                })
+                .unwrap();
+            assert_eq!(plain.solution, flagged.solution);
+            assert_eq!(plain.energy, flagged.energy);
+        }
     }
 
     /// Delegates to a real annealer but counts invocations, so a test

@@ -1,13 +1,16 @@
 //! Cooperative cancellation for long-running sweep loops.
 //!
-//! A [`StopFlag`] is a cheap, clonable handle over a shared atomic bit.
-//! The owner of a deadline (a solve service worker, a signal handler, a
-//! test harness) calls [`StopFlag::stop`]; sweep loops driving a
+//! A [`StopFlag`] is a cheap, clonable handle over a shared atomic bit
+//! and an optional deadline. Its owner (a signal handler, a portfolio
+//! race, a test harness) calls [`StopFlag::stop`], or builds the flag
+//! with [`StopFlag::with_deadline`] so that it trips itself once the
+//! deadline passes (a solve service job). Sweep loops driving a
 //! [`FlipKernel`](crate::FlipKernel) poll [`StopFlag::is_stopped`] at
 //! sweep granularity and wind down early, returning the best states found
-//! so far. Polling an un-tripped flag is a single relaxed atomic load —
-//! it never touches a sampler's RNG stream, so results are bit-identical
-//! to an un-flagged run until the moment the flag fires.
+//! so far. Polling an un-tripped flag is an atomic load, plus one clock
+//! read while a deadline is set — it never touches a sampler's RNG
+//! stream, so results are bit-identical to an un-flagged run until the
+//! moment the flag fires.
 //!
 //! A [`StopFlag::child`] adds a bit of its own under a parent: stopping
 //! the parent stops every child, while stopping a child leaves the
@@ -16,6 +19,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Shared cancellation token: set once, observed by many sweep loops.
 ///
@@ -31,6 +35,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct StopFlag {
     bit: Arc<AtomicBool>,
+    deadline: Option<Instant>,
     parent: Option<Arc<StopFlag>>,
 }
 
@@ -40,12 +45,22 @@ impl StopFlag {
         Self::default()
     }
 
+    /// Creates a flag that also reports stopped once `deadline` has
+    /// passed; [`StopFlag::stop`] still trips it earlier.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..Self::default()
+        }
+    }
+
     /// Creates an un-tripped flag that also reports stopped once `self`
     /// (or any ancestor of `self`) is stopped. Stopping the child does
     /// not stop `self`.
     pub fn child(&self) -> Self {
         Self {
             bit: Arc::default(),
+            deadline: None,
             parent: Some(Arc::new(self.clone())),
         }
     }
@@ -57,10 +72,13 @@ impl StopFlag {
     }
 
     /// True once any clone of this flag or of an ancestor has called
-    /// [`StopFlag::stop`].
+    /// [`StopFlag::stop`], or the deadline of this flag or of an
+    /// ancestor has passed.
     #[inline]
     pub fn is_stopped(&self) -> bool {
-        self.bit.load(Ordering::Acquire) || self.parent.as_ref().is_some_and(|p| p.is_stopped())
+        self.bit.load(Ordering::Acquire)
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.parent.as_ref().is_some_and(|p| p.is_stopped())
     }
 }
 
@@ -106,5 +124,16 @@ mod tests {
             b.is_stopped() && grandchild.is_stopped(),
             "a parent's stop missed a descendant"
         );
+    }
+
+    #[test]
+    fn a_deadline_stops_the_flag_and_its_children_once_passed() {
+        let passed = StopFlag::with_deadline(Instant::now());
+        assert!(passed.is_stopped() && passed.child().is_stopped());
+        let far = StopFlag::with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
+        let child = far.child();
+        assert!(!far.is_stopped() && !child.is_stopped());
+        far.stop();
+        assert!(far.is_stopped() && child.is_stopped());
     }
 }

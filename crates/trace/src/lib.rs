@@ -1,7 +1,7 @@
 //! # qsmt-trace — end-to-end job tracing
 //!
 //! Dependency-free tracing layer for the qsmt workspace (a leaf crate,
-//! like `qsmt-telemetry` and `qsmt-metrics`): hierarchical spans with
+//! like `qsmt-telemetry`): hierarchical spans with
 //! monotonic timestamps, a per-thread span buffer merged into a
 //! process-wide [`TraceRegistry`] keyed by a 64-bit [`TraceId`], and two
 //! views of a trace — Chrome trace-event JSON (loadable in Perfetto or

@@ -73,7 +73,7 @@ USAGE:
              [--check-replicas] [--check-trace-overhead]
   qsmt serve --metrics-addr <host:port> [--seed N] [--workers N]
              [--queue-depth N] [--job-timeout MS] [--max-requests N]
-             [--cache-entries N] [--no-cache] [--run-store <path>]
+             [--cache-entries N] [--run-store <path>]
              [--portfolio]
   qsmt submit <host:port> <file.smt2> [--seed N] [--reads N]
               [--job-timeout MS] [--trace <out.json>] [--portfolio]
@@ -109,8 +109,8 @@ SOLVE SERVICE (see docs/OBSERVABILITY.md):
                    mid-anneal; SIGINT or --max-requests drains
                    gracefully. Repeat submissions are answered from a
                    fingerprint-keyed solution cache (docs/CACHING.md):
-                   --cache-entries N sizes it (default 256), --no-cache
-                   disables it. --run-store <path> appends every finished
+                   --cache-entries N sizes it (default 256; 0 disables
+                   it). --run-store <path> appends every finished
                    run report to a bounded JSONL history that `qsmt
                    history` analyzes. Also exposes /metrics (Prometheus
                    text format), /flight (JSON ring buffer), and /healthz
@@ -227,7 +227,7 @@ struct Options {
     job_timeout_ms: u64,
     /// Whether `--job-timeout` was given explicitly.
     job_timeout_set: bool,
-    /// Solve-cache capacity for `serve`; 0 means `--no-cache`.
+    /// Solve-cache capacity for `serve`; 0 disables the cache.
     cache_entries: usize,
     /// Script-level abstract interpretation before compiling
     /// (`--no-absint` opts out; see docs/ABSINT.md).
@@ -249,6 +249,7 @@ struct Options {
 
 impl Default for Options {
     fn default() -> Self {
+        let serve = qsmt::serve::ServeConfig::default();
         Self {
             sampler: "sa".into(),
             seed: 0,
@@ -268,11 +269,11 @@ impl Default for Options {
             max_requests: None,
             check_overhead: false,
             check_replicas: false,
-            workers: 4,
-            queue_depth: 16,
-            job_timeout_ms: 30_000,
+            workers: serve.workers,
+            queue_depth: serve.queue_depth,
+            job_timeout_ms: serve.job_timeout.as_millis() as u64,
             job_timeout_set: false,
-            cache_entries: 256,
+            cache_entries: serve.cache_entries,
             absint: true,
             run_store: None,
             check_trace_overhead: false,
@@ -381,7 +382,6 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--cache-entries expects an integer".to_string())?;
             }
-            "--no-cache" => opts.cache_entries = 0,
             "--run-store" => opts.run_store = Some(value("--run-store")?),
             "--check-trace-overhead" => opts.check_trace_overhead = true,
             "--recent" => {
@@ -510,11 +510,15 @@ fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), Stri
         probes: opts.wants_telemetry(),
     };
     let started = Instant::now();
+    // The panic message becomes the error line, so the default hook's
+    // banner and backtrace would only repeat it.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         script.run(&solver, &solve_opts)
-    }))
-    .map_err(surface_panic)?
-    .map_err(|e| e.to_string())?;
+    }));
+    std::panic::set_hook(hook);
+    let run = run.map_err(surface_panic)?.map_err(|e| e.to_string())?;
     let elapsed_us = started.elapsed().as_micros() as u64;
     // Dropping the guard drains the thread's span buffer into the
     // process registry; only then is the trace complete.
@@ -1004,6 +1008,11 @@ fn main() -> ExitCode {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
                 parse_flags(flags),
             ) {
+                // Only `solve` and `demo` print a trace; a job's trace
+                // is fetched into a file.
+                (Ok(_), Ok(opts)) if opts.trace && opts.trace_out.is_none() => {
+                    Err("submit --trace requires an output path".to_string())
+                }
                 (Ok(source), Ok(opts)) => {
                     let submit_opts = qsmt::serve::SubmitOptions {
                         seed: opts.seed_set.then_some(opts.seed),

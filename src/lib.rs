@@ -21,14 +21,13 @@
 //! * [`smtlib`] — the SMT-LIB v2 string-theory front end;
 //! * [`telemetry`] — solver observability: per-stage statistics and
 //!   JSON run reports (see `docs/OBSERVABILITY.md`);
-//! * [`metrics`] — the metrics registry and flight recorder behind
-//!   live exposition (see `docs/OBSERVABILITY.md`);
 //! * [`trace`] — end-to-end job tracing: hierarchical spans (which also
 //!   time every report stage), a process-wide trace registry with
 //!   Chrome trace-event (Perfetto) and text views, and the run-history
 //!   store behind `qsmt history` (see `docs/OBSERVABILITY.md`);
-//! * [`serve`] — the `qsmt serve` Prometheus endpoint and `qsmt watch`
-//!   scrape client;
+//! * [`serve`] — the `qsmt serve` solve service with its metrics
+//!   registry, flight recorder and Prometheus endpoint, and the
+//!   `qsmt watch` scrape client (see `docs/OBSERVABILITY.md`);
 //! * [`redex`] — the from-scratch regex/NFA/DFA substrate;
 //! * [`baseline`] — the classical comparator;
 //! * [`symex`] — symbolic execution for string programs (the paper's
@@ -57,7 +56,6 @@ pub use qsmt_anneal as anneal;
 pub use qsmt_baseline as baseline;
 pub use qsmt_core as core;
 pub use qsmt_lint as lint;
-pub use qsmt_metrics as metrics;
 pub use qsmt_qpu as qpu;
 pub use qsmt_qubo as qubo;
 pub use qsmt_redex as redex;

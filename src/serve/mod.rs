@@ -20,24 +20,27 @@
 //! * `GET /traces` — recent-first index of traces still held by the
 //!   in-process [`qsmt_trace`] registry;
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4) of the
-//!   global [`qsmt_metrics::Registry`];
-//! * `GET /flight` — JSON dump of the global flight-recorder ring buffer;
+//!   service's [`metrics::Registry`];
+//! * `GET /flight` — JSON dump of the service's
+//!   [`flight::FlightRecorder`] ring buffer;
 //! * `GET /healthz` — liveness probe with queue depth and worker count;
 //! * `POST /shutdown` — request a graceful drain.
 //!
 //! Jobs are drained by a worker pool ([`ServeConfig::workers`]) running
 //! the ordinary [`StringSolver`](qsmt_core::StringSolver) pipeline with
-//! per-job seeds; each job carries a deadline that trips a cooperative
+//! per-job seeds; each job's deadline rides on a cooperative
 //! [`StopFlag`](qsmt_qubo::StopFlag) threaded into the annealing sweep
 //! loops, so timeouts cancel mid-anneal. Workers share one
-//! [`SolveCache`](qsmt_core::SolveCache) (`--cache-entries`,
-//! `--no-cache`): repeat submissions replay the cached answer without
+//! [`SolveCache`](qsmt_core::SolveCache) (`--cache-entries`; 0
+//! disables it): repeat submissions replay the cached answer without
 //! sampling, and same-shape near-misses warm-start a short reverse
 //! anneal — see `docs/CACHING.md`. SIGINT/SIGTERM and the
 //! `--max-requests` cap trigger a graceful drain: stop accepting,
-//! finish every accepted job, flush metrics, print a drain summary.
+//! finish every accepted job, print a drain summary.
 //!
-//! Every sampler, cache and portfolio series on `/metrics` comes from
+//! Each [`Service`] owns its registry and flight recorder, so two
+//! services in one process count only their own jobs. Every sampler,
+//! cache and portfolio series on `/metrics` comes from
 //! real jobs: each job's run report adds its solves' proposals,
 //! accepted moves and reads to `qsmt_sampler_*_total{sampler}` (exact
 //! cache hits sample nothing and add nothing), their cache lookups to
@@ -50,7 +53,9 @@
 //! Metric names, the job lifecycle, and the scrape walkthrough are
 //! catalogued in `docs/OBSERVABILITY.md`.
 
+pub mod flight;
 pub mod http;
+pub mod metrics;
 mod service;
 
 pub use service::{ServeConfig, Service};
@@ -73,8 +78,6 @@ use std::time::{Duration, Instant};
 /// # Errors
 /// Returns an error when the address cannot be parsed or bound.
 pub fn serve(config: &ServeConfig) -> Result<(), String> {
-    let registry = qsmt_metrics::global();
-    let flight = qsmt_metrics::global_flight();
     let svc = Arc::new(Service::new(config));
     service::install_shutdown_handler();
     let listener =
@@ -133,8 +136,6 @@ pub fn serve(config: &ServeConfig) -> Result<(), String> {
     for worker in workers {
         let _ = worker.join();
     }
-    registry.gauge_set("qsmt_serve_queue_depth", &[], 0.0);
-    flight.record("serve.drained", served as f64);
     // Best-effort: a supervisor that already closed our stdout must not
     // turn a clean drain into a broken-pipe panic.
     use std::io::Write as _;

@@ -3,7 +3,7 @@
 //! Architecture: a bounded job queue (`Mutex<VecDeque>` + `Condvar`)
 //! drained by a fixed worker pool. Each worker runs the ordinary
 //! [`Script`] → [`StringSolver`] pipeline with a per-job seed and a
-//! per-job deadline; the deadline trips a [`StopFlag`] that the
+//! per-job deadline; the deadline rides on a [`StopFlag`] that the
 //! annealing sweep loops poll, so cancellation lands mid-anneal without
 //! poisoning RNG streams (an un-tripped flag is bit-identical to no
 //! flag at all — pinned by sampler tests).
@@ -12,12 +12,13 @@
 //! answers `429 Too Many Requests` with a `Retry-After` hint instead of
 //! buffering unboundedly. Draining (SIGINT, `POST /shutdown`, or the
 //! `--max-requests` cap) stops intake with `503`, finishes every
-//! accepted job, flushes metrics, and prints a one-line summary that
-//! accounts for every job the service ever accepted.
+//! accepted job, and prints a one-line summary that accounts for every
+//! job the service ever accepted, read from its job counters.
 
+use super::flight::FlightRecorder;
 use super::http::{read_request, respond, respond_with, Request};
+use super::metrics::Registry;
 use qsmt_core::{SolveCache, SolveOptions, StringSolver};
-use qsmt_metrics::{FlightRecorder, Registry};
 use qsmt_qubo::StopFlag;
 use qsmt_smtlib::Script;
 use qsmt_telemetry::{Json, RunReport};
@@ -59,7 +60,7 @@ pub struct ServeConfig {
     /// gracefully (the hook the end-to-end tests use).
     pub max_requests: Option<u64>,
     /// Solution cache capacity (entries per level); 0 disables
-    /// caching entirely (`--no-cache`). See `docs/CACHING.md`.
+    /// caching entirely (`--cache-entries 0`). See `docs/CACHING.md`.
     pub cache_entries: usize,
     /// Path of the bounded JSONL run-history store (`--run-store`);
     /// every completed job's report is appended for `qsmt history`.
@@ -168,17 +169,6 @@ impl JobTable {
     }
 }
 
-/// Drain-summary tallies; the accepted count must equal the sum of the
-/// three terminal counts once the service has drained.
-#[derive(Default)]
-struct Tally {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    timed_out: AtomicU64,
-}
-
 /// What `POST /solve` decided to do with a submission.
 enum SubmitOutcome {
     Accepted { id: u64, trace_id: TraceId },
@@ -188,11 +178,14 @@ enum SubmitOutcome {
 }
 
 /// Shared state of the solve service: the bounded queue, the job table,
-/// and the drain flag. One instance per `qsmt serve` process, shared by
-/// the accept loop, the connection handlers, and the worker pool.
+/// the drain flag, and the metrics registry and flight recorder that
+/// `/metrics` and `/flight` serve. One instance per `qsmt serve`
+/// process, shared by the accept loop, the connection handlers, and the
+/// worker pool.
 pub struct Service {
-    registry: &'static Registry,
-    flight: &'static FlightRecorder,
+    registry: Registry,
+    /// Ring of the 1024 most recent service events, served on `/flight`.
+    flight: FlightRecorder,
     base_seed: u64,
     queue_depth: usize,
     workers: usize,
@@ -203,7 +196,6 @@ pub struct Service {
     jobs: Mutex<JobTable>,
     draining: AtomicBool,
     next_id: AtomicU64,
-    tally: Tally,
     /// Bounded JSONL store completed reports are appended to
     /// (`--run-store`); read back by `qsmt history`.
     run_store: Option<RunStore>,
@@ -224,10 +216,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds the service against the global registry and flight
-    /// recorder and registers HELP text for its metric family.
+    /// Builds the service with its own registry and flight recorder and
+    /// registers HELP text for its metric family.
     pub fn new(config: &ServeConfig) -> Self {
-        let registry = qsmt_metrics::global();
+        let registry = Registry::new();
         for (name, help) in [
             (
                 "qsmt_serve_queue_depth",
@@ -320,13 +312,12 @@ impl Service {
         ] {
             registry.describe(name, help);
         }
-        registry.gauge_set("qsmt_serve_queue_depth", &[], 0.0);
         // Materialize the drop counter at 0 so `qsmt watch` sees the
         // series before the first wrap.
         registry.counter_add("qsmt_flight_dropped_total", &[], 0.0);
         Self {
             registry,
-            flight: qsmt_metrics::global_flight(),
+            flight: FlightRecorder::new(1024),
             base_seed: config.seed,
             queue_depth: config.queue_depth.max(1),
             workers: config.workers.max(1),
@@ -336,7 +327,6 @@ impl Service {
             jobs: Mutex::new(JobTable::default()),
             draining: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
-            tally: Tally::default(),
             run_store: config
                 .run_store
                 .as_ref()
@@ -377,22 +367,19 @@ impl Service {
     }
 
     /// One-line account of everything the service did, printed on
-    /// drain. `accepted` always equals `completed + failed + timed_out`
-    /// after the pool joins — no accepted job is ever lost.
+    /// drain, read from the five `qsmt_serve_jobs_*_total` counters.
+    /// `accepted` always equals `completed + failed + timed_out` after
+    /// the pool joins — no accepted job is ever lost.
     pub fn drain_summary(&self) -> String {
+        let count = |name: &str| self.registry.counter_value(name, &[]).unwrap_or(0.0) as u64;
         format!(
             "drained: accepted={} completed={} failed={} timed_out={} rejected={}",
-            self.tally.accepted.load(Ordering::SeqCst),
-            self.tally.completed.load(Ordering::SeqCst),
-            self.tally.failed.load(Ordering::SeqCst),
-            self.tally.timed_out.load(Ordering::SeqCst),
-            self.tally.rejected.load(Ordering::SeqCst),
+            count("qsmt_serve_jobs_accepted_total"),
+            count("qsmt_serve_jobs_completed_total"),
+            count("qsmt_serve_jobs_failed_total"),
+            count("qsmt_serve_jobs_timed_out_total"),
+            count("qsmt_serve_jobs_rejected_total"),
         )
-    }
-
-    fn set_queue_gauge(&self, depth: usize) {
-        self.registry
-            .gauge_set("qsmt_serve_queue_depth", &[], depth as f64);
     }
 
     fn submit(&self, req: &Request) -> SubmitOutcome {
@@ -443,7 +430,6 @@ impl Service {
         let mut queue = self.queue.lock().expect("queue lock");
         if queue.len() >= self.queue_depth {
             drop(queue);
-            self.tally.rejected.fetch_add(1, Ordering::SeqCst);
             self.registry
                 .counter_add("qsmt_serve_jobs_rejected_total", &[], 1.0);
             // Hint: roughly one queue slot should free up per job
@@ -474,12 +460,9 @@ impl Service {
             submitted: now,
             deadline: now + timeout,
         });
-        let depth = queue.len();
         drop(queue);
-        self.tally.accepted.fetch_add(1, Ordering::SeqCst);
         self.registry
             .counter_add("qsmt_serve_jobs_accepted_total", &[], 1.0);
-        self.set_queue_gauge(depth);
         self.queue_ready.notify_one();
         SubmitOutcome::Accepted { id, trace_id }
     }
@@ -549,7 +532,6 @@ impl Service {
                 let mut queue = self.queue.lock().expect("queue lock");
                 loop {
                     if let Some(job) = queue.pop_front() {
-                        self.set_queue_gauge(queue.len());
                         break Some(job);
                     }
                     if self.drain_requested() {
@@ -591,30 +573,9 @@ impl Service {
         self.flight
             .record_detail("serve.job_start", job.id as f64, &format!("job-{}", job.id));
 
-        // Deadline timer: trips the stop flag if the solve outlives its
-        // budget; the worker signals `done` to retire it early.
-        let stop = StopFlag::new();
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let timer = {
-            let stop = stop.clone();
-            let done = Arc::clone(&done);
-            let deadline = job.deadline;
-            thread::spawn(move || {
-                let (finished, cv) = &*done;
-                let mut finished = finished.lock().expect("deadline lock");
-                while !*finished {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        stop.stop();
-                        return;
-                    }
-                    let (guard, _timeout) = cv
-                        .wait_timeout(finished, deadline - now)
-                        .expect("deadline wait");
-                    finished = guard;
-                }
-            })
-        };
+        // The flag reads stopped once the deadline passes, so a solve
+        // that outlives its budget winds down at its next sweep.
+        let stop = StopFlag::with_deadline(job.deadline);
 
         // The trace guard lives inside the unwind boundary: its Drop
         // drains this worker's span buffer into the registry even when
@@ -623,11 +584,6 @@ impl Service {
             let _trace = qsmt_trace::enter(job.trace_id, &format!("job-{}", job.id));
             self.solve_script(job, &stop)
         }));
-
-        let (finished, cv) = &*done;
-        *finished.lock().expect("deadline lock") = true;
-        cv.notify_all();
-        let _ = timer.join();
 
         let outcome = if stop.is_stopped() {
             // The deadline fired while sampling; whatever came back is a
@@ -695,7 +651,7 @@ impl Service {
     /// replay a stored sample set without sampling, so they add no
     /// sampler work.
     fn publish(&self, report: &RunReport) {
-        let registry = self.registry;
+        let registry = &self.registry;
         for solve in report.goals.iter().flat_map(|goal| &goal.solves) {
             let sampling = &solve.sampling;
             if sampling.sampler != "cache" {
@@ -746,17 +702,16 @@ impl Service {
         }
     }
 
-    /// Records a terminal state: tallies, counters, latency, run store,
-    /// and the job table, which keeps the status document rendered here
-    /// so that polls only copy it.
+    /// Records a terminal state: counter, latency, run store, and the
+    /// job table, which keeps the status document rendered here so that
+    /// polls only copy it.
     fn finish(&self, job: &Job, outcome: Outcome) {
         let label = outcome.label();
-        let (tally, counter) = match outcome {
-            Outcome::Completed { .. } => (&self.tally.completed, "qsmt_serve_jobs_completed_total"),
-            Outcome::Failed { .. } => (&self.tally.failed, "qsmt_serve_jobs_failed_total"),
-            Outcome::TimedOut { .. } => (&self.tally.timed_out, "qsmt_serve_jobs_timed_out_total"),
+        let counter = match outcome {
+            Outcome::Completed { .. } => "qsmt_serve_jobs_completed_total",
+            Outcome::Failed { .. } => "qsmt_serve_jobs_failed_total",
+            Outcome::TimedOut { .. } => "qsmt_serve_jobs_timed_out_total",
         };
-        tally.fetch_add(1, Ordering::SeqCst);
         self.registry.counter_add(counter, &[], 1.0);
         self.registry.histogram_observe(
             "qsmt_serve_job_latency_us",
@@ -839,7 +794,11 @@ pub fn handle_connection(mut stream: TcpStream, svc: &Service) {
     match route {
         "metrics" => {
             svc.publish_flight_dropped();
-            // Read from the cache's own state at scrape time.
+            // Gauges are read from the queue's and the cache's own state
+            // at scrape time.
+            let queue_depth = svc.queue.lock().expect("queue lock").len();
+            svc.registry
+                .gauge_set("qsmt_serve_queue_depth", &[], queue_depth as f64);
             if let Some(cache) = &svc.cache {
                 svc.registry
                     .gauge_set("qsmt_cache_entries", &[], cache.len() as f64);
@@ -1206,5 +1165,52 @@ mod tests {
         drop(jobs);
         assert!(submitter.join().expect("submitter thread"));
         assert_eq!(svc.queue.lock().expect("queue lock").len(), 1);
+    }
+
+    #[test]
+    fn each_service_counts_only_its_own_jobs() {
+        let first = Service::new(&ServeConfig::default());
+        let second = Service::new(&ServeConfig::default());
+        assert!(matches!(
+            first.submit(&request("POST", "/solve?seed=7&reads=8", TINY)),
+            SubmitOutcome::Accepted { .. }
+        ));
+        first.request_drain();
+        first.worker_loop();
+        let rendered = first.registry.render_prometheus();
+        assert!(
+            rendered.contains("\nqsmt_serve_jobs_completed_total 1\n"),
+            "{rendered}"
+        );
+        let rendered = second.registry.render_prometheus();
+        assert!(
+            !rendered.contains("\nqsmt_serve_jobs_completed_total "),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn a_service_without_a_cache_reports_and_publishes_no_lookups() {
+        let svc = Service::new(&ServeConfig {
+            cache_entries: 0,
+            ..ServeConfig::default()
+        });
+        let SubmitOutcome::Accepted { id, .. } =
+            svc.submit(&request("POST", "/solve?seed=7&reads=8", TINY))
+        else {
+            panic!("submission should be accepted");
+        };
+        svc.request_drain();
+        svc.worker_loop();
+        let doc = qsmt_telemetry::parse(&svc.status_json(id).expect("job is known")).unwrap();
+        let goals = doc.get("report").and_then(|r| r.get("goals"));
+        let solves = goals.and_then(Json::as_arr).expect("completed report")[0].get("solves");
+        let solve = &solves.and_then(Json::as_arr).expect("goal has solves")[0];
+        assert_eq!(solve.get("cache"), Some(&Json::Null));
+        let rendered = svc.registry.render_prometheus();
+        assert!(
+            !rendered.contains("qsmt_cache_lookup_us_count"),
+            "{rendered}"
+        );
     }
 }

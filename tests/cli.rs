@@ -179,7 +179,8 @@ fn exact_sampler_solves_small_goals_and_rejects_large_ones_gracefully() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("6"), "indexof answer: {stdout}");
 
-    // 35 string bits: beyond the limit — a clean error, not a crash.
+    // 35 string bits: beyond the limit — a clean one-line error, not a
+    // panic banner or a backtrace.
     let out = qsmt()
         .args([
             "solve",
@@ -187,11 +188,17 @@ fn exact_sampler_solves_small_goals_and_rejects_large_ones_gracefully() {
             "--sampler",
             "exact",
         ])
+        .env("RUST_BACKTRACE", "1")
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("cannot solve"), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: sampler \"exact\" cannot solve this problem"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "stderr: {stderr}");
 }
 
 #[test]
@@ -471,4 +478,26 @@ fn serve_and_submit_reject_bad_flag_values() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("USAGE"), "stderr: {stderr}");
+}
+
+#[test]
+fn submit_trace_without_a_path_is_rejected_before_connecting() {
+    // Port 9 (discard) is essentially never listening: reaching the
+    // network would fail with a connection error instead.
+    let out = qsmt()
+        .args([
+            "submit",
+            "127.0.0.1:9",
+            &corpus("table1_row1_reverse_replace.smt2"),
+            "--trace",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: submit --trace requires an output path",
+        "stderr: {stderr}"
+    );
 }
