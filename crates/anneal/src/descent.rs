@@ -10,9 +10,6 @@ use std::time::Instant;
 /// Steepest descent: from a random state, repeatedly flip the variable with
 /// the most negative energy delta until no flip improves. Each read lands on
 /// a local minimum; with enough restarts small models are solved exactly.
-///
-/// Also used as a post-processing pass over annealer output (the D-Wave
-/// stack calls this "greedy postprocessing").
 #[derive(Debug, Clone)]
 pub struct SteepestDescent {
     num_reads: usize,
@@ -56,19 +53,13 @@ impl SteepestDescent {
         self
     }
 
-    /// Descends from the given state to its local minimum, returning the
-    /// minimum and its energy.
-    pub fn descend(compiled: &CompiledQubo, state: Vec<u8>, max_steps: usize) -> (Vec<u8>, f64) {
-        let (state, energy, _, _) = Self::descend_counted(compiled, state, max_steps, None);
-        (state, energy)
-    }
-
-    /// [`SteepestDescent::descend`] plus its move counters: the flips
-    /// taken and the full delta scans performed (a read that reaches its
-    /// minimum ends with one scan that finds no improving move; a read cut
-    /// off by `max_steps` does not). With `trace` it is the probe read,
-    /// recording a decimated energy-after-flip trace (axis = accepted
-    /// flips) along the same flip sequence (no RNG involved).
+    /// Descends from `state` to its local minimum, returning the minimum,
+    /// its energy and the move counters: the flips taken and the full
+    /// delta scans performed (a read that reaches its minimum ends with
+    /// one scan that finds no improving move; a read cut off by
+    /// `max_steps` does not). With `trace` it is the probe read, recording
+    /// a decimated energy-after-flip trace (axis = accepted flips) along
+    /// the same flip sequence (no RNG involved).
     fn descend_counted(
         compiled: &CompiledQubo,
         state: Vec<u8>,
@@ -107,18 +98,6 @@ impl SteepestDescent {
         }
         let energy = kernel.energy();
         (kernel.into_state(), energy, flips, scans)
-    }
-
-    /// Applies descent to every state of an existing sample set (greedy
-    /// post-processing), re-aggregating the results.
-    pub fn polish(&self, model: &QuboModel, set: &SampleSet) -> SampleSet {
-        let compiled = CompiledQubo::compile(model);
-        let reads: Vec<(Vec<u8>, f64)> = set
-            .iter()
-            .flat_map(|s| std::iter::repeat_n(s.state.clone(), s.occurrences as usize))
-            .map(|state| Self::descend(&compiled, state, self.max_steps))
-            .collect();
-        SampleSet::from_reads(reads)
     }
 }
 
@@ -167,6 +146,13 @@ impl Sampler for SteepestDescent {
 mod tests {
     use super::*;
 
+    /// Descends from `state` to its local minimum and its energy.
+    fn descend(compiled: &CompiledQubo, state: Vec<u8>, max_steps: usize) -> (Vec<u8>, f64) {
+        let (state, energy, _, _) =
+            SteepestDescent::descend_counted(compiled, state, max_steps, None);
+        (state, energy)
+    }
+
     #[test]
     fn descends_to_local_minimum() {
         // E = -x0 - x1 + 2 x0 x1 has two local minima (10 and 01) at -1.
@@ -175,7 +161,7 @@ mod tests {
         m.add_linear(1, -1.0);
         m.add_quadratic(0, 1, 2.0);
         let c = CompiledQubo::compile(&m);
-        let (s, e) = SteepestDescent::descend(&c, vec![0, 0], 100);
+        let (s, e) = descend(&c, vec![0, 0], 100);
         assert_eq!(e, -1.0);
         assert!(s == vec![1, 0] || s == vec![0, 1]);
     }
@@ -185,8 +171,8 @@ mod tests {
         let mut m = QuboModel::new(2);
         m.add_linear(0, -1.0);
         let c = CompiledQubo::compile(&m);
-        let (s, _) = SteepestDescent::descend(&c, vec![1, 0], 100);
-        let (s2, _) = SteepestDescent::descend(&c, s.clone(), 100);
+        let (s, _) = descend(&c, vec![1, 0], 100);
+        let (s2, _) = descend(&c, s.clone(), 100);
         assert_eq!(s, s2);
     }
 
@@ -199,21 +185,6 @@ mod tests {
         let set = SteepestDescent::new().with_seed(1).sample(&m);
         assert_eq!(set.best().unwrap().state, vec![1, 0, 1, 0, 1]);
         assert_eq!(set.lowest_energy().unwrap(), -3.0);
-    }
-
-    #[test]
-    fn polish_never_raises_energy() {
-        let mut m = QuboModel::new(4);
-        m.add_linear(0, -1.0);
-        m.add_quadratic(1, 2, -1.0);
-        let rough = SampleSet::from_reads(vec![
-            (vec![0, 0, 0, 0], m.energy(&[0, 0, 0, 0])),
-            (vec![0, 1, 0, 1], m.energy(&[0, 1, 0, 1])),
-        ]);
-        let rough_best = rough.lowest_energy().unwrap();
-        let polished = SteepestDescent::new().polish(&m, &rough);
-        assert!(polished.lowest_energy().unwrap() <= rough_best);
-        assert_eq!(polished.total_reads(), rough.total_reads());
     }
 
     #[test]

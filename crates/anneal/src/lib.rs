@@ -8,15 +8,12 @@
 //! * [`SimulatedAnnealer`] — single-flip Metropolis with geometric/linear/
 //!   custom β schedules and 64-lane bit-sliced read blocks; the workhorse
 //!   and the direct analog of the sampler the paper used.
-//! * [`ParallelTempering`] — replica exchange across a β ladder; better
-//!   mixing on rugged landscapes (used as an ablation).
-//! * [`TabuSearch`] — deterministic local search with a recency tabu list,
-//!   the classical baseline D-Wave ships alongside its annealer.
-//! * [`SteepestDescent`] — greedy post-processing to the nearest local
-//!   minimum.
+//! * [`SimulatedQuantumAnnealer`] — path-integral Monte Carlo over
+//!   Trotter slices; the classical analogue of the annealing device.
+//! * [`SteepestDescent`] — greedy descent from random restarts to the
+//!   nearest local minima; the cheapest sampler.
 //! * [`ExactSolver`] — Gray-code exhaustive enumeration; the ground-truth
 //!   oracle for every encoder test in this workspace.
-//! * [`RandomSampler`] — uniform states; the null baseline.
 //!
 //! All samplers implement [`Sampler`] and return a [`SampleSet`] sorted by
 //! energy with duplicate states aggregated. Each has one sampling path,
@@ -46,25 +43,17 @@ mod descent;
 mod exact;
 pub mod metrics;
 pub mod multi;
-mod polished;
-mod population;
 pub mod probes;
-mod random;
 mod sa;
 mod sampleset;
 mod schedule;
 mod seeding;
 mod sqa;
-mod tabu;
-mod tempering;
 
 pub use accept::{AcceptanceTable, LN_ACCEPT_CUTOFF};
 pub use descent::SteepestDescent;
 pub use exact::ExactSolver;
-pub use polished::Polished;
-pub use population::PopulationAnnealer;
 pub use probes::{SamplerDynamics, MAX_TRACE_POINTS};
-pub use random::RandomSampler;
 pub use sa::{SimulatedAnnealer, WARM_START_BETA_MAX, WARM_START_BETA_MIN, WARM_START_SWEEPS};
 pub use sampleset::{EnergyStats, Sample, SampleSet};
 pub use seeding::read_seed;
@@ -130,8 +119,6 @@ mod sampler_stats_tests {
 pub use qsmt_qubo::StopFlag;
 pub use schedule::BetaSchedule;
 pub use sqa::SimulatedQuantumAnnealer;
-pub use tabu::TabuSearch;
-pub use tempering::ParallelTempering;
 
 use qsmt_qubo::QuboModel;
 
@@ -158,8 +145,8 @@ pub struct SamplerRunStats {
     pub elapsed_us: Option<u64>,
     /// Replica lanes the sampler advances together per sweep — the width
     /// of its bit-sliced [`qsmt_qubo::MultiReplicaKernel`] batch (SA: up
-    /// to 64 reads per word; PT: the ladder size). `None` for samplers
-    /// that walk one configuration at a time.
+    /// to 64 reads per word). `None` for samplers that walk one
+    /// configuration at a time.
     pub replicas: Option<u64>,
 }
 

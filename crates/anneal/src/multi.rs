@@ -1,4 +1,4 @@
-//! Word-level Metropolis sweep drivers for the bit-sliced
+//! Word-level Metropolis sweeps for the bit-sliced
 //! [`MultiReplicaKernel`].
 //!
 //! The kernel (in `qsmt-qubo`) owns the packed states, SoA local fields,
@@ -9,7 +9,7 @@
 //! word-at-a-time ([`AcceptanceTable::threshold_u64`]), and the CSR
 //! neighbor list is walked once per accepted word.
 //!
-//! Both drivers preserve per-lane RNG stream hygiene: lane `r` draws from
+//! [`sweep_word`] preserves per-lane RNG stream hygiene: lane `r` draws from
 //! `rngs[r]` exactly when and only when a scalar run of that replica
 //! would, and all float arithmetic happens in scalar order — so lane `r`
 //! of a multi-replica sweep is bit-identical to a scalar
@@ -48,45 +48,6 @@ pub fn sweep_word(
         accepted += u64::from(kernel.apply_mask_with_deltas(compiled, i as Var, mask, &deltas));
     }
     accepted
-}
-
-/// One Metropolis sweep with a **per-lane** β ladder — the parallel
-/// tempering shape, where lane `r` is the walker at `tables[r].beta()`.
-/// Accepted flips are tallied per lane into `accepted` (indexed by lane,
-/// i.e. by ladder rung).
-///
-/// # Panics
-/// Panics when `tables`, `rngs`, or `accepted` disagree with the kernel's
-/// lane count.
-pub fn sweep_ladder(
-    kernel: &mut MultiReplicaKernel,
-    compiled: &CompiledQubo,
-    tables: &[AcceptanceTable],
-    rngs: &mut [SmallRng],
-    accepted: &mut [u64],
-) {
-    let lanes = kernel.lanes();
-    assert_eq!(lanes, tables.len(), "one acceptance table per lane");
-    assert_eq!(lanes, rngs.len(), "one RNG stream per lane");
-    assert_eq!(lanes, accepted.len(), "one accept counter per lane");
-    let n = kernel.num_vars();
-    let mut deltas = [0.0f64; LANES];
-    for i in 0..n {
-        kernel.deltas_into(i, &mut deltas);
-        let mut mask = 0u64;
-        for (r, (table, rng)) in tables.iter().zip(rngs.iter_mut()).enumerate() {
-            // Scalar acceptance per lane (each lane has its own β), but
-            // the state/field update below still happens word-at-a-time.
-            mask |= u64::from(table.accept(deltas[r], rng)) << r;
-        }
-        kernel.apply_mask_with_deltas(compiled, i as Var, mask, &deltas);
-        let mut m = mask;
-        while m != 0 {
-            let r = m.trailing_zeros() as usize;
-            m &= m - 1;
-            accepted[r] += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,39 +113,6 @@ mod tests {
                 assert_eq!(kernel.state(r), scalar.state(), "lanes={lanes} lane={r}");
                 assert_eq!(kernel.energy(r), scalar.energy(), "lanes={lanes} lane={r}");
             }
-        }
-    }
-
-    #[test]
-    fn sweep_ladder_is_bit_identical_to_scalar_sweeps_per_rung() {
-        let (_, c) = model();
-        let lanes = 6;
-        let betas: Vec<f64> = (0..lanes).map(|r| 0.1 * 2.0f64.powi(r as i32)).collect();
-        let tables = AcceptanceTable::for_schedule(&betas);
-        let (states, mut rngs) = lane_setup(10, lanes);
-        let mut kernel = MultiReplicaKernel::new(&c, &states);
-        let mut accepted = vec![0u64; lanes];
-        let (_, mut scalar_rngs) = lane_setup(10, lanes);
-        let mut scalars: Vec<FlipKernel> = states
-            .iter()
-            .map(|s| FlipKernel::new(&c, s.clone()))
-            .collect();
-        let mut scalar_accepted = vec![0u64; lanes];
-        for _ in 0..30 {
-            sweep_ladder(&mut kernel, &c, &tables, &mut rngs, &mut accepted);
-            for r in 0..lanes {
-                for i in 0..10u32 {
-                    if tables[r].accept(scalars[r].delta(i), &mut scalar_rngs[r]) {
-                        scalars[r].flip(&c, i);
-                        scalar_accepted[r] += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(accepted, scalar_accepted);
-        for (r, scalar) in scalars.iter().enumerate() {
-            assert_eq!(kernel.state(r), scalar.state(), "lane {r}");
-            assert_eq!(kernel.energy(r), scalar.energy(), "lane {r}");
         }
     }
 }

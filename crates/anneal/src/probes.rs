@@ -1,10 +1,9 @@
 //! Trajectory probes: low-overhead observation of annealing dynamics.
 //!
 //! A probed run observes *how* a sampler moved through the energy
-//! landscape — best-energy-vs-sweep traces, per-β acceptance, replica
-//! swap rates, population ESS, tabu aspiration hits — without changing
-//! what it computes. Two invariants make that safe to wire into hot
-//! paths:
+//! landscape — best-energy-vs-sweep traces, per-β acceptance, per-sweep
+//! latency and improvement — without changing what it computes. Two
+//! invariants make that safe to wire into hot paths:
 //!
 //! 1. **RNG hygiene** — probes never draw from (or reorder draws on) a
 //!    sampler's random streams, so a probed run returns the bit-identical
@@ -19,7 +18,7 @@
 
 use std::time::Instant;
 
-use qsmt_telemetry::dynamics::{BetaAcceptance, EssPoint, SwapAcceptance, TracePoint};
+use qsmt_telemetry::dynamics::{BetaAcceptance, TracePoint};
 
 /// Hard cap on raw per-sweep probe samples (latency, improvement) kept
 /// in memory; sweeps beyond this are subsampled by stride.
@@ -38,18 +37,11 @@ pub const MAX_TRACE_POINTS: usize = 256;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SamplerDynamics {
     /// Decimated best-energy-so-far trace of the probe read. The sweep
-    /// axis is the sampler's natural step: Metropolis sweeps (SA/SQA),
-    /// exchange rounds (tempering), β steps (population), moves (tabu),
-    /// or accepted flips (descent).
+    /// axis is the sampler's natural step: Metropolis sweeps (SA/SQA) or
+    /// accepted flips (descent).
     pub energy_trace: Vec<TracePoint>,
     /// Acceptance counters per β, aggregated to a bounded entry count.
     pub beta_acceptance: Vec<BetaAcceptance>,
-    /// Replica-exchange acceptance per adjacent ladder pair (tempering).
-    pub swap_acceptance: Vec<SwapAcceptance>,
-    /// Effective sample size per resampling step (population annealing).
-    pub ess_trace: Vec<EssPoint>,
-    /// Aspiration-criterion hits on the probe read (tabu search).
-    pub aspiration_hits: Option<u64>,
     /// Per-proposal latency samples (nanoseconds), one per probed sweep.
     pub proposal_latency_ns: Vec<f64>,
     /// Best-energy improvement per probed sweep (≥ 0).
@@ -68,9 +60,6 @@ impl SamplerDynamics {
     pub fn is_empty(&self) -> bool {
         self.energy_trace.is_empty()
             && self.beta_acceptance.is_empty()
-            && self.swap_acceptance.is_empty()
-            && self.ess_trace.is_empty()
-            && self.aspiration_hits.is_none()
             && self.proposal_latency_ns.is_empty()
             && self.sweep_improvement.is_empty()
             && self.read_spans.is_empty()

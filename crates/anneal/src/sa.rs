@@ -535,10 +535,6 @@ mod tests {
             .energy_trace
             .windows(2)
             .all(|w| w[1].best_energy <= w[0].best_energy));
-        // Sampler-specific probes of other samplers stay empty.
-        assert!(dynamics.swap_acceptance.is_empty());
-        assert!(dynamics.ess_trace.is_empty());
-        assert!(dynamics.aspiration_hits.is_none());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use qsmt_anneal::{
-    ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler, SimulatedAnnealer,
-    SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    ExactSolver, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent,
 };
 use qsmt_qubo::QuboModel;
 
@@ -37,26 +36,7 @@ fn samplers(seed: u64) -> Vec<Box<dyn Sampler>> {
                 .with_trotter_slices(8)
                 .with_sweeps(128),
         ),
-        Box::new(
-            ParallelTempering::new()
-                .with_seed(seed)
-                .with_rounds(16)
-                .with_num_replicas(4),
-        ),
-        Box::new(
-            TabuSearch::new()
-                .with_seed(seed)
-                .with_num_reads(2)
-                .with_steps(400),
-        ),
         Box::new(SteepestDescent::new().with_seed(seed).with_num_reads(8)),
-        Box::new(
-            PopulationAnnealer::new()
-                .with_seed(seed)
-                .with_population(16)
-                .with_steps(32),
-        ),
-        Box::new(RandomSampler::new().with_seed(seed).with_num_reads(8)),
     ]
 }
 

@@ -1,11 +1,10 @@
 //! Bench S2 — sampler shoot-out on the string-constraint QUBOs: simulated
-//! annealing vs parallel tempering vs tabu vs steepest descent vs random,
-//! plus the geometric-vs-linear β-schedule ablation (DESIGN.md choice #5).
+//! annealing vs simulated quantum annealing vs steepest descent, plus the
+//! geometric-vs-linear β-schedule ablation (DESIGN.md choice #5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsmt_anneal::{
-    BetaSchedule, ParallelTempering, RandomSampler, Sampler, SimulatedAnnealer,
-    SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    BetaSchedule, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent,
 };
 use qsmt_core::Constraint;
 use std::hint::black_box;
@@ -48,10 +47,7 @@ fn bench_samplers(c: &mut Criterion) {
                 .with_num_reads(8)
                 .with_trotter_slices(8),
         ),
-        Box::new(ParallelTempering::new().with_seed(1).with_rounds(32)),
-        Box::new(TabuSearch::new().with_seed(1).with_num_reads(4)),
         Box::new(SteepestDescent::new().with_seed(1).with_num_reads(16)),
-        Box::new(RandomSampler::new().with_seed(1).with_num_reads(16)),
     ];
     for (wname, problem) in workloads() {
         for sampler in &samplers {

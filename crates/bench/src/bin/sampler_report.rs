@@ -6,8 +6,7 @@
 
 use qsmt_anneal::metrics::{ground_state_probability, repetitions_to_confidence, time_to_solution};
 use qsmt_anneal::{
-    ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler, SimulatedAnnealer,
-    SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    ExactSolver, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent,
 };
 use qsmt_core::Constraint;
 use std::time::Instant;
@@ -54,11 +53,7 @@ fn main() {
                 .with_seed(1)
                 .with_num_reads(32),
         ),
-        Box::new(ParallelTempering::new().with_seed(1).with_rounds(64)),
-        Box::new(TabuSearch::new().with_seed(1).with_num_reads(16)),
         Box::new(SteepestDescent::new().with_seed(1).with_num_reads(64)),
-        Box::new(PopulationAnnealer::new().with_seed(1).with_population(64)),
-        Box::new(RandomSampler::new().with_seed(1).with_num_reads(64)),
     ];
 
     println!(

@@ -212,6 +212,34 @@ mod tests {
     }
 
     #[test]
+    fn absent_needle_sharing_a_character_has_no_valid_ground_state() {
+        // Encoding gap B (ROADMAP items 5 and 8): when the needle is
+        // absent but one of its characters occurs at a feasible offset,
+        // that one-character partial match lies below the all-zero
+        // "not found" state, so every ground state decodes to a wrong
+        // index and validation rejects it. No sampler can decide such a
+        // script from its ground states; item 5's raised indicator
+        // diagonal is the change that flips this test.
+        use crate::constraint::Constraint;
+        for (haystack, needle, partial) in [("xhdxyrwi", "bi", 6), ("akwsvbeqa", "rwl", 1)] {
+            let p = Includes::new(haystack, needle).encode().unwrap();
+            let c = Constraint::Includes {
+                haystack: haystack.into(),
+                needle: needle.into(),
+            };
+            let (e, grounds) = exact_solutions(&p);
+            assert_eq!(e, -1.0, "{haystack}/{needle}");
+            assert_eq!(grounds, vec![Solution::Index(Some(partial))]);
+            assert!(!c.validate(&grounds[0]), "{haystack}/{needle}");
+            let zeros = vec![0u8; p.num_vars()];
+            let none = p.decode_state(&zeros).unwrap();
+            assert_eq!(none, Solution::Index(None));
+            assert!(c.validate(&none), "{haystack}/{needle}");
+            assert_eq!(p.qubo.energy(&zeros), 0.0);
+        }
+    }
+
+    #[test]
     fn needle_equal_to_haystack() {
         let p = Includes::new("abc", "abc").encode().unwrap();
         assert_eq!(p.num_vars(), 1);

@@ -36,10 +36,7 @@ use crate::problem::{EncodedProblem, Solution};
 use crate::solver::{
     select, Selection, Solved, StageClock, StringSolver, DEFAULT_READS, DEFAULT_SWEEPS,
 };
-use qsmt_anneal::{
-    read_seed, ExactSolver, SampleSet, Sampler, SamplerRunStats, SimulatedAnnealer,
-    SimulatedQuantumAnnealer,
-};
+use qsmt_anneal::{read_seed, ExactSolver, SampleSet, Sampler, SamplerRunStats, SimulatedAnnealer};
 use qsmt_qubo::StopFlag;
 use qsmt_telemetry::{Json, PortfolioMemberStats, PortfolioStats};
 use std::sync::{Arc, Mutex};
@@ -73,8 +70,6 @@ pub enum MemberKind {
     Exact,
     /// Simulated annealing.
     Sa,
-    /// Simulated quantum annealing (path-integral Trotter slices).
-    Sqa,
     /// The classical baseline, injected via [`ClassicalHook`]; only
     /// planned for transformation-class constraints it computes
     /// directly.
@@ -88,7 +83,6 @@ impl MemberKind {
         match self {
             MemberKind::Exact => "exact",
             MemberKind::Sa => "sa",
-            MemberKind::Sqa => "sqa",
             MemberKind::Classical => "classical",
         }
     }
@@ -99,7 +93,6 @@ impl MemberKind {
         match self {
             MemberKind::Exact => "exact",
             MemberKind::Sa => "simulated-annealing",
-            MemberKind::Sqa => "simulated-quantum-annealing",
             MemberKind::Classical => "classical",
         }
     }
@@ -136,16 +129,6 @@ impl PlanMember {
             MemberKind::Exact => Some(Arc::new(ExactSolver::new())),
             MemberKind::Sa => {
                 let mut s = SimulatedAnnealer::new()
-                    .with_num_reads(self.reads)
-                    .with_sweeps(self.sweeps)
-                    .with_seed(seed);
-                if let Some(stop) = stop {
-                    s = s.with_stop(stop);
-                }
-                Some(Arc::new(s))
-            }
-            MemberKind::Sqa => {
-                let mut s = SimulatedQuantumAnnealer::new()
                     .with_num_reads(self.reads)
                     .with_sweeps(self.sweeps)
                     .with_seed(seed);
@@ -388,7 +371,8 @@ impl Portfolio {
             });
             predicted = MemberKind::Exact;
         } else {
-            // Above the crossover: race SA against SQA. Degenerate
+            // Above the crossover: SA alone (SQA won none of the races it
+            // was measured in, see docs/PORTFOLIO.md). Degenerate
             // encodings (regex membership, wide positions) get a deeper
             // read budget for post-selection.
             let degenerate = f.script.regexes > 0 || f.script.avg_position_width > DEGENERATE_WIDTH;
@@ -400,11 +384,6 @@ impl Portfolio {
             members.push(PlanMember {
                 kind: MemberKind::Sa,
                 reads,
-                sweeps: DEFAULT_SWEEPS,
-            });
-            members.push(PlanMember {
-                kind: MemberKind::Sqa,
-                reads: (reads / 2).max(32),
                 sweeps: DEFAULT_SWEEPS,
             });
             predicted = MemberKind::Sa;
@@ -760,16 +739,23 @@ mod tests {
         let solver = StringSolver::with_defaults()
             .with_seed(2)
             .with_stop(outer.clone());
-        // A model far larger than the few ms the race gets (an
-        // uncancelled SA run of it samples for over 100 ms in a release
-        // build), so both members are still sampling when the outer flag
-        // trips.
-        let portfolio = Portfolio::new();
+        // Both members outlast the few ms the race gets: the classical
+        // hook sleeps past the trip and finds nothing, and the 256 × 4096
+        // SA backstop on a 32-character reverse samples for far longer
+        // than 5 ms, so both are still running when the outer flag trips.
+        let hook: ClassicalHook = Arc::new(|_: &Constraint| {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            None
+        });
+        let portfolio = Portfolio::new().with_classical_hook(hook);
+        let c = Constraint::Reverse {
+            input: "abcdefghijklmnopqrstuvwxyzabcdef".into(),
+        };
         let trip = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(5));
             outer.stop();
         });
-        let (_, stats) = race(&solver, &Constraint::Palindrome { len: 64 }, &portfolio);
+        let (_, stats) = race(&solver, &c, &portfolio);
         trip.join().unwrap();
         assert_eq!(stats.members.len(), 2);
         assert!(

@@ -502,9 +502,6 @@ impl StringSolver {
         Some(DynamicsStats {
             energy_trace: raw.energy_trace,
             beta_acceptance: raw.beta_acceptance,
-            swap_acceptance: raw.swap_acceptance,
-            ess_trace: raw.ess_trace,
-            aspiration_hits: raw.aspiration_hits,
             proposal_latency_ns: HistogramSummary::from_samples(&raw.proposal_latency_ns),
             sweep_improvement: HistogramSummary::from_samples(&raw.sweep_improvement),
             time_to_target,

@@ -22,9 +22,9 @@
 //!
 //! The kernels deliberately do **not** borrow their compiled model:
 //! [`FlipKernel::flip`] takes the [`CompiledQubo`] as an argument. This
-//! keeps the kernel a plain value — samplers can clone it (population
-//! resampling) and swap two kernels wholesale (replica exchange) without
-//! lifetime plumbing.
+//! keeps the kernel a plain value — a sampler can keep a whole vector of
+//! them over one shared model (SQA's Trotter slices) without lifetime
+//! plumbing.
 
 use crate::{CompiledIsing, CompiledQubo, Var};
 

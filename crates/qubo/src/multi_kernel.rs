@@ -4,8 +4,8 @@
 //! The scalar [`FlipKernel`](crate::FlipKernel) advances one replica at a
 //! time: every proposal costs a load + multiply, and every accepted flip
 //! walks the variable's CSR neighbor list alone. Annealing workloads run
-//! *batches* of independent replicas (reads, tempering rungs, population
-//! members) over the same compiled model, so the per-replica bookkeeping
+//! *batches* of independent replicas (simulated annealing's reads) over
+//! the same compiled model, so the per-replica bookkeeping
 //! can be amortized across the whole batch — the digital-annealer-style
 //! parallel proposal evaluation of Oshiyama & Ohzeki (arXiv:2104.14096)
 //! and the bit-parallel annealer encodings of Bian et al.
@@ -313,30 +313,6 @@ impl MultiReplicaKernel {
         }
         count
     }
-
-    /// Swaps the full configurations of lanes `a` and `b` — state bits,
-    /// field columns, and energies move as one coherent unit, the
-    /// bit-sliced equivalent of replica exchange swapping two scalar
-    /// kernels wholesale; O(n).
-    pub fn swap_lanes(&mut self, a: usize, b: usize) {
-        assert!(
-            a < self.lanes && b < self.lanes,
-            "swap lanes {a},{b} out of range ({})",
-            self.lanes
-        );
-        if a == b {
-            return;
-        }
-        for w in &mut self.words {
-            // Classic bit swap: XOR the pair's difference into both slots.
-            let diff = ((*w >> a) ^ (*w >> b)) & 1;
-            *w ^= (diff << a) | (diff << b);
-        }
-        for i in 0..self.words.len() {
-            self.fields.swap(i * LANES + a, i * LANES + b);
-        }
-        self.energies.swap(a, b);
-    }
 }
 
 /// Dense per-neighbor fan-out of the 64-lane direction vector, with an
@@ -602,32 +578,6 @@ mod tests {
                 assert_eq!(d, k.delta(i as Var, r));
             }
         }
-    }
-
-    #[test]
-    fn swap_lanes_moves_state_fields_and_energy_as_one_unit() {
-        let m = random_model(9, 13);
-        let c = CompiledQubo::compile(&m);
-        let states = random_states(8, 9, 4);
-        let mut k = MultiReplicaKernel::new(&c, &states);
-        let (s2, e2) = (k.state(2), k.energy(2));
-        let (s6, e6) = (k.state(6), k.energy(6));
-        k.swap_lanes(2, 6);
-        assert_eq!(k.state(2), s6);
-        assert_eq!(k.state(6), s2);
-        assert_eq!(k.energy(2), e6);
-        assert_eq!(k.energy(6), e2);
-        // Fields swapped too: deltas now describe the swapped states.
-        for i in 0..9 as Var {
-            let fresh2 = FlipKernel::new(&c, k.state(2));
-            let fresh6 = FlipKernel::new(&c, k.state(6));
-            assert_eq!(k.delta(i, 2), fresh2.delta(i));
-            assert_eq!(k.delta(i, 6), fresh6.delta(i));
-        }
-        // Untouched lanes stay put.
-        assert_eq!(k.state(0), states[0]);
-        k.swap_lanes(3, 3); // self-swap is a no-op
-        assert_eq!(k.state(3), states[3]);
     }
 
     #[test]

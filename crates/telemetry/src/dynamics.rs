@@ -2,11 +2,11 @@
 //!
 //! PR 1's per-stage stats say *what* a solve produced; the types here say
 //! *how the run evolved* — best-energy-vs-sweep traces, per-β acceptance,
-//! replica-exchange swap rates, population-annealing effective sample
-//! size, and a deterministic stall verdict. They are plain data produced
-//! by the probe layer in `qsmt-anneal` and serialized into the additive
-//! `dynamics` section of `SolveReport` (schema v4). Field names are a
-//! stable interface documented in `docs/OBSERVABILITY.md`.
+//! per-proposal latency, time to target, and a deterministic stall
+//! verdict. They are plain data produced by the probe layer in
+//! `qsmt-anneal` and serialized into the `dynamics` section of
+//! `SolveReport` (added in schema v4, three keys removed in v11). Field
+//! names are a stable interface documented in `docs/OBSERVABILITY.md`.
 
 use crate::json::Json;
 
@@ -58,64 +58,6 @@ impl BetaAcceptance {
             ("proposals", Json::from(self.proposals)),
             ("accepted", Json::from(self.accepted)),
             ("rate", Json::from(self.rate())),
-        ])
-    }
-}
-
-/// Replica-exchange attempt/acceptance counters for one adjacent ladder
-/// pair in parallel tempering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwapAcceptance {
-    /// β of the hotter rung (smaller β).
-    pub hotter_beta: f64,
-    /// β of the colder rung (larger β).
-    pub colder_beta: f64,
-    /// Exchange attempts between the pair.
-    pub attempts: u64,
-    /// Exchanges accepted.
-    pub accepted: u64,
-}
-
-impl SwapAcceptance {
-    /// `accepted / attempts` (0 when no attempts were made).
-    pub fn rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.attempts as f64
-        }
-    }
-
-    /// Serializes as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("hotter_beta", Json::from(self.hotter_beta)),
-            ("colder_beta", Json::from(self.colder_beta)),
-            ("attempts", Json::from(self.attempts)),
-            ("accepted", Json::from(self.accepted)),
-            ("rate", Json::from(self.rate())),
-        ])
-    }
-}
-
-/// Effective sample size of a population-annealing resampling step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EssPoint {
-    /// Annealing step index.
-    pub step: u64,
-    /// β the population was resampled towards.
-    pub beta: f64,
-    /// Effective sample size `(Σw)² / Σw²` of the resampling weights.
-    pub ess: f64,
-}
-
-impl EssPoint {
-    /// Serializes as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("step", Json::from(self.step)),
-            ("beta", Json::from(self.beta)),
-            ("ess", Json::from(self.ess)),
         ])
     }
 }
@@ -232,19 +174,13 @@ impl StallVerdict {
 /// The additive `dynamics` section of a solve report (schema v4).
 ///
 /// Sampler-specific fields are empty / `None` when the sampler has no
-/// matching probe (e.g. only parallel tempering fills `swap_acceptance`).
+/// matching probe (e.g. steepest descent fills no `beta_acceptance`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsStats {
     /// Decimated best-energy-so-far trajectory of the probe read.
     pub energy_trace: Vec<TracePoint>,
     /// Acceptance counters per β (aggregated to a bounded entry count).
     pub beta_acceptance: Vec<BetaAcceptance>,
-    /// Parallel-tempering swap acceptance per adjacent ladder pair.
-    pub swap_acceptance: Vec<SwapAcceptance>,
-    /// Population-annealing effective sample size per resampling step.
-    pub ess_trace: Vec<EssPoint>,
-    /// Tabu-search aspiration-criterion hits on the probe read.
-    pub aspiration_hits: Option<u64>,
     /// Per-proposal latency distribution (nanoseconds), probe read.
     pub proposal_latency_ns: Option<HistogramSummary>,
     /// Per-sweep best-energy improvement distribution, probe read.
@@ -320,23 +256,6 @@ impl DynamicsStats {
                         .map(BetaAcceptance::to_json)
                         .collect(),
                 ),
-            ),
-            (
-                "swap_acceptance",
-                Json::Arr(
-                    self.swap_acceptance
-                        .iter()
-                        .map(SwapAcceptance::to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "ess_trace",
-                Json::Arr(self.ess_trace.iter().map(EssPoint::to_json).collect()),
-            ),
-            (
-                "aspiration_hits",
-                self.aspiration_hits.map_or(Json::Null, Json::from),
             ),
             (
                 "proposal_latency_ns",
@@ -452,13 +371,6 @@ mod tests {
             accepted: 0,
         };
         assert_eq!(b.rate(), 0.0);
-        let s = SwapAcceptance {
-            hotter_beta: 0.5,
-            colder_beta: 2.0,
-            attempts: 4,
-            accepted: 1,
-        };
-        assert_eq!(s.rate(), 0.25);
     }
 
     #[test]
@@ -477,18 +389,6 @@ mod tests {
                 proposals: 100,
                 accepted: 60,
             }],
-            swap_acceptance: vec![SwapAcceptance {
-                hotter_beta: 0.1,
-                colder_beta: 0.3,
-                attempts: 32,
-                accepted: 8,
-            }],
-            ess_trace: vec![EssPoint {
-                step: 1,
-                beta: 0.2,
-                ess: 48.0,
-            }],
-            aspiration_hits: Some(3),
             proposal_latency_ns: HistogramSummary::from_samples(&[10.0, 20.0, 30.0]),
             sweep_improvement: None,
         };
@@ -503,9 +403,6 @@ mod tests {
         );
         let betas = doc.get("beta_acceptance").and_then(Json::as_arr).unwrap();
         assert_eq!(betas[0].get("rate").and_then(Json::as_f64), Some(0.6));
-        let swaps = doc.get("swap_acceptance").and_then(Json::as_arr).unwrap();
-        assert_eq!(swaps[0].get("attempts").and_then(Json::as_u64), Some(32));
-        assert_eq!(doc.get("aspiration_hits").and_then(Json::as_u64), Some(3));
         assert_eq!(doc.get("sweep_improvement"), Some(&Json::Null));
         let lat = doc.get("proposal_latency_ns").unwrap();
         assert_eq!(lat.get("p50").and_then(Json::as_f64), Some(20.0));

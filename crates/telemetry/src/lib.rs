@@ -33,8 +33,7 @@ pub mod json;
 pub mod report;
 
 pub use dynamics::{
-    BetaAcceptance, DynamicsStats, EssPoint, HistogramSummary, StallVerdict, SwapAcceptance,
-    TimeToTarget, TracePoint,
+    BetaAcceptance, DynamicsStats, HistogramSummary, StallVerdict, TimeToTarget, TracePoint,
 };
 pub use json::{parse, Json, JsonParseError};
 pub use report::{

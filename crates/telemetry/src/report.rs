@@ -105,9 +105,8 @@ pub struct SamplerStats {
     /// Proposals accepted, when the sampler counts them.
     pub accepted: Option<u64>,
     /// Replica lanes the sampler's bit-sliced kernel advances together
-    /// per sweep (SA packs up to 64 reads into one word, PT its whole β
-    /// ladder); `None` for single-configuration samplers (additive in
-    /// schema v7).
+    /// per sweep (SA packs up to 64 reads into one word); `None` for
+    /// single-configuration samplers (additive in schema v7).
     pub replicas: Option<u64>,
     /// `accepted / proposals`, when both counters exist.
     pub acceptance_rate: Option<f64>,
@@ -272,7 +271,7 @@ impl CacheStats {
 /// One portfolio member's run record (schema v9).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioMemberStats {
-    /// Stable member kind: `"exact"`, `"sa"`, `"sqa"`, or `"classical"`.
+    /// Stable member kind: `"exact"`, `"sa"`, or `"classical"`.
     pub member: String,
     /// Read budget the plan allotted (0 for exact/classical members).
     pub reads: u64,
@@ -701,8 +700,7 @@ impl RunReport {
     /// `SolveReport` (and the `lint` stage label); v3 added the additive
     /// `proposals_per_sec` / `flips_per_sec` throughput fields on
     /// `sampling`; v4 added the additive `dynamics` section (trajectory
-    /// probes: energy trace, per-β acceptance, swap/ESS stats, stall
-    /// verdict); v5 adds the additive `cache` section on `SolveReport`
+    /// probes: energy trace, per-β acceptance, stall verdict); v5 adds the additive `cache` section on `SolveReport`
     /// (lookup outcome and warm-start sweeps) and `served_from` on the
     /// run; v6 adds the additive `absint` section on the run (script
     /// abstract-interpretation verdict, fixpoint accounting, eliminated
@@ -717,10 +715,13 @@ impl RunReport {
     /// per-member outcome/elapsed, winner) and the
     /// `"portfolio:<member>"` value for `served_from`; v10 removes the
     /// per-solve `spans` log — stage timings are `stages`, and the span
-    /// tree is the trace (`qsmt-trace`). Every version before v10 only
-    /// added fields, so earlier readers kept working; a v10 reader must
-    /// not expect `spans`.
-    pub const SCHEMA_VERSION: u32 = 10;
+    /// tree is the trace (`qsmt-trace`); v11 removes the three `dynamics`
+    /// keys only the retired parallel-tempering, population-annealing
+    /// and tabu samplers filled (swap rates, effective sample sizes,
+    /// aspiration hits). Every version before v10 only added fields, so
+    /// earlier readers kept working; a v10 reader must not expect
+    /// `spans`, and a v11 reader must not expect those three keys.
+    pub const SCHEMA_VERSION: u32 = 11;
 
     /// Serializes as a JSON object.
     pub fn to_json(&self) -> Json {
@@ -909,9 +910,6 @@ mod tests {
                 proposals: 640,
                 accepted: 320,
             }],
-            swap_acceptance: vec![],
-            ess_trace: vec![],
-            aspiration_hits: None,
             proposal_latency_ns: crate::dynamics::HistogramSummary::from_samples(&[
                 50.0, 60.0, 70.0,
             ]),

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example annealer_tour`
 
 use qsmt::{
-    BetaSchedule, Constraint, ExactSolver, ParallelTempering, RandomSampler, Sampler,
-    SimulatedAnnealer, SteepestDescent, TabuSearch,
+    BetaSchedule, Constraint, ExactSolver, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer,
+    SteepestDescent,
 };
 use std::time::Instant;
 
@@ -28,14 +28,16 @@ fn main() {
 
     let samplers: Vec<Box<dyn Sampler>> = vec![
         Box::new(SimulatedAnnealer::new().with_seed(1).with_num_reads(32)),
-        Box::new(ParallelTempering::new().with_seed(1).with_rounds(32)),
-        Box::new(TabuSearch::new().with_seed(1)),
+        Box::new(
+            SimulatedQuantumAnnealer::new()
+                .with_seed(1)
+                .with_num_reads(32),
+        ),
         Box::new(SteepestDescent::new().with_seed(1)),
-        Box::new(RandomSampler::new().with_seed(1).with_num_reads(32)),
     ];
 
     println!(
-        "{:<22} {:>10} {:>12} {:>10} {:>10}",
+        "{:<28} {:>10} {:>12} {:>10} {:>10}",
         "sampler", "best E", "success %", "distinct", "time"
     );
     for sampler in &samplers {
@@ -49,7 +51,7 @@ fn main() {
             0.0
         };
         println!(
-            "{:<22} {:>10.3} {:>11.1}% {:>10} {:>9.1?}",
+            "{:<28} {:>10.3} {:>11.1}% {:>10} {:>9.1?}",
             sampler.name(),
             best,
             hit,

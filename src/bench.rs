@@ -43,8 +43,8 @@
 //! uploading garbage.
 
 use crate::anneal::{
-    metrics, AcceptanceTable, BetaSchedule, ExactSolver, ParallelTempering, PopulationAnnealer,
-    Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    metrics, AcceptanceTable, BetaSchedule, ExactSolver, Sampler, SimulatedAnnealer,
+    SimulatedQuantumAnnealer, SteepestDescent,
 };
 use crate::core::Constraint;
 use crate::qubo::{CompiledQubo, FlipKernel, MultiReplicaKernel, QuboModel, Var, LANES};
@@ -583,37 +583,12 @@ fn sampler_section(model: &QuboModel, opts: &BenchOptions) -> Json {
             ),
         ),
         (
-            "parallel-tempering",
-            Box::new(
-                ParallelTempering::new()
-                    .with_seed(seed)
-                    .with_rounds(if q { 16 } else { 64 }),
-            ),
-        ),
-        (
-            "population-annealing",
-            Box::new(
-                PopulationAnnealer::new()
-                    .with_seed(seed)
-                    .with_population(if q { 16 } else { 64 }),
-            ),
-        ),
-        (
             "simulated-quantum-annealing",
             Box::new(
                 SimulatedQuantumAnnealer::new()
                     .with_seed(seed)
                     .with_num_reads(if q { 4 } else { 8 })
                     .with_sweeps(if q { 64 } else { 256 }),
-            ),
-        ),
-        (
-            "tabu-search",
-            Box::new(
-                TabuSearch::new()
-                    .with_seed(seed)
-                    .with_num_reads(if q { 4 } else { 8 })
-                    .with_steps(if q { 500 } else { 2000 }),
             ),
         ),
         (

@@ -17,12 +17,12 @@
 //! qsmt history <store.jsonl> [--recent N] [--baseline N] [--threshold PCT]
 //! ```
 //!
-//! Samplers: `sa` (default), `sqa`, `pt`, `tabu`, `descent`, `exact`,
-//! `population`, `random`.
+//! Samplers: `sa` (default), `sqa`, `descent`, `exact`. `--portfolio`
+//! routes its own members per goal, so it takes no other `--sampler`.
 //!
 //! Observability (documented in `docs/OBSERVABILITY.md`): `--stats` prints
 //! per-stage timings and sampler statistics for every solve, `--report
-//! <path>` writes the full JSON run report (schema v10, with a `trace_id`
+//! <path>` writes the full JSON run report (schema v11, with a `trace_id`
 //! and per-stage `span_us` rollup), and `--trace` runs the solve under a
 //! trace id and prints the run's span tree as indented text — or, as
 //! `--trace <out.json>`, writes the same spans as Chrome trace-event
@@ -43,10 +43,7 @@
 //! `solve`/`demo` enables deny-on-error mode, refusing to sample an
 //! encoding the linter can prove unsound.
 
-use qsmt::anneal::{
-    ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sampler,
-    SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
-};
+use qsmt::anneal::{ExactSolver, Sampler, SimulatedQuantumAnnealer, SteepestDescent};
 use qsmt::core::DEFAULT_READS;
 use qsmt::smtlib::{Goal, ScriptRun};
 use qsmt::telemetry::Json;
@@ -81,13 +78,13 @@ USAGE:
   qsmt history <store.jsonl> [--recent N] [--baseline N] [--threshold PCT]
 
 SAMPLERS:
-  sa (default) | sqa | pt | tabu | descent | exact | population | random
+  {samplers}
 
 OBSERVABILITY (see docs/OBSERVABILITY.md):
   --stats          print per-stage timings, sampler statistics, and
                    trajectory-dynamics summaries (stall verdict, latency
                    and improvement percentiles)
-  --report <path>  write the full JSON run report to <path> (schema v10:
+  --report <path>  write the full JSON run report to <path> (schema v11:
                    carries the run's trace_id and a per-stage span_us
                    latency rollup)
   --trace          run the solve under a trace id and print its span
@@ -102,7 +99,7 @@ SOLVE SERVICE (see docs/OBSERVABILITY.md):
                    enqueues SMT-LIB scripts into a bounded queue drained
                    by --workers threads, answering 202 with a job id and
                    a per-job trace id; GET /jobs/<id> returns status and
-                   the schema-v10 run report; GET /jobs/<id>/trace serves
+                   the schema-v11 run report; GET /jobs/<id>/trace serves
                    the job's spans as Chrome trace-event JSON and
                    GET /traces indexes recent traces; a full queue
                    answers 429 with Retry-After; per-job deadlines cancel
@@ -168,16 +165,28 @@ ABSTRACT INTERPRETATION (see docs/ABSINT.md):
 PORTFOLIO SOLVING (see docs/PORTFOLIO.md):
   --portfolio      solve/demo: race a structure-routed portfolio of
                    strategies per goal (exact enumeration on small
-                   models, simulated + simulated-quantum annealing
-                   otherwise), cancelling losers the instant one member
-                   returns a satisfying assignment; the report's
-                   `portfolio` section (schema v9) records the routing
-                   decision and per-member outcomes; with --no-absint
-                   routing sees model features only. serve: make
-                   portfolio racing the service default (per-job
-                   `?portfolio=` still overrides). submit: request
-                   portfolio mode for the submitted job
+                   models, simulated annealing otherwise), cancelling
+                   losers the instant one member returns a satisfying
+                   assignment; the report's `portfolio` section (schema
+                   v9) records the routing decision and per-member
+                   outcomes; with --no-absint routing sees model
+                   features only. The race picks its own samplers, so
+                   solve/demo refuse --portfolio with any --sampler but
+                   sa. serve: make portfolio racing the service default
+                   (per-job `?portfolio=` still overrides). submit:
+                   request portfolio mode for the submitted job
 ";
+
+/// The `--sampler` names, the default first. `parse_flags` accepts
+/// exactly these, [`make_sampler`] builds each but the default, and the
+/// usage text lists them.
+const SAMPLERS: [&str; 4] = ["sa", "sqa", "descent", "exact"];
+
+/// [`USAGE`] with its `{samplers}` line filled in from [`SAMPLERS`].
+fn usage() -> String {
+    let names = format!("{} (default) | {}", SAMPLERS[0], SAMPLERS[1..].join(" | "));
+    USAGE.replace("{samplers}", &names)
+}
 
 const DEMO: &str = r#"
 (set-logic QF_S)
@@ -251,7 +260,7 @@ impl Default for Options {
     fn default() -> Self {
         let serve = qsmt::serve::ServeConfig::default();
         Self {
-            sampler: "sa".into(),
+            sampler: SAMPLERS[0].into(),
             seed: 0,
             seed_set: false,
             reads: DEFAULT_READS,
@@ -303,7 +312,12 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--sampler" => opts.sampler = value("--sampler")?,
+            "--sampler" => {
+                opts.sampler = value("--sampler")?;
+                if !SAMPLERS.contains(&opts.sampler.as_str()) {
+                    return Err(format!("unknown sampler {:?}", opts.sampler));
+                }
+            }
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()
@@ -426,24 +440,14 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The sampler `--sampler` names, for every name but the default `sa`,
+/// The sampler behind a [`SAMPLERS`] name other than the default `sa`,
 /// which is the solver's built-in annealer.
-fn make_sampler(opts: &Options) -> Result<Arc<dyn Sampler>, String> {
-    Ok(match opts.sampler.as_str() {
+fn make_sampler(opts: &Options) -> Arc<dyn Sampler> {
+    match opts.sampler.as_str() {
         "sqa" => Arc::new(
             SimulatedQuantumAnnealer::new()
                 .with_seed(opts.seed)
                 .with_num_reads(opts.reads),
-        ),
-        "pt" => Arc::new(
-            ParallelTempering::new()
-                .with_seed(opts.seed)
-                .with_rounds(opts.reads.max(2)),
-        ),
-        "tabu" => Arc::new(
-            TabuSearch::new()
-                .with_seed(opts.seed)
-                .with_num_reads(opts.reads.min(64)),
         ),
         "descent" => Arc::new(
             SteepestDescent::new()
@@ -451,33 +455,30 @@ fn make_sampler(opts: &Options) -> Result<Arc<dyn Sampler>, String> {
                 .with_num_reads(opts.reads),
         ),
         "exact" => Arc::new(ExactSolver::new()),
-        "population" => Arc::new(
-            PopulationAnnealer::new()
-                .with_seed(opts.seed)
-                .with_population(opts.reads.max(2)),
-        ),
-        "random" => Arc::new(
-            RandomSampler::new()
-                .with_seed(opts.seed)
-                .with_num_reads(opts.reads),
-        ),
-        other => return Err(format!("unknown sampler {other:?}")),
-    })
+        other => unreachable!("parse_flags admits only SAMPLERS, not {other:?}"),
+    }
 }
 
 fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), String> {
+    // Portfolio mode routes its own sampler per race member, so a
+    // `--sampler` beside it would be silently ignored.
+    if opts.portfolio && opts.sampler != SAMPLERS[0] {
+        return Err(format!(
+            "--portfolio races its own samplers; drop --sampler {}",
+            opts.sampler
+        ));
+    }
     let script = Script::parse(source).map_err(|e| e.to_string())?;
-    // The default `sa` sampler is the solver's built-in annealer.
-    // Portfolio mode routes its own sampler per race member
-    // (`--sampler` is ignored); the base solver contributes the seed
-    // member streams derive from, the lint gate, and the annealer for
-    // the pipeline goals a portfolio never races.
-    let solver = if opts.portfolio || opts.sampler == "sa" {
+    // The default `sa` sampler is the solver's built-in annealer. In
+    // portfolio mode the base solver contributes the seed member streams
+    // derive from, the lint gate, and the annealer for the pipeline goals
+    // a portfolio never races.
+    let solver = if opts.portfolio || opts.sampler == SAMPLERS[0] {
         StringSolver::with_defaults()
             .with_seed(opts.seed)
             .with_reads(opts.reads)
     } else {
-        StringSolver::new(make_sampler(opts)?)
+        StringSolver::new(make_sampler(opts))
     }
     .with_deny_lint_errors(opts.lint);
     // Samplers with hard limits (the exact enumerator caps at 26
@@ -953,7 +954,7 @@ fn main() -> ExitCode {
     let result = match args.split_first() {
         Some((cmd, rest)) if cmd == "solve" || cmd == "dump" || cmd == "lint" => {
             let Some((path, flags)) = rest.split_first() else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             match (
@@ -997,11 +998,11 @@ fn main() -> ExitCode {
         }),
         Some((cmd, rest)) if cmd == "submit" => {
             let Some((addr, rest)) = rest.split_first() else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             let Some((path, flags)) = rest.split_first() else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             match (
@@ -1042,7 +1043,7 @@ fn main() -> ExitCode {
         }
         Some((cmd, rest)) if cmd == "watch" => {
             let Some((addr, flags)) = rest.split_first() else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             parse_flags(flags).and_then(|opts| {
@@ -1075,7 +1076,7 @@ fn main() -> ExitCode {
         }
         Some((cmd, rest)) if cmd == "history" => {
             let Some((path, flags)) = rest.split_first() else {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
             match parse_flags(flags).and_then(|opts| run_history(path, &opts)) {
@@ -1087,7 +1088,7 @@ fn main() -> ExitCode {
             }
         }
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };

@@ -12,8 +12,8 @@
 //! * [`core`] — the paper's twelve string→QUBO encoders, the
 //!   [`StringSolver`] facade, and the §4.12 [`Pipeline`];
 //! * [`qubo`] — QUBO/Ising models, penalties, energy kernels;
-//! * [`anneal`] — simulated and simulated-quantum annealing, parallel
-//!   tempering, tabu search, population annealing, exact enumeration;
+//! * [`anneal`] — simulated and simulated-quantum annealing, steepest
+//!   descent, exact enumeration;
 //! * [`qpu`] — Chimera/Pegasus/Zephyr-style topologies, minor embedding,
 //!   chain handling, gauges, QPU timing and noise;
 //! * [`lint`] — the formulation linter: static soundness analysis of
@@ -65,8 +65,8 @@ pub use qsmt_telemetry as telemetry;
 pub use qsmt_trace as trace;
 
 pub use qsmt_anneal::{
-    BetaSchedule, ExactSolver, ParallelTempering, PopulationAnnealer, RandomSampler, Sample,
-    SampleSet, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    BetaSchedule, ExactSolver, Sample, SampleSet, Sampler, SimulatedAnnealer,
+    SimulatedQuantumAnnealer, SteepestDescent,
 };
 pub use qsmt_core::{
     member_seed, MemberKind, PlanMember, Portfolio, PortfolioPlan, RoutingFeatures,

@@ -25,7 +25,7 @@ fn solve_deterministic_corpus_file() {
 
 #[test]
 fn solve_with_alternate_samplers() {
-    for sampler in ["sqa", "pt", "tabu", "descent", "population"] {
+    for sampler in ["sqa", "descent"] {
         let out = qsmt()
             .args([
                 "solve",
@@ -44,6 +44,40 @@ fn solve_with_alternate_samplers() {
             "sampler {sampler} wrong answer: {stdout}"
         );
     }
+}
+
+/// Runs `qsmt <args>` and returns its exit code and stderr.
+fn exit_and_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let out = qsmt().args(args).output().expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8(out.stderr).expect("utf8"),
+    )
+}
+
+#[test]
+fn unknown_sampler_names_fail_on_every_subcommand() {
+    let f = corpus("table1_row2_palindrome.smt2");
+    for (args, name) in [
+        (vec!["solve", &f, "--sampler", "pt"], "pt"),
+        (vec!["solve", &f, "--portfolio", "--sampler", "pt"], "pt"),
+        (vec!["lint", &f, "--sampler", "bogus"], "bogus"),
+    ] {
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown sampler \"{name}\"")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn portfolio_refuses_a_sampler_it_would_ignore() {
+    let f = corpus("table1_row2_palindrome.smt2");
+    let (code, stderr) = exit_and_stderr(&["solve", &f, "--portfolio", "--sampler", "sqa"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--portfolio"), "{stderr}");
 }
 
 #[test]
@@ -302,7 +336,7 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
     assert_eq!(
         report.get("schema_version").and_then(Json::as_u64),
-        Some(10)
+        Some(11)
     );
     assert_eq!(
         report.get("trace_id").and_then(Json::as_str),
@@ -409,6 +443,7 @@ fn bad_usage_fails_with_usage_text() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("USAGE"));
+    assert!(stderr.contains("sa (default) | sqa | descent | exact"));
 
     let out = qsmt()
         .args(["solve", "/nonexistent/file.smt2"])

@@ -46,7 +46,7 @@ fn table1_palindrome_report_has_documented_schema() {
     let doc = report_for("table1_row2_palindrome.smt2", &[]);
 
     // Top level.
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(11));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // No trace entered on the plain CLI path (schema v8): the id is
     // null but the per-stage span_us rollup is always populated.
@@ -223,6 +223,24 @@ fn table1_palindrome_report_has_documented_schema() {
         .and_then(|h| h.get("p50"))
         .and_then(Json::as_f64)
         .is_some());
+    // Schema v11: the section has exactly these seven keys; the three
+    // that only the retired tempering, population and tabu samplers
+    // filled are gone.
+    let Json::Obj(keys) = dynamics else {
+        panic!("dynamics is an object: {dynamics:?}");
+    };
+    assert_eq!(
+        keys.keys().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "beta_acceptance",
+            "energy_trace",
+            "last_improvement_fraction",
+            "proposal_latency_ns",
+            "stall_verdict",
+            "sweep_improvement",
+            "time_to_target",
+        ]
+    );
 
     // Cache section (schema v5): present as a key, null when the solver
     // had no cache attached (the CLI path).
@@ -449,7 +467,7 @@ fn unsat_report_has_status_and_no_goals() {
 #[test]
 fn no_absint_flag_disables_the_stage_and_keeps_schema_additive() {
     let doc = report_for("table1_row2_palindrome.smt2", &["--no-absint"]);
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(11));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // The key stays present (additive schema) but is null when opted out.
     assert_eq!(doc.get("absint"), Some(&Json::Null));

@@ -17,11 +17,11 @@
 //! QSMT_BLESS=1 cargo test --test sampler_golden
 //! ```
 
-use qsmt::anneal::{Polished, SamplerDynamics, SamplerRunStats};
+use qsmt::anneal::{SamplerDynamics, SamplerRunStats};
 use qsmt::telemetry::{parse, Json};
 use qsmt::{
-    Constraint, ExactSolver, ParallelTempering, PopulationAnnealer, QuboModel, RandomSampler,
-    SampleSet, Sampler, SimulatedAnnealer, SimulatedQuantumAnnealer, SteepestDescent, TabuSearch,
+    Constraint, ExactSolver, QuboModel, SampleSet, Sampler, SimulatedAnnealer,
+    SimulatedQuantumAnnealer, SteepestDescent,
 };
 use std::collections::BTreeMap;
 
@@ -118,20 +118,6 @@ fn dynamics(d: &SamplerDynamics) -> Json {
             }),
         ),
         (
-            "swap_acceptance",
-            seq(&d.swap_acceptance, |h, s| {
-                h.f64(s.hotter_beta)
-                    .f64(s.colder_beta)
-                    .u64(s.attempts)
-                    .u64(s.accepted)
-            }),
-        ),
-        (
-            "ess_trace",
-            seq(&d.ess_trace, |h, p| h.u64(p.step).f64(p.beta).f64(p.ess)),
-        ),
-        ("aspiration_hits", opt(d.aspiration_hits)),
-        (
             "sweep_improvement",
             seq(&d.sweep_improvement, |h, &x| h.f64(x)),
         ),
@@ -162,8 +148,8 @@ fn summarize(sampler: &dyn Sampler, model: &QuboModel) -> Json {
     ])
 }
 
-/// Two competing 4-cliques, mutually exclusive: the rugged 8-variable
-/// model the tempering tests and the serve exercise pass use.
+/// Two competing 4-cliques, mutually exclusive: a rugged 8-variable
+/// model whose shallower well traps a greedy or cold walker.
 fn two_well() -> QuboModel {
     let mut m = QuboModel::new(8);
     for i in 0..4u32 {
@@ -229,42 +215,10 @@ fn cases(n: usize, seed: u64) -> Vec<(&'static str, Box<dyn Sampler>)> {
             ),
         ),
         (
-            "pt",
-            Box::new(ParallelTempering::new().with_seed(seed).with_rounds(24)),
-        ),
-        (
-            "population",
-            Box::new(
-                PopulationAnnealer::new()
-                    .with_seed(seed)
-                    .with_population(16)
-                    .with_steps(24),
-            ),
-        ),
-        (
-            "tabu",
-            Box::new(
-                TabuSearch::new()
-                    .with_seed(seed)
-                    .with_num_reads(4)
-                    .with_steps(150),
-            ),
-        ),
-        (
             "descent",
             Box::new(SteepestDescent::new().with_seed(seed).with_num_reads(12)),
         ),
         ("exact", Box::new(ExactSolver::new().with_keep(16))),
-        (
-            "random",
-            Box::new(RandomSampler::new().with_seed(seed).with_num_reads(12)),
-        ),
-        (
-            "polished-random",
-            Box::new(Polished::new(
-                RandomSampler::new().with_seed(seed).with_num_reads(12),
-            )),
-        ),
     ]
 }
 

@@ -202,8 +202,8 @@ fn parallel_clients_land_in_exactly_one_terminal_state() {
             "completed" => {
                 completed += 1;
                 assert!(
-                    body.contains("\"schema_version\": 10"),
-                    "report is not schema v10: {body}"
+                    body.contains("\"schema_version\": 11"),
+                    "report is not schema v11: {body}"
                 );
                 assert_eq!(
                     json_str(&body, "sampler").as_deref(),
@@ -599,7 +599,7 @@ fn trace_rides_the_job_from_submission_to_run_store() {
     // top-level field — so also check the embedded report's copy).
     let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
     assert_eq!(status, "completed", "traced job: {body}");
-    assert!(body.contains("\"schema_version\": 10"), "not v10: {body}");
+    assert!(body.contains("\"schema_version\": 11"), "not v11: {body}");
     assert_eq!(
         json_str(&body, "trace_id").as_deref(),
         Some(trace_id.as_str())
@@ -747,7 +747,7 @@ fn submit_cli_prints_the_completed_job_document() {
     assert_eq!(json_str(&stdout, "status").as_deref(), Some("completed"));
     assert_eq!(json_str(&stdout, "id").as_deref(), Some("job-1"));
     assert!(
-        stdout.contains("\"schema_version\": 10"),
+        stdout.contains("\"schema_version\": 11"),
         "no embedded report: {stdout}"
     );
     assert_eq!(json_str(&stdout, "answer").as_deref(), Some("ba"));
@@ -799,7 +799,7 @@ fn portfolio_job_is_won_by_exact_and_cancels_the_annealer_backstop() {
         json_str(&body, "served_from").as_deref(),
         Some("portfolio:exact")
     );
-    assert!(body.contains("\"schema_version\": 10"), "not v10: {body}");
+    assert!(body.contains("\"schema_version\": 11"), "not v11: {body}");
     assert_eq!(json_str(&body, "predicted").as_deref(), Some("exact"));
     assert_eq!(json_str(&body, "winner").as_deref(), Some("exact"));
     assert_eq!(json_str(&body, "status").as_deref(), Some("completed"));
