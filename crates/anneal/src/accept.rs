@@ -17,11 +17,13 @@
 //! The bracketed decision is bit-exact with the textbook criterion for
 //! every `u > 0`; the hard-reject cutoff deviates only where the true
 //! acceptance probability is `< 2⁻⁵³` (≈ 1.1e−16) per proposal, far below
-//! anything a finite anneal can observe. One table is built per β, once
-//! per run, and shared read-only across parallel reads.
+//! anything a finite anneal can observe. A table per β holds three
+//! numbers; the grid it brackets with is the same for every β, built once
+//! per process and shared read-only by every table.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::LazyLock;
 
 /// Exp-underflow hard-reject cutoff, in units of `β·ΔE`.
 ///
@@ -38,8 +40,16 @@ pub const LN_ACCEPT_CUTOFF: f64 = 40.0;
 
 /// Number of table buckets. 512 gives a per-bucket probability ratio of
 /// `exp(−40/512) ≈ 0.925`, i.e. < 8% of consulted proposals fall into the
-/// bracket and pay for an exact `exp`, for a 4 KiB table per β.
+/// bracket and pay for an exact `exp`, for one 4 KiB grid per process.
 const BUCKETS: usize = 512;
+
+/// `GRID[k] = exp(−k·LN_ACCEPT_CUTOFF/BUCKETS)`, `k ∈ 0..=BUCKETS`. The
+/// table for β sorts `ΔE` into buckets of width
+/// `LN_ACCEPT_CUTOFF/(β·BUCKETS)`, so its bracket values `exp(−β·k·width)`
+/// are this grid whatever β is.
+static GRID: LazyLock<[f64; BUCKETS + 1]> = LazyLock::new(|| {
+    std::array::from_fn(|k| (-(k as f64) * LN_ACCEPT_CUTOFF / BUCKETS as f64).exp())
+});
 
 /// A precomputed Metropolis acceptance test for one inverse temperature.
 #[derive(Debug, Clone)]
@@ -48,8 +58,8 @@ pub struct AcceptanceTable {
     /// `ΔE ≥ cutoff` ⇒ reject without a draw.
     cutoff: f64,
     inv_step: f64,
-    /// `probs[k] = exp(−β·k·step)`, `k ∈ 0..=BUCKETS`.
-    probs: Vec<f64>,
+    /// `probs[k] = exp(−β·k·step)`, `k ∈ 0..=BUCKETS`: the shared [`GRID`].
+    probs: &'static [f64; BUCKETS + 1],
 }
 
 impl AcceptanceTable {
@@ -61,14 +71,11 @@ impl AcceptanceTable {
         );
         let cutoff = LN_ACCEPT_CUTOFF / beta;
         let step = cutoff / BUCKETS as f64;
-        let probs = (0..=BUCKETS)
-            .map(|k| (-beta * k as f64 * step).exp())
-            .collect();
         Self {
             beta,
             cutoff,
             inv_step: 1.0 / step,
-            probs,
+            probs: &GRID,
         }
     }
 

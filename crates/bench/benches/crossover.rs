@@ -5,10 +5,23 @@
 //! while annealer time grows only polynomially with variable count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qsmt_anneal::SimulatedAnnealer;
 use qsmt_baseline::ClassicalSolver;
 use qsmt_bench::crossover_case;
-use qsmt_core::{Constraint, StringSolver};
+use qsmt_core::{Constraint, StringSolver, DEFAULT_READS, DEFAULT_SWEEPS};
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// The annealer arm at the default budget. The built-in solver would
+/// answer these decomposable models by exact enumeration instead.
+fn annealer(seed: u64) -> StringSolver {
+    StringSolver::new(Arc::new(
+        SimulatedAnnealer::new()
+            .with_num_reads(DEFAULT_READS)
+            .with_sweeps(DEFAULT_SWEEPS)
+            .with_seed(seed),
+    ))
+}
 
 fn bench_substring_crossover(c: &mut Criterion) {
     let mut g = c.benchmark_group("crossover-substring");
@@ -16,7 +29,7 @@ fn bench_substring_crossover(c: &mut Criterion) {
     for len in [3usize, 4, 5] {
         let constraint = crossover_case(len);
 
-        let quantum = StringSolver::with_defaults().with_seed(4);
+        let quantum = annealer(4);
         g.bench_with_input(BenchmarkId::new("annealer", len), &constraint, |b, c| {
             b.iter(|| black_box(quantum.solve(c).expect("encodes")));
         });
@@ -52,7 +65,7 @@ fn bench_regex_crossover(c: &mut Criterion) {
             pattern: "z[yz]+".into(),
             len,
         };
-        let quantum = StringSolver::with_defaults().with_seed(5);
+        let quantum = annealer(5);
         g.bench_with_input(BenchmarkId::new("annealer", len), &constraint, |b, c| {
             b.iter(|| black_box(quantum.solve(c).expect("encodes")));
         });

@@ -5,10 +5,19 @@
 //!
 //! Run with: `cargo run --release -p qsmt-bench --bin figure1`
 
-use qsmt_core::{Constraint, SolveTrace, StringSolver};
+use qsmt_anneal::SimulatedAnnealer;
+use qsmt_core::{Constraint, SolveTrace, StringSolver, DEFAULT_READS, DEFAULT_SWEEPS};
+use std::sync::Arc;
 
 fn main() {
-    let solver = StringSolver::with_defaults().with_seed(7);
+    // The paper's annealer on every constraint: the built-in solver would
+    // answer these decomposable models by exact enumeration instead.
+    let solver = StringSolver::new(Arc::new(
+        SimulatedAnnealer::new()
+            .with_num_reads(DEFAULT_READS)
+            .with_sweeps(DEFAULT_SWEEPS)
+            .with_seed(7),
+    ));
     println!("=== Figure 1: Overview of our approach (live trace) ===\n");
 
     for constraint in [

@@ -67,5 +67,6 @@ pub use portfolio::{
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};
 pub use solver::{
-    SolveOptions, SolveOutcome, SolveTrace, StringSolver, TraceStage, DEFAULT_READS, DEFAULT_SWEEPS,
+    SolveOptions, SolveOutcome, SolveTrace, StringSolver, TraceStage, COMPONENT_MAX_VARS,
+    DEFAULT_READS, DEFAULT_SWEEPS,
 };

@@ -24,6 +24,11 @@
 //!   with the same seed), and the instant one member post-selects a
 //!   semantically valid answer it trips every other member's flag.
 //!
+//! A race runs only for a goal that the built-in solver's exact component
+//! draw leaves unanswered: a presolved component above
+//! [`COMPONENT_MAX_VARS`](crate::COMPONENT_MAX_VARS) variables, or a draw
+//! with no valid read. Routing then sees the full model.
+//!
 //! Cancellation is cooperative and loss-free: an untripped flag never
 //! touches a sampler's RNG stream, so the winner's result carries no
 //! trace of the race. When no member validates, the primary (first)
@@ -640,6 +645,22 @@ mod tests {
         (out, stats)
     }
 
+    /// `str.indexof` over `haystack`: one dense one-hot of
+    /// `haystack.len() − 2` start indicators, so above
+    /// [`COMPONENT_MAX_VARS`](crate::COMPONENT_MAX_VARS) it races instead
+    /// of decomposing.
+    fn indexof(haystack: &str, needle: &str) -> Constraint {
+        Constraint::Includes {
+            haystack: haystack.into(),
+            needle: needle.into(),
+        }
+    }
+
+    /// 18 start indicators: within the exact member's 26-variable limit.
+    const DENSE: &str = "zgkycoqrzdhbtiisfxrq";
+    /// 30 start indicators: beyond that limit, so SA runs alone.
+    const WIDE: &str = "iumpzkcahhbqsrkxeimbpyrmrynmqhzl";
+
     fn features(num_vars: usize, transformation: bool) -> RoutingFeatures {
         RoutingFeatures {
             num_vars,
@@ -701,11 +722,7 @@ mod tests {
     fn exact_wins_small_models_and_cancels_the_backstop() {
         let solver = StringSolver::with_defaults().with_seed(3);
         let portfolio = Portfolio::new();
-        let c = Constraint::CharAt {
-            ch: 'q',
-            index: 1,
-            len: 3,
-        };
+        let c = indexof(DENSE, "bti");
         let (out, stats) = race(&solver, &c, &portfolio);
         assert!(out.valid);
         assert_eq!(stats.winner, MemberKind::Exact.as_str());
@@ -720,7 +737,7 @@ mod tests {
     fn winner_samples_are_bit_identical_to_a_solo_run() {
         let solver = StringSolver::with_defaults().with_seed(11);
         let portfolio = Portfolio::new();
-        let c = Constraint::Palindrome { len: 6 };
+        let c = indexof(WIDE, "pzk");
         let (out, stats) = race(&solver, &c, &portfolio);
         let widx = stats.winner_index as usize;
         let features = solver.routing_features(&c, None).unwrap();
@@ -741,16 +758,14 @@ mod tests {
             .with_stop(outer.clone());
         // Both members outlast the few ms the race gets: the classical
         // hook sleeps past the trip and finds nothing, and the 256 × 4096
-        // SA backstop on a 32-character reverse samples for far longer
+        // SA backstop on a 46-indicator one-hot samples for far longer
         // than 5 ms, so both are still running when the outer flag trips.
         let hook: ClassicalHook = Arc::new(|_: &Constraint| {
             std::thread::sleep(std::time::Duration::from_millis(50));
             None
         });
         let portfolio = Portfolio::new().with_classical_hook(hook);
-        let c = Constraint::Reverse {
-            input: "abcdefghijklmnopqrstuvwxyzabcdef".into(),
-        };
+        let c = indexof("jyfqgavgrsospmkqjgqyxuwxesgpttebfaadhcnkalubqucu", "nka");
         let trip = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(5));
             outer.stop();
@@ -769,31 +784,30 @@ mod tests {
     fn classical_hook_wins_transformation_constraints() {
         let solver = StringSolver::with_defaults().with_seed(5);
         let hook: ClassicalHook = Arc::new(|c: &Constraint| match c {
-            Constraint::Reverse { input } => Some(Solution::Text(input.chars().rev().collect())),
+            Constraint::Includes { haystack, needle } => {
+                Some(Solution::Index(haystack.find(needle)))
+            }
             _ => None,
         });
         let portfolio = Portfolio::new().with_classical_hook(hook);
-        let c = Constraint::Reverse {
-            input: "portfolio".into(),
-        };
+        let c = indexof(DENSE, "bti");
         let (out, stats) = race(&solver, &c, &portfolio);
         assert_eq!(stats.winner, MemberKind::Classical.as_str());
-        assert_eq!(out.solution.as_text(), Some("oiloftrop"));
+        assert_eq!(out.solution.as_index(), Some(11));
         assert!(out.valid);
     }
 
     #[test]
     fn fallback_returns_the_primary_members_verdict() {
         // Includes over a haystack without the needle: the valid answer
-        // is Index(None) == the all-zero state; under a tiny read budget
-        // members may or may not validate, but the outcome always comes
-        // from a plan member and the verdict survives.
+        // is Index(None) == the all-zero state, which the encoding does
+        // not make ground, so the component draw finds nothing valid and
+        // the solve races. Members may or may not validate, but the
+        // outcome always comes from a plan member and the verdict
+        // survives.
         let solver = StringSolver::with_defaults().with_seed(1);
         let portfolio = Portfolio::new();
-        let c = Constraint::Includes {
-            haystack: "xyz".into(),
-            needle: "ab".into(),
-        };
+        let c = indexof("xhdxyrwi", "bi");
         let (out, stats) = race(&solver, &c, &portfolio);
         let widx = stats.winner_index as usize;
         assert!(widx < stats.members.len());

@@ -8,14 +8,17 @@ use crate::error::ConstraintError;
 use crate::portfolio::Portfolio;
 use crate::problem::{EncodedProblem, Solution};
 use qsmt_anneal::{
-    metrics, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
+    metrics, read_seed, ExactSolver, SampleSet, Sampler, SamplerDynamics, SamplerRunStats,
+    SimulatedAnnealer,
 };
 use qsmt_lint::{lint_qubo, LintConfig, LintReport};
-use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, StopFlag};
+use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, ReducedModel, StopFlag, Var};
 use qsmt_telemetry::{
     CacheStats, CompileStats, DynamicsStats, HistogramSummary, PresolveStats, SamplerStats,
     SelectStats, SolveReport, StageTiming, StallVerdict,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,6 +28,15 @@ pub const DEFAULT_READS: usize = 64;
 /// Sweeps per read of the built-in annealer and of the portfolio's
 /// annealer members.
 pub const DEFAULT_SWEEPS: usize = 384;
+/// Largest interaction-graph component of a presolved model that the
+/// built-in solver enumerates exactly instead of annealing. Enumerating
+/// one dense component costs `2^n` steps: at 16 variables it is about 3×
+/// cheaper than the default anneal, and the two cross between 17 and 18
+/// (EXPERIMENTS.md, "Exact decomposition window").
+pub const COMPONENT_MAX_VARS: usize = 16;
+/// The `sampling.sampler` name of a solve answered from the exact ground
+/// sets of its components.
+const COMPONENT_SAMPLER: &str = "component-exact";
 
 /// The quantum(-simulated) string SMT solver.
 ///
@@ -32,6 +44,14 @@ pub const DEFAULT_SWEEPS: usize = 384;
 /// its arguments, generate binary variables, encode objective and penalty
 /// functions into a QUBO matrix, pass it to a (simulated) annealer, and
 /// decode the output back to a string.
+///
+/// The built-in solver ([`StringSolver::with_defaults`]) first presolves
+/// the QUBO and splits what is left into the connected components of its
+/// interaction graph. When none has more than [`COMPONENT_MAX_VARS`]
+/// variables, the reads are drawn from the exact ground sets of the
+/// components, and a solve whose draw validates never anneals. Any other
+/// solve anneals (or races) the full model as the paper does; a solver
+/// built around an explicit sampler ([`StringSolver::new`]) always does.
 ///
 /// On top of the paper, the solver adds the *consistency check* that the
 /// SMT architecture in the paper's §1 calls for: decoded candidates are
@@ -53,7 +73,8 @@ pub const DEFAULT_SWEEPS: usize = 384;
 #[derive(Clone)]
 pub struct StringSolver {
     /// The sampler passed to [`StringSolver::new`]; `None` runs the
-    /// built-in annealer, built from `seed`, `reads` and `stop` per solve.
+    /// built-in solver: the exact component draw, then the built-in
+    /// annealer, built from `seed`, `reads` and `stop` per solve.
     custom: Option<Arc<dyn Sampler>>,
     seed: u64,
     reads: usize,
@@ -71,8 +92,10 @@ impl StringSolver {
         }
     }
 
-    /// Default configuration: simulated annealing with [`DEFAULT_READS`]
-    /// reads of [`DEFAULT_SWEEPS`] sweeps.
+    /// Default configuration: [`DEFAULT_READS`] reads, drawn from the
+    /// exact component ground sets when every component of the presolved
+    /// model fits [`COMPONENT_MAX_VARS`], otherwise by simulated annealing
+    /// at [`DEFAULT_SWEEPS`] sweeps.
     pub fn with_defaults() -> Self {
         Self {
             custom: None,
@@ -84,8 +107,9 @@ impl StringSolver {
         }
     }
 
-    /// Seeds the built-in annealer and the portfolio member streams; a
-    /// custom sampler passed via [`StringSolver::new`] keeps its own seed.
+    /// Seeds the component draw, the built-in annealer and the portfolio
+    /// member streams; a custom sampler passed via [`StringSolver::new`]
+    /// keeps its own seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -103,7 +127,8 @@ impl StringSolver {
     /// Sets the default sampler's read count. Deeply degenerate encodings
     /// (regex classes over many positions) need more reads for
     /// post-selection to find a valid sample; shallow ones are fine with
-    /// fewer. Only affects the built-in annealer, not a custom sampler.
+    /// fewer. Only affects the built-in solver (its component draw and its
+    /// annealer), not a custom sampler.
     pub fn with_reads(mut self, reads: usize) -> Self {
         assert!(reads > 0, "need at least one read");
         self.reads = reads;
@@ -125,7 +150,8 @@ impl StringSolver {
     /// returning the best assignment reached so far (post-selection then
     /// validates it like any other sample). This is how the solve service
     /// cancels jobs whose deadline expires mid-anneal. Only the built-in
-    /// annealer polls it — a custom sampler passed to
+    /// annealer polls it (the component draw takes about a microsecond per
+    /// read and does not) — a custom sampler passed to
     /// [`StringSolver::new`] must wire its own flag (e.g.
     /// `SimulatedAnnealer::with_stop`).
     pub fn with_stop(mut self, stop: StopFlag) -> Self {
@@ -142,7 +168,8 @@ impl StringSolver {
     /// ground state through the configured sampler
     /// ([`Sampler::warm_started`]); a miss solves normally and inserts
     /// the result. Cancelled (stop-flagged) solves are never inserted.
-    /// See `docs/CACHING.md`.
+    /// Solves the component draw answers never reach the cache: it sees
+    /// only solves that anneal. See `docs/CACHING.md`.
     pub fn with_cache(mut self, cache: Arc<SolveCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -225,14 +252,18 @@ impl StringSolver {
     }
 
     /// Solves a constraint end to end: compile → lint (+ deny gate) →
-    /// presolve, then either cache lookup → sample → select on this
-    /// solver's sampler or, with [`SolveOptions::portfolio`], the routed
-    /// first-wins race. The returned outcome always carries the full
-    /// [`SolveReport`]: per-stage timings, QUBO shape, lint and presolve
-    /// statistics and sampler counters (see `docs/OBSERVABILITY.md` for
-    /// every field). Each stage is one `qsmt-trace` span, recorded when
-    /// a trace is active; its report timing reuses the span's clock
-    /// reads.
+    /// presolve, then (built-in solver only) sample → select on the
+    /// exact component draw. A solve that draw does not answer — an
+    /// explicit sampler, a component above [`COMPONENT_MAX_VARS`], or no
+    /// valid read — continues with either cache lookup → sample → select
+    /// on this solver's sampler or, with [`SolveOptions::portfolio`], the
+    /// routed first-wins race; a failed draw stays in the report as a
+    /// first `sample`/`select` pair. The returned outcome always carries
+    /// the full [`SolveReport`]: per-stage timings, QUBO shape, lint and
+    /// presolve statistics and sampler counters (see
+    /// `docs/OBSERVABILITY.md` for every field). Each stage is one
+    /// `qsmt-trace` span, recorded when a trace is active; its report
+    /// timing reuses the span's clock reads.
     ///
     /// Reporting is observational: the sampler's RNG stream is untouched,
     /// so the samples are bit-identical whether probes are on or off.
@@ -242,10 +273,14 @@ impl StringSolver {
     ///
     /// let solver = StringSolver::with_defaults().with_seed(7);
     /// let opts = SolveOptions { probes: true, ..SolveOptions::default() };
-    /// let out = solver
-    ///     .run(&Constraint::Reverse { input: "ab".into() }, &opts)
-    ///     .unwrap();
-    /// assert_eq!(out.solution.as_text(), Some("ba"));
+    /// // One dense one-hot of 18 start indicators: too large to
+    /// // enumerate per component, so the annealer samples it.
+    /// let indexof = Constraint::Includes {
+    ///     haystack: "zgkycoqrzdhbtiisfxrq".into(),
+    ///     needle: "bti".into(),
+    /// };
+    /// let out = solver.run(&indexof, &opts).unwrap();
+    /// assert_eq!(out.solution.as_index(), Some(11));
     /// assert_eq!(out.report.qubo.num_vars, out.problem.num_vars());
     /// assert!(out.report.stages.iter().any(|s| s.label == "sample"));
     /// assert!(out.report.dynamics.is_some());
@@ -272,14 +307,25 @@ impl StringSolver {
             Self::reject_on_errors(&lint_report)?;
         }
 
-        let (fixed, presolve_us) = clock.stage("presolve", || {
-            qsmt_qubo::presolve(&problem.qubo).num_fixed()
-        });
+        let (reduced, presolve_us) = clock.stage("presolve", || qsmt_qubo::presolve(&problem.qubo));
+        let fixed = reduced.num_fixed();
         let original = problem.qubo.num_vars();
 
-        let solved = match opts.portfolio {
-            Some(portfolio) => self.race_stage(&mut clock, constraint, &problem, portfolio),
-            None => self.sample_stage(&mut clock, constraint, &problem, opts.probes),
+        // The built-in solver first draws from the exact ground sets of the
+        // presolved model's components; only a solve that draw leaves
+        // without a valid answer (or that has a component too large to
+        // enumerate) races or samples the full model.
+        let decomposed = if self.custom.is_none() {
+            self.component_stage(&mut clock, constraint, &problem, &reduced)
+        } else {
+            None
+        };
+        let solved = match decomposed {
+            Some(solved) if solved.selection.valid => solved,
+            _ => match opts.portfolio {
+                Some(portfolio) => self.race_stage(&mut clock, constraint, &problem, portfolio),
+                None => self.sample_stage(&mut clock, constraint, &problem, opts.probes),
+            },
         };
 
         let report = SolveReport {
@@ -334,6 +380,46 @@ impl StringSolver {
     /// As [`StringSolver::run`].
     pub fn solve(&self, constraint: &Constraint) -> Result<SolveOutcome, ConstraintError> {
         self.run(constraint, &SolveOptions::default())
+    }
+
+    /// The `sample` and `select` stages of a solve decomposed into the
+    /// interaction-graph components of its presolved model: each component
+    /// is enumerated to its exact ground set, and the solve's reads are
+    /// drawn from the product of those sets (see [`component_draw`]).
+    /// Returns `None`, recording no stage, when a component has more than
+    /// [`COMPONENT_MAX_VARS`] variables. No cache, race or probe takes
+    /// part: the report names the sampler `component-exact` and carries
+    /// no move counters, `dynamics`, `cache` or `portfolio` section.
+    fn component_stage(
+        &self,
+        clock: &mut StageClock,
+        constraint: &Constraint,
+        problem: &EncodedProblem,
+        reduced: &ReducedModel,
+    ) -> Option<Solved> {
+        let components = reduced.model.components();
+        if components.iter().any(|c| c.len() > COMPONENT_MAX_VARS) {
+            return None;
+        }
+        let (samples, sample_us) = clock.stage("sample", || {
+            component_draw(&problem.qubo, reduced, &components, self.seed, self.reads)
+        });
+        let (selection, select_us) =
+            clock.stage("select", || select(constraint, problem, &samples));
+        Some(Solved {
+            sampling: Self::sampler_stats(
+                COMPONENT_SAMPLER,
+                &samples,
+                SamplerRunStats::default(),
+                sample_us,
+            ),
+            samples,
+            selection,
+            select_us,
+            dynamics: None,
+            cache: None,
+            portfolio: None,
+        })
     }
 
     /// The `sample` and `select` stages of a single-sampler solve.
@@ -618,6 +704,59 @@ pub(crate) struct Selection {
     pub(crate) valid_rank: Option<usize>,
 }
 
+/// Draws `reads` states from the product of the exact ground sets of
+/// `components` (variables of the presolved `reduced` model): read `r`
+/// picks one ground state of each component, in component order,
+/// uniformly from the stream `read_seed(seed, r)`, and lifts the pick to
+/// the full model, whose energy it reports. One seed therefore fixes the
+/// sample set. A fully fixed model has no components, and every read is
+/// its one lifted state.
+fn component_draw(
+    full: &QuboModel,
+    reduced: &ReducedModel,
+    components: &[Vec<Var>],
+    seed: u64,
+    reads: usize,
+) -> SampleSet {
+    let model = &reduced.model;
+    // Each component as a model of its own over local indices.
+    let mut owner = vec![(0usize, 0 as Var); model.num_vars()];
+    let mut parts: Vec<QuboModel> = components
+        .iter()
+        .enumerate()
+        .map(|(c, vars)| {
+            let mut part = QuboModel::new(vars.len());
+            for (local, &v) in vars.iter().enumerate() {
+                owner[v as usize] = (c, local as Var);
+                part.add_linear(local as Var, model.linear(v));
+            }
+            part
+        })
+        .collect();
+    for (i, j, q) in model.quadratic_iter() {
+        let ((c, li), (_, lj)) = (owner[i as usize], owner[j as usize]);
+        parts[c].add_quadratic(li, lj, q);
+    }
+    let exact = ExactSolver::new();
+    let grounds: Vec<Vec<Vec<u8>>> = parts.iter().map(|p| exact.ground_states(p).1).collect();
+    let mut state = vec![0u8; model.num_vars()];
+    let draws = (0..reads as u64)
+        .map(|r| {
+            let mut rng = SmallRng::seed_from_u64(read_seed(seed, r));
+            for (vars, ground) in components.iter().zip(&grounds) {
+                let pick = &ground[rng.gen_range(0..ground.len())];
+                for (&v, &bit) in vars.iter().zip(pick) {
+                    state[v as usize] = bit;
+                }
+            }
+            let lifted = reduced.lift(&state);
+            let energy = full.energy(&lifted);
+            (lifted, energy)
+        })
+        .collect();
+    SampleSet::from_reads(draws)
+}
+
 /// Post-selection: lowest-energy sample whose decoding validates; falls
 /// back to the overall best sample when none validates.
 pub(crate) fn select(
@@ -789,10 +928,102 @@ impl std::fmt::Display for SolveTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsmt_anneal::{ExactSolver, SamplerRun};
+    use qsmt_anneal::SamplerRun;
 
     fn solver() -> StringSolver {
         StringSolver::with_defaults().with_seed(42)
+    }
+
+    /// `str.indexof` over a 20-letter haystack: one dense one-hot of 18
+    /// start indicators, above [`COMPONENT_MAX_VARS`], so the built-in
+    /// solver anneals it. Every 3-letter needle gives the same shape.
+    fn dense_includes(needle: &str) -> Constraint {
+        Constraint::Includes {
+            haystack: "zgkycoqrzdhbtiisfxrq".into(),
+            needle: needle.into(),
+        }
+    }
+
+    /// The built-in annealer's configuration as an explicit sampler.
+    fn explicit_sa(seed: u64) -> StringSolver {
+        StringSolver::new(Arc::new(
+            SimulatedAnnealer::new()
+                .with_num_reads(DEFAULT_READS)
+                .with_sweeps(DEFAULT_SWEEPS)
+                .with_seed(seed),
+        ))
+    }
+
+    fn stage_labels(report: &SolveReport) -> Vec<&str> {
+        report.stages.iter().map(|s| s.label.as_str()).collect()
+    }
+
+    #[test]
+    fn separable_goals_draw_valid_ground_states_without_annealing() {
+        // A palindrome couples only mirrored bit pairs: every component
+        // has two variables, so the solve enumerates instead of annealing.
+        let c = Constraint::Palindrome { len: 3 };
+        let probed = SolveOptions {
+            probes: true,
+            ..SolveOptions::default()
+        };
+        let out = solver().run(&c, &probed).unwrap();
+        let report = &out.report;
+        assert_eq!(report.sampling.sampler, "component-exact");
+        assert_eq!(report.sampling.reads, DEFAULT_READS as u64);
+        assert_eq!(report.sampling.sweeps, None);
+        assert_eq!(report.sampling.acceptance_rate, None);
+        assert!(report.dynamics.is_none(), "nothing anneals, nothing probes");
+        assert_eq!(
+            stage_labels(report),
+            ["compile", "lint", "presolve", "sample", "select"]
+        );
+        let (ground, _) = ExactSolver::new().ground_states(&out.problem.qubo);
+        assert_eq!(out.samples.total_reads(), DEFAULT_READS as u32);
+        for sample in out.samples.iter() {
+            assert!((sample.energy - ground).abs() < 1e-9, "{}", sample.energy);
+            let decoded = out.problem.decode_state(&sample.state).unwrap();
+            assert!(c.validate(&decoded), "{decoded}");
+        }
+        assert!(out.samples.len() > 1, "reads draw across the ground set");
+        // One seed fixes the draw; another seed draws differently.
+        assert_eq!(out.samples, solver().solve(&c).unwrap().samples);
+        assert_ne!(
+            out.samples,
+            solver().with_seed(43).solve(&c).unwrap().samples
+        );
+    }
+
+    #[test]
+    fn a_draw_without_a_valid_read_falls_through_to_the_annealer() {
+        // An absent needle sharing a character with the haystack: the
+        // encoding's only ground state decodes to a wrong index, so the
+        // component draw holds no valid read.
+        let c = Constraint::Includes {
+            haystack: "xhdxyrwi".into(),
+            needle: "bi".into(),
+        };
+        let out = solver().solve(&c).unwrap();
+        assert_eq!(
+            stage_labels(&out.report),
+            ["compile", "lint", "presolve", "sample", "select", "sample", "select"]
+        );
+        assert_eq!(out.report.sampling.sampler, "simulated-annealing");
+        assert_eq!(out.samples, explicit_sa(42).solve(&c).unwrap().samples);
+    }
+
+    #[test]
+    fn components_above_the_window_anneal_as_before() {
+        let c = dense_includes("bti");
+        let out = solver().solve(&c).unwrap();
+        assert_eq!(
+            stage_labels(&out.report),
+            ["compile", "lint", "presolve", "sample", "select"]
+        );
+        assert_eq!(out.report.sampling.sampler, "simulated-annealing");
+        assert!(out.report.presolve.reduced_vars > COMPONENT_MAX_VARS);
+        assert_eq!(out.samples, explicit_sa(42).solve(&c).unwrap().samples);
+        assert_eq!(out.solution.as_index(), Some(11));
     }
 
     #[test]
@@ -955,7 +1186,7 @@ mod tests {
             probes: true,
             ..SolveOptions::default()
         };
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = dense_includes("bti");
         let report = solver().run(&c, &opts).unwrap().report;
         let d = report.dynamics.as_ref().expect("SA exposes dynamics");
         assert!(!d.energy_trace.is_empty());
@@ -1000,7 +1231,7 @@ mod tests {
 
     #[test]
     fn report_carries_qubo_and_sampler_stats() {
-        let out = solver().solve(&Constraint::Palindrome { len: 4 }).unwrap();
+        let out = solver().solve(&dense_includes("bti")).unwrap();
         let report = &out.report;
         assert_eq!(report.qubo.num_vars, out.problem.num_vars());
         assert!(report.qubo.max_abs_coefficient > 0.0);
@@ -1091,11 +1322,7 @@ mod tests {
             // A tripped flag cancels before the first sweep: a read budget
             // this size would otherwise take far longer than the assertion
             // allows, and the call still returns a well-formed outcome.
-            let out = s
-                .solve(&Constraint::Equality {
-                    target: "hello".into(),
-                })
-                .unwrap();
+            let out = s.solve(&dense_includes("bti")).unwrap();
             assert!(
                 started.elapsed() < Duration::from_secs(30),
                 "tripped stop flag did not cut the solve short: {:?}",
@@ -1107,19 +1334,13 @@ mod tests {
 
     #[test]
     fn untripped_stop_flag_keeps_solves_bit_identical() {
-        let plain = solver()
-            .solve(&Constraint::Equality {
-                target: "abc".into(),
-            })
-            .unwrap();
+        let plain = solver().solve(&dense_includes("bti")).unwrap();
         // A deadline that has not passed changes no draw either.
         let far = std::time::Instant::now() + Duration::from_secs(3600);
         for stop in [StopFlag::new(), StopFlag::with_deadline(far)] {
             let flagged = solver()
                 .with_stop(stop)
-                .solve(&Constraint::Equality {
-                    target: "abc".into(),
-                })
+                .solve(&dense_includes("bti"))
                 .unwrap();
             assert_eq!(plain.solution, flagged.solution);
             assert_eq!(plain.energy, flagged.energy);
@@ -1218,7 +1439,7 @@ mod tests {
     #[test]
     fn larger_read_budgets_are_not_answered_from_cache() {
         let cache = Arc::new(SolveCache::new(16));
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = dense_includes("bti");
         // Populate the cache with a small-budget solve …
         StringSolver::with_defaults()
             .with_seed(11)
@@ -1252,11 +1473,7 @@ mod tests {
         stop.stop();
         // A tripped flag truncates the anneal; whatever partial sample
         // set comes back must not poison the cache.
-        let _ = s
-            .solve(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
+        let _ = s.solve(&dense_includes("bti")).unwrap();
         assert!(cache.is_empty(), "cancelled solve leaked into the cache");
     }
 
@@ -1268,7 +1485,7 @@ mod tests {
             .with_cache(cache);
 
         // Cold solve: a miss that runs the full 384-sweep schedule.
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = dense_includes("bti");
         let cold_out = s.solve(&c).unwrap();
         let cold = &cold_out.report;
         let stats = cold.cache.as_ref().expect("cache attached");
@@ -1292,7 +1509,7 @@ mod tests {
 
         // Same shape, different coefficients: the cached ground state
         // seeds a short reverse anneal instead of a cold run.
-        let near = Constraint::Reverse { input: "cd".into() };
+        let near = dense_includes("sfx");
         let warm_out = s.solve(&near).unwrap();
         let warm = &warm_out.report;
         let stats = warm.cache.as_ref().expect("cache attached");
@@ -1303,7 +1520,7 @@ mod tests {
             "warm start ({warm_sweeps} sweeps) must beat the cold schedule ({cold_sweeps})"
         );
         assert!(warm_out.valid, "warm-started solve still post-selects");
-        assert_eq!(warm_out.solution.as_text(), Some("dc"));
+        assert_eq!(warm_out.solution.as_index(), Some(15));
     }
 
     #[test]

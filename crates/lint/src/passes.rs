@@ -418,34 +418,15 @@ pub fn conditioning(model: &QuboModel, cfg: &LintConfig) -> Vec<Diagnostic> {
 
 /// Pass 5a: disconnected interaction-graph components.
 pub fn connectivity(model: &QuboModel, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let n = model.num_vars();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut coupled = vec![false; n];
-    for (i, j, _) in model.quadratic_iter() {
-        let (i, j) = (i as usize, j as usize);
-        coupled[i] = true;
-        coupled[j] = true;
-        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-        if ri != rj {
-            parent[ri] = rj;
-        }
-    }
-    let mut component_size: HashMap<usize, usize> = HashMap::new();
-    for v in (0..n).filter(|&v| coupled[v]) {
-        let root = find(&mut parent, v);
-        *component_size.entry(root).or_insert(0) += 1;
-    }
-    if component_size.len() < 2 {
+    let mut sizes: Vec<usize> = model
+        .components()
+        .iter()
+        .map(Vec::len)
+        .filter(|&size| size >= 2)
+        .collect();
+    if sizes.len() < 2 {
         return Vec::new();
     }
-    let mut sizes: Vec<usize> = component_size.values().copied().collect();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     let shown: Vec<String> = sizes
         .iter()
@@ -672,37 +653,21 @@ pub fn run_ising_passes(model: &IsingModel, cfg: &LintConfig) -> Vec<Diagnostic>
             }
         }
     }
-    // Disconnected components over couplings.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for (i, j, _) in model.coupling_iter() {
-        let (ri, rj) = (find(&mut parent, i as usize), find(&mut parent, j as usize));
-        if ri != rj {
-            parent[ri] = rj;
-        }
-    }
-    let mut roots: Vec<usize> = (0..n)
-        .filter(|&v| degree[v] > 0)
-        .map(|v| find(&mut parent, v))
-        .collect();
-    roots.sort_unstable();
-    roots.dedup();
-    if roots.len() >= 2 {
+    // Disconnected components over couplings: the QUBO form has the same
+    // interaction graph.
+    let coupled_components = model
+        .to_qubo()
+        .components()
+        .iter()
+        .filter(|c| c.len() >= 2)
+        .count();
+    if coupled_components >= 2 {
         diagnostics.push(
             Diagnostic::new(
                 LintCode::DisconnectedComponents,
-                format!(
-                    "coupling graph splits into {} independent components",
-                    roots.len()
-                ),
+                format!("coupling graph splits into {coupled_components} independent components"),
             )
-            .with_metric(roots.len() as f64),
+            .with_metric(coupled_components as f64),
         );
     }
     diagnostics

@@ -175,6 +175,49 @@ impl QuboModel {
         })
     }
 
+    /// The connected components of the interaction graph (one edge per
+    /// nonzero quadratic term), singletons included. Each component lists
+    /// its variables in ascending order, and the components are ordered
+    /// by their smallest variable, so the result does not depend on the
+    /// map's iteration order. Variables of different components share no
+    /// term, so each component can be minimised on its own.
+    ///
+    /// ```
+    /// use qsmt_qubo::QuboModel;
+    ///
+    /// let mut m = QuboModel::new(4);
+    /// m.add_quadratic(3, 1, 1.0);
+    /// assert_eq!(m.components(), vec![vec![0], vec![1, 3], vec![2]]);
+    /// ```
+    pub fn components(&self) -> Vec<Vec<Var>> {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let n = self.num_vars;
+        let mut parent: Vec<usize> = (0..n).collect();
+        for (i, j, _) in self.quadratic_iter() {
+            let (ri, rj) = (find(&mut parent, i as usize), find(&mut parent, j as usize));
+            if ri != rj {
+                parent[ri] = rj;
+            }
+        }
+        let mut slot = vec![usize::MAX; n];
+        let mut components: Vec<Vec<Var>> = Vec::new();
+        for v in 0..n {
+            let root = find(&mut parent, v);
+            if slot[root] == usize::MAX {
+                slot[root] = components.len();
+                components.push(Vec::new());
+            }
+            components[slot[root]].push(v as Var);
+        }
+        components
+    }
+
     /// Evaluates the energy of a binary assignment.
     ///
     /// # Panics
@@ -475,6 +518,20 @@ mod tests {
         let (e, states) = m.brute_force_ground_states();
         assert_eq!(e, 0.0);
         assert_eq!(states.len(), 3);
+    }
+
+    #[test]
+    fn components_partition_the_variables_along_couplings() {
+        let mut m = QuboModel::new(7);
+        m.add_quadratic(5, 2, 1.0);
+        m.add_quadratic(2, 0, -1.0);
+        m.add_quadratic(6, 4, 0.5);
+        m.add_linear(1, 3.0);
+        assert_eq!(
+            m.components(),
+            vec![vec![0, 2, 5], vec![1], vec![3], vec![4, 6]]
+        );
+        assert!(QuboModel::new(0).components().is_empty());
     }
 
     #[test]

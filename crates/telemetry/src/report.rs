@@ -90,7 +90,9 @@ impl PresolveStats {
 /// Sampling-stage statistics: what the sampler did and what it found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerStats {
-    /// Sampler name, e.g. `"simulated-annealing"`.
+    /// Sampler name, e.g. `"simulated-annealing"`, or `"component-exact"`
+    /// for reads drawn from the exact ground sets of the presolved
+    /// model's components.
     pub sampler: String,
     /// Wall-clock time of the sampling call, microseconds.
     pub time_us: u64,
@@ -447,10 +449,12 @@ pub struct SolveReport {
     /// Post-selection statistics.
     pub select: SelectStats,
     /// Solver-dynamics trajectory statistics; `None` when the sampler has
-    /// no probes (additive in schema v4, serialized as `null` when absent).
+    /// no probes or nothing annealed (additive in schema v4, serialized
+    /// as `null` when absent).
     pub dynamics: Option<DynamicsStats>,
-    /// Solve-cache interaction; `None` when no cache was attached
-    /// (additive in schema v5, serialized as `null` when absent).
+    /// Solve-cache interaction; `None` when no cache was attached or the
+    /// solve never reached it (additive in schema v5, serialized as
+    /// `null` when absent).
     pub cache: Option<CacheStats>,
     /// Portfolio-race record; `None` when the solve ran a single sampler
     /// (additive in schema v9, serialized as `null` when absent).
@@ -674,7 +678,8 @@ pub struct RunReport {
     pub source: String,
     /// The check-sat verdict (`sat` / `unsat` / `unknown`).
     pub status: String,
-    /// Sampler used for every solve in the run.
+    /// The solver's configured sampler; each solve's `sampling.sampler`
+    /// names what actually ran for it.
     pub sampler: String,
     /// Where the answers came from: `"cache"` when every solve in the run
     /// was an exact cache hit (no sampling anywhere), `"solver"`

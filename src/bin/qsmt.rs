@@ -302,7 +302,34 @@ impl Options {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Options, String> {
+/// The flags `qsmt <cmd>` takes: the `--` words of its entry in
+/// [`USAGE`], which runs from its `qsmt <cmd>` line to the next entry.
+fn usage_flags(cmd: &str) -> Vec<&'static str> {
+    let entries = USAGE
+        .split("\n\n")
+        .find(|block| block.starts_with("USAGE:"))
+        .expect("USAGE has a USAGE: block");
+    let mut entry = "";
+    let mut flags = Vec::new();
+    for line in entries.lines().skip(1) {
+        let mut words = line.split_whitespace().peekable();
+        if words.next_if_eq(&"qsmt").is_some() {
+            entry = words.next().unwrap_or_default();
+        }
+        if entry == cmd {
+            flags.extend(words.filter_map(|word| {
+                let word = word.trim_start_matches('[');
+                word.starts_with("--").then(|| word.trim_end_matches(']'))
+            }));
+        }
+    }
+    flags
+}
+
+/// Parses the flags of `qsmt <cmd>`. A flag the subcommand's usage entry
+/// does not list is an error, not silently ignored.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Options, String> {
+    let takes = usage_flags(cmd);
     let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -435,6 +462,9 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                 opts.format = fmt;
             }
             other => return Err(format!("unknown flag {other}")),
+        }
+        if !takes.contains(&flag.as_str()) {
+            return Err(format!("flag {flag} does not apply to qsmt {cmd}"));
         }
     }
     Ok(opts)
@@ -959,7 +989,7 @@ fn main() -> ExitCode {
             };
             match (
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
-                parse_flags(flags),
+                parse_flags(cmd, flags),
             ) {
                 (Ok(source), Ok(opts)) => match cmd.as_str() {
                     "solve" => run_solve(&source, path, &opts),
@@ -976,10 +1006,12 @@ fn main() -> ExitCode {
             }
         }
         Some((cmd, rest)) if cmd == "demo" => {
-            parse_flags(rest).and_then(|opts| run_solve(DEMO, "<demo>", &opts))
+            parse_flags(cmd, rest).and_then(|opts| run_solve(DEMO, "<demo>", &opts))
         }
-        Some((cmd, rest)) if cmd == "bench" => parse_flags(rest).and_then(|opts| run_bench(&opts)),
-        Some((cmd, rest)) if cmd == "serve" => parse_flags(rest).and_then(|opts| {
+        Some((cmd, rest)) if cmd == "bench" => {
+            parse_flags(cmd, rest).and_then(|opts| run_bench(&opts))
+        }
+        Some((cmd, rest)) if cmd == "serve" => parse_flags(cmd, rest).and_then(|opts| {
             let addr = opts
                 .metrics_addr
                 .as_deref()
@@ -1007,7 +1039,7 @@ fn main() -> ExitCode {
             };
             match (
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
-                parse_flags(flags),
+                parse_flags(cmd, flags),
             ) {
                 // Only `solve` and `demo` print a trace; a job's trace
                 // is fetched into a file.
@@ -1046,7 +1078,7 @@ fn main() -> ExitCode {
                 eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
-            parse_flags(flags).and_then(|opts| {
+            parse_flags(cmd, flags).and_then(|opts| {
                 let path = if opts.format == "json" {
                     "/flight"
                 } else {
@@ -1079,7 +1111,7 @@ fn main() -> ExitCode {
                 eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             };
-            match parse_flags(flags).and_then(|opts| run_history(path, &opts)) {
+            match parse_flags(cmd, flags).and_then(|opts| run_history(path, &opts)) {
                 // Stats are already printed; regressions gate the exit
                 // code, mirroring `qsmt lint`.
                 Ok(false) => Ok(()),
@@ -1098,5 +1130,49 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, flags: &str) -> Result<Options, String> {
+        let args: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        parse_flags(cmd, &args)
+    }
+
+    #[test]
+    fn invocations_scripts_depend_on_still_parse() {
+        // The benchmark harness, CI and the docs run these.
+        for (cmd, flags) in [
+            ("solve", "--seed 3"),
+            ("serve", "--metrics-addr 127.0.0.1:0 --workers 2"),
+            (
+                "bench",
+                "--quick --check-overhead --check-trace-overhead --out BENCH_annealing.json",
+            ),
+            ("history", "--recent 1 --baseline 1 --threshold 25"),
+            ("demo", "--seed 3 --trace chrome_trace.json"),
+            ("lint", ""),
+        ] {
+            assert!(parse(cmd, flags).is_ok(), "qsmt {cmd} {flags}");
+        }
+    }
+
+    #[test]
+    fn each_subcommand_takes_the_flags_its_usage_entry_lists() {
+        assert_eq!(usage_flags("watch"), ["--format"]);
+        assert_eq!(usage_flags("dump"), ["--goal"]);
+        assert_eq!(
+            usage_flags("history"),
+            ["--recent", "--baseline", "--threshold"]
+        );
+        assert_eq!(usage_flags("solve"), usage_flags("demo"));
+        assert!(usage_flags("serve").contains(&"--metrics-addr"));
+        assert_eq!(
+            parse("submit", "--seed 3 --goal 1").err().as_deref(),
+            Some("flag --goal does not apply to qsmt submit")
+        );
     }
 }

@@ -10,10 +10,10 @@
 //!   default) races a routed solver portfolio per goal (see
 //!   `docs/PORTFOLIO.md`);
 //! * `GET /jobs/<id>` — job status; completed jobs embed the full
-//!   schema-v10 run report (including the per-solve `cache` and
+//!   schema-v11 run report (including the per-solve `cache` and
 //!   `portfolio` sections, the top-level `served_from` marker —
-//!   `"portfolio:<member>"` for portfolio jobs — and the job's
-//!   `trace_id`);
+//!   `"portfolio:<member>"` for portfolio jobs that raced — and the
+//!   job's `trace_id`);
 //! * `GET /jobs/<id>/trace` — the job's spans as a Chrome trace-event
 //!   JSON document, loadable in Perfetto (see `docs/OBSERVABILITY.md`);
 //! * `GET /jobs` — job-table summary;

@@ -614,8 +614,9 @@ impl Service {
     /// The actual solve: parse, then one [`Script::run`] with absint and
     /// probes on — racing the portfolio when the job asked for it — with
     /// the job's seed/reads, the cancellation flag, and the shared solve
-    /// cache, producing a schema-v10 [`RunReport`] document carrying the
-    /// job's trace id. Its solves are published first.
+    /// cache, producing a schema-v11 [`RunReport`] document carrying the
+    /// job's trace id. Its solves are published first. A goal the exact
+    /// component draw answers neither races nor touches the cache.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
         let mut solver = StringSolver::with_defaults()
@@ -975,6 +976,10 @@ mod tests {
 
     const TINY: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n";
 
+    /// One dense one-hot of 18 start indicators: above the exact
+    /// decomposition window, so the job anneals and records read spans.
+    const ANNEALED: &str = "(set-logic QF_S)\n(declare-const x Int)\n(assert (= x (str.indexof \"zgkycoqrzdhbtiisfxrq\" \"bti\" 0)))\n(check-sat)\n(get-model)\n";
+
     #[test]
     fn submit_solve_and_report_round_trip() {
         let svc = Arc::new(Service::new(&ServeConfig {
@@ -982,7 +987,7 @@ mod tests {
             ..ServeConfig::default()
         }));
         let SubmitOutcome::Accepted { id, trace_id } =
-            svc.submit(&request("POST", "/solve?seed=7&reads=8", TINY))
+            svc.submit(&request("POST", "/solve?seed=7&reads=8", ANNEALED))
         else {
             panic!("submission should be accepted");
         };
@@ -1196,7 +1201,7 @@ mod tests {
             ..ServeConfig::default()
         });
         let SubmitOutcome::Accepted { id, .. } =
-            svc.submit(&request("POST", "/solve?seed=7&reads=8", TINY))
+            svc.submit(&request("POST", "/solve?seed=7&reads=8", ANNEALED))
         else {
             panic!("submission should be accepted");
         };

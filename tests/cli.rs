@@ -73,6 +73,74 @@ fn unknown_sampler_names_fail_on_every_subcommand() {
 }
 
 #[test]
+fn flags_a_subcommand_does_not_take_are_rejected() {
+    let f = corpus("table1_row2_palindrome.smt2");
+    // The flag is rejected before any of these reads a store, connects
+    // or binds a port.
+    for (args, flag, cmd) in [
+        (
+            vec![
+                "history",
+                "/nonexistent/store.jsonl",
+                "--sampler",
+                "exact",
+                "--portfolio",
+                "--lint",
+            ],
+            "--sampler",
+            "history",
+        ),
+        (
+            vec!["lint", &f, "--reads", "5", "--portfolio", "--seed", "3"],
+            "--reads",
+            "lint",
+        ),
+        (vec!["serve", "--sampler", "sqa"], "--sampler", "serve"),
+        (
+            vec!["submit", "127.0.0.1:9", &f, "--sampler", "descent"],
+            "--sampler",
+            "submit",
+        ),
+        (vec!["dump", &f, "--seed", "3"], "--seed", "dump"),
+    ] {
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: flag {flag} does not apply to qsmt {cmd}"),
+            "{args:?}"
+        );
+    }
+    // The flags each of these lists still work.
+    let trace = std::env::temp_dir().join(format!("qsmt-cli-flags-{}.json", std::process::id()));
+    for args in [
+        vec![
+            "history",
+            "/nonexistent/store.jsonl",
+            "--recent",
+            "1",
+            "--baseline",
+            "1",
+            "--threshold",
+            "25",
+        ],
+        vec!["lint", &f],
+        vec!["solve", &f, "--seed", "3"],
+        vec![
+            "demo",
+            "--seed",
+            "3",
+            "--trace",
+            trace.to_str().expect("utf8 path"),
+        ],
+    ] {
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
 fn portfolio_refuses_a_sampler_it_would_ignore() {
     let f = corpus("table1_row2_palindrome.smt2");
     let (code, stderr) = exit_and_stderr(&["solve", &f, "--portfolio", "--sampler", "sqa"]);
@@ -83,12 +151,15 @@ fn portfolio_refuses_a_sampler_it_would_ignore() {
 #[test]
 fn default_sampler_runs_the_requested_reads_at_the_default_sweeps() {
     use qsmt::telemetry::Json;
-    // The default sampler, and the built-in annealer a portfolio run
-    // keeps for the pipeline goals it never races.
+    // The default sampler, and the built-in solver a portfolio run keeps
+    // for the pipeline goals it never races. The dense `str.indexof`
+    // goal anneals; the pipeline's ground steps are drawn exactly from
+    // their components, at the same requested read count.
     let cases: [(&str, &[&str]); 2] = [
-        ("table1_row2_palindrome.smt2", &[]),
+        ("indexof_dense.smt2", &[]),
         ("nested_pipeline.smt2", &["--portfolio"]),
     ];
+    let mut annealed = 0;
     for (file, extra) in cases {
         let report_path = std::env::temp_dir().join(format!(
             "qsmt-cli-default-budget-{}-{file}.json",
@@ -118,23 +189,29 @@ fn default_sampler_runs_the_requested_reads_at_the_default_sweeps() {
         assert!(!samplings.is_empty(), "{file}: no solves in {report_text}");
         for sampling in samplings {
             assert_eq!(
-                sampling.get("sampler").and_then(Json::as_str),
-                Some("simulated-annealing"),
-                "{file}"
-            );
-            assert_eq!(
                 sampling.get("reads").and_then(Json::as_u64),
                 Some(16),
                 "{file}"
             );
-            assert_eq!(
-                sampling.get("sweeps").and_then(Json::as_u64),
-                Some(qsmt::core::DEFAULT_SWEEPS as u64),
-                "{file}"
-            );
+            let sweeps = sampling.get("sweeps");
+            match sampling.get("sampler").and_then(Json::as_str) {
+                Some("simulated-annealing") => {
+                    annealed += 1;
+                    assert_eq!(
+                        sweeps.and_then(Json::as_u64),
+                        Some(qsmt::core::DEFAULT_SWEEPS as u64),
+                        "{file}"
+                    );
+                }
+                sampler => {
+                    assert_eq!(sampler, Some("component-exact"), "{file}");
+                    assert_eq!(sweeps, Some(&Json::Null), "{file}");
+                }
+            }
         }
         let _ = std::fs::remove_file(&report_path);
     }
+    assert!(annealed > 0, "no solve annealed");
 }
 
 #[test]
@@ -282,7 +359,7 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     let out = qsmt()
         .args([
             "solve",
-            &corpus("table1_row1_reverse_replace.smt2"),
+            &corpus("indexof_dense.smt2"),
             "--seed",
             "3",
             "--trace",

@@ -16,6 +16,38 @@ fn any_ascii() -> impl Strategy<Value = String> {
         .prop_map(|v| v.into_iter().map(|b| b as char).collect())
 }
 
+/// Strategy: lowercase strings of 1 to 8 letters.
+fn word() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::char::range('a', 'z'), 1..=8)
+        .prop_map(|v| v.into_iter().collect())
+}
+
+/// Strategy: a ground transformation constraint — equality, concat,
+/// replace-all, replace-first or reverse. The replaced character is
+/// drawn independently of the input, so it is often absent from it.
+fn ground_transformation() -> impl Strategy<Value = Constraint> {
+    let ch = || proptest::char::range('a', 'z');
+    prop_oneof![
+        word().prop_map(|target| Constraint::Equality { target }),
+        (
+            proptest::collection::vec(word(), 1..=3),
+            prop_oneof![Just(String::new()), Just(" ".to_string())],
+        )
+            .prop_map(|(parts, separator)| Constraint::Concat { parts, separator }),
+        (word(), ch(), ch()).prop_map(|(input, from, to)| Constraint::ReplaceAll {
+            input,
+            from,
+            to
+        }),
+        (word(), ch(), ch()).prop_map(|(input, from, to)| Constraint::ReplaceFirst {
+            input,
+            from,
+            to
+        }),
+        word().prop_map(|input| Constraint::Reverse { input }),
+    ]
+}
+
 /// Strategy: small random QUBO models.
 fn small_qubo() -> impl Strategy<Value = QuboModel> {
     let linear = proptest::collection::vec(-3.0f64..3.0, 2..=8);
@@ -136,6 +168,17 @@ proptest! {
         }
     }
 
+    /// Presolve fixes every variable of a ground transformation, so the
+    /// solver answers it from the one lifted state without sampling.
+    #[test]
+    fn ground_transformations_presolve_fully(c in ground_transformation()) {
+        let p = c.encode().expect("ground transformations encode");
+        let reduced = qsmt::qubo::presolve(&p.qubo);
+        prop_assert_eq!(reduced.model.num_vars(), 0, "{:?}", c);
+        let answer = p.decode_state(&reduced.lift(&[])).expect("decodes");
+        prop_assert!(c.validate(&answer), "{:?} decoded to {}", c, answer);
+    }
+
     #[test]
     fn solver_answers_validate_for_deterministic_ops(s in short_ascii()) {
         let solver = qsmt::StringSolver::with_defaults().with_seed(3);
@@ -158,10 +201,21 @@ proptest! {
     /// derived from the base seed, not from race timing.
     #[test]
     fn portfolio_winner_samples_are_bit_identical_to_a_solo_run(
-        len in 2usize..=5,
+        letters in proptest::collection::vec(proptest::char::range('a', 'z'), 34),
+        size in 0usize..12,
+        at in 0usize..34,
         seed in 0u64..10_000,
     ) {
-        let c = Constraint::Palindrome { len };
+        // `str.indexof` with a 3-letter needle copied from the haystack:
+        // one dense one-hot of `len − 2` start indicators, above the
+        // exact decomposition window, so every solve races. 17–22
+        // indicators route to exact enumeration with an annealer
+        // backstop, 27–32 to simulated annealing alone.
+        let len = if size < 6 { 19 + size } else { 23 + size };
+        let haystack: String = letters[..len].iter().collect();
+        let at = at % (len - 2);
+        let needle = haystack[at..at + 3].to_string();
+        let c = Constraint::Includes { haystack, needle };
         let solver = qsmt::StringSolver::with_defaults().with_seed(seed);
         let portfolio = qsmt::Portfolio::new();
         let opts = qsmt::SolveOptions { portfolio: Some(&portfolio), ..Default::default() };

@@ -136,131 +136,161 @@ fn table1_palindrome_report_has_documented_schema() {
     // No solve path projects onto hardware: the v9 key stays, always null.
     assert_eq!(solve.get("embedding"), Some(&Json::Null));
 
-    // Sampler statistics: populated energies and SA move counters.
-    let sampling = solve.get("sampling").expect("sampling");
-    assert_eq!(sampling.get("reads").and_then(Json::as_u64), Some(64));
-    assert_eq!(sampling.get("sweeps").and_then(Json::as_u64), Some(384));
-    // Schema v7: SA bit-slices its 64 reads into one word-wide batch.
-    assert_eq!(sampling.get("replicas").and_then(Json::as_u64), Some(64));
-    let best = sampling.get("best_energy").and_then(Json::as_f64).unwrap();
-    let mean = sampling.get("mean_energy").and_then(Json::as_f64).unwrap();
-    let max = sampling.get("max_energy").and_then(Json::as_f64).unwrap();
-    assert!(best.is_finite() && mean.is_finite() && max.is_finite());
-    assert!(best <= mean && mean <= max);
-    assert!(
-        sampling
-            .get("std_dev_energy")
-            .and_then(Json::as_f64)
-            .unwrap()
-            >= 0.0
-    );
-    let rate = sampling
-        .get("acceptance_rate")
-        .and_then(Json::as_f64)
-        .expect("SA reports acceptance");
-    assert!(rate > 0.0 && rate < 1.0);
-    assert!(
-        sampling
-            .get("success_fraction")
-            .and_then(Json::as_f64)
-            .unwrap()
-            > 0.0
-    );
-    assert!(sampling.get("tts99_us").and_then(Json::as_u64).is_some());
-
-    // Throughput counters (schema v3): SA times its own run, so both
-    // rates are present and positive.
-    let pps = sampling
-        .get("proposals_per_sec")
-        .and_then(Json::as_f64)
-        .expect("SA reports proposal throughput");
-    assert!(pps > 0.0 && pps.is_finite());
-    let fps = sampling
-        .get("flips_per_sec")
-        .and_then(Json::as_f64)
-        .expect("SA reports flip throughput");
-    assert!(fps > 0.0 && fps <= pps, "accepted flips are a subset");
-
-    // Dynamics section (schema v4): trajectory probes ran under the
-    // default SA sampler, so the section is populated.
-    let dynamics = solve.get("dynamics").expect("dynamics");
-    assert_ne!(dynamics, &Json::Null, "SA emits trajectory dynamics");
-    let trace = dynamics
-        .get("energy_trace")
+    // The palindrome's 21 mirrored bit pairs decompose, so its reads are
+    // drawn from exact ground sets; the dense `str.indexof` one-hot (18
+    // variables) anneals. Sections every solve carries are checked on
+    // both, SA's move counters and dynamics on the annealed one.
+    let dense = report_for("indexof_dense.smt2", &[]);
+    let dense_goals = dense.get("goals").and_then(Json::as_arr).expect("goals");
+    let dense_solve = &dense_goals[0]
+        .get("solves")
         .and_then(Json::as_arr)
-        .expect("energy trace");
-    assert!(!trace.is_empty());
-    let energies: Vec<f64> = trace
-        .iter()
-        .map(|p| p.get("best_energy").and_then(Json::as_f64).unwrap())
-        .collect();
-    assert!(
-        energies.windows(2).all(|w| w[1] <= w[0] + 1e-9),
-        "best-so-far trace is non-increasing"
-    );
-    let betas = dynamics
-        .get("beta_acceptance")
-        .and_then(Json::as_arr)
-        .expect("per-beta acceptance");
-    assert!(!betas.is_empty());
-    for entry in betas {
-        let proposals = entry.get("proposals").and_then(Json::as_u64).unwrap();
-        let accepted = entry.get("accepted").and_then(Json::as_u64).unwrap();
-        assert!(accepted <= proposals);
+        .expect("solves")[0];
+    let mut annealed = 0;
+    for solve in [solve, dense_solve] {
+        // Sampler statistics: populated energies and SA move counters.
+        let sampling = solve.get("sampling").expect("sampling");
+        assert_eq!(sampling.get("reads").and_then(Json::as_u64), Some(64));
+        let best = sampling.get("best_energy").and_then(Json::as_f64).unwrap();
+        let mean = sampling.get("mean_energy").and_then(Json::as_f64).unwrap();
+        let max = sampling.get("max_energy").and_then(Json::as_f64).unwrap();
+        assert!(best.is_finite() && mean.is_finite() && max.is_finite());
+        assert!(best <= mean && mean <= max);
+        assert!(
+            sampling
+                .get("std_dev_energy")
+                .and_then(Json::as_f64)
+                .unwrap()
+                >= 0.0
+        );
+        assert!(
+            sampling
+                .get("success_fraction")
+                .and_then(Json::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        assert!(sampling.get("tts99_us").and_then(Json::as_u64).is_some());
+        let dynamics = solve.get("dynamics").expect("dynamics");
+        if sampling.get("sampler").and_then(Json::as_str) != Some("simulated-annealing") {
+            // Exact per-component draws: no sweeps, moves or lanes, and
+            // no trajectory to probe.
+            assert_eq!(
+                sampling.get("sampler").and_then(Json::as_str),
+                Some("component-exact")
+            );
+            for key in ["sweeps", "proposals", "acceptance_rate", "replicas"] {
+                assert_eq!(sampling.get(key), Some(&Json::Null), "{key}");
+            }
+            assert_eq!(dynamics, &Json::Null, "nothing annealed");
+        } else {
+            annealed += 1;
+            assert_eq!(sampling.get("sweeps").and_then(Json::as_u64), Some(384));
+            // Schema v7: SA bit-slices its 64 reads into one word-wide batch.
+            assert_eq!(sampling.get("replicas").and_then(Json::as_u64), Some(64));
+            let rate = sampling
+                .get("acceptance_rate")
+                .and_then(Json::as_f64)
+                .expect("SA reports acceptance");
+            assert!(rate > 0.0 && rate < 1.0);
+
+            // Throughput counters (schema v3): SA times its own run, so both
+            // rates are present and positive.
+            let pps = sampling
+                .get("proposals_per_sec")
+                .and_then(Json::as_f64)
+                .expect("SA reports proposal throughput");
+            assert!(pps > 0.0 && pps.is_finite());
+            let fps = sampling
+                .get("flips_per_sec")
+                .and_then(Json::as_f64)
+                .expect("SA reports flip throughput");
+            assert!(fps > 0.0 && fps <= pps, "accepted flips are a subset");
+
+            // Dynamics section (schema v4): trajectory probes ran under the
+            // default SA sampler, so the section is populated.
+            assert_ne!(dynamics, &Json::Null, "SA emits trajectory dynamics");
+            let trace = dynamics
+                .get("energy_trace")
+                .and_then(Json::as_arr)
+                .expect("energy trace");
+            assert!(!trace.is_empty());
+            let energies: Vec<f64> = trace
+                .iter()
+                .map(|p| p.get("best_energy").and_then(Json::as_f64).unwrap())
+                .collect();
+            assert!(
+                energies.windows(2).all(|w| w[1] <= w[0] + 1e-9),
+                "best-so-far trace is non-increasing"
+            );
+            let betas = dynamics
+                .get("beta_acceptance")
+                .and_then(Json::as_arr)
+                .expect("per-beta acceptance");
+            assert!(!betas.is_empty());
+            for entry in betas {
+                let proposals = entry.get("proposals").and_then(Json::as_u64).unwrap();
+                let accepted = entry.get("accepted").and_then(Json::as_u64).unwrap();
+                assert!(accepted <= proposals);
+            }
+            let ttt = dynamics
+                .get("time_to_target")
+                .and_then(Json::as_arr)
+                .expect("time-to-target curve");
+            assert!(!ttt.is_empty());
+            let verdict = dynamics
+                .get("stall_verdict")
+                .and_then(Json::as_str)
+                .expect("stall verdict");
+            assert!(["improving", "converged", "stalled"].contains(&verdict));
+            assert!(dynamics
+                .get("proposal_latency_ns")
+                .and_then(|h| h.get("p50"))
+                .and_then(Json::as_f64)
+                .is_some());
+            // Schema v11: the section has exactly these seven keys; the three
+            // that only the retired tempering, population and tabu samplers
+            // filled are gone.
+            let Json::Obj(keys) = dynamics else {
+                panic!("dynamics is an object: {dynamics:?}");
+            };
+            assert_eq!(
+                keys.keys().map(String::as_str).collect::<Vec<_>>(),
+                [
+                    "beta_acceptance",
+                    "energy_trace",
+                    "last_improvement_fraction",
+                    "proposal_latency_ns",
+                    "stall_verdict",
+                    "sweep_improvement",
+                    "time_to_target",
+                ]
+            );
+        }
+
+        // Cache section (schema v5): present as a key, null when the
+        // solver had no cache attached (the CLI path).
+        assert_eq!(solve.get("cache"), Some(&Json::Null));
+
+        // Select stage found a valid answer.
+        let select = solve.get("select").expect("select");
+        assert!(select.get("valid_rank").and_then(Json::as_u64).is_some());
+
+        // The reported energy matches the best sampled energy
+        // (post-selection picked a valid sample; for the palindrome that
+        // is the ground state).
+        assert_eq!(solve.get("valid").and_then(Json::as_bool), Some(true));
+
+        // Schema v10: the stage timings are the solve's one timing record
+        // and cover the sample stage; the span log is gone (the span tree
+        // is the trace).
+        assert_eq!(solve.get("spans"), None);
+        let stages = solve.get("stages").and_then(Json::as_arr).expect("stages");
+        assert!(stages
+            .iter()
+            .any(|s| s.get("label").and_then(Json::as_str) == Some("sample")));
     }
-    let ttt = dynamics
-        .get("time_to_target")
-        .and_then(Json::as_arr)
-        .expect("time-to-target curve");
-    assert!(!ttt.is_empty());
-    let verdict = dynamics
-        .get("stall_verdict")
-        .and_then(Json::as_str)
-        .expect("stall verdict");
-    assert!(["improving", "converged", "stalled"].contains(&verdict));
-    assert!(dynamics
-        .get("proposal_latency_ns")
-        .and_then(|h| h.get("p50"))
-        .and_then(Json::as_f64)
-        .is_some());
-    // Schema v11: the section has exactly these seven keys; the three
-    // that only the retired tempering, population and tabu samplers
-    // filled are gone.
-    let Json::Obj(keys) = dynamics else {
-        panic!("dynamics is an object: {dynamics:?}");
-    };
-    assert_eq!(
-        keys.keys().map(String::as_str).collect::<Vec<_>>(),
-        [
-            "beta_acceptance",
-            "energy_trace",
-            "last_improvement_fraction",
-            "proposal_latency_ns",
-            "stall_verdict",
-            "sweep_improvement",
-            "time_to_target",
-        ]
-    );
-
-    // Cache section (schema v5): present as a key, null when the solver
-    // had no cache attached (the CLI path).
-    assert_eq!(solve.get("cache"), Some(&Json::Null));
-
-    // Select stage found a valid answer.
-    let select = solve.get("select").expect("select");
-    assert!(select.get("valid_rank").and_then(Json::as_u64).is_some());
-
-    // The reported energy matches the best sampled energy (post-selection
-    // picked a valid sample; for the palindrome that is the ground state).
-    assert_eq!(solve.get("valid").and_then(Json::as_bool), Some(true));
-
-    // Schema v10: the stage timings are the solve's one timing record
-    // and cover the sample stage; the span log is gone (the span tree
-    // is the trace).
-    assert_eq!(solve.get("spans"), None);
-    assert!(stages
-        .iter()
-        .any(|s| s.get("label").and_then(Json::as_str) == Some("sample")));
+    assert_eq!(annealed, 1, "the dense one-hot anneals");
 }
 
 /// `(name, ts, dur)` of the span events of a Chrome trace document, in
@@ -338,7 +368,7 @@ fn stats_flag_prints_stage_timings_without_breaking_model_output() {
     let out = qsmt()
         .args([
             "solve",
-            &corpus("table1_row2_palindrome.smt2"),
+            &corpus("indexof_dense.smt2"),
             "--seed",
             "7",
             "--stats",
@@ -371,7 +401,7 @@ fn trace_flag_prints_span_log() {
     let dir = std::env::temp_dir().join(format!("qsmt-trace-text-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let bench = corpus("table1_row1_reverse_replace.smt2");
+    let bench = corpus("indexof_dense.smt2");
     let run = |extra: &[&str], report: &str| {
         let mut args = vec![
             "solve", &bench, "--seed", "7", "--report", report, "--trace",
@@ -411,7 +441,7 @@ fn trace_flag_prints_span_log() {
     for name in [
         bench.as_str(),
         "absint",
-        "goal x",
+        "goal i",
         "compile",
         "lint",
         "presolve",

@@ -16,17 +16,30 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A 2-char reverse: simulated annealing solves it in milliseconds.
-const REVERSE: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n";
+/// `str.indexof` over a 20-letter haystack: one dense one-hot of 18
+/// start indicators, too large to enumerate per component, so simulated
+/// annealing solves it, in milliseconds.
+const INDEXOF: &str = "(set-logic QF_S)\n(declare-const x Int)\n(assert (= x (str.indexof \"zgkycoqrzdhbtiisfxrq\" \"bti\" 0)))\n(check-sat)\n(get-model)\n";
 
 /// Jobs with seeds: a cold solve, its exact cache hit (which samples
-/// nothing), a same-shape warm start, and a script absint refutes
-/// before any goal is compiled.
+/// nothing), a same-shape warm start (another needle of the same length),
+/// a reverse that presolve fixes, so its reads are drawn per component
+/// without touching the cache, and a script absint refutes before any
+/// goal is compiled.
 fn seeded_jobs() -> Vec<(String, String)> {
     vec![
-        ("/solve?seed=1".into(), REVERSE.into()),
-        ("/solve?seed=2".into(), REVERSE.into()),
-        ("/solve?seed=3".into(), REVERSE.replace("\"ab\"", "\"cd\"")),
+        ("/solve?seed=1".into(), INDEXOF.into()),
+        ("/solve?seed=2".into(), INDEXOF.into()),
+        (
+            "/solve?seed=3".into(),
+            INDEXOF.replace("\"bti\"", "\"sfx\""),
+        ),
+        (
+            "/solve?seed=6".into(),
+            "(set-logic QF_S)\n(declare-const x String)\n\
+             (assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n"
+                .into(),
+        ),
         (
             "/solve?seed=4".into(),
             "(set-logic QF_S)\n(declare-const x String)\n\
@@ -36,6 +49,15 @@ fn seeded_jobs() -> Vec<(String, String)> {
         ),
     ]
 }
+
+/// A two-character regex over the class `@|_`, whose superposed
+/// encoding admits 32 characters per position, 2 of them valid (ROADMAP
+/// item 5, gap A). At seed 5 none of the 64 reads drawn from the exact
+/// component ground sets validates, so a portfolio job races its full
+/// 14-variable model, where exact enumeration is the primary member.
+const RACED_REGEX: &str = "(set-logic QF_S)\n(declare-const x String)\n\
+    (assert (str.in_re x (re.+ (re.union (str.to_re \"@\") (str.to_re \"_\")))))\n\
+    (assert (= (str.len x) 2))\n(check-sat)\n(get-model)\n";
 
 /// The per-job sampler counters `qsmt serve` publishes.
 const SAMPLER_SERIES: [(&str, &str); 3] = [
@@ -223,12 +245,7 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
     let mut jobs = seeded_jobs();
     // A portfolio race on a small model, won by exact enumeration: a
     // second sampler label.
-    jobs.push((
-        "/solve?portfolio=1&seed=5".into(),
-        "(set-logic QF_S)\n(declare-const x String)\n(assert (= (str.len x) 3))\n\
-         (assert (= (str.at x 1) \"q\"))\n(check-sat)\n(get-model)\n"
-            .into(),
-    ));
+    jobs.push(("/solve?portfolio=1&seed=5".into(), RACED_REGEX.into()));
     // Every job, then one scrape of /metrics and one of /flight.
     let mut server = spawn_server("subsystems", jobs.len() + 2);
     let reports = run_jobs(&server, &jobs);
@@ -254,7 +271,7 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
             "{name} disagrees with the job reports:\n{body}"
         );
     }
-    for sampler in ["simulated-annealing", "exact"] {
+    for sampler in ["simulated-annealing", "exact", "component-exact"] {
         assert!(
             by_sampler(&body, "qsmt_sampler_reads_total").contains_key(sampler),
             "no reads counted for {sampler}:\n{body}"
