@@ -267,9 +267,20 @@ impl Constraint {
                         }
                     }
                 }
-                let mut qubo = qsmt_qubo::QuboModel::new(len * crate::encode::BITS_PER_CHAR);
+                // The parts share the character bits; each part's ancillas
+                // are renumbered after the previous parts' ancillas.
+                let char_vars = len * crate::encode::BITS_PER_CHAR;
+                let mut qubo = qsmt_qubo::QuboModel::new(char_vars);
                 for enc in &encoded {
-                    qubo.merge(&enc.qubo);
+                    let first_ancilla = qubo.num_vars();
+                    qubo.grow_to(first_ancilla + enc.qubo.num_vars() - char_vars);
+                    qubo.merge_placed(&enc.qubo, |v| {
+                        if (v as usize) < char_vars {
+                            v
+                        } else {
+                            (v as usize - char_vars + first_ancilla) as qsmt_qubo::Var
+                        }
+                    });
                 }
                 Ok(EncodedProblem {
                     qubo,
@@ -282,6 +293,8 @@ impl Constraint {
                         .join(" ∧ "),
                 })
             }
+            // Pins fix character bits only; the inner encoding's ancillas
+            // stay free and follow the free character bits.
             Constraint::Pinned { inner, pins } => {
                 let enc = inner.encode_with(strength, bias)?;
                 let len = match &enc.decode {

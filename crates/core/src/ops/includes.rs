@@ -6,32 +6,35 @@ use crate::ops::DEFAULT_STRENGTH;
 use crate::problem::{DecodeScheme, EncodedProblem};
 use qsmt_qubo::PenaltyBuilder;
 
-/// The string-includes encoder (paper §4.4).
+/// The string-includes encoder (paper §4.4), with an "absent" indicator.
 ///
-/// Binary variables are position indicators `x_i` for
-/// `i = 0, 1, …, n − m` (`x_i = 1` ⇔ the substring starts at `i`).
-/// Three terms build the QUBO:
+/// Binary variables are the paper's position indicators `x_i` for
+/// `i = 0, 1, …, n − m` (`x_i = 1` ⇔ the needle starts at `i`), followed
+/// by one absent indicator `z` (`z = 1` ⇔ the needle does not occur,
+/// SMT-LIB's −1). The terms:
 ///
-/// * **match reward** (§4.4.2): `−A · Σ_i Σ_j δ(t_{i+j}, s_j) · x_i` — each
-///   indicator's diagonal is rewarded per character it matches;
-/// * **one-hot penalty** (§4.4.3, first term): `B · Σ_{i<j} x_i x_j`
-///   discourages selecting more than one start;
-/// * **first-match bias** (§4.4.3, second term): `C_i · δ(T[i:i+m], S) · x_i`
-///   where `C_i` accumulates `+D` at every matching position, so later
-///   full matches sit strictly above the first.
+/// * **scores** — the paper's match reward (§4.4.2), `−A` per matched
+///   character, raised by `A·(m − ½)`: an indicator whose window matches
+///   `j` of the `m` needle characters scores `−A·j + A·(m − ½)`, which is
+///   below the absent indicator's 0 only for a full match (`−A/2`);
+///   every partial match scores at least `A/2`;
+/// * **first-match bias** (§4.4.3) — full match number `r` (counting
+///   from 0) adds `r·D` with `D = A / (2·(count + 1))`, so later full
+///   matches sit above the first and every full match stays below 0;
+/// * **exactly one** — `P·(Σx + z − 1)²` with `P = A·max(m, 1)`.
 ///
-/// The paper leaves `B` and `D` open; the defaults here are
-/// `B = 2·A·m` (no pair of rewards can out-pull one violation) and
-/// `D = A/2` (keeps the first full match strictly below both later full
-/// matches and the best `m−1`-character partial match). Both are
-/// overridable, and the unit tests sweep them against the exact solver.
+/// Every score is at least `−A/2` and `P > A/2`, so every multi-hot
+/// state lies above one of its one-hot subsets, and the unique ground
+/// state decodes to `haystack.find(needle)`. `P ≥ A·(m − ½)` keeps every
+/// indicator's net linear term negative, so presolve leaves the group
+/// whole. A needle longer than the haystack has no start positions (the
+/// absent indicator is the only variable); an empty needle matches
+/// fully everywhere, so its answer is 0.
 #[derive(Debug, Clone)]
 pub struct Includes {
     haystack: String,
     needle: String,
     strength: f64,
-    one_hot_b: Option<f64>,
-    first_match_d: Option<f64>,
 }
 
 impl Includes {
@@ -41,8 +44,6 @@ impl Includes {
             haystack: haystack.into(),
             needle: needle.into(),
             strength: DEFAULT_STRENGTH,
-            one_hot_b: None,
-            first_match_d: None,
         }
     }
 
@@ -53,21 +54,10 @@ impl Includes {
         self
     }
 
-    /// Overrides the one-hot penalty `B`.
-    pub fn with_one_hot_penalty(mut self, b: f64) -> Self {
-        self.one_hot_b = Some(b);
-        self
-    }
-
-    /// Overrides the first-match increment `D`.
-    pub fn with_first_match_increment(mut self, d: f64) -> Self {
-        self.first_match_d = Some(d);
-        self
-    }
-
-    /// The number of candidate start positions (`n − m + 1`).
+    /// The number of candidate start positions (`n − m + 1`, or 0 when
+    /// the needle is longer than the haystack).
     pub fn num_positions(&self) -> usize {
-        self.haystack.len() - self.needle.len() + 1
+        (self.haystack.len() + 1).saturating_sub(self.needle.len())
     }
 
     /// Classical reference answer: the first index where the needle
@@ -79,53 +69,30 @@ impl Includes {
     /// Compiles to QUBO form.
     ///
     /// # Errors
-    /// Fails for empty/oversized needles or non-ASCII input.
+    /// Fails on non-ASCII input.
     pub fn encode(&self) -> Result<EncodedProblem, ConstraintError> {
-        let n = self.haystack.len();
-        let m = self.needle.len();
-        if m == 0 {
-            return Err(ConstraintError::EmptyArgument { what: "needle" });
-        }
-        if m > n {
-            return Err(ConstraintError::SubstringTooLong {
-                substring: m,
-                total: n,
-            });
-        }
         for c in self.haystack.chars().chain(self.needle.chars()) {
             char_to_bits(c)?;
         }
         let a = self.strength;
-        let b = self.one_hot_b.unwrap_or(2.0 * a * m as f64);
-        let d = self.first_match_d.unwrap_or(a / 2.0);
-        let t: Vec<char> = self.haystack.chars().collect();
-        let s: Vec<char> = self.needle.chars().collect();
-        let count = n - m + 1;
-        let mut qubo = qsmt_qubo::QuboModel::new(count);
-
-        // Match reward on the diagonal.
+        let t = self.haystack.as_bytes();
+        let s = self.needle.as_bytes();
+        let m = s.len();
+        let count = self.num_positions();
+        let p = a * m.max(1) as f64;
+        let d = a / (2.0 * (count + 1) as f64);
+        let mut qubo = qsmt_qubo::QuboModel::new(count + 1);
+        let vars: Vec<u32> = (0..=count as u32).collect();
+        PenaltyBuilder::new(&mut qubo).exactly_one(&vars, p);
+        let mut full_matches = 0;
         for i in 0..count {
             let matches = (0..m).filter(|&j| t[i + j] == s[j]).count();
-            if matches > 0 {
-                qubo.add_linear(i as u32, -a * matches as f64);
+            let mut score = -a * matches as f64 + a * (m as f64 - 0.5);
+            if matches == m {
+                score += full_matches as f64 * d;
+                full_matches += 1;
             }
-        }
-        // One-hot penalty over all indicator pairs.
-        let vars: Vec<u32> = (0..count as u32).collect();
-        PenaltyBuilder::new(&mut qubo).at_most_one(&vars, b);
-        // First-match bias: C_i accumulates D at every full match and is
-        // charged only at matching positions.
-        let mut c_i = 0.0f64;
-        for i in 0..count {
-            let full_match = (0..m).all(|j| t[i + j] == s[j]);
-            if full_match {
-                if i > 0 {
-                    c_i += d;
-                }
-                if c_i != 0.0 {
-                    qubo.add_linear(i as u32, c_i);
-                }
-            }
+            qubo.add_linear(i as u32, score);
         }
         Ok(EncodedProblem {
             qubo,
@@ -190,36 +157,30 @@ mod tests {
     fn one_hot_penalty_dominates_double_selection() {
         let p = Includes::new("abab", "ab").encode().unwrap();
         // selecting both full matches must cost more than the best single
-        let both = p.qubo.energy(&[1, 0, 1]);
-        let first = p.qubo.energy(&[1, 0, 0]);
+        let both = p.qubo.energy(&[1, 0, 1, 0]);
+        let first = p.qubo.energy(&[1, 0, 0, 0]);
         assert!(both > first);
     }
 
     #[test]
     fn no_match_still_picks_best_partial_or_nothing() {
-        // "xyz" has no 'a'-'b': all rewards zero except partials; ground
-        // state is the empty selection or a zero-reward... with no
-        // matching characters the all-zero state is ground.
+        // "xyz" shares no character with "ab": every start indicator
+        // scores A·(m − ½) above the absent indicator, whose one-hot
+        // state is the ground at energy 0.
         let p = Includes::new("xyz", "ab").encode().unwrap();
         let grounds = ground_index(&p);
-        // No position matches any character: every x_i=1 has energy 0 too?
-        // No: reward is 0, so energy(x_i=1) = 0 = energy(all zero). All
-        // degenerate states decode to None or Some(i); semantic validation
-        // distinguishes. Just assert the ground energy is 0.
         let (e, _) = exact_solutions(&p);
         assert_eq!(e, 0.0);
         assert!(!grounds.is_empty());
     }
 
     #[test]
-    fn absent_needle_sharing_a_character_has_no_valid_ground_state() {
-        // Encoding gap B (ROADMAP items 5 and 8): when the needle is
-        // absent but one of its characters occurs at a feasible offset,
-        // that one-character partial match lies below the all-zero
-        // "not found" state, so every ground state decodes to a wrong
-        // index and validation rejects it. No sampler can decide such a
-        // script from its ground states; item 5's raised indicator
-        // diagonal is the change that flips this test.
+    fn absent_needle_sharing_a_character_decodes_to_minus_one() {
+        // When the needle is absent but one of its characters occurs at
+        // a feasible offset, the paper's reward alone put that partial
+        // match below "not found". Scored against the absent indicator,
+        // every partial match lies above it: the unique ground state is
+        // the absent indicator alone, which decodes to −1 and validates.
         use crate::constraint::Constraint;
         for (haystack, needle, partial) in [("xhdxyrwi", "bi", 6), ("akwsvbeqa", "rwl", 1)] {
             let p = Includes::new(haystack, needle).encode().unwrap();
@@ -228,21 +189,23 @@ mod tests {
                 needle: needle.into(),
             };
             let (e, grounds) = exact_solutions(&p);
-            assert_eq!(e, -1.0, "{haystack}/{needle}");
-            assert_eq!(grounds, vec![Solution::Index(Some(partial))]);
-            assert!(!c.validate(&grounds[0]), "{haystack}/{needle}");
-            let zeros = vec![0u8; p.num_vars()];
-            let none = p.decode_state(&zeros).unwrap();
-            assert_eq!(none, Solution::Index(None));
-            assert!(c.validate(&none), "{haystack}/{needle}");
-            assert_eq!(p.qubo.energy(&zeros), 0.0);
+            assert_eq!(e, 0.0, "{haystack}/{needle}");
+            assert_eq!(grounds, vec![Solution::Index(None)]);
+            assert!(c.validate(&grounds[0]), "{haystack}/{needle}");
+            let mut partial_state = vec![0u8; p.num_vars()];
+            partial_state[partial] = 1;
+            let wrong = p.decode_state(&partial_state).unwrap();
+            assert_eq!(wrong, Solution::Index(Some(partial)));
+            assert!(!c.validate(&wrong), "{haystack}/{needle}");
+            // One of m characters matched: A·(m − ½) − A above the ground.
+            assert_eq!(p.qubo.energy(&partial_state), needle.len() as f64 - 1.5);
         }
     }
 
     #[test]
     fn needle_equal_to_haystack() {
         let p = Includes::new("abc", "abc").encode().unwrap();
-        assert_eq!(p.num_vars(), 1);
+        assert_eq!(p.num_vars(), 2, "one start indicator and the absent one");
         assert_eq!(ground_index(&p), vec![Some(0)]);
     }
 
@@ -255,15 +218,18 @@ mod tests {
     }
 
     #[test]
-    fn parameter_sweep_keeps_first_match_optimal() {
-        for d in [0.1, 0.25, 0.5] {
-            for b in [3.0, 6.0, 12.0] {
-                let p = Includes::new("abab", "ab")
-                    .with_first_match_increment(d)
-                    .with_one_hot_penalty(b)
+    fn strength_sweep_keeps_the_first_match_the_unique_ground_state() {
+        for a in [0.25, 1.0, 4.0] {
+            for (haystack, needle) in [("abab", "ab"), ("abXabc", "abc"), ("xhdxyrwi", "bi")] {
+                let p = Includes::new(haystack, needle)
+                    .with_strength(a)
                     .encode()
                     .unwrap();
-                assert_eq!(ground_index(&p), vec![Some(0)], "d={d}, b={b}");
+                assert_eq!(
+                    ground_index(&p),
+                    vec![haystack.find(needle)],
+                    "a={a}, {haystack}/{needle}"
+                );
             }
         }
     }
@@ -277,8 +243,23 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(Includes::new("abc", "").encode().is_err());
-        assert!(Includes::new("ab", "abc").encode().is_err());
         assert!(Includes::new("héllo", "h").encode().is_err());
+        assert!(Includes::new("hello", "é").encode().is_err());
+    }
+
+    #[test]
+    fn empty_needle_is_found_at_zero() {
+        let p = Includes::new("abc", "").encode().unwrap();
+        assert_eq!(p.num_vars(), 5, "starts 0..=3 and the absent indicator");
+        assert_eq!(ground_index(&p), vec![Some(0)]);
+        let empty = Includes::new("", "").encode().unwrap();
+        assert_eq!(ground_index(&empty), vec![Some(0)]);
+    }
+
+    #[test]
+    fn needle_longer_than_haystack_is_absent() {
+        let p = Includes::new("ab", "abc").encode().unwrap();
+        assert_eq!(p.num_vars(), 1, "only the absent indicator");
+        assert_eq!(ground_index(&p), vec![None]);
     }
 }

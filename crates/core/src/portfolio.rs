@@ -656,9 +656,11 @@ mod tests {
         }
     }
 
-    /// 18 start indicators: within the exact member's 26-variable limit.
+    /// 18 start indicators and the absent one: within the exact member's
+    /// 26-variable limit.
     const DENSE: &str = "zgkycoqrzdhbtiisfxrq";
-    /// 30 start indicators: beyond that limit, so SA runs alone.
+    /// 30 start indicators and the absent one: beyond that limit, so SA
+    /// runs alone.
     const WIDE: &str = "iumpzkcahhbqsrkxeimbpyrmrynmqhzl";
 
     fn features(num_vars: usize, transformation: bool) -> RoutingFeatures {
@@ -799,15 +801,25 @@ mod tests {
 
     #[test]
     fn fallback_returns_the_primary_members_verdict() {
-        // Includes over a haystack without the needle: the valid answer
-        // is Index(None) == the all-zero state, which the encoding does
-        // not make ground, so the component draw finds nothing valid and
-        // the solve races. Members may or may not validate, but the
-        // outcome always comes from a plan member and the verdict
-        // survives.
+        // A substring the §4.3 encoding places in the last window, where
+        // a pinned character contradicts it: no ground state validates,
+        // so the component draw finds nothing valid and the solve races
+        // (21 variables: exact against the SA backstop). Members may or
+        // may not validate, but the outcome always comes from a plan
+        // member and the verdict survives.
         let solver = StringSolver::with_defaults().with_seed(1);
         let portfolio = Portfolio::new();
-        let c = indexof("xhdxyrwi", "bi");
+        let c = Constraint::All(vec![
+            Constraint::SubstringMatch {
+                substring: "xl".into(),
+                len: 3,
+            },
+            Constraint::CharAt {
+                ch: 'b',
+                index: 2,
+                len: 3,
+            },
+        ]);
         let (out, stats) = race(&solver, &c, &portfolio);
         let widx = stats.winner_index as usize;
         assert!(widx < stats.members.len());

@@ -6,13 +6,16 @@ use qsmt_qubo::QuboModel;
 /// How a sampler state maps back to a domain-level answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeScheme {
-    /// `7·len` bit variables decode to an ASCII string (most encoders).
+    /// The leading `7·len` bit variables decode to an ASCII string (most
+    /// encoders); a regex encoder's class selectors follow them.
     AsciiString {
         /// Number of characters in the generated string.
         len: usize,
     },
     /// One indicator variable per candidate start position (§4.4 string
-    /// includes); the set variable is the chosen index.
+    /// includes); the set variable is the chosen index, and no set
+    /// indicator means no index. The encoder's absent indicator follows
+    /// the `count` start indicators and is not decoded.
     StartPosition {
         /// Number of candidate positions (`n − m + 1`).
         count: usize,
@@ -36,6 +39,20 @@ pub enum DecodeScheme {
         /// correspond one-to-one to the reduced state.
         fixed: Vec<(u32, u8)>,
     },
+}
+
+impl DecodeScheme {
+    /// Length of the leading block of variables the scheme decodes:
+    /// `7·len` character bits (less the fixed ones when reduced),
+    /// `count` start indicators, or `7·chars` length slots.
+    fn block_len(&self) -> usize {
+        match self {
+            DecodeScheme::AsciiString { len } => len * BITS_PER_CHAR,
+            DecodeScheme::StartPosition { count } => *count,
+            DecodeScheme::LengthUnary { chars } => chars * BITS_PER_CHAR,
+            DecodeScheme::AsciiStringReduced { len, fixed } => len * BITS_PER_CHAR - fixed.len(),
+        }
+    }
 }
 
 /// A decoded answer.
@@ -95,21 +112,22 @@ pub struct EncodedProblem {
 impl EncodedProblem {
     /// Decodes one sampler state into a domain answer.
     ///
+    /// The state must cover the whole model. Every scheme reads only its
+    /// leading block — the character bits or start indicators — so the
+    /// ancillas an encoder appends after them (regex class selectors, the
+    /// includes absent indicator) never reach the answer.
+    ///
     /// # Errors
     /// Returns [`DecodeError`] when the state is malformed for the scheme.
     pub fn decode_state(&self, state: &[u8]) -> Result<Solution, DecodeError> {
+        let block = self.decode.block_len();
+        if state.len() != self.num_vars() || block > state.len() {
+            return Err(DecodeError::BadLength { len: state.len() });
+        }
+        let state = &state[..block];
         match &self.decode {
-            DecodeScheme::AsciiString { len } => {
-                let expected = len * BITS_PER_CHAR;
-                if state.len() != expected {
-                    return Err(DecodeError::BadLength { len: state.len() });
-                }
-                Ok(Solution::Text(bits_to_string(state)?))
-            }
-            DecodeScheme::StartPosition { count } => {
-                if state.len() != *count {
-                    return Err(DecodeError::BadLength { len: state.len() });
-                }
+            DecodeScheme::AsciiString { .. } => Ok(Solution::Text(bits_to_string(state)?)),
+            DecodeScheme::StartPosition { .. } => {
                 if let Some(index) = state.iter().position(|&b| b > 1) {
                     return Err(DecodeError::NonBinary { index });
                 }
@@ -117,11 +135,7 @@ impl EncodedProblem {
                 // downstream flags the one-hot violation.
                 Ok(Solution::Index(state.iter().position(|&b| b == 1)))
             }
-            DecodeScheme::LengthUnary { chars } => {
-                let expected = chars * BITS_PER_CHAR;
-                if state.len() != expected {
-                    return Err(DecodeError::BadLength { len: state.len() });
-                }
+            DecodeScheme::LengthUnary { .. } => {
                 if let Some(index) = state.iter().position(|&b| b > 1) {
                     return Err(DecodeError::NonBinary { index });
                 }
@@ -132,15 +146,10 @@ impl EncodedProblem {
                 Ok(Solution::Length(full_groups))
             }
             DecodeScheme::AsciiStringReduced { len, fixed } => {
-                let total = len * BITS_PER_CHAR;
-                let expected = total - fixed.len();
-                if state.len() != expected {
-                    return Err(DecodeError::BadLength { len: state.len() });
-                }
                 // Lift the reduced state back to the full 7·len bits:
                 // fixed bits at their original indices, free bits in
                 // ascending order from the sampler state.
-                let mut bits = vec![u8::MAX; total];
+                let mut bits = vec![u8::MAX; len * BITS_PER_CHAR];
                 for &(i, b) in fixed {
                     bits[i as usize] = b;
                 }
@@ -190,17 +199,22 @@ mod tests {
 
     #[test]
     fn start_position_decode() {
-        let p = problem(DecodeScheme::StartPosition { count: 3 }, 3);
+        // Three start indicators, then the absent indicator.
+        let p = problem(DecodeScheme::StartPosition { count: 3 }, 4);
         assert_eq!(
-            p.decode_state(&[0, 1, 0]).unwrap(),
+            p.decode_state(&[0, 1, 0, 0]).unwrap(),
             Solution::Index(Some(1))
         );
-        assert_eq!(p.decode_state(&[0, 0, 0]).unwrap(), Solution::Index(None));
+        assert_eq!(
+            p.decode_state(&[0, 0, 0, 1]).unwrap(),
+            Solution::Index(None)
+        );
         // multiple indicators: first wins at decode level
         assert_eq!(
-            p.decode_state(&[0, 1, 1]).unwrap(),
+            p.decode_state(&[0, 1, 1, 0]).unwrap(),
             Solution::Index(Some(1))
         );
+        assert!(p.decode_state(&[0, 1, 0]).is_err(), "state too short");
     }
 
     #[test]

@@ -57,8 +57,8 @@ const COMPONENT_SAMPLER: &str = "component-exact";
 /// SMT architecture in the paper's §1 calls for: decoded candidates are
 /// validated against the constraint's real semantics, and the reported
 /// answer is the lowest-energy **valid** sample when one exists
-/// (post-selection closes the known relaxations of the superposed-class
-/// and degenerate-ground-state encodings).
+/// (post-selection closes the positional-marginal relaxation of the
+/// regex encoding and picks among degenerate ground states).
 ///
 /// ```
 /// use qsmt_core::{Constraint, StringSolver};
@@ -996,13 +996,20 @@ mod tests {
 
     #[test]
     fn a_draw_without_a_valid_read_falls_through_to_the_annealer() {
-        // An absent needle sharing a character with the haystack: the
-        // encoding's only ground state decodes to a wrong index, so the
-        // component draw holds no valid read.
-        let c = Constraint::Includes {
-            haystack: "xhdxyrwi".into(),
-            needle: "bi".into(),
-        };
+        // A substring the §4.3 encoding places in the last window, where
+        // a pinned character contradicts it: no ground state validates,
+        // so the component draw holds no valid read.
+        let c = Constraint::All(vec![
+            Constraint::SubstringMatch {
+                substring: "xl".into(),
+                len: 7,
+            },
+            Constraint::CharAt {
+                ch: 'b',
+                index: 6,
+                len: 7,
+            },
+        ]);
         let out = solver().solve(&c).unwrap();
         assert_eq!(
             stage_labels(&out.report),

@@ -76,8 +76,9 @@ pub struct LintConfig {
     pub precision: PrecisionModel,
     /// Chain-strength heuristic whose output is checked for feasibility.
     pub chain_strength: ChainStrength,
-    /// Largest inferred group validated by exact subset enumeration;
-    /// larger groups fall back to a greedy counterexample search.
+    /// Largest inferred group validated by exact subset enumeration
+    /// (`2^k` energies held for `k` members); larger groups fall back to
+    /// a greedy counterexample search.
     pub max_exact_group: usize,
     /// Cap on variables listed per diagnostic (messages stay readable;
     /// the full count is always in the message text).

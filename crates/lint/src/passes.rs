@@ -99,22 +99,43 @@ pub fn penalty_gap(
     (diagnostics, flagged)
 }
 
-/// Energy of subset `S` of a group's *isolated* sub-model (intra-group
-/// linear + quadratic terms only).
-fn isolated_energy(model: &QuboModel, members: &[Var], mask: u32) -> f64 {
-    let mut e = 0.0;
-    for (a, &u) in members.iter().enumerate() {
-        if mask & (1 << a) == 0 {
-            continue;
-        }
-        e += model.linear(u);
-        for (b, &v) in members.iter().enumerate().skip(a + 1) {
-            if mask & (1 << b) != 0 {
-                e += model.quadratic(u, v);
-            }
+/// The lowest-energy multi-hot subset (≥ 2 members on) of a group's
+/// *isolated* sub-model (intra-group linear and quadratic terms only), by
+/// exact enumeration: the first strictly lowest mask in increasing order.
+///
+/// The group's weights are copied into a `k × k` table once, and each
+/// mask's energy extends the energy of the mask without its lowest
+/// member by that member's row, so a mask costs `O(k)`, not `O(k²)`
+/// model lookups.
+fn best_multi_hot(model: &QuboModel, members: &[Var]) -> Option<(u32, f64)> {
+    let k = members.len();
+    let linear: Vec<f64> = members.iter().map(|&v| model.linear(v)).collect();
+    let mut pair = vec![0.0f64; k * k];
+    for a in 0..k {
+        for b in a + 1..k {
+            let q = model.quadratic(members[a], members[b]);
+            pair[a * k + b] = q;
+            pair[b * k + a] = q;
         }
     }
-    e
+    let mut energy = vec![0.0f64; 1 << k];
+    let mut best: Option<(u32, f64)> = None;
+    for mask in 1u32..(1 << k) {
+        let low = mask.trailing_zeros() as usize;
+        let rest = mask & (mask - 1);
+        let row = &pair[low * k..(low + 1) * k];
+        let mut e = energy[rest as usize] + linear[low];
+        let mut others = rest;
+        while others != 0 {
+            e += row[others.trailing_zeros() as usize];
+            others &= others - 1;
+        }
+        energy[mask as usize] = e;
+        if rest != 0 && best.is_none_or(|(_, b)| e < b) {
+            best = Some((mask, e));
+        }
+    }
+    best
 }
 
 /// Pass 1b: one-hot group validation on the *isolated* group.
@@ -176,17 +197,7 @@ pub fn one_hot_weak(
             .map(|&v| model.linear(v))
             .fold(0.0f64, f64::min);
         let violation = if members.len() <= cfg.max_exact_group {
-            let mut best: Option<(u32, f64)> = None;
-            for mask in 1u32..(1 << members.len()) {
-                if mask.count_ones() < 2 {
-                    continue;
-                }
-                let e = isolated_energy(model, members, mask);
-                if best.is_none_or(|(_, b)| e < b) {
-                    best = Some((mask, e));
-                }
-            }
-            best
+            best_multi_hot(model, members)
         } else {
             greedy_multi_hot(model, members)
         };

@@ -273,13 +273,24 @@ impl QuboModel {
             other.num_vars <= self.num_vars,
             "cannot merge a larger model into a smaller one"
         );
+        self.merge_placed(other, |v| v);
+    }
+
+    /// Accumulates another model into this one with each of its variables
+    /// `v` at index `place(v)`: how a part's own variables (ancillas) move
+    /// past the ones it shares with this model. Terms are added in the
+    /// same order as [`QuboModel::merge`].
+    ///
+    /// # Panics
+    /// Panics if `place` maps a variable out of this model's range.
+    pub fn merge_placed(&mut self, other: &QuboModel, place: impl Fn(Var) -> Var) {
         for (i, &q) in other.linear.iter().enumerate() {
             if q != 0.0 {
-                self.add_linear(i as Var, q);
+                self.add_linear(place(i as Var), q);
             }
         }
         for (i, j, q) in other.quadratic_iter() {
-            self.add_quadratic(i, j, q);
+            self.add_quadratic(place(i), place(j), q);
         }
         self.offset += other.offset;
         debug_assert!(self.check_invariants().is_ok());
@@ -478,6 +489,21 @@ mod tests {
         assert_eq!(a.linear(0), 3.0);
         assert_eq!(a.quadratic(0, 1), 0.0);
         assert_eq!(a.offset(), 7.0);
+    }
+
+    #[test]
+    fn merge_placed_moves_the_donor_variables() {
+        // The donor's variable 1 lands on 3; variable 0 stays shared.
+        let mut a = QuboModel::new(4);
+        a.add_linear(0, 1.0);
+        let mut b = QuboModel::new(2);
+        b.add_linear(0, 2.0);
+        b.add_linear(1, -1.0);
+        b.add_quadratic(0, 1, 0.5);
+        a.merge_placed(&b, |v| if v == 0 { 0 } else { 3 });
+        assert_eq!(a.linear_terms(), &[3.0, 0.0, 0.0, -1.0]);
+        assert_eq!(a.quadratic(0, 3), 0.5);
+        assert_eq!(a.num_interactions(), 1);
     }
 
     #[test]

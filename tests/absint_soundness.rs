@@ -153,3 +153,59 @@ proptest! {
         }
     }
 }
+
+/// Audit of the encoding errors `Script::run` reports as `unsat`: for
+/// each, a script whose goal raises it (absint off, so the encoder is
+/// what decides), the verdict, and the enumerator's check that no
+/// candidate satisfies the script. `LengthOutOfRange` has no row: the
+/// front end compiles a bare length to a fill of exactly that length,
+/// which cannot raise it.
+#[test]
+fn encode_time_unsat_verdicts_have_no_model() {
+    use qsmt::core::ConstraintError as E;
+    use qsmt::smtlib::{Goal, SatStatus};
+    use qsmt::{SolveOptions, StringSolver};
+    let s = |lit: &str| lit.to_string();
+    // The assertions, and the error their goal's encoding must raise.
+    type Case = (Vec<Assert>, fn(&E) -> bool);
+    let cases: Vec<Case> = vec![
+        (vec![Assert::InRe(s("ab")), Assert::LenEq(3)], |e| {
+            matches!(e, E::RegexUnsatisfiable { .. })
+        }),
+        (vec![Assert::Contains(s("abz")), Assert::LenEq(2)], |e| {
+            matches!(e, E::SubstringTooLong { .. })
+        }),
+        // A prefix is a placement at index 0, so it fails its range check.
+        (vec![Assert::Prefix(s("aba")), Assert::LenEq(2)], |e| {
+            matches!(e, E::IndexOutOfRange { .. })
+        }),
+        (vec![Assert::Suffix(s("aba")), Assert::LenEq(2)], |e| {
+            matches!(e, E::SubstringTooLong { .. })
+        }),
+        (vec![Assert::PinAt(3, 'a'), Assert::LenEq(2)], |e| {
+            matches!(e, E::IndexOutOfRange { .. })
+        }),
+    ];
+    let solver = StringSolver::with_defaults();
+    let opts = SolveOptions {
+        absint: false,
+        ..SolveOptions::default()
+    };
+    for (asserts, raised) in cases {
+        let script = script_for(&asserts);
+        let goals = script.compile().expect("compiles");
+        let [Goal::StringConstraint { constraint, .. }] = goals.as_slice() else {
+            panic!("{asserts:?}: one string goal expected, got {goals:?}");
+        };
+        let err = constraint.encode().expect_err("the goal cannot encode");
+        assert!(raised(&err), "{asserts:?}: {err:?}");
+        let run = script.run(&solver, &opts).expect("runs");
+        assert_eq!(run.outcome.status, SatStatus::Unsat, "{asserts:?}");
+        for s in candidates() {
+            assert!(
+                !asserts.iter().all(|a| a.holds(&s)),
+                "{asserts:?} answered unsat, but {s:?} satisfies it"
+            );
+        }
+    }
+}

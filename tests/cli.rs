@@ -613,3 +613,79 @@ fn submit_trace_without_a_path_is_rejected_before_connecting() {
         "stderr: {stderr}"
     );
 }
+
+/// Writes `src` to a temporary `.smt2` file named after `tag` and
+/// returns its path.
+fn temp_script(tag: &str, src: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("qsmt-cli-{tag}-{}.smt2", std::process::id()));
+    std::fs::write(&path, src).expect("script written");
+    path
+}
+
+/// Solves `src` with absint on and off; both runs must print `sat` and
+/// the model `i = expected`.
+fn assert_index_model(tag: &str, src: &str, expected: &str) {
+    let path = temp_script(tag, src);
+    let file = path.to_str().expect("utf8 path");
+    for extra in [&[][..], &["--no-absint"][..]] {
+        let mut args = vec!["solve", file];
+        args.extend_from_slice(extra);
+        let out = qsmt().args(&args).output().expect("binary runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(
+            stdout,
+            format!("sat\n(model\n  (define-fun i () _ {expected})\n)\n"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn indexof_of_a_needle_longer_than_the_haystack_is_minus_one() {
+    // SMT-LIB: a needle that cannot fit does not occur, so the answer
+    // is −1 and the script is sat (not a too-long-substring unsat).
+    assert_index_model(
+        "indexof-long-needle",
+        "(declare-const i Int)\n(assert (= i (str.indexof \"ab\" \"abc\" 0)))\n\
+         (check-sat)\n(get-model)\n",
+        "(- 1)",
+    );
+}
+
+#[test]
+fn indexof_of_the_empty_needle_is_zero() {
+    // SMT-LIB: the empty string occurs at every index, first at 0.
+    assert_index_model(
+        "indexof-empty-needle",
+        "(declare-const i Int)\n(assert (= i (str.indexof \"abc\" \"\" 0)))\n\
+         (check-sat)\n(get-model)\n",
+        "0",
+    );
+}
+
+#[test]
+fn a_regex_that_needs_a_non_printable_character_is_sat() {
+    // The planning alphabet is printable ASCII, but the pattern names a
+    // tab: the script has the model "\t", so it is not unsat.
+    let path = temp_script(
+        "regex-tab",
+        "(declare-const x String)\n(assert (str.in_re x (str.to_re \"\t\")))\n\
+         (assert (= (str.len x) 1))\n(check-sat)\n(get-model)\n",
+    );
+    let file = path.to_str().expect("utf8 path");
+    for extra in [&[][..], &["--no-absint"][..]] {
+        let mut args = vec!["solve", file];
+        args.extend_from_slice(extra);
+        let out = qsmt().args(&args).output().expect("binary runs");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(
+            stdout, "sat\n(model\n  (define-fun x () _ \"\\t\")\n)\n",
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}

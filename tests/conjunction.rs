@@ -154,3 +154,46 @@ fn classical_baseline_solves_conjunctions_too() {
     };
     assert!(c.validate(&Solution::Text(t)));
 }
+
+/// Encoding gap C (ROADMAP item 5): the §4.3 overwrite scheme always
+/// places a contained substring in the last window, here [5, 7), which a
+/// pin on position 6 contradicts. With absint on, the goal is the
+/// pinned conjunction; presolve fixes every one of its variables, so its
+/// ground set is the one lifted string, which validation rejects, and
+/// the script answers `unknown`. A placement that agrees with the
+/// variable's fixed-position facts is the change that flips this test.
+#[test]
+fn contains_against_a_pin_in_its_last_window_has_no_valid_ground_state() {
+    let script = Script::parse(
+        "(set-logic QF_S)\n(declare-const s String)\n\
+         (assert (str.contains s \"xl\"))\n(assert (= (str.at s 6) \"b\"))\n\
+         (assert (= (str.len s) 7))\n(check-sat)\n(get-model)\n",
+    )
+    .expect("parses");
+    let analysis = script.absint();
+    let (goals, _) =
+        qsmt::smtlib::apply_tightenings(script.compile().expect("compiles"), &analysis.analysis);
+    let [qsmt::smtlib::Goal::StringConstraint { constraint, .. }] = goals.as_slice() else {
+        panic!("one string goal expected, got {goals:?}");
+    };
+    assert!(
+        matches!(constraint, Constraint::Pinned { .. }),
+        "{constraint:?}"
+    );
+    let problem = constraint.encode().expect("encodes");
+    assert_eq!(problem.num_vars(), 42, "7 of 49 character bits pinned");
+    let reduced = qsmt::qubo::presolve(&problem.qubo);
+    assert_eq!(reduced.model.num_vars(), 0, "presolve fixes every variable");
+    let ground = problem.decode_state(&reduced.lift(&[])).expect("decodes");
+    assert_eq!(ground, Solution::Text("xxxxxxb".into()));
+    assert!(!constraint.validate(&ground));
+
+    let opts = SolveOptions {
+        absint: true,
+        ..SolveOptions::default()
+    };
+    let run = script
+        .run(&StringSolver::with_defaults().with_seed(0), &opts)
+        .expect("runs");
+    assert_eq!(run.outcome.status, SatStatus::Unknown);
+}

@@ -137,7 +137,7 @@ fn table1_palindrome_report_has_documented_schema() {
     assert_eq!(solve.get("embedding"), Some(&Json::Null));
 
     // The palindrome's 21 mirrored bit pairs decompose, so its reads are
-    // drawn from exact ground sets; the dense `str.indexof` one-hot (18
+    // drawn from exact ground sets; the dense `str.indexof` one-hot (19
     // variables) anneals. Sections every solve carries are checked on
     // both, SA's move counters and dynamics on the annealed one.
     let dense = report_for("indexof_dense.smt2", &[]);

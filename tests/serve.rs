@@ -50,14 +50,16 @@ fn seeded_jobs() -> Vec<(String, String)> {
     ]
 }
 
-/// A two-character regex over the class `@|_`, whose superposed
-/// encoding admits 32 characters per position, 2 of them valid (ROADMAP
-/// item 5, gap A). At seed 5 none of the 64 reads drawn from the exact
-/// component ground sets validates, so a portfolio job races its full
-/// 14-variable model, where exact enumeration is the primary member.
+/// A one-character variable in two 8-member classes, `[a-h]` and
+/// `[a-h]+`. Each class encodes with one-hot selectors (its superposition
+/// would admit `` ` ``), and the two selector groups share the
+/// character's bits: one 20-variable component, above the exact
+/// decomposition window, so a portfolio job races its full 23-variable
+/// model, where exact enumeration is the primary member.
 const RACED_REGEX: &str = "(set-logic QF_S)\n(declare-const x String)\n\
-    (assert (str.in_re x (re.+ (re.union (str.to_re \"@\") (str.to_re \"_\")))))\n\
-    (assert (= (str.len x) 2))\n(check-sat)\n(get-model)\n";
+    (assert (str.in_re x (re.range \"a\" \"h\")))\n\
+    (assert (str.in_re x (re.+ (re.range \"a\" \"h\"))))\n\
+    (assert (= (str.len x) 1))\n(check-sat)\n(get-model)\n";
 
 /// The per-job sampler counters `qsmt serve` publishes.
 const SAMPLER_SERIES: [(&str, &str); 3] = [

@@ -792,18 +792,19 @@ fn member_bool(body: &str, kind: &str, key: &str) -> Option<bool> {
 
 #[test]
 fn portfolio_job_is_won_by_exact_and_cancels_the_annealer_backstop() {
-    // A two-character regex over the class `@|_`: not
-    // transformation-class (so the classical hook sits out), and its
-    // superposed encoding admits 32 characters per position, 2 of them
-    // valid (ROADMAP item 5, gap A), so at seed 5 none of the reads drawn
-    // from the exact component ground sets validates and the job races.
-    // Its 14 QUBO variables are few enough that the router fields exact
-    // enumeration as the primary with a deep simulated-annealing
-    // backstop (docs/PORTFOLIO.md). Exact finishes in microseconds, wins
-    // the race, and trips the backstop's flag.
+    // A one-character variable in two 8-member classes: not
+    // transformation-class (so the classical hook sits out), and each
+    // class encodes with one-hot selectors that share the character's
+    // bits, one 20-variable component above the exact decomposition
+    // window, so the job races. Its 23 QUBO variables are few enough
+    // that the router fields exact enumeration as the primary with a
+    // deep simulated-annealing backstop (docs/PORTFOLIO.md). Exact
+    // finishes in tens of milliseconds, wins the race, and trips the
+    // backstop's flag.
     let script = "(set-logic QF_S)\n(declare-const x String)\n\
-        (assert (str.in_re x (re.+ (re.union (str.to_re \"@\") (str.to_re \"_\")))))\n\
-        (assert (= (str.len x) 2))\n(check-sat)\n(get-model)\n";
+        (assert (str.in_re x (re.range \"a\" \"h\")))\n\
+        (assert (str.in_re x (re.+ (re.range \"a\" \"h\"))))\n\
+        (assert (= (str.len x) 1))\n(check-sat)\n(get-model)\n";
     let mut server = spawn_server(&["--workers", "1", "--queue-depth", "4"]);
     let addr = server.addr.clone();
 
