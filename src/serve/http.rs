@@ -8,7 +8,7 @@
 //! interpreted), and an optional body. Everything else 400s.
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Largest request head (request line + headers) the server will buffer.
@@ -190,13 +190,10 @@ pub fn http_request_with_headers(
     body: Option<&str>,
 ) -> Result<HttpResponse, String> {
     let addr = addr.trim_start_matches("http://");
-    let socket = addr
+    let sockets = addr
         .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("cannot resolve {addr}: no addresses"))?;
-    let mut stream = TcpStream::connect_timeout(&socket, CONNECT_TIMEOUT)
-        .map_err(|e| format!("cannot connect to {addr} within {CONNECT_TIMEOUT:?}: {e}"))?;
+        .map_err(|e| format!("cannot resolve {addr}: {e}"))?;
+    let mut stream = connect_any(addr, sockets)?;
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     let payload = body.unwrap_or("");
@@ -227,6 +224,28 @@ pub fn http_request_with_headers(
         .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
         .collect();
     Ok((status, headers, body.to_string()))
+}
+
+/// Connects to the first of `sockets` (the resolutions of `addr`) that
+/// accepts within [`CONNECT_TIMEOUT`], in resolver order, as
+/// `TcpStream::connect` does. A name such as `localhost` may resolve to
+/// `::1` before `127.0.0.1`; a server bound to the IPv4 address alone
+/// must still be reachable through it.
+fn connect_any(
+    addr: &str,
+    sockets: impl IntoIterator<Item = SocketAddr>,
+) -> Result<TcpStream, String> {
+    let mut last = format!("cannot resolve {addr}: no addresses");
+    for socket in sockets {
+        match TcpStream::connect_timeout(&socket, CONNECT_TIMEOUT) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => {
+                last =
+                    format!("cannot connect to {addr} ({socket}) within {CONNECT_TIMEOUT:?}: {e}");
+            }
+        }
+    }
+    Err(last)
 }
 
 #[cfg(test)]
@@ -280,6 +299,22 @@ mod tests {
         // even a black-holed route.
         let err = http_request("127.0.0.1:1", "GET", "/metrics", None).unwrap_err();
         assert!(err.contains("127.0.0.1:1"), "error lacks address: {err}");
+    }
+
+    #[test]
+    fn connect_tries_every_resolved_address_in_order() {
+        // A host that lists `::1 localhost` first resolves to IPv6
+        // before IPv4; nothing listens on the IPv6 port here.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let v4 = listener.local_addr().unwrap();
+        let v6: SocketAddr = format!("[::1]:{}", v4.port()).parse().unwrap();
+        let stream = connect_any("localhost", [v6, v4]).expect("falls through to IPv4");
+        assert_eq!(stream.peer_addr().unwrap(), v4);
+        let err = connect_any("localhost", [v6]).unwrap_err();
+        assert!(
+            err.contains("localhost ([::1]:"),
+            "error lacks address: {err}"
+        );
     }
 
     #[test]

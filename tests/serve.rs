@@ -6,7 +6,8 @@
 //! The tests learn that their jobs are done from the run store
 //! (`--run-store`), not by polling, so every server answers a known
 //! number of requests and the `--max-requests` cap makes it exit on its
-//! own: no test leaks a child.
+//! own. A server whose clients poll runs uncapped and is drained with
+//! `POST /shutdown`: no test leaks a child.
 
 use qsmt::telemetry::Json;
 use std::collections::BTreeMap;
@@ -84,17 +85,20 @@ impl Drop for Server {
     }
 }
 
-fn spawn_server(tag: &str, max_requests: usize) -> Server {
+/// Starts `qsmt serve` on `bind`. With `max_requests` it exits on its
+/// own after that many requests; without, it runs until `POST /shutdown`.
+fn spawn_server(bind: &str, tag: &str, max_requests: Option<usize>) -> Server {
     let store = std::env::temp_dir().join(format!(
         "qsmt-serve-metrics-{}-{tag}.jsonl",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&store);
+    let cap = max_requests.map(|max| max.to_string());
     let mut child = Command::new(env!("CARGO_BIN_EXE_qsmt"))
         .args([
             "serve",
             "--metrics-addr",
-            "127.0.0.1:0",
+            bind,
             "--seed",
             "7",
             // One worker runs the jobs in submission order, so the cache
@@ -103,9 +107,8 @@ fn spawn_server(tag: &str, max_requests: usize) -> Server {
             "1",
             "--run-store",
             store.to_str().expect("utf8 temp path"),
-            "--max-requests",
-            &max_requests.to_string(),
         ])
+        .args(cap.iter().flat_map(|max| ["--max-requests", max.as_str()]))
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -249,7 +252,7 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
     // second sampler label.
     jobs.push(("/solve?portfolio=1&seed=5".into(), RACED_REGEX.into()));
     // Every job, then one scrape of /metrics and one of /flight.
-    let mut server = spawn_server("subsystems", jobs.len() + 2);
+    let mut server = spawn_server("127.0.0.1:0", "subsystems", Some(jobs.len() + 2));
     let reports = run_jobs(&server, &jobs);
 
     let (status, headers, body) = request(&server.addr, "GET", "/metrics", "");
@@ -410,7 +413,7 @@ fn serve_is_deterministic_per_seed_across_processes() {
     // same jobs expose identical counter samples (histograms time wall
     // clocks, so only _total series are compared).
     let totals = |tag: &str| -> Vec<String> {
-        let mut server = spawn_server(tag, jobs.len() + 1);
+        let mut server = spawn_server("127.0.0.1:0", tag, Some(jobs.len() + 1));
         run_jobs(&server, &jobs);
         let (_, _, body) = request(&server.addr, "GET", "/metrics", "");
         let exit = server
@@ -433,4 +436,63 @@ fn serve_is_deterministic_per_seed_across_processes() {
             "{name} missing from {a:#?}"
         );
     }
+}
+
+/// Runs one `qsmt` client command and returns its stdout, failing the
+/// test on a nonzero exit.
+fn client(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_qsmt"))
+        .args(args)
+        .output()
+        .expect("qsmt runs");
+    assert!(
+        out.status.success(),
+        "qsmt {args:?} exit {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is utf8")
+}
+
+#[test]
+fn serve_watch_and_submit_accept_host_names() {
+    // A statically linked glibc still resolves names through NSS at run
+    // time, so the server and both clients are driven by name.
+    let mut server = spawn_server("localhost:0", "by-name", Some(2));
+    // `watch` scrapes /metrics, then /flight: the server's two requests.
+    let metrics = client(&["watch", &server.addr]);
+    assert!(
+        metrics.contains("qsmt_serve_http_requests_total{route=\"metrics\"} 1"),
+        "scrape by a name-bound server:\n{metrics}"
+    );
+    let exit = server
+        .child
+        .wait()
+        .expect("server exits after max-requests");
+    assert!(exit.success(), "server exit status: {exit:?}");
+
+    // A server bound to the IPv4 loopback only, reached by name. On a
+    // host that lists `::1 localhost` first, the clients must fall
+    // through to 127.0.0.1.
+    let mut server = spawn_server("127.0.0.1:0", "by-ip", None);
+    let port = server.addr.rsplit(':').next().expect("address has a port");
+    let by_name = format!("localhost:{port}");
+    let metrics = client(&["watch", &by_name]);
+    assert!(
+        metrics.contains("qsmt_serve_http_requests_total{route=\"metrics\"} 1"),
+        "scrape by name:\n{metrics}"
+    );
+    let script = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/benchmarks/table1_row1_reverse_replace.smt2"
+    );
+    let doc = client(&["submit", &by_name, script]);
+    assert!(
+        doc.contains("\"status\": \"completed\""),
+        "submit by name:\n{doc}"
+    );
+    let (status, _, _) = request(&server.addr, "POST", "/shutdown", "");
+    assert!(status.contains("200"), "status: {status}");
+    let exit = server.child.wait().expect("server exits after a drain");
+    assert!(exit.success(), "server exit status: {exit:?}");
 }
