@@ -10,7 +10,6 @@
 //! as a defensive backstop.
 
 use crate::domain::{CharSet, LenInterval, StrDomain, MAX_TRACKED_LEN};
-use crate::features::FeatureVector;
 use crate::ir::{AbsAssert, AbsProgram};
 use qsmt_redex::positional_sets;
 
@@ -134,9 +133,9 @@ pub struct Tightening {
 }
 
 /// Everything the pass produces: verdict (plus certificate on unsat),
-/// final domains, compiler tightenings, routing features, and fixpoint
-/// accounting. Owns the analyzed [`AbsProgram`] so certificates can be
-/// replayed without re-lowering.
+/// final domains, compiler tightenings, and fixpoint accounting. Owns
+/// the analyzed [`AbsProgram`] so certificates can be replayed without
+/// re-lowering.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// The lowered program this analysis ran over.
@@ -151,8 +150,6 @@ pub struct Analysis {
     /// Compiler-facing tightenings (empty when the verdict is unsat —
     /// nothing will be compiled).
     pub tightenings: Vec<Tightening>,
-    /// Static routing features.
-    pub features: FeatureVector,
     /// Fixpoint rounds executed.
     pub iterations: usize,
     /// Total narrowing steps applied across all rounds.
@@ -214,14 +211,12 @@ pub fn analyze(program: AbsProgram) -> Analysis {
             } else {
                 collect_tightenings(&program, &domains)
             };
-            let features = FeatureVector::compute(&program, &domains);
             return Analysis {
                 program,
                 verdict,
                 certificate,
                 domains,
                 tightenings,
-                features,
                 iterations,
                 domains_narrowed: log.len(),
             };

@@ -11,9 +11,7 @@
 //!    ([`check()`]) re-validates step by step;
 //! 2. **tighten** domains ([`Tightening`]) — positions proven to hold
 //!    one character and exact derived lengths — which the compiler
-//!    turns into fixed QUBO bits, shrinking models before presolve;
-//! 3. **fingerprint** the script as a stable [`FeatureVector`] for
-//!    future portfolio routing.
+//!    turns into fixed QUBO bits, shrinking models before presolve.
 //!
 //! The crate is AST-independent: the front end (`qsmt-smtlib`, which
 //! depends on this crate) lowers assertions into the small
@@ -30,13 +28,11 @@
 pub mod analyze;
 pub mod check;
 pub mod domain;
-pub mod features;
 pub mod ir;
 
 pub use analyze::{analyze, Analysis, Certificate, DerivStep, Rule, Tightening, Verdict};
 pub use check::{check, CheckError};
 pub use domain::{CharSet, LenInterval, StrDomain, MAX_TRACKED_LEN};
-pub use features::FeatureVector;
 pub use ir::{AbsAssert, AbsProgram};
 
 use qsmt_telemetry::Json;
@@ -169,7 +165,6 @@ impl Analysis {
             ("certificate", certificate),
             ("tightenings", tightenings),
             ("domains", domains),
-            ("features", self.features.to_json()),
         ])
     }
 }

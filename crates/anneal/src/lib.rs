@@ -217,26 +217,4 @@ pub trait Sampler: Send + Sync {
         let (set, stats, _) = self.run(model, false);
         (set, stats)
     }
-
-    /// Whether this sampler can start its reads from a caller-supplied
-    /// state (reverse annealing). Gates the solve cache's shape-key warm
-    /// path: callers check this capability — never the sampler's *name* —
-    /// before asking for [`Sampler::warm_started`]. The default is
-    /// `false`: a sampler that cannot be seeded takes the cold path, and
-    /// the cache truthfully counts the lookup as a miss.
-    fn supports_initial_state(&self) -> bool {
-        false
-    }
-
-    /// Returns a reverse-annealing variant of **this** sampler that
-    /// refines `state` instead of annealing from scratch, or `None` when
-    /// the sampler cannot accept an initial state. Implementations that
-    /// report `true` from [`Sampler::supports_initial_state`] must return
-    /// `Some`, preserving their own configuration (reads, seed, stop
-    /// flags, instrumentation) — warm starts go through the configured
-    /// sampler, which is never silently swapped for a built-in one.
-    fn warm_started(&self, state: Vec<u8>) -> Option<std::sync::Arc<dyn Sampler>> {
-        let _ = state;
-        None
-    }
 }

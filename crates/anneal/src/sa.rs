@@ -10,7 +10,6 @@ use qsmt_qubo::{
 use qsmt_telemetry::dynamics::BetaAcceptance;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Sweeps for a [`SimulatedAnnealer::reverse_anneal_from`] refinement
@@ -136,9 +135,7 @@ impl SimulatedAnnealer {
     /// entry lets the seed escape shallow local minima without erasing
     /// the structure it carries; the quarter-length schedule suffices
     /// because the walk begins near a basin instead of at a random
-    /// corner of the hypercube. This is the solve cache's warm path
-    /// (`docs/CACHING.md`), reachable polymorphically through
-    /// [`Sampler::warm_started`].
+    /// corner of the hypercube.
     ///
     /// # Panics
     /// Panics at sample time if the state length does not match the model.
@@ -380,14 +377,6 @@ impl Sampler for SimulatedAnnealer {
 
     fn name(&self) -> &'static str {
         "simulated-annealing"
-    }
-
-    fn supports_initial_state(&self) -> bool {
-        true
-    }
-
-    fn warm_started(&self, state: Vec<u8>) -> Option<Arc<dyn Sampler>> {
-        Some(Arc::new(self.clone().reverse_anneal_from(state)))
     }
 }
 

@@ -47,23 +47,16 @@
 pub mod encode;
 pub mod ops;
 
-mod cache;
 mod constraint;
 mod error;
 mod pipeline;
-mod portfolio;
 mod problem;
 mod solver;
 
-pub use cache::{CacheLookup, SolveCache};
 pub use constraint::Constraint;
 pub use error::ConstraintError;
 pub use ops::BiasProfile;
 pub use pipeline::{Pipeline, PipelineReport, StageReport, Start, Step};
-pub use portfolio::{
-    member_seed, ClassicalHook, MemberKind, PlanMember, Portfolio, PortfolioPlan, RoutingFeatures,
-    ScriptFacts,
-};
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};
 pub use solver::{

@@ -41,7 +41,6 @@
 mod adjacency;
 mod builder;
 mod dense;
-pub mod fingerprint;
 mod hash;
 mod ising;
 mod ising_compiled;
@@ -55,7 +54,6 @@ mod stop;
 pub use adjacency::CompiledQubo;
 pub use builder::PenaltyBuilder;
 pub use dense::DenseQubo;
-pub use fingerprint::ModelFingerprint;
 pub use hash::{FxBuildHasher, FxHasher};
 pub use ising::{spins_to_state, state_to_spins, IsingModel};
 pub use ising_compiled::CompiledIsing;

@@ -1,8 +1,8 @@
 //! Cooperative cancellation for long-running sweep loops.
 //!
 //! A [`StopFlag`] is a cheap, clonable handle over a shared atomic bit
-//! and an optional deadline. Its owner (a signal handler, a portfolio
-//! race, a test harness) calls [`StopFlag::stop`], or builds the flag
+//! and an optional deadline. Its owner (a signal handler, a test
+//! harness) calls [`StopFlag::stop`], or builds the flag
 //! with [`StopFlag::with_deadline`] so that it trips itself once the
 //! deadline passes (a solve service job). Sweep loops driving a
 //! [`FlipKernel`](crate::FlipKernel) poll [`StopFlag::is_stopped`] at
@@ -11,11 +11,6 @@
 //! read while a deadline is set — it never touches a sampler's RNG
 //! stream, so results are bit-identical to an un-flagged run until the
 //! moment the flag fires.
-//!
-//! A [`StopFlag::child`] adds a bit of its own under a parent: stopping
-//! the parent stops every child, while stopping a child leaves the
-//! parent and its siblings running. A portfolio race gives each member
-//! a child of the job's deadline flag this way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +31,6 @@ use std::time::Instant;
 pub struct StopFlag {
     bit: Arc<AtomicBool>,
     deadline: Option<Instant>,
-    parent: Option<Arc<StopFlag>>,
 }
 
 impl StopFlag {
@@ -54,31 +48,16 @@ impl StopFlag {
         }
     }
 
-    /// Creates an un-tripped flag that also reports stopped once `self`
-    /// (or any ancestor of `self`) is stopped. Stopping the child does
-    /// not stop `self`.
-    pub fn child(&self) -> Self {
-        Self {
-            bit: Arc::default(),
-            deadline: None,
-            parent: Some(Arc::new(self.clone())),
-        }
-    }
-
-    /// Trips the flag. Idempotent; every clone observes the stop, and so
-    /// does every child.
+    /// Trips the flag. Idempotent; every clone observes the stop.
     pub fn stop(&self) {
         self.bit.store(true, Ordering::Release);
     }
 
-    /// True once any clone of this flag or of an ancestor has called
-    /// [`StopFlag::stop`], or the deadline of this flag or of an
-    /// ancestor has passed.
+    /// True once any clone of this flag has called [`StopFlag::stop`],
+    /// or its deadline has passed.
     #[inline]
     pub fn is_stopped(&self) -> bool {
-        self.bit.load(Ordering::Acquire)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.parent.as_ref().is_some_and(|p| p.is_stopped())
+        self.bit.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -108,32 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn children_see_their_parent_stop_but_not_each_other() {
-        let parent = StopFlag::new();
-        let (a, b) = (parent.child(), parent.child());
-        let grandchild = b.child();
-        a.stop();
-        assert!(a.is_stopped());
-        assert!(!parent.is_stopped(), "a child's stop reached its parent");
-        assert!(
-            !b.is_stopped() && !grandchild.is_stopped(),
-            "a child's stop reached its sibling"
-        );
-        parent.stop();
-        assert!(
-            b.is_stopped() && grandchild.is_stopped(),
-            "a parent's stop missed a descendant"
-        );
-    }
-
-    #[test]
-    fn a_deadline_stops_the_flag_and_its_children_once_passed() {
-        let passed = StopFlag::with_deadline(Instant::now());
-        assert!(passed.is_stopped() && passed.child().is_stopped());
+    fn a_deadline_stops_the_flag_once_passed() {
+        assert!(StopFlag::with_deadline(Instant::now()).is_stopped());
         let far = StopFlag::with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
-        let child = far.child();
-        assert!(!far.is_stopped() && !child.is_stopped());
+        let clone = far.clone();
+        assert!(!far.is_stopped() && !clone.is_stopped());
         far.stop();
-        assert!(far.is_stopped() && child.is_stopped());
+        assert!(far.is_stopped() && clone.is_stopped());
     }
 }

@@ -219,7 +219,7 @@ fn eval_ground(term: &Term) -> Option<String> {
 /// One timed run of the abstract-interpretation pass over a script.
 #[derive(Clone, Debug)]
 pub struct AbsintRun {
-    /// The full analysis (verdict, certificate, tightenings, features).
+    /// The full analysis (verdict, certificate, tightenings, domains).
     pub analysis: Analysis,
     /// QUBO bit variables eliminated by applying the tightenings; 0
     /// until [`apply_tightenings`] runs (and always 0 on unsat).
@@ -262,7 +262,6 @@ impl AbsintRun {
                 .certificate
                 .as_ref()
                 .map_or(0, |c| c.steps.len() as u64),
-            features: self.analysis.features.to_json(),
         }
     }
 }

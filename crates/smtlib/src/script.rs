@@ -4,9 +4,7 @@ use crate::absint::AbsintRun;
 use crate::ast::{parse_command, Command};
 use crate::compile::{compile, CompileError, Goal};
 use crate::sexpr::{parse_sexprs, SExprError};
-use qsmt_core::{
-    ConstraintError, Portfolio, PortfolioPlan, ScriptFacts, SolveOptions, StringSolver,
-};
+use qsmt_core::{ConstraintError, SolveOptions, StringSolver};
 use qsmt_telemetry::{GoalKind, GoalReport, RunReport, SolveReport};
 
 /// A parsed SMT-LIB script.
@@ -105,33 +103,14 @@ pub struct ScriptRun {
 }
 
 impl ScriptRun {
-    /// Where the answers came from, in decision order: a confirmed static
-    /// refutation never touches a sampler (`absint`); a run with portfolio
-    /// races is attributed to the member that won them
-    /// (`portfolio:<member>`, or `portfolio:mixed` when goals were won by
-    /// different members); a run is served from `cache` only when nothing
-    /// sampled (at least one solve, every solve an exact hit); anything
-    /// else is the `solver`'s work.
-    pub fn served_from(&self) -> String {
+    /// Where the answers came from: `absint` when a confirmed static
+    /// refutation decided the run without touching a sampler, otherwise
+    /// the `solver`.
+    pub fn served_from(&self) -> &'static str {
         if self.absint.as_ref().is_some_and(AbsintRun::is_refuted) {
-            return "absint".to_string();
-        }
-        let solves = || self.goals.iter().flat_map(|g| g.solves.iter());
-        let mut winners: Vec<&str> = solves()
-            .filter_map(|s| s.portfolio.as_ref())
-            .map(|p| p.winner.as_str())
-            .collect();
-        winners.sort_unstable();
-        winners.dedup();
-        match winners[..] {
-            [one] => format!("portfolio:{one}"),
-            [_, _, ..] => "portfolio:mixed".to_string(),
-            [] if solves().next().is_some()
-                && solves().all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit")) =>
-            {
-                "cache".to_string()
-            }
-            [] => "solver".to_string(),
+            "absint"
+        } else {
+            "solver"
         }
     }
 
@@ -148,7 +127,7 @@ impl ScriptRun {
             source,
             status: self.outcome.status.to_string(),
             sampler: sampler.to_string(),
-            served_from: self.served_from(),
+            served_from: self.served_from().to_string(),
             elapsed_us,
             trace_id,
             absint: self.absint.as_ref().map(AbsintRun::to_stats),
@@ -186,8 +165,8 @@ impl Script {
     }
 
     /// Runs the abstract-interpretation pass over the script (see
-    /// `docs/ABSINT.md`): lowering, fixpoint, certificate, tightenings,
-    /// and routing features. Purely static — no QUBO is built.
+    /// `docs/ABSINT.md`): lowering, fixpoint, certificate and
+    /// tightenings. Purely static — no QUBO is built.
     pub fn absint(&self) -> crate::absint::AbsintRun {
         crate::absint::AbsintRun::over(&self.commands)
     }
@@ -201,11 +180,7 @@ impl Script {
     /// first: a statically refuted script (certificate confirmed by the
     /// replay checker) returns `unsat` without compiling anything;
     /// otherwise the derived domain tightenings are applied so pinned
-    /// positions never reach the sampler, and the absint feature summary
-    /// enriches portfolio routing. With [`SolveOptions::portfolio`],
-    /// string-constraint and index-query goals race the routed portfolio;
-    /// pipeline goals keep the single-strategy path — each stage feeds
-    /// the next, so there is no independent race to win.
+    /// positions never reach the sampler.
     ///
     /// On an unsat verdict the goals reported so far are returned (the
     /// goal that proved unsat at encode time never ran a sampler, so it
@@ -239,19 +214,6 @@ impl Script {
             goals = tightened;
             run.vars_eliminated = eliminated;
         }
-        let routed = opts.portfolio.map(|p| {
-            let facts = absint.as_ref().map(Self::script_facts).unwrap_or_default();
-            p.clone().with_script_facts(facts)
-        });
-        let goal_opts = SolveOptions {
-            portfolio: routed.as_ref(),
-            ..*opts
-        };
-        // Each pipeline stage feeds the next: nothing independent to race.
-        let pipeline_opts = SolveOptions {
-            portfolio: None,
-            ..*opts
-        };
 
         let mut model = Vec::with_capacity(goals.len());
         let mut reports = Vec::with_capacity(goals.len());
@@ -263,7 +225,7 @@ impl Script {
                 qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {}", goal.name())));
             let solved = match goal {
                 Goal::StringConstraint { constraint, .. } => {
-                    solver.run(constraint, &goal_opts).map(|out| {
+                    solver.run(constraint, opts).map(|out| {
                         let text = out.solution.as_text().unwrap_or_default().to_string();
                         (
                             GoalKind::Constraint,
@@ -273,20 +235,16 @@ impl Script {
                         )
                     })
                 }
-                Goal::IndexQuery { constraint, .. } => {
-                    solver.run(constraint, &goal_opts).map(|out| {
-                        let value = ModelValue::Int(out.solution.as_index());
-                        (GoalKind::IndexQuery, value, out.valid, vec![out.report])
-                    })
-                }
-                Goal::StringPipeline { pipeline, .. } => {
-                    pipeline.run(solver, &pipeline_opts).map(|report| {
-                        let valid = report.all_valid();
-                        let solves = report.stages.into_iter().map(|s| s.outcome.report);
-                        let value = ModelValue::Str(report.final_text);
-                        (GoalKind::Pipeline, value, valid, solves.collect())
-                    })
-                }
+                Goal::IndexQuery { constraint, .. } => solver.run(constraint, opts).map(|out| {
+                    let value = ModelValue::Int(out.solution.as_index());
+                    (GoalKind::IndexQuery, value, out.valid, vec![out.report])
+                }),
+                Goal::StringPipeline { pipeline, .. } => pipeline.run(solver, opts).map(|report| {
+                    let valid = report.all_valid();
+                    let solves = report.stages.into_iter().map(|s| s.outcome.report);
+                    let value = ModelValue::Str(report.final_text);
+                    (GoalKind::Pipeline, value, valid, solves.collect())
+                }),
             };
             let (kind, value, valid, solves): (_, _, _, Vec<SolveReport>) = match solved {
                 Ok(solved) => solved,
@@ -314,64 +272,6 @@ impl Script {
             goals: reports,
             absint,
         })
-    }
-
-    /// Lifts the absint feature vector into the portfolio routing's
-    /// [`ScriptFacts`] so script-level structure (regex membership,
-    /// pinned positions, admissible-character widths) can steer routing.
-    pub fn script_facts(run: &crate::absint::AbsintRun) -> ScriptFacts {
-        let f = &run.analysis.features;
-        ScriptFacts {
-            string_vars: f.string_vars,
-            assertions: f.assertions,
-            regexes: f.regexes,
-            contains: f.contains,
-            pinned_positions: f.pinned_positions,
-            avg_position_width: f.avg_position_width,
-        }
-    }
-
-    /// The routed portfolio plan for every goal a portfolio run would
-    /// race, without racing anything: the deterministic routing record
-    /// snapshotted by `benchmarks/portfolio_expected.json`. Uses the
-    /// same absint-tightened goals and script facts as
-    /// a portfolio [`Script::run`] with absint on. Pipeline goals never
-    /// race, so their plan is `None`; a statically refuted script
-    /// returns an empty list.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn portfolio_plans(
-        &self,
-        solver: &StringSolver,
-        portfolio: &Portfolio,
-    ) -> Result<Vec<(String, Option<PortfolioPlan>)>, ScriptError> {
-        let run = self.absint();
-        if run.is_refuted() {
-            return Ok(Vec::new());
-        }
-        let facts = Self::script_facts(&run);
-        let goals = self.compile()?;
-        let (goals, _) = crate::absint::apply_tightenings(goals, &run.analysis);
-        let mut plans = Vec::with_capacity(goals.len());
-        for goal in &goals {
-            match goal {
-                Goal::StringConstraint { name, constraint }
-                | Goal::IndexQuery { name, constraint } => {
-                    match solver.routing_features(constraint, Some(&facts)) {
-                        Ok(features) => {
-                            plans.push((name.clone(), Some(portfolio.route(&features))));
-                        }
-                        Err(e) if is_unsat(&e) => {
-                            plans.push((name.clone(), None));
-                        }
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
-                }
-                Goal::StringPipeline { name, .. } => plans.push((name.clone(), None)),
-            }
-        }
-        Ok(plans)
     }
 }
 

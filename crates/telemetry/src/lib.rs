@@ -1,7 +1,7 @@
 //! # qsmt-telemetry — solver observability
 //!
 //! Dependency-free observability layer for the qsmt workspace: typed
-//! per-stage statistics ([`QuboShape`], [`SamplerStats`], [`CacheStats`],
+//! per-stage statistics ([`QuboShape`], [`SamplerStats`], [`SelectStats`],
 //! …) aggregated into a [`SolveReport`], and a minimal [`Json`] value
 //! type so reports can be written (and read back) without external
 //! crates. Spans live in `qsmt-trace`, which also times each report
@@ -37,7 +37,6 @@ pub use dynamics::{
 };
 pub use json::{parse, Json, JsonParseError};
 pub use report::{
-    AbsintStats, CacheStats, CompileStats, GoalKind, GoalReport, LintStats, PortfolioMemberStats,
-    PortfolioStats, PresolveStats, QuboShape, RunReport, SamplerStats, SelectStats, SolveReport,
-    StageTiming,
+    AbsintStats, CompileStats, GoalKind, GoalReport, LintStats, PresolveStats, QuboShape,
+    RunReport, SamplerStats, SelectStats, SolveReport, StageTiming,
 };

@@ -3,7 +3,7 @@
 //! ```text
 //! qsmt solve <file.smt2> [--sampler NAME] [--seed N] [--reads N]
 //!                        [--stats] [--report <path>] [--trace [out.json]]
-//!                        [--lint] [--no-absint] [--portfolio]
+//!                        [--lint] [--no-absint]
 //! qsmt lint  <file.smt2> [--format text|json] [--no-absint]  # static analysis
 //! qsmt dump  <file.smt2> [--goal K]        # print a goal's QUBO (qbsolv format)
 //! qsmt demo                                 # solve the built-in Table 1 script
@@ -17,25 +17,17 @@
 //! qsmt history <store.jsonl> [--recent N] [--baseline N] [--threshold PCT]
 //! ```
 //!
-//! Samplers: `sa` (default), `sqa`, `descent`, `exact`. `--portfolio`
-//! routes its own members per goal, so it takes no other `--sampler`.
+//! Samplers: `sa` (default), `sqa`, `descent`, `exact`.
 //!
 //! Observability (documented in `docs/OBSERVABILITY.md`): `--stats` prints
 //! per-stage timings and sampler statistics for every solve, `--report
-//! <path>` writes the full JSON run report (schema v11, with a `trace_id`
+//! <path>` writes the full JSON run report (schema v12, with a `trace_id`
 //! and per-stage `span_us` rollup), and `--trace` runs the solve under a
 //! trace id and prints the run's span tree as indented text — or, as
 //! `--trace <out.json>`, writes the same spans as Chrome trace-event
 //! JSON, loadable in Perfetto.
 //! `qsmt history` turns a `--run-store` JSONL file into per-stage latency
 //! percentiles with regression verdicts (non-zero exit on drift).
-//!
-//! Portfolio solving (documented in `docs/PORTFOLIO.md`): `--portfolio`
-//! on `solve`/`demo` races a structure-routed portfolio of strategies
-//! per goal, cancelling the losers the instant one member returns a
-//! satisfying assignment; on `serve` it flips the service default
-//! (individual jobs override with `?portfolio=`), and on `submit` it
-//! requests portfolio mode for the submitted job.
 //!
 //! Static analysis (documented in `docs/LINTS.md`): `qsmt lint` compiles
 //! every goal's QUBO and runs the formulation linter without sampling,
@@ -60,20 +52,19 @@ qsmt — quantum-based SMT solving for string theory
 USAGE:
   qsmt solve <file.smt2> [--sampler NAME] [--seed N] [--reads N]
                          [--stats] [--report <path>] [--trace [out.json]]
-                         [--lint] [--no-absint] [--portfolio]
+                         [--lint] [--no-absint]
   qsmt lint  <file.smt2> [--format text|json] [--no-absint]
   qsmt dump  <file.smt2> [--goal K]
   qsmt demo  [--sampler NAME] [--seed N] [--reads N]
              [--stats] [--report <path>] [--trace [out.json]] [--lint]
-             [--no-absint] [--portfolio]
+             [--no-absint]
   qsmt bench [--quick] [--out <path>] [--seed N] [--check-overhead]
              [--check-replicas] [--check-trace-overhead]
   qsmt serve --metrics-addr <host:port> [--seed N] [--workers N]
              [--queue-depth N] [--job-timeout MS] [--max-requests N]
-             [--cache-entries N] [--run-store <path>]
-             [--portfolio]
+             [--run-store <path>]
   qsmt submit <host:port> <file.smt2> [--seed N] [--reads N]
-              [--job-timeout MS] [--trace <out.json>] [--portfolio]
+              [--job-timeout MS] [--trace <out.json>]
   qsmt watch <host:port> [--format text|json]
   qsmt history <store.jsonl> [--recent N] [--baseline N] [--threshold PCT]
 
@@ -84,7 +75,7 @@ OBSERVABILITY (see docs/OBSERVABILITY.md):
   --stats          print per-stage timings, sampler statistics, and
                    trajectory-dynamics summaries (stall verdict, latency
                    and improvement percentiles)
-  --report <path>  write the full JSON run report to <path> (schema v11:
+  --report <path>  write the full JSON run report to <path> (schema v12:
                    carries the run's trace_id and a per-stage span_us
                    latency rollup)
   --trace          run the solve under a trace id and print its span
@@ -99,15 +90,12 @@ SOLVE SERVICE (see docs/OBSERVABILITY.md):
                    enqueues SMT-LIB scripts into a bounded queue drained
                    by --workers threads, answering 202 with a job id and
                    a per-job trace id; GET /jobs/<id> returns status and
-                   the schema-v11 run report; GET /jobs/<id>/trace serves
+                   the schema-v12 run report; GET /jobs/<id>/trace serves
                    the job's spans as Chrome trace-event JSON and
                    GET /traces indexes recent traces; a full queue
                    answers 429 with Retry-After; per-job deadlines cancel
                    mid-anneal; SIGINT or --max-requests drains
-                   gracefully. Repeat submissions are answered from a
-                   fingerprint-keyed solution cache (docs/CACHING.md):
-                   --cache-entries N sizes it (default 256; 0 disables
-                   it). --run-store <path> appends every finished
+                   gracefully. --run-store <path> appends every finished
                    run report to a bounded JSONL history that `qsmt
                    history` analyzes. Also exposes /metrics (Prometheus
                    text format), /flight (JSON ring buffer), and /healthz
@@ -161,20 +149,6 @@ ABSTRACT INTERPRETATION (see docs/ABSINT.md):
   replay-checked certificate, proven character pins shrink the QUBO
   before presolve, and the report gains an `absint` section (schema v6)
   --no-absint      skip the pass (compile every goal as written)
-
-PORTFOLIO SOLVING (see docs/PORTFOLIO.md):
-  --portfolio      solve/demo: race a structure-routed portfolio of
-                   strategies per goal (exact enumeration on small
-                   models, simulated annealing otherwise), cancelling
-                   losers the instant one member returns a satisfying
-                   assignment; the report's `portfolio` section (schema
-                   v9) records the routing decision and per-member
-                   outcomes; with --no-absint routing sees model
-                   features only. The race picks its own samplers, so
-                   solve/demo refuse --portfolio with any --sampler but
-                   sa. serve: make portfolio racing the service default
-                   (per-job `?portfolio=` still overrides). submit:
-                   request portfolio mode for the submitted job
 ";
 
 /// The `--sampler` names, the default first. `parse_flags` accepts
@@ -236,8 +210,6 @@ struct Options {
     job_timeout_ms: u64,
     /// Whether `--job-timeout` was given explicitly.
     job_timeout_set: bool,
-    /// Solve-cache capacity for `serve`; 0 disables the cache.
-    cache_entries: usize,
     /// Script-level abstract interpretation before compiling
     /// (`--no-absint` opts out; see docs/ABSINT.md).
     absint: bool,
@@ -250,10 +222,6 @@ struct Options {
     baseline: usize,
     /// `history` allowed fractional p50 drift (`--threshold PCT` / 100).
     threshold: f64,
-    /// Portfolio racing (`--portfolio`): solve/demo race a routed
-    /// portfolio per goal, serve flips its default, submit requests it
-    /// per job (see docs/PORTFOLIO.md).
-    portfolio: bool,
 }
 
 impl Default for Options {
@@ -282,14 +250,12 @@ impl Default for Options {
             queue_depth: serve.queue_depth,
             job_timeout_ms: serve.job_timeout.as_millis() as u64,
             job_timeout_set: false,
-            cache_entries: serve.cache_entries,
             absint: true,
             run_store: None,
             check_trace_overhead: false,
             recent: 5,
             baseline: 20,
             threshold: 0.25,
-            portfolio: false,
         }
     }
 }
@@ -418,11 +384,6 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Options, String> {
                 }
                 opts.max_requests = Some(n);
             }
-            "--cache-entries" => {
-                opts.cache_entries = value("--cache-entries")?
-                    .parse()
-                    .map_err(|_| "--cache-entries expects an integer".to_string())?;
-            }
             "--run-store" => opts.run_store = Some(value("--run-store")?),
             "--check-trace-overhead" => opts.check_trace_overhead = true,
             "--recent" => {
@@ -451,7 +412,6 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Options, String> {
                 opts.threshold = pct / 100.0;
             }
             "--no-absint" => opts.absint = false,
-            "--portfolio" => opts.portfolio = true,
             "--check-overhead" => opts.check_overhead = true,
             "--check-replicas" => opts.check_replicas = true,
             "--format" => {
@@ -490,20 +450,9 @@ fn make_sampler(opts: &Options) -> Arc<dyn Sampler> {
 }
 
 fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), String> {
-    // Portfolio mode routes its own sampler per race member, so a
-    // `--sampler` beside it would be silently ignored.
-    if opts.portfolio && opts.sampler != SAMPLERS[0] {
-        return Err(format!(
-            "--portfolio races its own samplers; drop --sampler {}",
-            opts.sampler
-        ));
-    }
     let script = Script::parse(source).map_err(|e| e.to_string())?;
-    // The default `sa` sampler is the solver's built-in annealer. In
-    // portfolio mode the base solver contributes the seed member streams
-    // derive from, the lint gate, and the annealer for the pipeline goals
-    // a portfolio never races.
-    let solver = if opts.portfolio || opts.sampler == SAMPLERS[0] {
+    // The default `sa` sampler is the solver's built-in annealer.
+    let solver = if opts.sampler == SAMPLERS[0] {
         StringSolver::with_defaults()
             .with_seed(opts.seed)
             .with_reads(opts.reads)
@@ -534,10 +483,8 @@ fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), Stri
         let id = TraceId::derive(opts.seed);
         (id, qsmt::trace::enter(id, source_name))
     });
-    let portfolio = opts.portfolio.then(qsmt::default_portfolio);
     let solve_opts = SolveOptions {
         absint: opts.absint,
-        portfolio: portfolio.as_ref(),
         probes: opts.wants_telemetry(),
     };
     let started = Instant::now();
@@ -1023,9 +970,7 @@ fn main() -> ExitCode {
                 queue_depth: opts.queue_depth,
                 job_timeout: std::time::Duration::from_millis(opts.job_timeout_ms),
                 max_requests: opts.max_requests,
-                cache_entries: opts.cache_entries,
                 run_store: opts.run_store.clone(),
-                portfolio: opts.portfolio,
             })
         }),
         Some((cmd, rest)) if cmd == "submit" => {
@@ -1051,7 +996,6 @@ fn main() -> ExitCode {
                         seed: opts.seed_set.then_some(opts.seed),
                         reads: opts.reads_set.then_some(opts.reads as u64),
                         timeout_ms: opts.job_timeout_set.then_some(opts.job_timeout_ms),
-                        portfolio: opts.portfolio.then_some(true),
                     };
                     qsmt::serve::submit(addr, &source, &submit_opts).and_then(|doc| {
                         println!("{}", doc.pretty());

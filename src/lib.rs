@@ -69,9 +69,6 @@ pub use qsmt_anneal::{
     SimulatedQuantumAnnealer, SteepestDescent,
 };
 pub use qsmt_core::{
-    member_seed, MemberKind, PlanMember, Portfolio, PortfolioPlan, RoutingFeatures,
-};
-pub use qsmt_core::{
     BiasProfile, Constraint, ConstraintError, Pipeline, PipelineReport, Solution, SolveOptions,
     SolveOutcome, Start, Step, StringSolver,
 };
@@ -79,14 +76,3 @@ pub use qsmt_lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 pub use qsmt_qpu::{ChainBreakResolution, ChainStrength, QpuSimulator, Topology};
 pub use qsmt_qubo::{IsingModel, QuboModel, StopFlag};
 pub use qsmt_smtlib::{SatStatus, Script};
-
-/// The production portfolio configuration: the default routing table
-/// plus a classical member backed by [`baseline::ClassicalSolver`]. This
-/// is what `qsmt solve --portfolio` and `qsmt serve --portfolio` race
-/// (see `docs/PORTFOLIO.md`).
-pub fn default_portfolio() -> Portfolio {
-    let classical = qsmt_baseline::ClassicalSolver::new();
-    Portfolio::new().with_classical_hook(std::sync::Arc::new(move |c: &Constraint| {
-        classical.solve(c).solution
-    }))
-}

@@ -6,14 +6,11 @@
 //! * `POST /solve` — enqueue an SMT-LIB script into the bounded job
 //!   queue; answers `202` with a job id *and the job's trace id*,
 //!   `429` + `Retry-After` when the queue is full (backpressure), `503`
-//!   while draining; `?portfolio=1` (or `--portfolio` as the service
-//!   default) races a routed solver portfolio per goal (see
-//!   `docs/PORTFOLIO.md`);
+//!   while draining; `?seed=`, `?reads=` and `?timeout_ms=` override the
+//!   job's defaults, and other query keys are ignored;
 //! * `GET /jobs/<id>` — job status; completed jobs embed the full
-//!   schema-v11 run report (including the per-solve `cache` and
-//!   `portfolio` sections, the top-level `served_from` marker —
-//!   `"portfolio:<member>"` for portfolio jobs that raced — and the
-//!   job's `trace_id`);
+//!   schema-v12 run report (including the top-level `served_from`
+//!   marker and the job's `trace_id`);
 //! * `GET /jobs/<id>/trace` — the job's spans as a Chrome trace-event
 //!   JSON document, loadable in Perfetto (see `docs/OBSERVABILITY.md`);
 //! * `GET /jobs` — job-table summary;
@@ -30,22 +27,16 @@
 //! the ordinary [`StringSolver`](qsmt_core::StringSolver) pipeline with
 //! per-job seeds; each job's deadline rides on a cooperative
 //! [`StopFlag`](qsmt_qubo::StopFlag) threaded into the annealing sweep
-//! loops, so timeouts cancel mid-anneal. Workers share one
-//! [`SolveCache`](qsmt_core::SolveCache) (`--cache-entries`; 0
-//! disables it): repeat submissions replay the cached answer without
-//! sampling, and same-shape near-misses warm-start a short reverse
-//! anneal — see `docs/CACHING.md`. SIGINT/SIGTERM and the
+//! loops, so timeouts cancel mid-anneal. SIGINT/SIGTERM and the
 //! `--max-requests` cap trigger a graceful drain: stop accepting,
 //! finish every accepted job, print a drain summary.
 //!
 //! Each [`Service`] owns its registry and flight recorder, so two
-//! services in one process count only their own jobs. Every sampler,
-//! cache and portfolio series on `/metrics` comes from
-//! real jobs: each job's run report adds its solves' proposals,
-//! accepted moves and reads to `qsmt_sampler_*_total{sampler}` (exact
-//! cache hits sample nothing and add nothing), their cache lookups to
-//! `qsmt_cache_*`, and their races to `qsmt_portfolio_*`. The solver
-//! crates write no metrics. The bound address is printed as
+//! services in one process count only their own jobs. Every sampler
+//! series on `/metrics` comes from real jobs: each job's run report
+//! adds its solves' proposals, accepted moves and reads to
+//! `qsmt_sampler_*_total{sampler}`. The solver crates write no
+//! metrics. The bound address is printed as
 //! `metrics listening on http://<addr>` (port 0 is supported and
 //! resolves to the kernel-assigned port), which is what `qsmt watch`,
 //! `qsmt submit`, and the end-to-end tests parse.
@@ -214,9 +205,6 @@ pub struct SubmitOptions {
     pub reads: Option<u64>,
     /// Job deadline override in milliseconds (`?timeout_ms=`).
     pub timeout_ms: Option<u64>,
-    /// Portfolio-mode override (`?portfolio=`); the service default
-    /// applies when absent.
-    pub portfolio: Option<bool>,
 }
 
 /// Blocking submit client (`qsmt submit`): POSTs an SMT-LIB script to a
@@ -242,14 +230,6 @@ pub fn submit(addr: &str, source: &str, opts: &SubmitOptions) -> Result<Json, St
             path.push_str(&format!("{key}={v}"));
             sep = '&';
         }
-    }
-    if let Some(portfolio) = opts.portfolio {
-        path.push(sep);
-        path.push_str(if portfolio {
-            "portfolio=1"
-        } else {
-            "portfolio=0"
-        });
     }
     let (mut status, mut headers, mut body) =
         http::http_request_with_headers(addr, "POST", &path, Some(source))?;

@@ -18,7 +18,7 @@
 use super::flight::FlightRecorder;
 use super::http::{read_request, respond, respond_with, Request};
 use super::metrics::Registry;
-use qsmt_core::{SolveCache, SolveOptions, StringSolver};
+use qsmt_core::{SolveOptions, StringSolver};
 use qsmt_qubo::StopFlag;
 use qsmt_smtlib::Script;
 use qsmt_telemetry::{Json, RunReport};
@@ -59,16 +59,10 @@ pub struct ServeConfig {
     /// Stop after answering this many HTTP requests, then drain
     /// gracefully (the hook the end-to-end tests use).
     pub max_requests: Option<u64>,
-    /// Solution cache capacity (entries per level); 0 disables
-    /// caching entirely (`--cache-entries 0`). See `docs/CACHING.md`.
-    pub cache_entries: usize,
     /// Path of the bounded JSONL run-history store (`--run-store`);
     /// every completed job's report is appended for `qsmt history`.
     /// `None` disables the store.
     pub run_store: Option<String>,
-    /// Default solve mode: when true, jobs race a routed portfolio
-    /// (`--portfolio`); individual jobs override with `?portfolio=`.
-    pub portfolio: bool,
 }
 
 impl Default for ServeConfig {
@@ -80,9 +74,7 @@ impl Default for ServeConfig {
             queue_depth: 16,
             job_timeout: Duration::from_secs(30),
             max_requests: None,
-            cache_entries: 256,
             run_store: None,
-            portfolio: false,
         }
     }
 }
@@ -94,7 +86,6 @@ struct Job {
     source: String,
     seed: u64,
     reads: Option<usize>,
-    portfolio: bool,
     timeout: Duration,
     submitted: Instant,
     deadline: Instant,
@@ -203,16 +194,6 @@ pub struct Service {
     /// registry is increment-only, so `/metrics` scrapes publish the
     /// delta since this watermark.
     flight_dropped_published: AtomicU64,
-    /// Shared solve cache, `None` when disabled. Every worker consults
-    /// the same instance, so a result one worker computed answers exact
-    /// repeats on any other worker without sampling.
-    cache: Option<Arc<SolveCache>>,
-    /// Whether jobs race a routed portfolio by default (`--portfolio`);
-    /// `?portfolio=` overrides per job.
-    portfolio_default: bool,
-    /// The portfolio every portfolio-mode job races: the routing table
-    /// plus the classical baseline member.
-    portfolio: qsmt_core::Portfolio,
 }
 
 impl Service {
@@ -273,42 +254,6 @@ impl Service {
                 "qsmt_sampler_reads_total",
                 "Reads taken by jobs' solves, per sampler.",
             ),
-            (
-                "qsmt_cache_hits_total",
-                "Cache lookups that found a usable entry (exact or shape key)",
-            ),
-            (
-                "qsmt_cache_exact_hits_total",
-                "Cache lookups answered verbatim from a cached sample set",
-            ),
-            (
-                "qsmt_cache_warm_starts_total",
-                "Cache lookups that seeded a reverse anneal from a cached ground state",
-            ),
-            (
-                "qsmt_cache_misses_total",
-                "Cache lookups that found nothing usable",
-            ),
-            (
-                "qsmt_cache_entries",
-                "Exact-key result entries currently cached",
-            ),
-            (
-                "qsmt_cache_lookup_us",
-                "Cache lookup latency in microseconds",
-            ),
-            (
-                "qsmt_portfolio_routing_decisions_total",
-                "Portfolio routing decisions by predicted winner class",
-            ),
-            (
-                "qsmt_portfolio_wins_total",
-                "Portfolio races won, by member kind",
-            ),
-            (
-                "qsmt_portfolio_cancelled_losers_total",
-                "Portfolio members cancelled after another member won",
-            ),
         ] {
             registry.describe(name, help);
         }
@@ -332,10 +277,6 @@ impl Service {
                 .as_ref()
                 .map(|path| RunStore::new(path, qsmt_trace::store::DEFAULT_MAX_LINES)),
             flight_dropped_published: AtomicU64::new(0),
-            cache: (config.cache_entries > 0)
-                .then(|| Arc::new(SolveCache::new(config.cache_entries))),
-            portfolio_default: config.portfolio,
-            portfolio: crate::default_portfolio(),
         }
     }
 
@@ -410,16 +351,6 @@ impl Service {
                 return SubmitOutcome::BadRequest { error: e }
             }
         };
-        let portfolio = match req.query_param("portfolio") {
-            None => self.portfolio_default,
-            Some("1" | "true" | "on") => true,
-            Some("0" | "false" | "off") => false,
-            Some(raw) => {
-                return SubmitOutcome::BadRequest {
-                    error: format!("query parameter portfolio={raw:?} is not a boolean"),
-                }
-            }
-        };
         let reads = reads.map(|r| (r as usize).clamp(1, MAX_READS));
         let timeout = Duration::from_millis(
             timeout_ms
@@ -455,7 +386,6 @@ impl Service {
             source: req.body.clone(),
             seed: seed.unwrap_or_else(|| self.base_seed.wrapping_add(id)),
             reads,
-            portfolio,
             timeout,
             submitted: now,
             deadline: now + timeout,
@@ -612,11 +542,9 @@ impl Service {
     }
 
     /// The actual solve: parse, then one [`Script::run`] with absint and
-    /// probes on — racing the portfolio when the job asked for it — with
-    /// the job's seed/reads, the cancellation flag, and the shared solve
-    /// cache, producing a schema-v11 [`RunReport`] document carrying the
-    /// job's trace id. Its solves are published first. A goal the exact
-    /// component draw answers neither races nor touches the cache.
+    /// probes on, the job's seed/reads and the cancellation flag,
+    /// producing a [`RunReport`] document carrying the job's trace id.
+    /// Its solves are published first.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
         let mut solver = StringSolver::with_defaults()
@@ -625,12 +553,8 @@ impl Service {
         if let Some(reads) = job.reads {
             solver = solver.with_reads(reads);
         }
-        if let Some(cache) = &self.cache {
-            solver = solver.with_cache(Arc::clone(cache));
-        }
         let opts = SolveOptions {
             absint: true,
-            portfolio: job.portfolio.then_some(&self.portfolio),
             probes: true,
         };
         let started = Instant::now();
@@ -645,61 +569,22 @@ impl Service {
         Ok(report.to_json())
     }
 
-    /// Publishes a job's solves to the sampler, cache and portfolio
-    /// series, one `goals[].solves[]` entry at a time. This is the only
-    /// writer of those series, so `/metrics` counts exactly what the
-    /// stored reports say ran. Exact cache hits (sampler `"cache"`)
-    /// replay a stored sample set without sampling, so they add no
-    /// sampler work.
+    /// Publishes a job's solves to the sampler series, one
+    /// `goals[].solves[]` entry at a time. This is the only writer of
+    /// those series, so `/metrics` counts exactly what the stored reports
+    /// say ran.
     fn publish(&self, report: &RunReport) {
         let registry = &self.registry;
         for solve in report.goals.iter().flat_map(|goal| &goal.solves) {
             let sampling = &solve.sampling;
-            if sampling.sampler != "cache" {
-                let labels = [("sampler", sampling.sampler.as_str())];
-                if let Some(p) = sampling.proposals {
-                    registry.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
-                }
-                if let Some(a) = sampling.accepted {
-                    registry.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
-                }
-                registry.counter_add("qsmt_sampler_reads_total", &labels, sampling.reads as f64);
+            let labels = [("sampler", sampling.sampler.as_str())];
+            if let Some(p) = sampling.proposals {
+                registry.counter_add("qsmt_sampler_proposals_total", &labels, p as f64);
             }
-            if let Some(cache) = &solve.cache {
-                registry.histogram_observe("qsmt_cache_lookup_us", &[], cache.lookup_us as f64);
-                let counters: &[&str] = match cache.outcome.as_str() {
-                    "exact-hit" => &["qsmt_cache_hits_total", "qsmt_cache_exact_hits_total"],
-                    "warm-start" => &["qsmt_cache_hits_total", "qsmt_cache_warm_starts_total"],
-                    _ => &["qsmt_cache_misses_total"],
-                };
-                for name in counters {
-                    registry.counter_add(name, &[], 1.0);
-                }
+            if let Some(a) = sampling.accepted {
+                registry.counter_add("qsmt_sampler_accepted_total", &labels, a as f64);
             }
-            if let Some(race) = &solve.portfolio {
-                registry.counter_add(
-                    "qsmt_portfolio_routing_decisions_total",
-                    &[("predicted", race.predicted.as_str())],
-                    1.0,
-                );
-                registry.counter_add(
-                    "qsmt_portfolio_wins_total",
-                    &[("member", race.winner.as_str())],
-                    1.0,
-                );
-                let cancelled = race
-                    .members
-                    .iter()
-                    .filter(|m| m.outcome == "cancelled")
-                    .count();
-                if cancelled > 0 {
-                    registry.counter_add(
-                        "qsmt_portfolio_cancelled_losers_total",
-                        &[],
-                        cancelled as f64,
-                    );
-                }
-            }
+            registry.counter_add("qsmt_sampler_reads_total", &labels, sampling.reads as f64);
         }
     }
 
@@ -795,15 +680,10 @@ pub fn handle_connection(mut stream: TcpStream, svc: &Service) {
     match route {
         "metrics" => {
             svc.publish_flight_dropped();
-            // Gauges are read from the queue's and the cache's own state
-            // at scrape time.
+            // The queue-depth gauge is read from the queue at scrape time.
             let queue_depth = svc.queue.lock().expect("queue lock").len();
             svc.registry
                 .gauge_set("qsmt_serve_queue_depth", &[], queue_depth as f64);
-            if let Some(cache) = &svc.cache {
-                svc.registry
-                    .gauge_set("qsmt_cache_entries", &[], cache.len() as f64);
-            }
             respond(
                 &mut stream,
                 "200 OK",
@@ -1106,7 +986,6 @@ mod tests {
                 source: String::new(),
                 seed: id,
                 reads: None,
-                portfolio: false,
                 timeout: Duration::from_millis(1),
                 submitted: now,
                 deadline: now,
@@ -1196,10 +1075,7 @@ mod tests {
 
     #[test]
     fn a_service_without_a_cache_reports_and_publishes_no_lookups() {
-        let svc = Service::new(&ServeConfig {
-            cache_entries: 0,
-            ..ServeConfig::default()
-        });
+        let svc = Service::new(&ServeConfig::default());
         let SubmitOutcome::Accepted { id, .. } =
             svc.submit(&request("POST", "/solve?seed=7&reads=8", ANNEALED))
         else {
@@ -1211,11 +1087,15 @@ mod tests {
         let goals = doc.get("report").and_then(|r| r.get("goals"));
         let solves = goals.and_then(Json::as_arr).expect("completed report")[0].get("solves");
         let solve = &solves.and_then(Json::as_arr).expect("goal has solves")[0];
-        assert_eq!(solve.get("cache"), Some(&Json::Null));
-        let rendered = svc.registry.render_prometheus();
-        assert!(
-            !rendered.contains("qsmt_cache_lookup_us_count"),
-            "{rendered}"
+        assert_eq!(
+            solve
+                .get("sampling")
+                .and_then(|s| s.get("sampler"))
+                .and_then(Json::as_str),
+            Some("simulated-annealing")
         );
+        assert_eq!(solve.get("cache"), None);
+        let rendered = svc.registry.render_prometheus();
+        assert!(!rendered.contains("cache"), "{rendered}");
     }
 }

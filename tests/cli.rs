@@ -60,7 +60,7 @@ fn unknown_sampler_names_fail_on_every_subcommand() {
     let f = corpus("table1_row2_palindrome.smt2");
     for (args, name) in [
         (vec!["solve", &f, "--sampler", "pt"], "pt"),
-        (vec!["solve", &f, "--portfolio", "--sampler", "pt"], "pt"),
+        (vec!["demo", "--sampler", "pt"], "pt"),
         (vec!["lint", &f, "--sampler", "bogus"], "bogus"),
     ] {
         let (code, stderr) = exit_and_stderr(&args);
@@ -84,14 +84,13 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
                 "/nonexistent/store.jsonl",
                 "--sampler",
                 "exact",
-                "--portfolio",
                 "--lint",
             ],
             "--sampler",
             "history",
         ),
         (
-            vec!["lint", &f, "--reads", "5", "--portfolio", "--seed", "3"],
+            vec!["lint", &f, "--reads", "5", "--seed", "3"],
             "--reads",
             "lint",
         ),
@@ -108,6 +107,38 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
         assert_eq!(
             stderr.trim_end(),
             format!("error: flag {flag} does not apply to qsmt {cmd}"),
+            "{args:?}"
+        );
+    }
+    // Flags that no subcommand takes any more fail the same way, naming
+    // the flag, before any of these solves, binds a port or connects.
+    for (args, flag) in [
+        (vec!["solve", &f, "--portfolio"], "--portfolio"),
+        (vec!["demo", "--portfolio"], "--portfolio"),
+        (
+            vec![
+                "serve",
+                "--metrics-addr",
+                "127.0.0.1:0",
+                "--cache-entries",
+                "0",
+            ],
+            "--cache-entries",
+        ),
+        (
+            vec!["serve", "--metrics-addr", "127.0.0.1:0", "--portfolio"],
+            "--portfolio",
+        ),
+        (
+            vec!["submit", "127.0.0.1:9", &f, "--portfolio"],
+            "--portfolio",
+        ),
+    ] {
+        let (code, stderr) = exit_and_stderr(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: unknown flag {flag}"),
             "{args:?}"
         );
     }
@@ -141,33 +172,19 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
 }
 
 #[test]
-fn portfolio_refuses_a_sampler_it_would_ignore() {
-    let f = corpus("table1_row2_palindrome.smt2");
-    let (code, stderr) = exit_and_stderr(&["solve", &f, "--portfolio", "--sampler", "sqa"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("--portfolio"), "{stderr}");
-}
-
-#[test]
 fn default_sampler_runs_the_requested_reads_at_the_default_sweeps() {
     use qsmt::telemetry::Json;
-    // The default sampler, and the built-in solver a portfolio run keeps
-    // for the pipeline goals it never races. The dense `str.indexof`
-    // goal anneals; the pipeline's ground steps are drawn exactly from
-    // their components, at the same requested read count.
-    let cases: [(&str, &[&str]); 2] = [
-        ("indexof_dense.smt2", &[]),
-        ("nested_pipeline.smt2", &["--portfolio"]),
-    ];
+    // The default sampler. The dense `str.indexof` goal anneals; the
+    // pipeline's ground steps are drawn exactly from their components, at
+    // the same requested read count.
     let mut annealed = 0;
-    for (file, extra) in cases {
+    for file in ["indexof_dense.smt2", "nested_pipeline.smt2"] {
         let report_path = std::env::temp_dir().join(format!(
             "qsmt-cli-default-budget-{}-{file}.json",
             std::process::id()
         ));
         let out = qsmt()
             .args(["solve", &corpus(file), "--seed", "3", "--reads", "16"])
-            .args(extra)
             .args(["--report", report_path.to_str().expect("utf8 path")])
             .output()
             .expect("binary runs");
@@ -413,7 +430,7 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
     assert_eq!(
         report.get("schema_version").and_then(Json::as_u64),
-        Some(11)
+        Some(12)
     );
     assert_eq!(
         report.get("trace_id").and_then(Json::as_str),

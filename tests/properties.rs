@@ -188,45 +188,3 @@ proptest! {
         prop_assert!(c.validate(&out.solution));
     }
 }
-
-proptest! {
-    // Races are real threads, so keep the case count modest: the
-    // property is about determinism, not about covering a large space.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// First-wins cancellation is loss-free: whatever member wins a
-    /// portfolio race, its sample set is bit-identical to running that
-    /// member alone with the same derived seed — the winner's stop flag
-    /// is never tripped before it returns, and member RNG streams are
-    /// derived from the base seed, not from race timing.
-    #[test]
-    fn portfolio_winner_samples_are_bit_identical_to_a_solo_run(
-        letters in proptest::collection::vec(proptest::char::range('a', 'z'), 34),
-        size in 0usize..12,
-        at in 0usize..34,
-        seed in 0u64..10_000,
-    ) {
-        // `str.indexof` with a 3-letter needle copied from the haystack:
-        // one dense one-hot of `len − 2` start indicators, above the
-        // exact decomposition window, so every solve races. 17–22
-        // indicators route to exact enumeration with an annealer
-        // backstop, 27–32 to simulated annealing alone.
-        let len = if size < 6 { 19 + size } else { 23 + size };
-        let haystack: String = letters[..len].iter().collect();
-        let at = at % (len - 2);
-        let needle = haystack[at..at + 3].to_string();
-        let c = Constraint::Includes { haystack, needle };
-        let solver = qsmt::StringSolver::with_defaults().with_seed(seed);
-        let portfolio = qsmt::Portfolio::new();
-        let opts = qsmt::SolveOptions { portfolio: Some(&portfolio), ..Default::default() };
-        let out = solver.run(&c, &opts).expect("solves");
-        let widx = out.report.portfolio.as_ref().expect("raced").winner_index as usize;
-        let features = solver.routing_features(&c, None).expect("routes");
-        let plan = portfolio.route(&features);
-        let solo = plan.members[widx]
-            .sampler(qsmt::member_seed(seed, widx), None)
-            .expect("winner is sampler-backed")
-            .sample(&solver.encode(&c).expect("encodes").qubo);
-        prop_assert_eq!(out.samples, solo);
-    }
-}

@@ -46,7 +46,7 @@ fn table1_palindrome_report_has_documented_schema() {
     let doc = report_for("table1_row2_palindrome.smt2", &[]);
 
     // Top level.
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(11));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(12));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // No trace entered on the plain CLI path (schema v8): the id is
     // null but the per-stage span_us rollup is always populated.
@@ -55,8 +55,7 @@ fn table1_palindrome_report_has_documented_schema() {
         matches!(doc.get("span_us"), Some(Json::Obj(map)) if map.contains_key("sample")),
         "span_us rollup missing the sample stage"
     );
-    // The one-shot CLI path runs cache-less: a sat run is always served
-    // by the solver, and the per-solve cache section is present-but-null.
+    // A sat run is served by the solver.
     assert_eq!(
         doc.get("served_from").and_then(Json::as_str),
         Some("solver")
@@ -71,7 +70,8 @@ fn table1_palindrome_report_has_documented_schema() {
         Some("unknown")
     );
     assert!(absint.get("iterations").and_then(Json::as_u64).unwrap() >= 1);
-    assert!(absint.get("features").is_some(), "routing features present");
+    // Schema v12 dropped the routing feature vector.
+    assert_eq!(absint.get("features"), None);
     assert_eq!(
         doc.get("sampler").and_then(Json::as_str),
         Some("simulated-annealing")
@@ -133,8 +133,11 @@ fn table1_palindrome_report_has_documented_schema() {
     let codes = lint.get("codes").and_then(Json::as_arr).expect("codes");
     assert!(codes.iter().all(|c| c.as_str().is_some()));
 
-    // No solve path projects onto hardware: the v9 key stays, always null.
-    assert_eq!(solve.get("embedding"), Some(&Json::Null));
+    // No solve path projects onto hardware, races or consults a cache:
+    // schema v12 dropped the three keys that said so.
+    for key in ["embedding", "cache", "portfolio"] {
+        assert_eq!(solve.get(key), None, "{key}");
+    }
 
     // The palindrome's 21 mirrored bit pairs decompose, so its reads are
     // drawn from exact ground sets; the dense `str.indexof` one-hot (19
@@ -267,10 +270,6 @@ fn table1_palindrome_report_has_documented_schema() {
                 ]
             );
         }
-
-        // Cache section (schema v5): present as a key, null when the
-        // solver had no cache attached (the CLI path).
-        assert_eq!(solve.get("cache"), Some(&Json::Null));
 
         // Select stage found a valid answer.
         let select = solve.get("select").expect("select");
@@ -497,7 +496,7 @@ fn unsat_report_has_status_and_no_goals() {
 #[test]
 fn no_absint_flag_disables_the_stage_and_keeps_schema_additive() {
     let doc = report_for("table1_row2_palindrome.smt2", &["--no-absint"]);
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(11));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(12));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // The key stays present (additive schema) but is null when opted out.
     assert_eq!(doc.get("absint"), Some(&Json::Null));

@@ -22,11 +22,10 @@ use std::time::{Duration, Instant};
 /// annealing solves it, in milliseconds.
 const INDEXOF: &str = "(set-logic QF_S)\n(declare-const x Int)\n(assert (= x (str.indexof \"zgkycoqrzdhbtiisfxrq\" \"bti\" 0)))\n(check-sat)\n(get-model)\n";
 
-/// Jobs with seeds: a cold solve, its exact cache hit (which samples
-/// nothing), a same-shape warm start (another needle of the same length),
-/// a reverse that presolve fixes, so its reads are drawn per component
-/// without touching the cache, and a script absint refutes before any
-/// goal is compiled.
+/// Jobs with seeds: the dense `str.indexof`, which anneals, twice under
+/// different seeds and once with another needle of the same length; a
+/// reverse that presolve fixes, so its reads are drawn per component; and
+/// a script absint refutes before any goal is compiled.
 fn seeded_jobs() -> Vec<(String, String)> {
     vec![
         ("/solve?seed=1".into(), INDEXOF.into()),
@@ -55,9 +54,8 @@ fn seeded_jobs() -> Vec<(String, String)> {
 /// `[a-h]+`. Each class encodes with one-hot selectors (its superposition
 /// would admit `` ` ``), and the two selector groups share the
 /// character's bits: one 20-variable component, above the exact
-/// decomposition window, so a portfolio job races its full 23-variable
-/// model, where exact enumeration is the primary member.
-const RACED_REGEX: &str = "(set-logic QF_S)\n(declare-const x String)\n\
+/// decomposition window, so the job anneals its full 23-variable model.
+const CLASS_REGEX: &str = "(set-logic QF_S)\n(declare-const x String)\n\
     (assert (str.in_re x (re.range \"a\" \"h\")))\n\
     (assert (str.in_re x (re.+ (re.range \"a\" \"h\"))))\n\
     (assert (= (str.len x) 1))\n(check-sat)\n(get-model)\n";
@@ -101,8 +99,8 @@ fn spawn_server(bind: &str, tag: &str, max_requests: Option<usize>) -> Server {
             bind,
             "--seed",
             "7",
-            // One worker runs the jobs in submission order, so the cache
-            // sees the same sequence in every process.
+            // One worker runs the jobs in submission order, so every
+            // process does the same work in the same sequence.
             "--workers",
             "1",
             "--run-store",
@@ -196,17 +194,8 @@ fn solves(reports: &[Json]) -> impl Iterator<Item = &Json> {
         .flatten()
 }
 
-/// One per-solve section (`cache`, `portfolio`) of every solve that
-/// carries it.
-fn sections<'a>(reports: &'a [Json], section: &'a str) -> Vec<&'a Json> {
-    solves(reports)
-        .filter_map(|solve| solve.get(section))
-        .filter(|s| !matches!(s, Json::Null))
-        .collect()
-}
-
 /// Per-sampler sums of one `sampling` field over every solve of every
-/// report, leaving out exact cache hits (sampler `"cache"`).
+/// report.
 fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
     let mut sums = BTreeMap::new();
     for sampling in solves(reports).filter_map(|solve| solve.get("sampling")) {
@@ -214,22 +203,11 @@ fn sampling_sums(reports: &[Json], field: &str) -> BTreeMap<String, f64> {
             .get("sampler")
             .and_then(Json::as_str)
             .expect("sampling names its sampler");
-        if sampler == "cache" {
-            continue;
-        }
         if let Some(value) = sampling.get(field).and_then(Json::as_u64) {
             *sums.entry(sampler.to_string()).or_insert(0.0) += value as f64;
         }
     }
     sums
-}
-
-/// The value of one exposition sample; `series` is its name plus its
-/// label set exactly as rendered, e.g. `name{label="v"}`.
-fn sample(metrics: &str, series: &str) -> Option<f64> {
-    metrics
-        .lines()
-        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
 }
 
 /// Every `name{sampler="…"} value` sample of one metric, by sampler.
@@ -248,9 +226,9 @@ fn by_sampler(metrics: &str, name: &str) -> BTreeMap<String, f64> {
 #[test]
 fn serve_exposes_prometheus_metrics_for_every_subsystem() {
     let mut jobs = seeded_jobs();
-    // A portfolio race on a small model, won by exact enumeration: a
-    // second sampler label.
-    jobs.push(("/solve?portfolio=1&seed=5".into(), RACED_REGEX.into()));
+    // A job that still asks for the retired portfolio race: the key is
+    // ignored and the job anneals like any other.
+    jobs.push(("/solve?portfolio=1&seed=5".into(), CLASS_REGEX.into()));
     // Every job, then one scrape of /metrics and one of /flight.
     let mut server = spawn_server("127.0.0.1:0", "subsystems", Some(jobs.len() + 2));
     let reports = run_jobs(&server, &jobs);
@@ -276,99 +254,43 @@ fn serve_exposes_prometheus_metrics_for_every_subsystem() {
             "{name} disagrees with the job reports:\n{body}"
         );
     }
-    for sampler in ["simulated-annealing", "exact", "component-exact"] {
-        assert!(
-            by_sampler(&body, "qsmt_sampler_reads_total").contains_key(sampler),
-            "no reads counted for {sampler}:\n{body}"
-        );
-    }
-    assert!(
-        !body.contains("sampler=\"cache\""),
-        "exact cache hits sample nothing:\n{body}"
+    assert_eq!(
+        by_sampler(&body, "qsmt_sampler_reads_total")
+            .keys()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+        ["component-exact", "simulated-annealing"],
+        "{body}"
     );
     assert!(
         body.contains(&format!("qsmt_serve_jobs_completed_total {}", jobs.len())),
         "every job completed:\n{body}"
     );
 
-    // The cache and portfolio series count exactly what the reports'
-    // `cache` and `portfolio` sections say happened.
-    let lookups = sections(&reports, "cache");
-    let outcomes = |wanted: &[&str]| {
-        lookups
-            .iter()
-            .filter(|c| wanted.contains(&c.get("outcome").and_then(Json::as_str).unwrap_or("")))
-            .count() as f64
-    };
-    for (series, wanted) in [
-        ("qsmt_cache_exact_hits_total", &["exact-hit"][..]),
-        ("qsmt_cache_warm_starts_total", &["warm-start"]),
-        ("qsmt_cache_misses_total", &["miss"]),
-        ("qsmt_cache_hits_total", &["exact-hit", "warm-start"]),
-    ] {
-        let expected = outcomes(wanted);
-        assert!(expected > 0.0, "the jobs cover {wanted:?}");
-        assert_eq!(sample(&body, series), Some(expected), "{series}:\n{body}");
+    // The solve cache and the portfolio race are gone: no series, HELP
+    // or TYPE line names them, and no report carries their sections,
+    // the always-null `embedding` key or the absint `features`.
+    for gone in ["qsmt_cache_", "qsmt_portfolio_"] {
+        assert!(!body.contains(gone), "{gone} is back:\n{body}");
     }
-    let lookup_us: u64 = lookups
-        .iter()
-        .map(|c| {
-            c.get("lookup_us")
-                .and_then(Json::as_u64)
-                .expect("lookup_us")
-        })
-        .sum();
-    assert_eq!(
-        sample(&body, "qsmt_cache_lookup_us_count"),
-        Some(lookups.len() as f64),
-        "{body}"
-    );
-    assert_eq!(
-        sample(&body, "qsmt_cache_lookup_us_sum"),
-        Some(lookup_us as f64),
-        "the histogram observes the reports' lookup_us:\n{body}"
-    );
-    let races = sections(&reports, "portfolio");
-    let race_field = |field: &str, value: &str| {
-        races
-            .iter()
-            .filter(|r| r.get(field).and_then(Json::as_str) == Some(value))
-            .count() as f64
-    };
-    assert_eq!(
-        race_field("predicted", "exact"),
-        1.0,
-        "one race, routed to exact"
-    );
-    assert_eq!(
-        sample(
-            &body,
-            "qsmt_portfolio_routing_decisions_total{predicted=\"exact\"}"
-        ),
-        Some(race_field("predicted", "exact")),
-        "{body}"
-    );
-    assert_eq!(
-        sample(&body, "qsmt_portfolio_wins_total{member=\"exact\"}"),
-        Some(race_field("winner", "exact")),
-        "{body}"
-    );
-    let cancelled = races
-        .iter()
-        .filter_map(|r| r.get("members").and_then(Json::as_arr))
-        .flatten()
-        .filter(|m| m.get("outcome").and_then(Json::as_str) == Some("cancelled"))
-        .count() as f64;
-    // Whether the backstop is cancelled or finishes first is a race;
-    // the counter only exists once a member was cancelled.
-    assert_eq!(
-        sample(&body, "qsmt_portfolio_cancelled_losers_total"),
-        (cancelled > 0.0).then_some(cancelled),
-        "{body}"
-    );
-    // The miss and the warm start each cached one result; the gauge
-    // reads the cache itself.
-    assert_eq!(sample(&body, "qsmt_cache_entries"), Some(2.0), "{body}");
+    for report in &reports {
+        assert_eq!(
+            report.get("schema_version").and_then(Json::as_u64),
+            Some(12)
+        );
+        let served_from = report.get("served_from").and_then(Json::as_str);
+        assert!(
+            matches!(served_from, Some("solver" | "absint")),
+            "served_from {served_from:?}"
+        );
+        let absint = report.get("absint").expect("absint section");
+        assert_eq!(absint.get("features"), None, "{absint:?}");
+    }
+    for solve in solves(&reports) {
+        for key in ["cache", "portfolio", "embedding"] {
+            assert_eq!(solve.get(key), None, "{key} in {solve:?}");
+        }
+    }
 
     // Only real jobs feed the catalogue: no synthetic start-up series.
     for gone in ["qsmt_qpu_", "qsmt_beta", "qsmt_sampler_best_energy"] {

@@ -4,6 +4,7 @@
 //! starts the real `qsmt serve` binary on an ephemeral port; a
 //! kill-on-drop guard makes sure no child outlives a failing test.
 
+use qsmt::telemetry::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Lines, Read, Write};
 use std::net::TcpStream;
@@ -15,7 +16,7 @@ const SCRIPT: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (
 
 /// `str.indexof` over a 20-letter haystack: one dense one-hot of 18
 /// start indicators, too large to enumerate per component, so the solve
-/// anneals (and consults the cache).
+/// anneals.
 const ANNEALED: &str = "(set-logic QF_S)\n(declare-const x Int)\n(assert (= x (str.indexof \"zgkycoqrzdhbtiisfxrq\" \"bti\" 0)))\n(check-sat)\n(get-model)\n";
 
 struct ServerGuard {
@@ -207,8 +208,8 @@ fn parallel_clients_land_in_exactly_one_terminal_state() {
             "completed" => {
                 completed += 1;
                 assert!(
-                    body.contains("\"schema_version\": 11"),
-                    "report is not schema v11: {body}"
+                    body.contains("\"schema_version\": 12"),
+                    "report is not schema v12: {body}"
                 );
                 assert_eq!(
                     json_str(&body, "sampler").as_deref(),
@@ -369,127 +370,6 @@ fn sigint_drains_without_losing_accepted_jobs() {
 }
 
 #[test]
-fn repeat_submissions_hit_the_cache_and_near_repeats_warm_start() {
-    // A single worker keeps the sequence deterministic: each job is
-    // fully terminal (and cached) before the next one is submitted.
-    let mut server = spawn_server(&["--workers", "1"]);
-    let addr = server.addr.clone();
-
-    // Same shape as ANNEALED (another 3-letter needle in the same
-    // haystack): different coefficients, identical adjacency structure.
-    let near_script = ANNEALED.replace("\"bti\"", "\"sfx\"");
-
-    // Cold solve: a cache miss that samples the full schedule and
-    // inserts the result.
-    let (code, _, body) = request(&addr, "POST", "/solve?reads=1024&seed=7", ANNEALED);
-    assert_eq!(code, 202, "cold submission refused: {body}");
-    let cold_id = json_str(&body, "id").expect("job id");
-    let (status, cold_body) = await_terminal(&addr, &cold_id, Duration::from_secs(120));
-    assert_eq!(status, "completed", "cold job: {cold_body}");
-    assert_eq!(
-        json_str(&cold_body, "served_from").as_deref(),
-        Some("solver")
-    );
-    assert_eq!(json_str(&cold_body, "outcome").as_deref(), Some("miss"));
-    let cold_answer = json_str(&cold_body, "answer").expect("cold answer");
-    assert_eq!(cold_answer, "11");
-    let cold_sweeps = json_u64(&cold_body, "sweeps").expect("cold sweep count");
-    assert_eq!(cold_sweeps, 384, "cold solves run the full schedule");
-    let cold_elapsed = json_u64(&cold_body, "elapsed_us").expect("cold elapsed");
-
-    // Exact repeat under a different seed and a *smaller* read budget:
-    // the cached 1024-read sample set covers a 256-read request, so it
-    // is replayed without invoking a sampler, the answer is
-    // bit-identical, and the run is marked served-from-cache. (A larger
-    // budget would NOT be answered from cache — the entry's quality
-    // would under-deliver — and falls through to a warm start.)
-    let (code, _, body) = request(&addr, "POST", "/solve?reads=256&seed=99", ANNEALED);
-    assert_eq!(code, 202, "repeat submission refused: {body}");
-    let hit_id = json_str(&body, "id").expect("job id");
-    let (status, hit_body) = await_terminal(&addr, &hit_id, Duration::from_secs(120));
-    assert_eq!(status, "completed", "cache-hit job: {hit_body}");
-    assert_eq!(json_str(&hit_body, "served_from").as_deref(), Some("cache"));
-    assert_eq!(json_str(&hit_body, "outcome").as_deref(), Some("exact-hit"));
-    assert!(
-        hit_body.contains("\"sampler\": \"cache\""),
-        "exact hit must not invoke a sampler: {hit_body}"
-    );
-    assert_eq!(
-        json_u64(&hit_body, "source_reads"),
-        Some(1024),
-        "the report must disclose the originating read budget: {hit_body}"
-    );
-    assert_eq!(
-        json_u64(&hit_body, "source_seed"),
-        Some(7),
-        "the report must disclose the originating seed: {hit_body}"
-    );
-    assert_eq!(
-        json_str(&hit_body, "answer").as_deref(),
-        Some(cold_answer.as_str()),
-        "cached answer must be bit-identical to the fresh solve"
-    );
-    let hit_elapsed = json_u64(&hit_body, "elapsed_us").expect("hit elapsed");
-    assert!(
-        hit_elapsed < cold_elapsed,
-        "cache hit ({hit_elapsed} µs) should be faster than the cold solve ({cold_elapsed} µs)"
-    );
-
-    // Near repeat: same adjacency structure, different coefficients.
-    // The shape key matches, so the solver warm-starts a short reverse
-    // anneal from the cached ground state instead of a full cold run.
-    let (code, _, body) = request(&addr, "POST", "/solve?reads=1024&seed=5", &near_script);
-    assert_eq!(code, 202, "near-repeat submission refused: {body}");
-    let warm_id = json_str(&body, "id").expect("job id");
-    let (status, warm_body) = await_terminal(&addr, &warm_id, Duration::from_secs(120));
-    assert_eq!(status, "completed", "warm-start job: {warm_body}");
-    assert_eq!(
-        json_str(&warm_body, "served_from").as_deref(),
-        Some("solver")
-    );
-    assert_eq!(
-        json_str(&warm_body, "outcome").as_deref(),
-        Some("warm-start")
-    );
-    assert_eq!(json_str(&warm_body, "answer").as_deref(), Some("15"));
-    assert_eq!(json_str(&warm_body, "status").as_deref(), Some("completed"));
-    let warm_sweeps = json_u64(&warm_body, "warm_sweeps").expect("warm sweep count");
-    assert!(
-        warm_sweeps < cold_sweeps,
-        "warm start ({warm_sweeps} sweeps) must reach the answer in fewer \
-         sweeps than a cold solve ({cold_sweeps})"
-    );
-
-    // The metrics surface shows both cache paths.
-    let (code, _, metrics) = request(&addr, "GET", "/metrics", "");
-    assert_eq!(code, 200);
-    assert_eq!(
-        metric_value(&metrics, "qsmt_cache_exact_hits_total"),
-        Some(1.0)
-    );
-    assert_eq!(
-        metric_value(&metrics, "qsmt_cache_warm_starts_total"),
-        Some(1.0)
-    );
-    assert_eq!(metric_value(&metrics, "qsmt_cache_misses_total"), Some(1.0));
-    assert!(
-        metric_value(&metrics, "qsmt_cache_entries").unwrap_or(0.0) >= 1.0,
-        "entry gauge missing from:\n{metrics}"
-    );
-    assert!(
-        metric_value(&metrics, "qsmt_cache_lookup_us_count").unwrap_or(0.0) >= 3.0,
-        "every lookup lands in the latency histogram:\n{metrics}"
-    );
-    assert!(metrics.contains("# HELP qsmt_cache_hits_total"));
-
-    let (code, _, _) = request(&addr, "POST", "/shutdown", "");
-    assert_eq!(code, 200);
-    let summary = server.wait_for_drain();
-    assert_eq!(summary["accepted"], 3);
-    assert_eq!(summary["completed"], 3);
-}
-
-#[test]
 fn statically_refuted_jobs_are_served_from_absint() {
     let mut server = spawn_server(&["--workers", "1"]);
     let addr = server.addr.clone();
@@ -614,7 +494,7 @@ fn trace_rides_the_job_from_submission_to_run_store() {
     // top-level field — so also check the embedded report's copy).
     let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
     assert_eq!(status, "completed", "traced job: {body}");
-    assert!(body.contains("\"schema_version\": 11"), "not v11: {body}");
+    assert!(body.contains("\"schema_version\": 12"), "not v12: {body}");
     assert_eq!(
         json_str(&body, "trace_id").as_deref(),
         Some(trace_id.as_str())
@@ -762,7 +642,7 @@ fn submit_cli_prints_the_completed_job_document() {
     assert_eq!(json_str(&stdout, "status").as_deref(), Some("completed"));
     assert_eq!(json_str(&stdout, "id").as_deref(), Some("job-1"));
     assert!(
-        stdout.contains("\"schema_version\": 11"),
+        stdout.contains("\"schema_version\": 12"),
         "no embedded report: {stdout}"
     );
     assert_eq!(json_str(&stdout, "answer").as_deref(), Some("ba"));
@@ -774,33 +654,13 @@ fn submit_cli_prints_the_completed_job_document() {
     assert_eq!(summary["completed"], 1);
 }
 
-/// Extracts a boolean field scoped to the member object that follows a
-/// `"member": "<kind>"` marker — member objects serialize with sorted
-/// keys, so `"stopped"` prints after `"member"` within the same object.
-fn member_bool(body: &str, kind: &str, key: &str) -> Option<bool> {
-    let marker = format!("\"member\": \"{kind}\"");
-    let start = body.find(&marker)? + marker.len();
-    let scope = &body[start..];
-    let end = scope.find('}')?;
-    let field = format!("\"{key}\": ");
-    let at = scope[..end].find(&field)? + field.len();
-    scope[at..]
-        .strip_prefix("true")
-        .map(|_| true)
-        .or_else(|| scope[at..].strip_prefix("false").map(|_| false))
-}
-
 #[test]
-fn portfolio_job_is_won_by_exact_and_cancels_the_annealer_backstop() {
-    // A one-character variable in two 8-member classes: not
-    // transformation-class (so the classical hook sits out), and each
-    // class encodes with one-hot selectors that share the character's
-    // bits, one 20-variable component above the exact decomposition
-    // window, so the job races. Its 23 QUBO variables are few enough
-    // that the router fields exact enumeration as the primary with a
-    // deep simulated-annealing backstop (docs/PORTFOLIO.md). Exact
-    // finishes in tens of milliseconds, wins the race, and trips the
-    // backstop's flag.
+fn portfolio_query_key_is_ignored_like_any_unknown_key() {
+    // Load generators written for the retired portfolio race still send
+    // `?portfolio=`; the key is now as unknown as any other, so every
+    // value is accepted and the job runs the default path. A
+    // one-character variable in two 8-member classes: one 20-variable
+    // component above the exact decomposition window, so it anneals.
     let script = "(set-logic QF_S)\n(declare-const x String)\n\
         (assert (str.in_re x (re.range \"a\" \"h\")))\n\
         (assert (str.in_re x (re.+ (re.range \"a\" \"h\"))))\n\
@@ -808,60 +668,42 @@ fn portfolio_job_is_won_by_exact_and_cancels_the_annealer_backstop() {
     let mut server = spawn_server(&["--workers", "1", "--queue-depth", "4"]);
     let addr = server.addr.clone();
 
-    // Portfolio is off by default; this job opts in per-request.
-    let (code, _, body) = request(&addr, "POST", "/solve?portfolio=1&seed=5", script);
-    assert_eq!(code, 202, "submit failed: {body}");
-    let id = json_str(&body, "id").expect("job id");
-    let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
-    assert_eq!(status, "completed", "portfolio job failed: {body}");
-
-    // The run is attributed to the member that won the race, and the
-    // schema-v9 report carries the full plan + per-member outcomes.
+    let mut runs = Vec::new();
+    for query in ["seed=5", "seed=5&portfolio=1", "seed=5&portfolio=banana"] {
+        let (code, _, body) = request(&addr, "POST", &format!("/solve?{query}"), script);
+        assert_eq!(code, 202, "{query} refused: {body}");
+        let id = json_str(&body, "id").expect("job id");
+        let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
+        assert_eq!(status, "completed", "{query}: {body}");
+        let doc = qsmt::telemetry::parse(&body).expect("status document is JSON");
+        let report = doc.get("report").expect("completed jobs embed a report");
+        let verdict = report
+            .get("status")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        let goals = report.get("goals").and_then(Json::as_arr).expect("goals");
+        let answers: Vec<_> = goals.iter().map(|g| g.get("answer").cloned()).collect();
+        let samplers: Vec<_> = goals
+            .iter()
+            .filter_map(|g| g.get("solves").and_then(Json::as_arr))
+            .flatten()
+            .map(|s| s.get("sampling").and_then(|x| x.get("sampler")).cloned())
+            .collect();
+        runs.push((query, verdict, answers, samplers));
+    }
+    let (_, verdict, answers, samplers) = &runs[0];
+    assert_eq!(verdict.as_deref(), Some("sat"));
     assert_eq!(
-        json_str(&body, "served_from").as_deref(),
-        Some("portfolio:exact")
+        samplers,
+        &[Some(Json::from("simulated-annealing"))],
+        "the job anneals"
     );
-    assert!(body.contains("\"schema_version\": 11"), "not v11: {body}");
-    assert_eq!(json_str(&body, "predicted").as_deref(), Some("exact"));
-    assert_eq!(json_str(&body, "winner").as_deref(), Some("exact"));
-    assert_eq!(json_str(&body, "status").as_deref(), Some("completed"));
-
-    // First-wins cancellation: the annealer backstop observed its
-    // tripped stop flag (it never runs its full 256-read × 4096-sweep
-    // budget once exact has answered), while the winner's own flag
-    // stayed untripped — the bit-identity guarantee depends on it.
-    assert_eq!(member_bool(&body, "sa", "stopped"), Some(true));
-    assert_eq!(member_bool(&body, "exact", "stopped"), Some(false));
-    assert_eq!(member_bool(&body, "exact", "valid"), Some(true));
-
-    // A portfolio-off job of the same script reports no portfolio
-    // section and plain solver attribution.
-    let (code, _, body) = request(&addr, "POST", "/solve?seed=5", script);
-    assert_eq!(code, 202, "submit failed: {body}");
-    let id = json_str(&body, "id").expect("job id");
-    let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
-    assert_eq!(status, "completed", "plain job failed: {body}");
-    assert_eq!(json_str(&body, "served_from").as_deref(), Some("solver"));
-    assert!(
-        body.contains("\"portfolio\": null"),
-        "portfolio section should be null: {body}"
-    );
-
-    // The portfolio metrics surface recorded the routing decision, the
-    // exact win, and the cancelled loser.
-    let (code, _, metrics) = request(&addr, "GET", "/metrics", "");
-    assert_eq!(code, 200);
-    assert!(
-        metrics.contains("qsmt_portfolio_routing_decisions_total"),
-        "routing decisions metric missing from:\n{metrics}"
-    );
-    assert!(
-        metrics.contains("qsmt_portfolio_wins_total"),
-        "wins metric missing from:\n{metrics}"
-    );
+    for (query, v, a, s) in &runs[1..] {
+        assert_eq!((v, a, s), (verdict, answers, samplers), "{query}");
+    }
 
     let (code, _, _) = request(&addr, "POST", "/shutdown", "");
     assert_eq!(code, 200);
     let summary = server.wait_for_drain();
-    assert_eq!(summary["completed"], 2);
+    assert_eq!(summary["completed"], 3);
 }

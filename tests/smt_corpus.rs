@@ -141,7 +141,6 @@ fn probes_never_change_verdicts_models_or_samples() {
     let [plain, probed] = [false, true].map(|probes| SolveOptions {
         absint: true,
         probes,
-        ..SolveOptions::default()
     });
     let mut names: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("benchmarks directory exists")
