@@ -355,7 +355,7 @@ fn apply(
             }
             c
         }),
-        AbsAssert::IndexOfDef | AbsAssert::Unsupported => false,
+        AbsAssert::Unsupported => false,
     }
 }
 
@@ -414,7 +414,6 @@ mod tests {
     fn prog(asserts: Vec<AbsAssert>) -> AbsProgram {
         AbsProgram {
             string_vars: vec!["s".to_string(), "t".to_string()],
-            int_vars: 0,
             asserts: asserts.into_iter().enumerate().collect(),
         }
     }

@@ -193,7 +193,6 @@ mod tests {
     fn refuted_program() -> AbsProgram {
         AbsProgram {
             string_vars: vec!["s".to_string()],
-            int_vars: 0,
             asserts: vec![
                 (
                     0,
@@ -265,7 +264,6 @@ mod tests {
         // would be O(len · states)).
         let program = AbsProgram {
             string_vars: vec!["s".to_string()],
-            int_vars: 0,
             asserts: vec![
                 (0, AbsAssert::LenEq { var: 0, n: 1 << 30 }),
                 (
@@ -298,7 +296,6 @@ mod tests {
     fn certificate_for_satisfiable_program_is_rejected() {
         let program = AbsProgram {
             string_vars: vec!["s".to_string()],
-            int_vars: 0,
             asserts: vec![(0, AbsAssert::LenEq { var: 0, n: 3 })],
         };
         let cert = Certificate {

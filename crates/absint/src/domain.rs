@@ -27,8 +27,7 @@
 /// dropped (a sound weakening — the analysis just knows less), and
 /// length-directed passes bail out when the exact length exceeds it.
 /// Front ends should screen literals above the cap to
-/// [`Unsupported`](crate::AbsAssert::Unsupported) so the feature vector
-/// still counts them.
+/// [`Unsupported`](crate::AbsAssert::Unsupported).
 pub const MAX_TRACKED_LEN: usize = 512;
 
 /// A set of ASCII characters (code points 0–127) as a 128-bit mask.

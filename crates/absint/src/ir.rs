@@ -4,10 +4,9 @@
 //! front end depends on *this* crate, so a direct AST dependency would
 //! be a cycle). Instead the front end lowers each `(assert …)` into one
 //! of the shapes below — exactly the facts the abstract domains can
-//! consume — and tags everything else [`AbsAssert::Unsupported`] so it
-//! still counts toward the feature vector without influencing any
-//! domain (dropping a conjunct only ever *weakens* the analysis, so
-//! unsupported shapes are sound to ignore).
+//! consume — and tags everything else [`AbsAssert::Unsupported`], which
+//! influences no domain (dropping a conjunct only ever *weakens* the
+//! analysis, so unsupported shapes are sound to ignore).
 
 use qsmt_redex::Regex;
 
@@ -78,11 +77,8 @@ pub enum AbsAssert {
         /// Constrained variable.
         var: usize,
     },
-    /// `(= i (str.indexof …))` — indexOf definitions constrain an Int
-    /// variable, not a string domain; recorded for the feature vector.
-    IndexOfDef,
-    /// Any assertion shape outside the abstract fragment. Counted in
-    /// the feature vector, ignored by the domains.
+    /// Any assertion shape outside the abstract fragment, `str.indexof`
+    /// definitions of Int variables included. Ignored by the domains.
     Unsupported,
 }
 
@@ -100,7 +96,7 @@ impl AbsAssert {
             | AbsAssert::GroundEq { var, .. }
             | AbsAssert::SelfReverse { var } => vec![var],
             AbsAssert::VarEq { a, b } => vec![a, b],
-            AbsAssert::IndexOfDef | AbsAssert::Unsupported => Vec::new(),
+            AbsAssert::Unsupported => Vec::new(),
         }
     }
 }
@@ -113,8 +109,6 @@ impl AbsAssert {
 pub struct AbsProgram {
     /// Declared string variables, in declaration order.
     pub string_vars: Vec<String>,
-    /// Number of declared Int variables (feature vector only).
-    pub int_vars: usize,
     /// `(assertion index, lowered shape)` pairs.
     pub asserts: Vec<(usize, AbsAssert)>,
 }

@@ -93,8 +93,8 @@ impl Analysis {
     }
 
     /// The full analysis as a JSON document: verdict, fixpoint
-    /// accounting, certificate (null when unknown), tightenings,
-    /// per-variable domain summaries, and the feature vector.
+    /// accounting, certificate (null when unknown), tightenings and
+    /// per-variable domain summaries.
     pub fn to_json(&self) -> Json {
         let certificate = match &self.certificate {
             None => Json::Null,
@@ -177,7 +177,6 @@ mod tests {
     fn json_round_trip_shape() {
         let program = AbsProgram {
             string_vars: vec!["s".to_string()],
-            int_vars: 0,
             asserts: vec![
                 (
                     0,
@@ -202,7 +201,6 @@ mod tests {
     fn diagnostics_for_tightened_script() {
         let program = AbsProgram {
             string_vars: vec!["s".to_string()],
-            int_vars: 0,
             asserts: vec![
                 (
                     0,

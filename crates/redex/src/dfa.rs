@@ -11,6 +11,7 @@
 //! DFAs here are complete over an explicit alphabet (a dead state absorbs
 //! missing transitions) with dense transition tables.
 
+use crate::nfa::StateSet;
 use crate::{Nfa, Regex};
 use std::collections::HashMap;
 
@@ -29,34 +30,39 @@ pub struct Dfa {
 
 impl Dfa {
     /// Determinizes an NFA over `alphabet` via subset construction.
+    /// States are numbered in order of discovery, breadth first, each
+    /// state's successors in alphabet order.
     pub fn from_nfa(nfa: &Nfa, alphabet: &[char]) -> Self {
         assert!(!alphabet.is_empty(), "alphabet must be nonempty");
-        let k = alphabet.len();
+        // Classes are numbered by first appearance in the alphabet, so
+        // stepping them in order discovers successors in the order a
+        // per-character loop would.
+        let classes = nfa.classes(alphabet);
         let start = nfa.start_set();
-        let mut index: HashMap<Vec<bool>, u32> = HashMap::new();
+        let mut index: HashMap<StateSet, u32> = HashMap::new();
         index.insert(start.clone(), 0);
-        let mut order: Vec<Vec<bool>> = vec![start];
+        let mut order: Vec<StateSet> = vec![start];
         let mut transitions: Vec<u32> = Vec::new();
+        let mut succ = vec![0u32; classes.len()];
+        let mut next = StateSet::empty(nfa.num_states());
         let mut cursor = 0usize;
         while cursor < order.len() {
-            let set = order[cursor].clone();
-            for &c in alphabet {
-                let next = nfa.step(&set, c);
-                let id = match index.get(&next) {
+            for (k, id) in succ.iter_mut().enumerate() {
+                classes.step(&order[cursor], k, &mut next);
+                *id = match index.get(&next) {
                     Some(&id) => id,
                     None => {
                         let id = order.len() as u32;
                         index.insert(next.clone(), id);
-                        order.push(next);
+                        order.push(next.clone());
                         id
                     }
                 };
-                transitions.push(id);
             }
+            transitions.extend(classes.of.iter().map(|&k| succ[k]));
             cursor += 1;
         }
         let accepting = order.iter().map(|s| nfa.is_accepting(s)).collect();
-        let _ = k;
         Self {
             alphabet: alphabet.to_vec(),
             transitions,
@@ -330,6 +336,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn states_are_numbered_in_breadth_first_discovery_order() {
+        // 0 = start, 1 = after `a`, 2 = dead (first met on `b`),
+        // 3 = after `a[bc]`; successors in alphabet order.
+        let d = Dfa::compile(&parse("a[bc]+").unwrap(), &['a', 'b', 'c']);
+        assert_eq!(d.transitions, vec![1, 2, 2, 2, 3, 3, 2, 2, 2, 2, 3, 3]);
+        assert_eq!(d.accepting, vec![false, false, false, true]);
     }
 
     #[test]

@@ -6,66 +6,79 @@
 //! [`positional_sets`] computes, per string position, the set of characters
 //! that can appear there on *some* accepting path of that exact length.
 
+use crate::nfa::{Classes, StateSet};
 use crate::{Nfa, Regex};
+use std::collections::HashMap;
 
 /// Enumerates all strings of exactly `len` characters over `alphabet` that
 /// match `re`, up to `limit` results (depth-first, lexicographic in
 /// alphabet order). Used as a test oracle and by the classical baseline.
 pub fn enumerate_matches(re: &Regex, len: usize, alphabet: &[char], limit: usize) -> Vec<String> {
     let nfa = Nfa::compile(re);
-    let accept = nfa.acceptance_table(len);
-    let mut out = Vec::new();
-    let mut buf = String::with_capacity(len);
-    dfs(
-        &nfa,
-        &accept,
-        &nfa.start_set(),
-        len,
+    let search = Search {
+        nfa: &nfa,
+        accept: nfa.acceptance_table(len),
+        classes: nfa.classes(alphabet),
         alphabet,
         limit,
-        &mut buf,
+    };
+    // One row of per-class successors for each position.
+    let mut rows = vec![vec![StateSet::empty(nfa.num_states()); search.classes.len()]; len];
+    let mut out = Vec::new();
+    search.dfs(
+        &nfa.start_set(),
+        len,
+        &mut rows,
+        &mut String::with_capacity(len),
         &mut out,
     );
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    nfa: &Nfa,
-    accept: &[Vec<bool>],
-    set: &[bool],
-    remaining: usize,
-    alphabet: &[char],
+/// The fixed inputs of [`enumerate_matches`]'s depth-first search.
+struct Search<'a> {
+    nfa: &'a Nfa,
+    accept: Vec<StateSet>,
+    classes: Classes<'a>,
+    alphabet: &'a [char],
     limit: usize,
-    buf: &mut String,
-    out: &mut Vec<String>,
-) {
-    if out.len() >= limit {
-        return;
-    }
-    if remaining == 0 {
-        if nfa.is_accepting(set) {
-            out.push(buf.clone());
-        }
-        return;
-    }
-    // Prune: some live state must be able to finish in `remaining` chars.
-    let viable = set
-        .iter()
-        .zip(&accept[remaining])
-        .any(|(&alive, &ok)| alive && ok);
-    if !viable {
-        return;
-    }
-    for &c in alphabet {
-        let next = nfa.step(set, c);
-        if next.iter().any(|&b| b) {
-            buf.push(c);
-            dfs(nfa, accept, &next, remaining - 1, alphabet, limit, buf, out);
-            buf.pop();
-        }
-        if out.len() >= limit {
+}
+
+impl Search<'_> {
+    fn dfs(
+        &self,
+        set: &StateSet,
+        remaining: usize,
+        rows: &mut [Vec<StateSet>],
+        buf: &mut String,
+        out: &mut Vec<String>,
+    ) {
+        if out.len() >= self.limit {
             return;
+        }
+        if remaining == 0 {
+            if self.nfa.is_accepting(set) {
+                out.push(buf.clone());
+            }
+            return;
+        }
+        // Prune: some live state must be able to finish in `remaining` chars.
+        if !set.intersects(&self.accept[remaining]) {
+            return;
+        }
+        let (next, deeper) = rows.split_first_mut().expect("one row per position");
+        for (k, succ) in next.iter_mut().enumerate() {
+            self.classes.step(set, k, succ);
+        }
+        for (&c, &k) in self.alphabet.iter().zip(&self.classes.of) {
+            if !next[k].is_empty() {
+                buf.push(c);
+                self.dfs(&next[k], remaining - 1, deeper, buf, out);
+                buf.pop();
+            }
+            if out.len() >= self.limit {
+                return;
+            }
         }
     }
 }
@@ -78,49 +91,44 @@ fn dfs(
 ///
 /// This is the *marginal* of the length-`len` language — the positional
 /// view the paper's §4.11 encoder needs (a literal at a position shows up
-/// as a singleton set; a character class as its member set).
+/// as a singleton set; a character class as its member set). Each
+/// position steps the live state set once per alphabet class, and lists
+/// the admitted characters in alphabet order.
 pub fn positional_sets(re: &Regex, len: usize, alphabet: &[char]) -> Option<Vec<Vec<char>>> {
     let nfa = Nfa::compile(re);
     let accept = nfa.acceptance_table(len);
+    let classes = nfa.classes(alphabet);
 
-    // viable[i]: states reachable after i characters along paths that can
+    // `live`: states reachable after i characters along paths that can
     // still finish in len - i characters.
-    let mut viable: Vec<Vec<bool>> = Vec::with_capacity(len + 1);
-    let start: Vec<bool> = nfa
-        .start_set()
-        .iter()
-        .zip(&accept[len])
-        .map(|(&a, &ok)| a && ok)
-        .collect();
-    if start.iter().all(|&b| !b) {
+    let mut live = nfa.start_set();
+    live.intersect_with(&accept[len]);
+    if live.is_empty() {
         return None;
     }
-    viable.push(start);
+    let mut next = StateSet::empty(nfa.num_states());
+    let mut stepped = StateSet::empty(nfa.num_states());
+    let mut admitted = vec![false; classes.len()];
     let mut sets: Vec<Vec<char>> = Vec::with_capacity(len);
     for i in 0..len {
-        let remaining_after = len - i - 1;
-        let cur = &viable[i];
-        let mut allowed = Vec::new();
-        let mut next_union = vec![false; nfa.num_states()];
-        for &c in alphabet {
-            let stepped = nfa.step(cur, c);
-            let filtered: Vec<bool> = stepped
-                .iter()
-                .zip(&accept[remaining_after])
-                .map(|(&a, &ok)| a && ok)
-                .collect();
-            if filtered.iter().any(|&b| b) {
-                allowed.push(c);
-                for (u, f) in next_union.iter_mut().zip(&filtered) {
-                    *u |= f;
-                }
-            }
+        let finish = &accept[len - i - 1];
+        next.clear();
+        for (k, ok) in admitted.iter_mut().enumerate() {
+            classes.step(&live, k, &mut stepped);
+            stepped.intersect_with(finish);
+            *ok = !stepped.is_empty();
+            next.union_with(&stepped);
         }
+        let allowed: Vec<char> = alphabet
+            .iter()
+            .zip(&classes.of)
+            .filter_map(|(&c, &k)| admitted[k].then_some(c))
+            .collect();
         if allowed.is_empty() {
             return None;
         }
         sets.push(allowed);
-        viable.push(next_union);
+        std::mem::swap(&mut live, &mut next);
     }
     Some(sets)
 }
@@ -133,42 +141,43 @@ pub fn positional_sets(re: &Regex, len: usize, alphabet: &[char]) -> Option<Vec<
 /// reports: the classical blind solver must wade through `|Σ|^len`
 /// candidates of which `count_matches` are accepting.
 pub fn count_matches(re: &Regex, len: usize, alphabet: &[char]) -> u128 {
-    use std::collections::HashMap;
     let nfa = Nfa::compile(re);
-    let mut memo: HashMap<(Vec<bool>, usize), u128> = HashMap::new();
+    let classes = nfa.classes(alphabet);
+    let mut sizes = vec![0u128; classes.len()];
+    for &k in &classes.of {
+        sizes[k] += 1;
+    }
+    // memo[r]: the count from each state set with r characters left.
+    let mut memo: Vec<HashMap<StateSet, u128>> = vec![HashMap::new(); len + 1];
 
     fn go(
-        nfa: &Nfa,
-        set: Vec<bool>,
+        classes: &Classes<'_>,
+        sizes: &[u128],
+        set: &StateSet,
         remaining: usize,
-        alphabet: &[char],
-        memo: &mut std::collections::HashMap<(Vec<bool>, usize), u128>,
+        memo: &mut [HashMap<StateSet, u128>],
     ) -> u128 {
         if remaining == 0 {
-            return u128::from(nfa.is_accepting(&set));
+            return u128::from(classes.nfa().is_accepting(set));
         }
-        if let Some(&v) = memo.get(&(set.clone(), remaining)) {
+        if let Some(&v) = memo[remaining].get(set) {
             return v;
         }
-        // Group alphabet characters by the state set they lead to, so each
-        // distinct successor is recursed into once.
-        let mut groups: std::collections::HashMap<Vec<bool>, u128> =
-            std::collections::HashMap::new();
-        for &c in alphabet {
-            let next = nfa.step(&set, c);
-            if next.iter().any(|&b| b) {
-                *groups.entry(next).or_insert(0) += 1;
+        // Every character of a class leads to the same successor, so
+        // each class is recursed into once, weighted by its size.
+        let mut next = StateSet::empty(classes.nfa().num_states());
+        let mut total = 0u128;
+        for (k, &size) in sizes.iter().enumerate() {
+            classes.step(set, k, &mut next);
+            if !next.is_empty() {
+                total += size * go(classes, sizes, &next, remaining - 1, memo);
             }
         }
-        let mut total = 0u128;
-        for (next, multiplicity) in groups {
-            total += multiplicity * go(nfa, next, remaining - 1, alphabet, memo);
-        }
-        memo.insert((set, remaining), total);
+        memo[remaining].insert(set.clone(), total);
         total
     }
 
-    go(&nfa, nfa.start_set(), len, alphabet, &mut memo)
+    go(&classes, &sizes, &nfa.start_set(), len, &mut memo)
 }
 
 #[cfg(test)]

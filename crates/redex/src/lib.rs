@@ -9,10 +9,25 @@
 //!   and the future-work extensions (`*`, `?`, `.`, alternation, groups,
 //!   class ranges and negation);
 //! * [`parse`] — a recursive-descent parser for the textual syntax;
-//! * [`Nfa`] — Thompson construction with subset-simulation matching;
+//! * [`Nfa`] — Thompson construction with bit-parallel subset
+//!   simulation;
 //! * bounded-length **enumeration** and **positional analysis** used as
 //!   the test oracle and by the QUBO encoder: for a fixed target length,
-//!   which characters may appear at each position on some accepting path.
+//!   which characters may appear at each position on some accepting path;
+//! * [`Dfa`] — subset construction, minimization and product
+//!   intersection, the classical automata comparator.
+//!
+//! **Bit-parallel simulation.** A set of NFA states is a bitset of
+//! ⌈states/64⌉ `u64` words — one word for every regex the workload
+//! generator writes. [`Nfa::compile`] precomputes each state's
+//! ε-closure, so a step is a few word ORs. [`positional_sets`],
+//! [`enumerate_matches`], [`count_matches`] and [`Dfa::from_nfa`] first
+//! split their alphabet into classes of characters that satisfy the
+//! same edge predicates and step once per class, not once per
+//! character; nothing is allocated per (position, character). Outputs
+//! keep the per-character semantics and order: positional sets list
+//! characters in alphabet order, enumeration is depth-first in
+//! alphabet order, and DFA states are numbered in discovery order.
 //!
 //! ```
 //! use qsmt_redex::{parse, Nfa};

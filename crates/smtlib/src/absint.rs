@@ -30,15 +30,9 @@ pub fn lower(commands: &[Command]) -> AbsProgram {
     let mut program = AbsProgram::default();
     let mut index: HashMap<&str, usize> = HashMap::new();
     for cmd in commands {
-        if let Command::DeclareConst(name, sort) = cmd {
-            match sort {
-                Sort::String => {
-                    index.insert(name.as_str(), program.string_vars.len());
-                    program.string_vars.push(name.clone());
-                }
-                Sort::Int => program.int_vars += 1,
-                _ => {}
-            }
+        if let Command::DeclareConst(name, Sort::String) = cmd {
+            index.insert(name.as_str(), program.string_vars.len());
+            program.string_vars.push(name.clone());
         }
     }
     let mut ordinal = 0usize;
@@ -129,8 +123,6 @@ fn lower_assert(term: &Term, index: &HashMap<&str, usize>) -> AbsAssert {
                         Some(v) if ascii(&value) => AbsAssert::GroundEq { var: v, value },
                         _ => AbsAssert::Unsupported,
                     }
-                } else if matches!(other, Term::StrIndexOf(..)) {
-                    AbsAssert::IndexOfDef
                 } else {
                     AbsAssert::Unsupported
                 }
@@ -334,7 +326,6 @@ mod tests {
              (assert (= i (str.indexof \"hay\" \"a\" 0)))",
         );
         assert_eq!(p.string_vars, vec!["s", "t"]);
-        assert_eq!(p.int_vars, 1);
         let shapes: Vec<&AbsAssert> = p.asserts.iter().map(|(_, a)| a).collect();
         assert!(matches!(shapes[0], AbsAssert::LenEq { var: 0, n: 4 }));
         assert!(matches!(shapes[1], AbsAssert::PrefixLit { var: 0, .. }));
@@ -356,7 +347,7 @@ mod tests {
             "ground evaluator should fold str.rev: {:?}",
             shapes[8]
         );
-        assert!(matches!(shapes[9], AbsAssert::IndexOfDef));
+        assert!(matches!(shapes[9], AbsAssert::Unsupported));
         // Assertion indices are the assert ordinals.
         let indices: Vec<usize> = p.asserts.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, (0..10).collect::<Vec<_>>());

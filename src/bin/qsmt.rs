@@ -37,7 +37,7 @@
 
 use qsmt::anneal::{ExactSolver, Sampler, SimulatedQuantumAnnealer, SteepestDescent};
 use qsmt::core::DEFAULT_READS;
-use qsmt::smtlib::{Goal, ScriptRun};
+use qsmt::smtlib::{Goal, SatStatus, ScriptRun};
 use qsmt::telemetry::Json;
 use qsmt::trace::TraceId;
 use qsmt::{Script, SolveOptions, StringSolver};
@@ -541,9 +541,10 @@ fn run_solve(source: &str, source_name: &str, opts: &Options) -> Result<(), Stri
     }
 }
 
-/// Writes a solve's stdout through one handle: the verdict and model,
-/// then `;`-prefixed stats lines (`--stats`) and the span tree (bare
-/// `--trace`).
+/// Writes a solve's stdout through one handle: the verdict and, for
+/// `sat`, the model, then `;`-prefixed stats lines (`--stats`) and the
+/// span tree (bare `--trace`). The candidate an `unknown` rejected is
+/// no model; `--stats` shows it as a comment.
 fn print_run(
     out: &mut impl Write,
     run: &ScriptRun,
@@ -552,7 +553,8 @@ fn print_run(
 ) -> std::io::Result<()> {
     let outcome = &run.outcome;
     writeln!(out, "{}", outcome.status)?;
-    if !outcome.model.is_empty() {
+    let sat = outcome.status == SatStatus::Sat;
+    if sat && !outcome.model.is_empty() {
         writeln!(out, "(model")?;
         for (name, value) in &outcome.model {
             writeln!(out, "  (define-fun {name} () _ {value})")?;
@@ -561,6 +563,14 @@ fn print_run(
     }
 
     if stats {
+        if !sat {
+            for (name, value) in &outcome.model {
+                writeln!(
+                    out,
+                    "; rejected candidate: (define-fun {name} () _ {value})"
+                )?;
+            }
+        }
         if let Some(absint) = &run.absint {
             let stats = absint.to_stats();
             writeln!(

@@ -706,3 +706,39 @@ fn a_regex_that_needs_a_non_printable_character_is_sat() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn an_unknown_verdict_prints_no_model() {
+    // Encoding gap C (tests/conjunction.rs): the only candidate,
+    // "xxxxxxb", violates the `str.contains`, so the script answers
+    // `unknown`. That candidate is no model; `--stats` shows it as a
+    // comment.
+    let path = temp_script(
+        "unknown-no-model",
+        "(set-logic QF_S)\n(declare-const s String)\n\
+         (assert (str.contains s \"xl\"))\n(assert (= (str.at s 6) \"b\"))\n\
+         (assert (= (str.len s) 7))\n(check-sat)\n(get-model)\n",
+    );
+    let file = path.to_str().expect("utf8 path");
+    let out = qsmt().args(["solve", file]).output().expect("binary runs");
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8(out.stdout).expect("utf8"), "unknown\n");
+
+    let out = qsmt()
+        .args(["solve", file, "--stats"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let mut lines = stdout.lines();
+    assert_eq!(lines.next(), Some("unknown"));
+    assert_eq!(
+        lines.next(),
+        Some("; rejected candidate: (define-fun s () _ \"xxxxxxb\")")
+    );
+    assert!(
+        lines.all(|l| l.starts_with(';')),
+        "only comments follow the verdict: {stdout}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
