@@ -182,12 +182,16 @@ pub fn analyze(program: AbsProgram) -> Analysis {
     let mut log: Vec<DerivStep> = Vec::new();
     let ascii: Vec<char> = (0u8..128).map(char::from).collect();
 
+    // Per assertion, the exact length its regex marginals were last met
+    // at: meeting the same marginals again narrows nothing.
+    let mut regex_len: Vec<Option<usize>> = vec![None; program.asserts.len()];
+
     let mut iterations = 0;
     loop {
         iterations += 1;
         let mut changed = false;
-        for (index, assert) in &program.asserts {
-            changed |= apply(*index, assert, &mut domains, &mut log, &ascii);
+        for ((index, assert), last_len) in program.asserts.iter().zip(&mut regex_len) {
+            changed |= apply(*index, assert, &mut domains, &mut log, &ascii, last_len);
         }
         // Canonicalize: fold back-anchored constraints into absolute
         // positions wherever a length became exact. γ-preserving, so no
@@ -225,12 +229,15 @@ pub fn analyze(program: AbsProgram) -> Analysis {
 }
 
 /// Applies one assertion's transfer function; logs and reports change.
+/// `regex_len` is the exact length this assertion's regex marginals were
+/// last met at (see [`analyze`]).
 fn apply(
     index: usize,
     assert: &AbsAssert,
     domains: &mut [StrDomain],
     log: &mut Vec<DerivStep>,
     ascii: &[char],
+    regex_len: &mut Option<usize>,
 ) -> bool {
     // Runs `f` against var's domain and logs one step under `rule` if
     // anything narrowed.
@@ -300,9 +307,10 @@ fn apply(
             // cap — the NFA acceptance table is O(len · states).
             let exact = domains[*var].len.exact_value();
             if let Some(n) = exact.filter(|&n| n <= MAX_TRACKED_LEN) {
-                if domains[*var].is_empty() {
+                if domains[*var].is_empty() || *regex_len == Some(n) {
                     return changed;
                 }
+                *regex_len = Some(n);
                 match positional_sets(regex, n, ascii) {
                     None => {
                         changed |= narrow(domains, log, index, Rule::RegexEmptyAtLen, *var, |d| {

@@ -1,12 +1,11 @@
-//! Bench S4 — the cost of the hardware path: direct annealing vs solving
-//! through Chimera / Pegasus-style minor embedding, the embedding search
-//! itself, and the chain-strength heuristic ablation (DESIGN.md choice
-//! #4).
+//! The cost of the hardware path: direct annealing vs solving through
+//! Chimera / Pegasus-style minor embedding, and the embedding search
+//! itself. `qpu_row` (`BENCH_qpu.json`) records what embeds and decides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsmt_anneal::{Sampler, SimulatedAnnealer};
 use qsmt_core::Constraint;
-use qsmt_qpu::{embed, ChainStrength, QpuSimulator, Topology};
+use qsmt_qpu::{embed, QpuSimulator, Topology};
 use std::hint::black_box;
 
 fn problem() -> qsmt_core::EncodedProblem {
@@ -49,36 +48,5 @@ fn bench_embedding_search(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_chain_strength(c: &mut Criterion) {
-    let mut g = c.benchmark_group("chain-strength");
-    g.sample_size(10);
-    let p = problem();
-    for (name, strategy) in [
-        ("fixed-2", ChainStrength::Fixed(2.0)),
-        (
-            "max-coeff-1.5",
-            ChainStrength::MaxCoefficient { prefactor: 1.5 },
-        ),
-        (
-            "utc-1.414",
-            ChainStrength::UniformTorqueCompensation { prefactor: 1.414 },
-        ),
-    ] {
-        let qpu = QpuSimulator::new(Topology::chimera(4, 4, 4))
-            .with_seed(2)
-            .with_num_reads(32)
-            .with_chain_strength(strategy);
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(qpu.sample_qubo(&p.qubo).expect("embeds")));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_direct_vs_embedded,
-    bench_embedding_search,
-    bench_chain_strength
-);
+criterion_group!(benches, bench_direct_vs_embedded, bench_embedding_search);
 criterion_main!(benches);

@@ -5,6 +5,9 @@
 //!   excerpt, output) — `cargo run -p qsmt-bench --bin table1`
 //! * `figure1` — prints the Figure 1 pipeline trace for a sample
 //!   constraint — `cargo run -p qsmt-bench --bin figure1`
+//! * `qpu_row` — prints `BENCH_qpu.json`: every benchmark model
+//!   minor-embedded and sampled on the simulated QPU —
+//!   `cargo run --release -p qsmt-bench --bin qpu_row`
 //!
 //! Criterion benches (`cargo bench -p qsmt-bench`): `scaling`, `samplers`,
 //! `embedding`, `crossover`, `multi_replica` — see DESIGN.md's experiment

@@ -1,6 +1,7 @@
-//! Linter configuration: thresholds and the QPU precision model.
+//! Linter configuration: thresholds, the QPU precision model and the
+//! chain strength an embedding programs.
 
-use qsmt_qpu::ChainStrength;
+use qsmt_qubo::QuboModel;
 
 /// A model of the analog precision available when programming a QPU.
 ///
@@ -69,13 +70,40 @@ impl Default for PrecisionModel {
     }
 }
 
+/// The ferromagnetic coupling that holds a minor-embedding chain
+/// together: uniform torque compensation (D-Wave's default heuristic),
+/// `1.414 × rms(quadratic) × sqrt(average degree)`. It scales with the
+/// *typical* torque neighbours exert on a chain rather than the worst
+/// case, giving weaker chains that distort the spectrum less. A model
+/// without quadratic terms takes `1.414 × max |coefficient|`; the result
+/// is always strictly positive (1.0 on a model with no coefficients).
+///
+/// The `chain-strength` pass checks this value and `qsmt-qpu` programs
+/// it, so the two cannot disagree.
+pub fn chain_strength(model: &QuboModel) -> f64 {
+    const PREFACTOR: f64 = 1.414;
+    let (sum_sq, count) = model
+        .quadratic_iter()
+        .fold((0.0f64, 0usize), |(s, c), (_, _, q)| (s + q * q, c + 1));
+    let s = if count == 0 {
+        PREFACTOR * model.max_abs_coefficient()
+    } else {
+        let rms = (sum_sq / count as f64).sqrt();
+        let avg_degree = 2.0 * count as f64 / model.num_vars().max(1) as f64;
+        PREFACTOR * rms * avg_degree.sqrt()
+    };
+    if s > 0.0 {
+        s
+    } else {
+        1.0
+    }
+}
+
 /// Tunable knobs for a lint run.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Hardware precision model for the conditioning pass.
     pub precision: PrecisionModel,
-    /// Chain-strength heuristic whose output is checked for feasibility.
-    pub chain_strength: ChainStrength,
     /// Largest inferred group validated by exact subset enumeration
     /// (`2^k` energies held for `k` members); larger groups fall back to
     /// a greedy counterexample search.
@@ -91,7 +119,6 @@ impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             precision: PrecisionModel::default(),
-            chain_strength: ChainStrength::default(),
             max_exact_group: 16,
             max_listed_vars: 8,
             tolerance: 1e-9,
@@ -115,5 +142,25 @@ mod tests {
     fn pegasus_has_wider_couplers() {
         let p = PrecisionModel::pegasus_advantage();
         assert!((p.coupler_limit() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn chain_strength_uses_rms_and_degree() {
+        // two vars, one coupling of 2.0: rms = 2, avg degree = 1
+        let mut m = QuboModel::new(2);
+        m.add_quadratic(0, 1, 2.0);
+        assert!((chain_strength(&m) - 1.414 * 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn chain_strength_falls_back_without_quadratic_terms() {
+        let mut m = QuboModel::new(1);
+        m.add_linear(0, -3.0);
+        assert!((chain_strength(&m) - 1.414 * 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn chain_strength_of_a_degenerate_model_is_positive() {
+        assert_eq!(chain_strength(&QuboModel::new(2)), 1.0);
     }
 }

@@ -61,7 +61,7 @@ mod diagnostic;
 pub mod passes;
 mod structure;
 
-pub use config::{LintConfig, PrecisionModel};
+pub use config::{chain_strength, LintConfig, PrecisionModel};
 pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use structure::{infer_groups, OneHotGroup};
 

@@ -405,7 +405,7 @@ pub fn conditioning(model: &QuboModel, cfg: &LintConfig) -> Vec<Diagnostic> {
     // couplings of strength `s`; if `s` exceeds every problem coefficient,
     // rescaling the embedded model into range squeezes the problem terms.
     if model.num_interactions() > 0 {
-        let s = cfg.chain_strength.resolve(model);
+        let s = crate::chain_strength(model);
         if s > max_abs {
             let embedded_scale = limit / s;
             if min_abs * embedded_scale < step / 2.0 && min_abs * scale >= step / 2.0 {

@@ -2,8 +2,8 @@
 //!
 //! The paper (§5) states its "QUBO formulations are compatible with a real
 //! quantum annealer" and defers running on one to future work. This crate
-//! validates that claim in software by reproducing the full submission
-//! pipeline of a physical annealer, with no quantum SDK:
+//! checks that claim in software by reproducing the submission pipeline of
+//! a physical annealer, with no quantum SDK:
 //!
 //! 1. **Topology** — real annealers expose a fixed, sparse hardware graph.
 //!    [`Topology::chimera`] builds the exact D-Wave Chimera graph
@@ -14,34 +14,28 @@
 //!    hardware graph, so each logical variable is mapped to a *chain* of
 //!    physical qubits ([`embed`]).
 //! 3. **Chains** — chain qubits are locked together with a ferromagnetic
-//!    penalty whose strength comes from a [`ChainStrength`] heuristic;
-//!    broken chains are repaired by a [`ChainBreakResolution`] policy.
-//! 4. **Sampling** — the embedded model is solved by a classical annealer
-//!    standing in for the QPU, optionally with Gaussian control noise on
-//!    the embedded coefficients (real QPUs have analogous integrated
-//!    control errors), then *unembedded* back to logical variables.
-//! 5. **Timing** — a [`QpuTimingModel`] reports the wall-clock a physical
-//!    submission would bill (programming + anneal·reads + readout).
+//!    penalty of [`qsmt_lint::chain_strength`], the value the linter's
+//!    `chain-strength` pass checks; broken chains are repaired by
+//!    majority vote.
+//! 4. **Sampling** — the embedded model, over the chain qubits only, is
+//!    solved by a classical annealer standing in for the QPU, then
+//!    *unembedded* back to logical variables.
 //!
-//! The end result, [`QpuSimulator`], is a drop-in [`qsmt_anneal::Sampler`]:
-//! every string-constraint QUBO in this workspace can be solved either
-//! directly or through the simulated hardware path, which is exactly the
-//! experiment Bench S4 runs.
+//! The end result, [`QpuSimulator`], is a drop-in [`qsmt_anneal::Sampler`].
+//! `cargo run --release -p qsmt-bench --bin qpu_row` submits every model
+//! `qsmt solve` builds for the sat benchmark scripts onto Chimera
+//! C(16,16,4) and the Pegasus-like P(16), and prints `BENCH_qpu.json`,
+//! which CI regenerates and diffs.
 
 #![warn(missing_docs)]
 
 mod chain;
 mod embedding;
-mod gauge;
 mod graph;
 mod simulator;
-mod timing;
 mod topology;
 
-pub use chain::{ChainBreakResolution, ChainStrength};
 pub use embedding::{embed, EmbedError, Embedding};
-pub use gauge::{apply_gauge, gauge_state, identity_gauge, random_gauge};
 pub use graph::HardwareGraph;
 pub use simulator::{QpuResponse, QpuSimulator};
-pub use timing::{QpuTiming, QpuTimingModel};
 pub use topology::Topology;

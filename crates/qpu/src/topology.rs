@@ -72,7 +72,7 @@ impl Topology {
     /// This is a structurally faithful approximation, not a
     /// coordinate-exact Pegasus P(m): it raises max degree from Chimera's
     /// 6 to 12 and shortens chains the way Pegasus does, which is what the
-    /// embedding experiments (Bench S4) measure. The exact lattice-offset
+    /// QPU row (`BENCH_qpu.json`) measures. The exact lattice-offset
     /// construction of P(m) is out of scope and documented as such in
     /// DESIGN.md.
     pub fn pegasus_like(m: usize) -> Self {
@@ -107,64 +107,6 @@ impl Topology {
         Self {
             name: format!("pegasus-like-P({m})"),
             graph: g,
-        }
-    }
-
-    /// A **Zephyr-style** topology: the Pegasus-like graph further
-    /// augmented with *second-neighbor inter-cell couplers* (vertical
-    /// qubit `k` to vertical qubit `k` two rows away, and likewise
-    /// horizontally), mirroring how D-Wave's Zephyr raises connectivity
-    /// over Pegasus with longer-range couplers. Like
-    /// [`Topology::pegasus_like`], this is structurally faithful (degree
-    /// and reach), not coordinate-exact.
-    pub fn zephyr_like(m: usize) -> Self {
-        assert!(m > 0, "zephyr dimension must be positive");
-        let t = 4usize;
-        let base = Self::pegasus_like(m);
-        let mut g = base.graph;
-        let idx = |row: usize, col: usize, side: usize, k: usize| -> u32 {
-            (((row * m + col) * 2 + side) * t + k) as u32
-        };
-        for row in 0..m {
-            for col in 0..m {
-                if row + 2 < m {
-                    for k in 0..t {
-                        g.add_edge(idx(row, col, 0, k), idx(row + 2, col, 0, k));
-                    }
-                }
-                if col + 2 < m {
-                    for k in 0..t {
-                        g.add_edge(idx(row, col, 1, k), idx(row, col + 2, 1, k));
-                    }
-                }
-            }
-        }
-        Self {
-            name: format!("zephyr-like-Z({m})"),
-            graph: g,
-        }
-    }
-
-    /// A fully connected topology with `n` qubits — the idealized "no
-    /// embedding needed" hardware used as the control arm in Bench S4.
-    pub fn complete(n: usize) -> Self {
-        let mut g = HardwareGraph::new(n);
-        for a in 0..n as u32 {
-            for b in (a + 1)..n as u32 {
-                g.add_edge(a, b);
-            }
-        }
-        Self {
-            name: format!("complete-K{n}"),
-            graph: g,
-        }
-    }
-
-    /// Wraps an arbitrary graph as a topology.
-    pub fn custom(name: impl Into<String>, graph: HardwareGraph) -> Self {
-        Self {
-            name: name.into(),
-            graph,
         }
     }
 
@@ -246,28 +188,6 @@ mod tests {
         let p = Topology::pegasus_like(2);
         // same-side pair (0,1) in cell (0,0), vertical side
         assert!(p.graph().has_edge(0, 1));
-    }
-
-    #[test]
-    fn zephyr_like_strictly_richer_than_pegasus_like() {
-        let p = Topology::pegasus_like(4);
-        let z = Topology::zephyr_like(4);
-        assert_eq!(z.num_qubits(), p.num_qubits());
-        assert!(z.num_couplers() > p.num_couplers());
-        assert!(z.graph().is_connected());
-        // second-neighbor vertical coupler exists: cell (0,0) ↔ (2,0)
-        let idx = |row: usize, col: usize, side: usize, k: usize| -> u32 {
-            (((row * 4 + col) * 2 + side) * 4 + k) as u32
-        };
-        assert!(z.graph().has_edge(idx(0, 0, 0, 0), idx(2, 0, 0, 0)));
-        assert!(!p.graph().has_edge(idx(0, 0, 0, 0), idx(2, 0, 0, 0)));
-    }
-
-    #[test]
-    fn complete_topology() {
-        let k = Topology::complete(6);
-        assert_eq!(k.num_couplers(), 15);
-        assert_eq!(k.graph().max_degree(), 5);
     }
 
     #[test]

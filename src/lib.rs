@@ -14,8 +14,9 @@
 //! * [`qubo`] — QUBO/Ising models, penalties, energy kernels;
 //! * [`anneal`] — simulated and simulated-quantum annealing, steepest
 //!   descent, exact enumeration;
-//! * [`qpu`] — Chimera/Pegasus/Zephyr-style topologies, minor embedding,
-//!   chain handling, gauges, QPU timing and noise;
+//! * [`qpu`] — Chimera and Pegasus-style topologies, minor embedding and
+//!   chain handling: the simulated annealer hardware behind
+//!   `BENCH_qpu.json`;
 //! * [`lint`] — the formulation linter: static soundness analysis of
 //!   compiled QUBO/Ising encodings (see `docs/LINTS.md`);
 //! * [`smtlib`] — the SMT-LIB v2 string-theory front end;
@@ -73,6 +74,6 @@ pub use qsmt_core::{
     SolveOutcome, Start, Step, StringSolver,
 };
 pub use qsmt_lint::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
-pub use qsmt_qpu::{ChainBreakResolution, ChainStrength, QpuSimulator, Topology};
+pub use qsmt_qpu::{QpuSimulator, Topology};
 pub use qsmt_qubo::{IsingModel, QuboModel, StopFlag};
 pub use qsmt_smtlib::{SatStatus, Script};
