@@ -54,6 +54,27 @@ impl ExactSolver {
     /// Enumerates and returns the exact ground energy and *all* ground
     /// states (within `1e-9`), without the `keep` cap.
     pub fn ground_states(&self, model: &QuboModel) -> (f64, Vec<Vec<u8>>) {
+        let mut best = f64::NAN;
+        let mut states = Vec::new();
+        self.walk(model, |state, energy| {
+            if states.is_empty() || energy < best - 1e-9 {
+                best = energy;
+                states.clear();
+                states.push(state.to_vec());
+            } else if (energy - best).abs() <= 1e-9 {
+                states.push(state.to_vec());
+            }
+        });
+        (best, states)
+    }
+
+    /// Visits all `2^n` states of `model` with their energies, starting
+    /// from all zeros, in Gray-code order: each step flips one bit and
+    /// adds that flip's delta to the running energy.
+    ///
+    /// # Panics
+    /// Panics when the model has more than `max_vars` variables.
+    fn walk(&self, model: &QuboModel, mut visit: impl FnMut(&[u8], f64)) {
         let n = model.num_vars();
         assert!(
             n <= self.max_vars,
@@ -63,23 +84,15 @@ impl ExactSolver {
         let compiled = CompiledQubo::compile(model);
         let mut state = vec![0u8; n];
         let mut energy = compiled.energy(&state);
-        let mut best = energy;
-        let mut states = vec![state.clone()];
+        visit(&state, energy);
         let total: u64 = 1u64 << n;
         for k in 1..total {
             // Gray code: bit to flip is the index of the lowest set bit of k.
             let bit = k.trailing_zeros() as usize;
             energy += compiled.flip_delta(&state, bit as Var);
             state[bit] ^= 1;
-            if energy < best - 1e-9 {
-                best = energy;
-                states.clear();
-                states.push(state.clone());
-            } else if (energy - best).abs() <= 1e-9 {
-                states.push(state.clone());
-            }
+            visit(&state, energy);
         }
-        (best, states)
     }
 }
 
@@ -87,25 +100,12 @@ impl Sampler for ExactSolver {
     /// Enumerates every state, keeping the `keep` lowest. Enumeration has
     /// no moves to count and no trajectory to probe.
     fn run(&self, model: &QuboModel, _probes: bool) -> SamplerRun {
-        let n = model.num_vars();
-        assert!(
-            n <= self.max_vars,
-            "model has {n} variables, exact limit is {}",
-            self.max_vars
-        );
-        let compiled = CompiledQubo::compile(model);
-        let mut state = vec![0u8; n];
-        let mut energy = compiled.energy(&state);
         // Keep the `keep` lowest-energy states seen so far.
-        let mut kept: Vec<(Vec<u8>, f64)> = vec![(state.clone(), energy)];
-        let mut worst_kept = energy;
-        let total: u64 = 1u64 << n;
-        for k in 1..total {
-            let bit = k.trailing_zeros() as usize;
-            energy += compiled.flip_delta(&state, bit as Var);
-            state[bit] ^= 1;
+        let mut kept: Vec<(Vec<u8>, f64)> = Vec::new();
+        let mut worst_kept = f64::NEG_INFINITY;
+        self.walk(model, |state, energy| {
             if kept.len() < self.keep || energy < worst_kept {
-                kept.push((state.clone(), energy));
+                kept.push((state.to_vec(), energy));
                 if kept.len() > self.keep * 2 {
                     // periodic compaction to bound memory
                     kept.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
@@ -116,7 +116,7 @@ impl Sampler for ExactSolver {
                     .map(|(_, e)| *e)
                     .fold(f64::NEG_INFINITY, f64::max);
             }
-        }
+        });
         kept.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         kept.truncate(self.keep);
         (

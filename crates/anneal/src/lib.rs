@@ -5,8 +5,8 @@
 //! crate is a from-scratch reimplementation of that sampler family — no
 //! quantum SDK involved:
 //!
-//! * [`SimulatedAnnealer`] — single-flip Metropolis with geometric/linear/
-//!   custom β schedules and 64-lane bit-sliced read blocks; the workhorse
+//! * [`SimulatedAnnealer`] — single-flip Metropolis with geometric or linear
+//!   β schedules and 64-lane bit-sliced read blocks; the workhorse
 //!   and the direct analog of the sampler the paper used.
 //! * [`SimulatedQuantumAnnealer`] — path-integral Monte Carlo over
 //!   Trotter slices; the classical analogue of the annealing device.
@@ -54,7 +54,7 @@ pub use accept::{AcceptanceTable, LN_ACCEPT_CUTOFF};
 pub use descent::SteepestDescent;
 pub use exact::ExactSolver;
 pub use probes::{SamplerDynamics, MAX_TRACE_POINTS};
-pub use sa::{SimulatedAnnealer, WARM_START_BETA_MAX, WARM_START_BETA_MIN, WARM_START_SWEEPS};
+pub use sa::SimulatedAnnealer;
 pub use sampleset::{EnergyStats, Sample, SampleSet};
 pub use seeding::read_seed;
 

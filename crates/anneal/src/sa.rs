@@ -12,16 +12,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Sweeps for a [`SimulatedAnnealer::reverse_anneal_from`] refinement
-/// pass: a quarter of the cold default (384), starting from a known-good
-/// state instead of a random one.
-pub const WARM_START_SWEEPS: usize = 96;
-/// Hot-end inverse temperature of the reverse-annealing schedule —
-/// moderately hot, so the seeded state can adjust without melting.
-pub const WARM_START_BETA_MIN: f64 = 2.0;
-/// Cold-end inverse temperature of the reverse-annealing schedule.
-pub const WARM_START_BETA_MAX: f64 = 12.0;
-
 /// The simulated annealing sampler — the direct analog of the D-Wave
 /// simulated annealer the paper ran its experiments on.
 ///
@@ -62,7 +52,6 @@ pub struct SimulatedAnnealer {
     sweeps: usize,
     schedule: Option<BetaSchedule>,
     seed: u64,
-    initial_state: Option<Vec<u8>>,
     stop: Option<StopFlag>,
 }
 
@@ -73,7 +62,6 @@ impl Default for SimulatedAnnealer {
             sweeps: 256,
             schedule: None,
             seed: 0,
-            initial_state: None,
             stop: None,
         }
     }
@@ -109,43 +97,6 @@ impl SimulatedAnnealer {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// **Reverse annealing**: every read starts from the given state
-    /// instead of a uniformly random one, refining a known-good candidate
-    /// — the software analog of D-Wave's reverse-anneal feature. Pair with
-    /// a schedule whose hot end is only moderately hot so the walk stays
-    /// near the seed basin.
-    ///
-    /// # Panics
-    /// Panics at sample time if the state length does not match the model.
-    pub fn with_initial_state(mut self, state: Vec<u8>) -> Self {
-        assert!(
-            state.iter().all(|&b| b <= 1),
-            "initial state must be binary"
-        );
-        self.initial_state = Some(state);
-        self
-    }
-
-    /// Reverse-annealing preset: keep this sampler's reads, seed, and
-    /// stop flag, but start every read from `state` under a short,
-    /// moderately hot schedule ([`WARM_START_SWEEPS`] sweeps, geometric
-    /// β [`WARM_START_BETA_MIN`] → [`WARM_START_BETA_MAX`]). The hot
-    /// entry lets the seed escape shallow local minima without erasing
-    /// the structure it carries; the quarter-length schedule suffices
-    /// because the walk begins near a basin instead of at a random
-    /// corner of the hypercube.
-    ///
-    /// # Panics
-    /// Panics at sample time if the state length does not match the model.
-    pub fn reverse_anneal_from(self, state: Vec<u8>) -> Self {
-        self.with_initial_state(state)
-            .with_schedule(BetaSchedule::Geometric {
-                beta_min: WARM_START_BETA_MIN,
-                beta_max: WARM_START_BETA_MAX,
-                sweeps: WARM_START_SWEEPS,
-            })
     }
 
     /// Attaches a cooperative [`StopFlag`]: every read polls it at sweep
@@ -184,19 +135,12 @@ impl SimulatedAnnealer {
         compiled: &CompiledQubo,
         tables: &[AcceptanceTable],
         seed: u64,
-        initial: Option<&[u8]>,
         stop: Option<&StopFlag>,
         mut probes: Option<&mut SweepProbes>,
     ) -> (Vec<u8>, f64, u64) {
         let n = compiled.num_vars();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let state: Vec<u8> = match initial {
-            Some(init) => {
-                assert_eq!(init.len(), n, "initial state length mismatch");
-                init.to_vec()
-            }
-            None => (0..n).map(|_| rng.gen_range(0..=1u8)).collect(),
-        };
+        let state: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=1u8)).collect();
         let mut kernel = FlipKernel::new(compiled, state);
         let mut accepted = 0u64;
         let mut watermark = KernelWatermark::new(kernel.energy());
@@ -262,7 +206,6 @@ impl SimulatedAnnealer {
         seed: u64,
         first_read: usize,
         lanes: usize,
-        initial: Option<&[u8]>,
         stop: Option<&StopFlag>,
     ) -> (Vec<(Vec<u8>, f64)>, u64) {
         let n = compiled.num_vars();
@@ -271,13 +214,7 @@ impl SimulatedAnnealer {
             .collect();
         let states: Vec<Vec<u8>> = rngs
             .iter_mut()
-            .map(|rng| match initial {
-                Some(init) => {
-                    assert_eq!(init.len(), n, "initial state length mismatch");
-                    init.to_vec()
-                }
-                None => (0..n).map(|_| rng.gen_range(0..=1u8)).collect(),
-            })
+            .map(|rng| (0..n).map(|_| rng.gen_range(0..=1u8)).collect())
             .collect();
         let mut kernel = MultiReplicaKernel::new(compiled, &states);
         let mut accepted = 0u64;
@@ -328,7 +265,6 @@ impl Sampler for SimulatedAnnealer {
         // One acceptance table per β, built once and shared read-only by
         // every read.
         let tables = AcceptanceTable::for_schedule(&betas);
-        let initial = self.initial_state.as_deref();
         let stop = self.stop.as_ref();
         let mut reads: Vec<(Vec<u8>, f64)> = Vec::with_capacity(self.num_reads);
         let mut accepted = 0u64;
@@ -340,7 +276,6 @@ impl Sampler for SimulatedAnnealer {
                 &compiled,
                 &tables,
                 read_seed(self.seed, 0),
-                initial,
                 stop,
                 Some(&mut probe),
             );
@@ -354,7 +289,7 @@ impl Sampler for SimulatedAnnealer {
         for (start, lanes) in Self::blocks(usize::from(probes)..self.num_reads) {
             let t0 = probes.then(since_start);
             let (block, block_accepted) =
-                Self::read_block(&compiled, &tables, self.seed, start, lanes, initial, stop);
+                Self::read_block(&compiled, &tables, self.seed, start, lanes, stop);
             if let Some(t0) = t0 {
                 let interval = (t0, since_start().saturating_sub(t0));
                 dynamics
@@ -445,36 +380,6 @@ mod tests {
                 sweeps: 300,
             });
         assert_eq!(sa.sample(&m).best().unwrap().state, gs);
-    }
-
-    #[test]
-    fn reverse_annealing_refines_a_seed_state() {
-        let (m, gs) = gadget();
-        // Start one bit away from the ground state with a mild schedule:
-        // every read must fall into the seed's basin.
-        let mut near = gs.clone();
-        near[5] ^= 1;
-        let sa = SimulatedAnnealer::new()
-            .with_seed(3)
-            .with_num_reads(8)
-            .with_initial_state(near)
-            .with_schedule(BetaSchedule::Geometric {
-                beta_min: 2.0,
-                beta_max: 12.0,
-                sweeps: 64,
-            });
-        let set = sa.sample(&m);
-        assert_eq!(set.best().unwrap().state, gs);
-        assert!(set.success_fraction(1e-9) > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "initial state length mismatch")]
-    fn reverse_annealing_rejects_wrong_length() {
-        let (m, _) = gadget();
-        SimulatedAnnealer::new()
-            .with_initial_state(vec![0, 1])
-            .sample(&m);
     }
 
     #[test]
@@ -580,46 +485,33 @@ mod tests {
         let compiled = CompiledQubo::compile(&m);
         let betas = BetaSchedule::auto(&compiled, 48).realize();
         let tables = AcceptanceTable::for_schedule(&betas);
-        for initial in [None, Some(vec![1u8, 0, 1, 0, 1, 0])] {
-            let mut sa = SimulatedAnnealer::new()
-                .with_seed(17)
-                .with_num_reads(70)
-                .with_sweeps(48);
-            if let Some(init) = &initial {
-                sa = sa.with_initial_state(init.clone());
-            }
-            let mut reads = Vec::new();
-            let mut accepted = 0u64;
-            for (start, lanes) in SimulatedAnnealer::blocks(0..sa.num_reads()) {
-                let (block, block_accepted) = SimulatedAnnealer::read_block(
-                    &compiled,
-                    &tables,
-                    17,
-                    start,
-                    lanes,
-                    initial.as_deref(),
-                    None,
-                );
-                reads.extend(block);
-                accepted += block_accepted;
-            }
-            assert_eq!(reads.len(), 70);
-            let mut scalar_accepted = 0u64;
-            for (r, (state, energy)) in reads.iter().enumerate() {
-                let (s_state, s_energy, s_acc) = SimulatedAnnealer::one_read(
-                    &compiled,
-                    &tables,
-                    read_seed(17, r as u64),
-                    initial.as_deref(),
-                    None,
-                    None,
-                );
-                assert_eq!(*state, s_state, "read {r}");
-                assert_eq!(*energy, s_energy, "read {r} energy must be bit-identical");
-                scalar_accepted += s_acc;
-            }
-            assert_eq!(accepted, scalar_accepted);
+        let sa = SimulatedAnnealer::new()
+            .with_seed(17)
+            .with_num_reads(70)
+            .with_sweeps(48);
+        let mut reads = Vec::new();
+        let mut accepted = 0u64;
+        for (start, lanes) in SimulatedAnnealer::blocks(0..sa.num_reads()) {
+            let (block, block_accepted) =
+                SimulatedAnnealer::read_block(&compiled, &tables, 17, start, lanes, None);
+            reads.extend(block);
+            accepted += block_accepted;
         }
+        assert_eq!(reads.len(), 70);
+        let mut scalar_accepted = 0u64;
+        for (r, (state, energy)) in reads.iter().enumerate() {
+            let (s_state, s_energy, s_acc) = SimulatedAnnealer::one_read(
+                &compiled,
+                &tables,
+                read_seed(17, r as u64),
+                None,
+                None,
+            );
+            assert_eq!(*state, s_state, "read {r}");
+            assert_eq!(*energy, s_energy, "read {r} energy must be bit-identical");
+            scalar_accepted += s_acc;
+        }
+        assert_eq!(accepted, scalar_accepted);
     }
 
     #[test]

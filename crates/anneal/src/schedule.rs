@@ -28,8 +28,6 @@ pub enum BetaSchedule {
         /// Number of sweeps (schedule points).
         sweeps: usize,
     },
-    /// An explicit list of β values, one sweep each.
-    Custom(Vec<f64>),
 }
 
 impl BetaSchedule {
@@ -77,7 +75,6 @@ impl BetaSchedule {
     pub fn len(&self) -> usize {
         match self {
             BetaSchedule::Geometric { sweeps, .. } | BetaSchedule::Linear { sweeps, .. } => *sweeps,
-            BetaSchedule::Custom(v) => v.len(),
         }
     }
 
@@ -89,8 +86,8 @@ impl BetaSchedule {
     /// Materializes the schedule into a β-per-sweep vector.
     ///
     /// # Panics
-    /// Panics if a parametric schedule has a non-positive β endpoint or
-    /// `beta_min > beta_max`.
+    /// Panics if a geometric schedule has a non-positive β endpoint, or
+    /// if `beta_min > beta_max`.
     pub fn realize(&self) -> Vec<f64> {
         match self {
             BetaSchedule::Geometric {
@@ -134,7 +131,6 @@ impl BetaSchedule {
                         .collect(),
                 }
             }
-            BetaSchedule::Custom(v) => v.clone(),
         }
     }
 }
@@ -254,12 +250,5 @@ mod tests {
             sweeps: 3,
         }
         .realize();
-    }
-
-    #[test]
-    fn custom_schedule_passes_through() {
-        let s = BetaSchedule::Custom(vec![0.3, 0.7, 2.0]);
-        assert_eq!(s.realize(), vec![0.3, 0.7, 2.0]);
-        assert_eq!(s.len(), 3);
     }
 }

@@ -30,6 +30,11 @@ use std::time::Instant;
 /// Inverse temperature β of the quantum system, fixed for the whole
 /// anneal (only Γ is scheduled).
 const BETA: f64 = 8.0;
+/// Transverse field Γ at the first sweep; it falls linearly to
+/// [`GAMMA_END`] at the last.
+const GAMMA_START: f64 = 3.0;
+/// Transverse field Γ at the last sweep.
+const GAMMA_END: f64 = 1e-3;
 
 /// The simulated quantum annealer (PIMC over Trotter replicas).
 #[derive(Debug, Clone)]
@@ -37,8 +42,6 @@ pub struct SimulatedQuantumAnnealer {
     num_reads: usize,
     sweeps: usize,
     trotter_slices: usize,
-    gamma_start: f64,
-    gamma_end: f64,
     seed: u64,
     stop: Option<StopFlag>,
 }
@@ -49,8 +52,6 @@ impl Default for SimulatedQuantumAnnealer {
             num_reads: 16,
             sweeps: 256,
             trotter_slices: 16,
-            gamma_start: 3.0,
-            gamma_end: 1e-3,
             seed: 0,
             stop: None,
         }
@@ -82,18 +83,6 @@ impl SimulatedQuantumAnnealer {
     pub fn with_trotter_slices(mut self, p: usize) -> Self {
         assert!(p >= 2, "Trotter decomposition needs at least two slices");
         self.trotter_slices = p;
-        self
-    }
-
-    /// Sets the transverse-field schedule endpoints (Γ decreases linearly
-    /// from `start` to `end`).
-    pub fn with_gamma_range(mut self, start: f64, end: f64) -> Self {
-        assert!(
-            start > end && end > 0.0,
-            "Γ must anneal downward through positive values"
-        );
-        self.gamma_start = start;
-        self.gamma_end = end;
         self
     }
 
@@ -188,7 +177,7 @@ impl SimulatedQuantumAnnealer {
                 probe.begin_sweep(best);
             }
             let f = sweep as f64 / (self.sweeps.max(2) - 1) as f64;
-            let gamma = self.gamma_start + (self.gamma_end - self.gamma_start) * f;
+            let gamma = GAMMA_START + (GAMMA_END - GAMMA_START) * f;
             let j_perp = self.j_perp(gamma);
             for k in 0..p {
                 let slices = ((k + p - 1) % p, k, (k + 1) % p);
@@ -424,11 +413,5 @@ mod tests {
     #[should_panic(expected = "at least two slices")]
     fn single_slice_rejected() {
         SimulatedQuantumAnnealer::new().with_trotter_slices(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "anneal downward")]
-    fn inverted_gamma_range_rejected() {
-        SimulatedQuantumAnnealer::new().with_gamma_range(0.1, 3.0);
     }
 }

@@ -185,16 +185,6 @@ impl StringSolver {
         Ok(lint_qubo(&problem.qubo, &LintConfig::default()))
     }
 
-    /// Deny gate: when deny-on-error mode is on, lint the compiled model
-    /// and reject it if any error-level diagnostic fires.
-    fn deny_gate(&self, qubo: &QuboModel) -> Result<(), ConstraintError> {
-        if !self.deny_lint_errors {
-            return Ok(());
-        }
-        let report = lint_qubo(qubo, &LintConfig::default());
-        Self::reject_on_errors(&report)
-    }
-
     fn reject_on_errors(report: &LintReport) -> Result<(), ConstraintError> {
         if report.has_errors() {
             let codes = report.codes().join(", ");
@@ -408,26 +398,26 @@ impl StringSolver {
     /// energy — model enumeration for test-generation workloads, where
     /// one witness per branch is rarely enough.
     ///
-    /// The degenerate ground states of the paper's generation encodings
-    /// (palindromes, regexes, flexible fills) make this natural: one
-    /// sampling pass usually surfaces many distinct witnesses.
+    /// A view of [`StringSolver::solve`]: the first `limit` distinct
+    /// decodes of its samples that validate. The degenerate ground states
+    /// of the paper's generation encodings (palindromes, regexes, flexible
+    /// fills) make this natural: one solve's reads usually surface many
+    /// distinct witnesses.
     ///
     /// # Errors
-    /// Propagates encoding failures.
+    /// As [`StringSolver::run`].
     pub fn solve_many(
         &self,
         constraint: &Constraint,
         limit: usize,
     ) -> Result<Vec<Solution>, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let samples = self.sampler().sample(&problem.qubo);
+        let outcome = self.solve(constraint)?;
         let mut out = Vec::new();
-        for sample in samples.iter() {
+        for sample in outcome.samples.iter() {
             if out.len() >= limit {
                 break;
             }
-            let Ok(solution) = problem.decode_state(&sample.state) else {
+            let Ok(solution) = outcome.problem.decode_state(&sample.state) else {
                 continue;
             };
             if constraint.validate(&solution) && !out.contains(&solution) {
@@ -1027,6 +1017,74 @@ mod tests {
             .solve_many(&Constraint::Palindrome { len: 3 }, 2)
             .unwrap();
         assert!(limited.len() <= 2);
+    }
+
+    /// Every distinct decode of a solve's samples that validates, in
+    /// sample order.
+    fn distinct_valid(c: &Constraint, out: &SolveOutcome) -> Vec<Solution> {
+        let mut seen: Vec<Solution> = Vec::new();
+        let decoded = out
+            .samples
+            .iter()
+            .filter_map(|s| out.problem.decode_state(&s.state).ok());
+        for solution in decoded.filter(|s| c.validate(s)) {
+            if !seen.contains(&solution) {
+                seen.push(solution);
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn solve_many_reads_the_witnesses_of_one_solve() {
+        // Separable generation goals end in the exact component draw, and
+        // solve_many lists that solve's distinct valid decodes.
+        for (c, limit) in [
+            (Constraint::Palindrome { len: 3 }, 5),
+            (
+                Constraint::Regex {
+                    pattern: "a[bc]+".into(),
+                    len: 4,
+                },
+                4,
+            ),
+        ] {
+            let out = solver().solve(&c).unwrap();
+            assert_eq!(out.report.sampling.sampler, "component-exact");
+            let mut expected = distinct_valid(&c, &out);
+            assert!(expected.len() > limit, "{}", c.describe());
+            expected.truncate(limit);
+            assert_eq!(solver().solve_many(&c, limit).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn solve_many_on_an_explicit_sampler_keeps_its_witnesses() {
+        // An explicit sampler anneals the full compiled model, with no
+        // presolve or draw in front of it, so its witnesses are pinned
+        // exactly: a change to the solve path must not move them.
+        let sa = StringSolver::new(Arc::new(
+            SimulatedAnnealer::new()
+                .with_num_reads(64)
+                .with_sweeps(96)
+                .with_seed(3),
+        ));
+        let texts = |c: &Constraint, limit| -> Vec<String> {
+            sa.solve_many(c, limit)
+                .unwrap()
+                .iter()
+                .map(|s| s.as_text().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(
+            texts(&Constraint::Palindrome { len: 3 }, 5),
+            ["scs", ".-.", "lzl", "2s2", "~7~"]
+        );
+        let regex = Constraint::Regex {
+            pattern: "a[bc]+".into(),
+            len: 4,
+        };
+        assert_eq!(texts(&regex, 4), ["acbb", "accb", "acbc", "abcb"]);
     }
 
     #[test]

@@ -35,17 +35,6 @@ impl PrecisionModel {
         }
     }
 
-    /// Advantage-like defaults (Pegasus-era hardware): wider coupler
-    /// range, same effective resolution.
-    pub fn pegasus_advantage() -> Self {
-        PrecisionModel {
-            name: "pegasus-advantage",
-            coupler_range: (-2.0, 1.0),
-            field_range: (-4.0, 4.0),
-            resolution_bits: 8,
-        }
-    }
-
     /// Largest programmable coupler magnitude.
     pub fn coupler_limit(&self) -> f64 {
         self.coupler_range.0.abs().max(self.coupler_range.1.abs())
@@ -136,12 +125,6 @@ mod tests {
         let step = p.quantization_step();
         assert!((step - 2.0 / 255.0).abs() < 1e-12);
         assert!((p.dynamic_range() - 127.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pegasus_has_wider_couplers() {
-        let p = PrecisionModel::pegasus_advantage();
-        assert!((p.coupler_limit() - 2.0).abs() < 1e-12);
     }
 
     #[test]

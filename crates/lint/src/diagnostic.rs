@@ -75,10 +75,6 @@ pub enum LintCode {
     /// Interchangeable variable pairs make the ground state trivially
     /// degenerate (an exact symmetry of the energy function).
     DegenerateSymmetry,
-    /// An Ising model with no external fields has an exact global
-    /// spin-flip symmetry: every state is exactly degenerate with its
-    /// complement.
-    GaugeSymmetry,
 }
 
 impl LintCode {
@@ -94,7 +90,6 @@ impl LintCode {
             LintCode::ChainStrength => "chain-strength",
             LintCode::DisconnectedComponents => "disconnected-components",
             LintCode::DegenerateSymmetry => "degenerate-symmetry",
-            LintCode::GaugeSymmetry => "gauge-symmetry",
         }
     }
 
@@ -108,8 +103,7 @@ impl LintCode {
             LintCode::DeadVariable => Severity::Warning,
             LintCode::PresolveFixable
             | LintCode::DisconnectedComponents
-            | LintCode::DegenerateSymmetry
-            | LintCode::GaugeSymmetry => Severity::Info,
+            | LintCode::DegenerateSymmetry => Severity::Info,
         }
     }
 
@@ -125,7 +119,6 @@ impl LintCode {
             LintCode::ChainStrength,
             LintCode::DisconnectedComponents,
             LintCode::DegenerateSymmetry,
-            LintCode::GaugeSymmetry,
         ]
     }
 }

@@ -1,4 +1,4 @@
-//! # qsmt-lint — static soundness analysis of compiled QUBO/Ising encodings
+//! # qsmt-lint — static soundness analysis of compiled QUBO encodings
 //!
 //! The paper's central claim is that each string operation's QUBO
 //! formulation has ground states that decode exactly to satisfying
@@ -6,8 +6,9 @@
 //! before burning reads on it, though — and penalty weights and
 //! coefficient dynamic range decide whether any sampler (classical or
 //! quantum) can see the ground state at all. This crate is that check:
-//! a static analyzer over [`QuboModel`]/[`IsingModel`] that runs **no
-//! sampling** and emits structured diagnostics.
+//! a static analyzer over the compiled [`QuboModel`] — the model every
+//! sampler receives — that runs **no sampling** and emits structured
+//! diagnostics. [`lint_qubo`] is its one entry point.
 //!
 //! ## Passes
 //!
@@ -65,26 +66,12 @@ pub use config::{chain_strength, LintConfig, PrecisionModel};
 pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use structure::{infer_groups, OneHotGroup};
 
-use qsmt_qubo::{IsingModel, QuboModel};
+use qsmt_qubo::QuboModel;
 
 /// Lints a QUBO model with the given configuration.
 pub fn lint_qubo(model: &QuboModel, cfg: &LintConfig) -> LintReport {
     let mut report = LintReport {
         diagnostics: passes::run_qubo_passes(model, cfg),
-    };
-    report.finish();
-    report
-}
-
-/// Lints an Ising model with the given configuration.
-///
-/// Runs the Ising-native checks (fields/couplers against hardware
-/// ranges, gauge symmetry, dead spins, connectivity). For the structural
-/// QUBO passes, convert with [`IsingModel::to_qubo`] and call
-/// [`lint_qubo`].
-pub fn lint_ising(model: &IsingModel, cfg: &LintConfig) -> LintReport {
-    let mut report = LintReport {
-        diagnostics: passes::run_ising_passes(model, cfg),
     };
     report.finish();
     report
@@ -276,30 +263,6 @@ mod tests {
             .find(|d| d.code == LintCode::DegenerateSymmetry)
             .unwrap();
         assert_eq!(sym.metric, Some(2.0));
-    }
-
-    #[test]
-    fn ising_gauge_symmetry_detected() {
-        let mut ising = qsmt_qubo::IsingModel::new(3);
-        ising.add_coupling(0, 1, -1.0);
-        ising.add_coupling(1, 2, -1.0);
-        let report = lint_ising(&ising, &LintConfig::default());
-        assert!(
-            report.codes().contains(&"gauge-symmetry"),
-            "{}",
-            report.render()
-        );
-    }
-
-    #[test]
-    fn ising_dead_spin_and_components() {
-        let mut ising = qsmt_qubo::IsingModel::new(5);
-        ising.add_coupling(0, 1, 1.0);
-        ising.add_coupling(2, 3, 1.0);
-        ising.add_field(0, 0.5);
-        let report = lint_ising(&ising, &LintConfig::default());
-        assert!(report.codes().contains(&"dead-variable"));
-        assert!(report.codes().contains(&"disconnected-components"));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The lint passes. Each pass is a pure function from a model (plus
-//! config) to zero or more [`Diagnostic`]s; the drivers in `lib.rs`
-//! compose them into a [`crate::LintReport`].
+//! config) to zero or more [`Diagnostic`]s; [`run_qubo_passes`] runs
+//! them all, and [`crate::lint_qubo`] wraps the result in a
+//! [`crate::LintReport`].
 
 use crate::config::LintConfig;
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::structure::{infer_groups, OneHotGroup};
-use qsmt_qubo::{persistent_assignments, IsingModel, QuboModel, Var};
+use qsmt_qubo::{persistent_assignments, QuboModel, Var};
 use std::collections::HashMap;
 
 /// Formats a (possibly truncated) variable list for a message.
@@ -559,127 +560,5 @@ pub fn run_qubo_passes(model: &QuboModel, cfg: &LintConfig) -> Vec<Diagnostic> {
     diagnostics.extend(conditioning(model, cfg));
     diagnostics.extend(connectivity(model, cfg));
     diagnostics.extend(degenerate_symmetry(model, cfg));
-    diagnostics
-}
-
-/// Ising-side checks: dead spins, gauge symmetry, conditioning against
-/// the field/coupler ranges, disconnected components. Structural passes
-/// (groups, persistency) are QUBO-level concepts; convert with
-/// [`IsingModel::to_qubo`] to run them.
-pub fn run_ising_passes(model: &IsingModel, cfg: &LintConfig) -> Vec<Diagnostic> {
-    let mut diagnostics = Vec::new();
-    let n = model.num_spins();
-    let mut degree = vec![0usize; n];
-    for (i, j, _) in model.coupling_iter() {
-        degree[i as usize] += 1;
-        degree[j as usize] += 1;
-    }
-    let dead: Vec<Var> = (0..n as Var)
-        .filter(|&v| model.field(v) == 0.0 && degree[v as usize] == 0)
-        .collect();
-    if !dead.is_empty() {
-        let count = dead.len();
-        diagnostics.push(
-            Diagnostic::new(
-                LintCode::DeadVariable,
-                format!(
-                    "{count} spin{} with zero field and no couplings ({})",
-                    if count == 1 { "" } else { "s" },
-                    var_list(&dead, cfg.max_listed_vars),
-                ),
-            )
-            .with_vars(dead)
-            .with_metric(count as f64),
-        );
-    }
-    let all_fields_zero = (0..n as Var).all(|v| model.field(v) == 0.0);
-    if n > 0 && all_fields_zero && model.num_couplings() > 0 {
-        diagnostics.push(Diagnostic::new(
-            LintCode::GaugeSymmetry,
-            "all external fields are zero: the model has an exact global spin-flip \
-             symmetry, so every state is degenerate with its complement"
-                .to_string(),
-        ));
-    }
-    // Conditioning against field/coupler ranges.
-    let max_j = model
-        .coupling_iter()
-        .map(|(_, _, j)| j.abs())
-        .fold(0.0f64, f64::max);
-    let max_h = (0..n as Var)
-        .map(|v| model.field(v).abs())
-        .fold(0.0f64, f64::max);
-    let all = (0..n as Var)
-        .map(|v| model.field(v))
-        .chain(model.coupling_iter().map(|(_, _, j)| j));
-    if let Some(min_abs) = min_abs_nonzero(all) {
-        let precision = &cfg.precision;
-        let mut scale = f64::INFINITY;
-        if max_j > 0.0 {
-            scale = scale.min(precision.coupler_limit() / max_j);
-        }
-        if max_h > 0.0 {
-            let field_limit = precision
-                .field_range
-                .0
-                .abs()
-                .max(precision.field_range.1.abs());
-            scale = scale.min(field_limit / max_h);
-        }
-        if scale.is_finite() {
-            let step = precision.quantization_step();
-            let ratio = max_j.max(max_h) / min_abs;
-            if ratio > precision.dynamic_range() {
-                diagnostics.push(
-                    Diagnostic::new(
-                        LintCode::DynamicRange,
-                        format!(
-                            "h/J dynamic range {ratio:.1} exceeds the {} representable \
-                             range {:.1}",
-                            precision.name,
-                            precision.dynamic_range(),
-                        ),
-                    )
-                    .with_metric(ratio),
-                );
-            }
-            let erased = (0..n as Var)
-                .map(|v| model.field(v))
-                .chain(model.coupling_iter().map(|(_, _, j)| j))
-                .filter(|&c| c != 0.0 && c.abs() * scale < step / 2.0)
-                .count();
-            if erased > 0 {
-                diagnostics.push(
-                    Diagnostic::new(
-                        LintCode::PrecisionLoss,
-                        format!(
-                            "{erased} nonzero h/J coefficient{} quantize to zero at {} \
-                             resolution after scaling into hardware range",
-                            if erased == 1 { "" } else { "s" },
-                            precision.name,
-                        ),
-                    )
-                    .with_metric(erased as f64),
-                );
-            }
-        }
-    }
-    // Disconnected components over couplings: the QUBO form has the same
-    // interaction graph.
-    let coupled_components = model
-        .to_qubo()
-        .components()
-        .iter()
-        .filter(|c| c.len() >= 2)
-        .count();
-    if coupled_components >= 2 {
-        diagnostics.push(
-            Diagnostic::new(
-                LintCode::DisconnectedComponents,
-                format!("coupling graph splits into {coupled_components} independent components"),
-            )
-            .with_metric(coupled_components as f64),
-        );
-    }
     diagnostics
 }

@@ -60,7 +60,7 @@ pub use ising_compiled::CompiledIsing;
 pub use kernel::{FlipKernel, IsingFlipKernel, KernelWatermark};
 pub use model::{QuboModel, Var};
 pub use multi_kernel::{MultiReplicaKernel, LANES};
-pub use presolve::{fix_variables, normalize, persistent_assignments, presolve, ReducedModel};
+pub use presolve::{fix_variables, persistent_assignments, presolve, ReducedModel};
 pub use serialize::{from_qbsolv, to_qbsolv, FormatError};
 pub use stop::StopFlag;
 

@@ -166,21 +166,6 @@ pub fn presolve(model: &QuboModel) -> ReducedModel {
     }
 }
 
-/// Rescales the model so the largest absolute coefficient equals
-/// `target` (hardware `h`/`J` range programming). Returns the scale
-/// factor applied (1.0 for all-zero models). Ground states are unchanged;
-/// energies scale by the returned factor.
-pub fn normalize(model: &mut QuboModel, target: f64) -> f64 {
-    assert!(target > 0.0, "target range must be positive");
-    let max = model.max_abs_coefficient();
-    if max == 0.0 {
-        return 1.0;
-    }
-    let factor = target / max;
-    model.scale(factor);
-    factor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,16 +257,6 @@ mod tests {
         let red = presolve(&m);
         assert_eq!(red.model.num_vars(), 0);
         assert_eq!(red.lift(&[]), vec![1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn normalize_hits_target_range() {
-        let mut m = sample();
-        let factor = normalize(&mut m, 1.0);
-        assert!((m.max_abs_coefficient() - 1.0).abs() < 1e-12);
-        assert!((factor - 1.0 / 3.0).abs() < 1e-12);
-        let mut zero = QuboModel::new(2);
-        assert_eq!(normalize(&mut zero, 1.0), 1.0);
     }
 
     #[test]

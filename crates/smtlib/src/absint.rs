@@ -216,19 +216,21 @@ pub struct AbsintRun {
     /// QUBO bit variables eliminated by applying the tightenings; 0
     /// until [`apply_tightenings`] runs (and always 0 on unsat).
     pub vars_eliminated: u64,
-    /// Wall-clock time of lowering + fixpoint, microseconds.
+    /// Wall-clock time of lowering + fixpoint, microseconds: the
+    /// duration of the `absint` trace span.
     pub time_us: u64,
 }
 
 impl AbsintRun {
-    /// Lowers and analyzes a command stream.
+    /// Lowers and analyzes a command stream as one `absint` stage, timed
+    /// by [`qsmt_trace::timed`]: under an active trace its span records
+    /// the same two clock reads as `time_us`.
     pub fn over(commands: &[Command]) -> AbsintRun {
-        let start = std::time::Instant::now();
-        let analysis = analyze(lower(commands));
+        let (analysis, _, time_us) = qsmt_trace::timed("absint", || analyze(lower(commands)));
         AbsintRun {
             analysis,
             vars_eliminated: 0,
-            time_us: start.elapsed().as_micros() as u64,
+            time_us,
         }
     }
 

@@ -193,10 +193,7 @@ impl Script {
         solver: &StringSolver,
         opts: &SolveOptions,
     ) -> Result<ScriptRun, ScriptError> {
-        let mut absint = opts.absint.then(|| {
-            let _t = qsmt_trace::span("absint");
-            self.absint()
-        });
+        let mut absint = opts.absint.then(|| self.absint());
         let unsat = |goals, absint| ScriptRun {
             outcome: ScriptOutcome {
                 status: SatStatus::Unsat,

@@ -18,7 +18,7 @@
 //!   chain handling: the simulated annealer hardware behind
 //!   `BENCH_qpu.json`;
 //! * [`lint`] — the formulation linter: static soundness analysis of
-//!   compiled QUBO/Ising encodings (see `docs/LINTS.md`);
+//!   compiled QUBO encodings (see `docs/LINTS.md`);
 //! * [`smtlib`] — the SMT-LIB v2 string-theory front end;
 //! * [`telemetry`] — solver observability: per-stage statistics and
 //!   JSON run reports (see `docs/OBSERVABILITY.md`);

@@ -342,6 +342,32 @@ fn stage_timings_are_the_trace_spans() {
 }
 
 #[test]
+fn absint_time_is_the_trace_span() {
+    // The absint pass is timed once: its one trace span and the report's
+    // absint.time_us share their clock reads.
+    let src = std::fs::read_to_string(corpus("char_pins.smt2")).unwrap();
+    let solver = StringSolver::with_defaults().with_seed(7);
+    let opts = SolveOptions {
+        absint: true,
+        ..SolveOptions::default()
+    };
+    let id = TraceId::derive(0xab51);
+    let run = {
+        let _trace = qsmt::trace::enter(id, "absint-timing");
+        Script::parse(&src).unwrap().run(&solver, &opts).unwrap()
+    };
+    let stats = run.absint.as_ref().expect("absint ran").to_stats();
+    assert_eq!(stats.vars_eliminated, 14, "char_pins is tightened");
+    let doc = qsmt::trace::registry().chrome_json(id).unwrap();
+    let absint: Vec<u64> = chrome_spans(&doc)
+        .into_iter()
+        .filter(|(name, ..)| name == "absint")
+        .map(|(_, _, dur)| dur)
+        .collect();
+    assert_eq!(absint, [stats.time_us]);
+}
+
+#[test]
 fn pipeline_report_has_one_solve_per_stage() {
     let doc = report_for("table1_row1_reverse_replace.smt2", &[]);
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));

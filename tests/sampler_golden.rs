@@ -183,8 +183,7 @@ fn palindrome() -> QuboModel {
 /// Every sampler with small budgets, so the gate stays fast in a debug
 /// build. 70 SA reads cover the probe read, a full 64-lane block and a
 /// tail block.
-fn cases(n: usize, seed: u64) -> Vec<(&'static str, Box<dyn Sampler>)> {
-    let warm: Vec<u8> = (0..n).map(|i| (i % 3 == 0) as u8).collect();
+fn cases(seed: u64) -> Vec<(&'static str, Box<dyn Sampler>)> {
     vec![
         (
             "sa",
@@ -193,15 +192,6 @@ fn cases(n: usize, seed: u64) -> Vec<(&'static str, Box<dyn Sampler>)> {
                     .with_seed(seed)
                     .with_num_reads(70)
                     .with_sweeps(48),
-            ),
-        ),
-        (
-            "sa-reverse",
-            Box::new(
-                SimulatedAnnealer::new()
-                    .with_seed(seed)
-                    .with_num_reads(12)
-                    .reverse_anneal_from(warm),
             ),
         ),
         (
@@ -227,7 +217,7 @@ fn sampler_output_matches_expected_snapshot() {
     let mut actual = BTreeMap::new();
     for (model_name, model, seed) in [("two-well", two_well(), 7), ("palindrome", palindrome(), 3)]
     {
-        for (case, sampler) in cases(model.num_vars(), seed) {
+        for (case, sampler) in cases(seed) {
             actual.insert(
                 format!("{model_name}/{case}"),
                 summarize(sampler.as_ref(), &model),
